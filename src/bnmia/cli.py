@@ -14,7 +14,7 @@ import numpy as np
 
 from . import attacks as atk
 from . import harness
-from .formats import NetworkFormatError, load_document, parse_bif_subset, parse_sexpr
+from .formats import NetworkFormatError
 from .inference import ImpossibleEvidenceError
 from .learning import ProxyDataset
 from .model import (
@@ -24,7 +24,7 @@ from .model import (
     attribute_marginals,
     validate,
 )
-from .populations import load_benchmark
+from .populations import resolve_network
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -38,24 +38,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _load_network(args) -> BayesianNetwork:
-    source = args.network
-    path = Path(source)
-    if path.exists():
-        if args.format == "sexp" or (args.format == "auto" and path.suffix == ".sexp"):
-            bn = parse_sexpr(path.read_text(encoding="utf-8"))
-        elif args.format == "bif" or (args.format == "auto" and path.suffix == ".bif"):
-            bn = parse_bif_subset(path.read_text(encoding="utf-8"))
-        else:
-            bn = load_document(path).network
-        bn = bn.with_outputs(bn.node_names, "one-hot")
-    else:
-        bn = load_benchmark(source)
-    if getattr(args, "outputs", None):
-        outputs = tuple(v.strip() for v in args.outputs.split(","))
-        bn = bn.with_outputs(outputs, args.encoding or bn.encoding)
-    elif getattr(args, "encoding", None):
-        bn = bn.with_outputs(bn.output_nodes, args.encoding)
+def _load_network(args, rng: np.random.Generator) -> BayesianNetwork:
+    outputs = tuple(v.strip() for v in args.outputs.split(",")) if args.outputs else None
+    bn = resolve_network(args.network, rng, outputs, args.encoding, args.format)
     problems = validate(bn)
     if problems:
         raise NetworkFormatError("; ".join(problems), 0, 0)
@@ -63,8 +48,8 @@ def _load_network(args) -> BayesianNetwork:
 
 
 def _cmd_sample(args) -> int:
-    bn = _load_network(args)
     rng = np.random.default_rng(args.seed)
+    bn = _load_network(args, rng)
     proxy = ProxyDataset.from_network_samples(bn, args.n, rng)
     text = proxy.to_csv()
     if args.out:
@@ -75,7 +60,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    bn = _load_network(args)
+    bn = _load_network(args, np.random.default_rng(0))
     counts_vec = tuple(int(x) for x in args.counts.split(","))
     counts = ReleasedCounts(counts_vec, args.n)
     y = tuple(int(x) for x in args.target.split(","))

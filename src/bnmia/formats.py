@@ -627,12 +627,14 @@ def emit_bif(bn: BayesianNetwork) -> str:
     return "\n".join(out) + "\n"
 
 
-def load_document(path: str | Path) -> NetworkDocument:
-    """Read a `.sexp` or `.bif` file into a NetworkDocument."""
+def load_document(path: str | Path, fmt: str = "auto") -> NetworkDocument:
+    """Read a `.sexp` or `.bif` file into a NetworkDocument; fmt "sexp" or
+    "bif" picks the parser whatever the suffix."""
     path = Path(path)
     text = path.read_text(encoding="utf-8")
-    if path.suffix == ".sexp":
+    kind = path.suffix if fmt == "auto" else "." + fmt
+    if kind == ".sexp":
         return NetworkDocument(text, parse_sexpr(text))
-    if path.suffix == ".bif":
+    if kind == ".bif":
         return NetworkDocument(text, parse_bif_subset(text))
     raise ValueError(f"unsupported network file extension {path.suffix!r}")

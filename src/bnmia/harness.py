@@ -20,7 +20,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import attacks as atk
-from . import formats
 from .inference import (
     ImpossibleEvidenceError,
     PosteriorEngine,
@@ -46,12 +45,12 @@ from .model import (
 from .populations import (
     LEFT,
     RIGHT,
-    load_benchmark,
     make_half_repeated,
     make_lr_repeated,
     make_lr_side,
     make_product,
     midpoint,
+    resolve_network,
 )
 
 STRONG = "strong"
@@ -62,11 +61,6 @@ THREATS = (STRONG, WEAK, WEAKEST)
 DEFAULT_ATTACKS = ("lrt", "inner_product", "bayes")
 
 _STREAM_TAGS = {"population": 0, "dataset": 1, "targets_in": 2, "targets_out": 3, "proxy": 4}
-
-# Toy populations draw their Bernoulli parameters per trial from this range,
-# keeping every marginal safely interior.
-TOY_PARAM_RANGE = (0.2, 0.8)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -117,37 +111,9 @@ def _stream(seed: int, trial: int, purpose: str) -> np.random.Generator:
 
 
 def resolve_population(config: ExperimentConfig, rng: np.random.Generator) -> BayesianNetwork:
-    """Build or load the trial's population network.
-
-    Toy names (product:<d>, half:<d>, lr:<d>) draw fresh parameters from the
-    population stream each trial; fixed names and file paths load as-is.
-    """
-    lo, hi = TOY_PARAM_RANGE
-    name = config.population
-    kind, _, arg = name.partition(":")
-    if kind in ("product", "half", "lr"):
-        d = int(arg)
-        if kind == "product":
-            bn = make_product(tuple(rng.uniform(lo, hi, size=d)))
-        elif kind == "half":
-            bn = make_half_repeated(d, tuple(rng.uniform(lo, hi, size=midpoint(d))))
-        else:
-            m = midpoint(d)
-            bn = make_lr_repeated(
-                d,
-                tuple(rng.uniform(lo, hi, size=m)),
-                tuple(rng.uniform(lo, hi, size=d - m + 2)),
-            )
-    elif name.endswith((".bif", ".sexp")):
-        bn = formats.load_document(name).network
-        bn = bn.with_outputs(bn.node_names, "one-hot")
-    else:
-        bn = load_benchmark(name)
-    if config.output_nodes is not None:
-        bn = bn.with_outputs(config.output_nodes, config.encoding or bn.encoding)
-    elif config.encoding is not None:
-        bn = bn.with_outputs(bn.output_nodes, config.encoding)
-    return bn
+    """The trial's population network: `resolve_network` on the config's
+    population name and output overrides, toy parameters drawn from rng."""
+    return resolve_network(config.population, rng, config.output_nodes, config.encoding)
 
 
 def _attack_scorers(
@@ -156,26 +122,29 @@ def _attack_scorers(
     mu: np.ndarray,
     counts: ReleasedCounts,
     d: int,
-) -> dict[str, Callable]:
-    """Scorer per configured attack name; None marks impossible evidence."""
-    scorers: dict[str, Callable] = {}
+) -> dict[str, Callable | None]:
+    """Scorer per configured attack name, mapping a list of targets to their
+    scores; None marks impossible evidence.  The Bayes attack scores all
+    targets in one table lookup, the marginal attacks one target at a time."""
+    scorers: dict[str, Callable | None] = {}
     for name in spec_names:
-        if name == "lrt":
-            scorers[name] = lambda y: atk.lrt_score(mu, counts, y).value
-        elif name == "inner_product":
-            scorers[name] = lambda y: atk.inner_product_score(mu, counts, y).value
-        elif name == "bayes":
+        if name == "bayes":
             try:
                 engine = posterior_engine(output_marginal_law(attacker_bn), counts)
             except ImpossibleEvidenceError:
                 scorers[name] = None
             else:
-                scorers[name] = lambda y, e=engine: e.result(y).log_ratio
+                scorers[name] = lambda ys, e=engine: e.log_ratios(ys).tolist()
+            continue
+        if name == "lrt":
+            score = lambda y: atk.lrt_score(mu, counts, y).value
+        elif name == "inner_product":
+            score = lambda y: atk.inner_product_score(mu, counts, y).value
         elif name.startswith("lrt_clipped:"):
             lo_hi = name.split(":", 1)[1]
             lo, hi = (int(x) for x in lo_hi.split("-"))
             clip = atk.ClipRange(lo, hi)
-            scorers[name] = lambda y, c=clip: atk.lrt_clipped_score(mu, counts, y, c).value
+            score = lambda y, c=clip: atk.lrt_clipped_score(mu, counts, y, c).value
         elif name in ("lrt_clipped_auto", "lrt_clipped_flip"):
             side = atk.choose_side(counts, d)
             if side == atk.AMBIGUOUS:
@@ -183,9 +152,10 @@ def _attack_scorers(
             if name.endswith("flip"):
                 side = LEFT if side == RIGHT else RIGHT
             clip = atk.side_clip_range(d, side)
-            scorers[name] = lambda y, c=clip: atk.lrt_clipped_score(mu, counts, y, c).value
+            score = lambda y, c=clip: atk.lrt_clipped_score(mu, counts, y, c).value
         else:
             raise ValueError(f"unknown attack {name!r}")
+        scorers[name] = lambda ys, s=score: [s(y) for y in ys]
     return scorers
 
 
@@ -224,17 +194,16 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> dict[str, TrialScor
         mu = empirical_marginals(proxy, bn.output_nodes, bn.encoding)
 
     scorers = _attack_scorers(config.attacks, attacker_bn, mu, counts, bn.d)
+    k_in, k_out = config.targets_in, config.targets_out
     result: dict[str, TrialScores] = {}
     for name, scorer in scorers.items():
         if scorer is None:
-            k_in, k_out = config.targets_in, config.targets_out
             result[name] = TrialScores(
                 [float("-inf")] * k_in, [float("-inf")] * k_out, k_in + k_out
             )
             continue
-        result[name] = TrialScores(
-            [scorer(y) for y in targets_in], [scorer(y) for y in targets_out]
-        )
+        scores = scorer(targets_in + targets_out)
+        result[name] = TrialScores(scores[:k_in], scores[k_in:])
     return result
 
 
@@ -437,13 +406,6 @@ class SuiteResult:
     advisory: bool = False
 
 
-def _dense_from_table(table: dict, shape: tuple[int, ...]) -> np.ndarray:
-    dense = np.full(shape, float("-inf"))
-    for key, lp in table.items():
-        dense[key] = lp
-    return dense
-
-
 def _product_net_deviation(p: np.ndarray, n: int, rng: np.random.Generator):
     """Max relative gap between the exact posterior odds and the marginal
     closed form, over every count vector and every target; plus spot checks
@@ -452,8 +414,9 @@ def _product_net_deviation(p: np.ndarray, n: int, rng: np.random.Generator):
     bn = make_product(tuple(p))
     law = output_marginal_law(bn)
     shape = (n + 1,) * d
-    t_prev = _dense_from_table(sum_log_table(law, n - 1, (n,) * d), shape)
-    t_n = _dense_from_table(sum_log_table(law, n, (n,) * d), shape)
+    grid_counts = np.indices(shape).reshape(d, -1).T
+    t_prev = sum_log_table(law, n - 1, (n,) * d).log_prob(grid_counts).reshape(shape)
+    t_n = sum_log_table(law, n, (n,) * d).log_prob(grid_counts).reshape(shape)
     assert np.all(np.isfinite(t_n)), "every count vector is feasible for interior p"
 
     grid = np.arange(n + 1) / n

@@ -5,10 +5,10 @@ The evidence is the released integer count vector c = n * mean.  The odds are
     R = P(sum of n-1 fresh draws = c - encode(y)) / P(sum of n draws = c),
 
 computed exactly from the population's output law by iterated convolution
-over a map from feasible partial-sum vectors to log probabilities, pruning
-any partial sum that exceeds the released counts in some coordinate.  A
-brute-force enumeration over full network instances provides an independent
-oracle for the same quantity.
+into a table of feasible partial-sum vectors and their log probabilities,
+pruning any partial sum that exceeds the released counts in some
+coordinate.  A brute-force enumeration over full network instances provides
+an independent oracle for the same quantity.
 """
 from __future__ import annotations
 
@@ -71,37 +71,70 @@ def _logsumexp(values) -> float:
     return m + math.log(math.fsum(math.exp(v - m) for v in values))
 
 
-def sum_log_table(
-    law: SupportDistribution, k: int, cap: tuple[int, ...]
-) -> dict[EncodedVector, float]:
-    """log P(V_1 + ... + V_k = t) for every reachable t <= cap, V_i iid ~ law.
+@dataclass(frozen=True)
+class CountTable:
+    """log P(V_1 + ... + V_k = t) for every reachable count vector t <= cap.
+
+    Each t is packed into one integer key (mixed radix cap_j + 1, C order);
+    keys are sorted and unique.  The packing is internal: look entries up
+    with `log_prob`.
+    """
+
+    cap: tuple[int, ...]
+    strides: np.ndarray
+    keys: np.ndarray
+    log_probs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def log_prob(self, targets) -> np.ndarray:
+        """log P for each row of targets; -inf where a target is unreachable,
+        negative, or outside the cap."""
+        t = _rows(targets, len(self.cap))
+        inside = np.all((t >= 0) & (t <= np.array(self.cap, dtype=np.int64)), axis=1)
+        packed = t[inside] @ self.strides
+        pos = np.searchsorted(self.keys, packed)
+        hit = pos < len(self.keys)
+        hit[hit] = self.keys[pos[hit]] == packed[hit]
+        out = np.full(len(t), LOG_ZERO)
+        out[np.flatnonzero(inside)[hit]] = self.log_probs[pos[hit]]
+        return out
+
+
+def _rows(targets, d: int) -> np.ndarray:
+    t = np.asarray(targets, dtype=np.int64)
+    if t.ndim != 2 or t.shape[1] != d:
+        raise ValueError("target has the wrong dimension")
+    return t
+
+
+def sum_log_table(law: SupportDistribution, k: int, cap: tuple[int, ...]) -> CountTable:
+    """The table of log P(V_1 + ... + V_k = t) for t <= cap, V_i iid ~ law.
 
     Convolution states are pruned against cap coordinatewise, which is sound
     for any query target <= cap.  Outcomes and states are processed in a fixed
-    sorted order, so results are bitwise deterministic.
+    sorted order, so results are bitwise deterministic.  Keys are int64 when
+    they fit in 62 bits and Python ints (an object array) otherwise.
     """
     d = law.d
-    if k == 0:
-        return {(0,) * d: 0.0}
+    cap = tuple(int(c) for c in cap)
+    radix = np.array([c + 1 for c in cap], dtype=np.int64)
+    key_dtype = np.int64 if float(np.sum(np.log2(radix))) <= 62 else object
+    strides = np.ones(d, dtype=key_dtype)
+    for j in range(d - 2, -1, -1):
+        strides[j] = strides[j + 1] * (cap[j + 1] + 1)
+
+    keys = np.zeros(1, dtype=key_dtype)
+    logp = np.zeros(1, dtype=float)
     keep = [i for i, (vec, _) in enumerate(law.outcomes) if all(v <= c for v, c in zip(vec, cap))]
-    if not keep:
-        return {}
+    if k > 0 and not keep:
+        return CountTable(cap, strides, keys[:0], logp[:0])
     vecs = law.vectors()[keep]
     logp_out = np.log(law.probs()[keep])
-
-    radix = np.array([c + 1 for c in cap], dtype=np.int64)
-    bits = float(np.sum(np.log2(radix)))
-    if bits > 62:
-        return _sum_log_table_dict(vecs, logp_out, k, cap)
-
-    strides = np.ones(d, dtype=np.int64)
-    for j in range(d - 2, -1, -1):
-        strides[j] = strides[j + 1] * radix[j + 1]
     offsets = vecs @ strides
     cap_arr = np.array(cap, dtype=np.int64)
 
-    keys = np.zeros(1, dtype=np.int64)
-    logp = np.zeros(1, dtype=float)
     for _ in range(k):
         digits = (keys[:, None] // strides[None, :]) % radix[None, :]
         chunks_k, chunks_p = [], []
@@ -120,9 +153,7 @@ def sum_log_table(
         cand_k = np.concatenate(chunks_k)
         cand_p = np.concatenate(chunks_p)
         keys, logp = _grouped_logsumexp(cand_k, cand_p)
-
-    digits = (keys[:, None] // strides[None, :]) % radix[None, :]
-    return {tuple(int(x) for x in row): float(v) for row, v in zip(digits, logp)}
+    return CountTable(cap, strides, keys, logp)
 
 
 def _grouped_logsumexp(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,27 +168,6 @@ def _grouped_logsumexp(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, 
     return k[starts], m + np.log(sums)
 
 
-def _sum_log_table_dict(vecs, logp_out, k, cap) -> dict[EncodedVector, float]:
-    """Fallback for very wide networks where packed int64 keys would overflow."""
-    out_list = sorted(
-        (tuple(int(x) for x in vec), float(lp)) for vec, lp in zip(vecs, logp_out)
-    )
-    table = {(0,) * len(cap): 0.0}
-    for _ in range(k):
-        new: dict[EncodedVector, float] = {}
-        for part in sorted(table):
-            pp = table[part]
-            for vec, lp in out_list:
-                s = tuple(a + b for a, b in zip(part, vec))
-                if any(a > c for a, c in zip(s, cap)):
-                    continue
-                prev = new.get(s)
-                total = pp + lp
-                new[s] = total if prev is None else float(np.logaddexp(prev, total))
-        table = new
-    return table
-
-
 def sum_count_prob(law: SupportDistribution, k: int, target) -> float:
     """Exact P(V_1 + ... + V_k = target) for V_i iid ~ law."""
     if k < 0:
@@ -165,14 +175,9 @@ def sum_count_prob(law: SupportDistribution, k: int, target) -> float:
     target = tuple(int(t) for t in target)
     if len(target) != law.d:
         raise ValueError(f"target has length {len(target)}, expected {law.d}")
-    if any(t < 0 for t in target):
+    if any(t < 0 or t > k for t in target):
         return 0.0
-    if k == 0:
-        return 1.0 if all(t == 0 for t in target) else 0.0
-    if any(t > k for t in target):
-        return 0.0
-    lp = sum_log_table(law, k, target).get(target)
-    return 0.0 if lp is None else math.exp(lp)
+    return math.exp(sum_log_table(law, k, target).log_prob([target])[0])
 
 
 class PosteriorEngine:
@@ -194,30 +199,26 @@ class PosteriorEngine:
         self.counts = counts
         c = counts.counts
         self._table = sum_log_table(law, counts.n - 1, c)
-        terms = []
-        for vec, p in law.outcomes:
-            diff = tuple(a - b for a, b in zip(c, vec))
-            if any(x < 0 for x in diff):
-                continue
-            lp = self._table.get(diff)
-            if lp is not None:
-                terms.append(lp + math.log(p))
-        self.log_denominator = _logsumexp(terms)
+        self._c = np.array(c, dtype=np.int64)
+        table_lps = self._table.log_prob(self._c - law.vectors()).tolist()
+        self.log_denominator = _logsumexp(
+            lp + math.log(p) for lp, (_, p) in zip(table_lps, law.outcomes)
+        )
         if self.log_denominator == LOG_ZERO:
             raise ImpossibleEvidenceError(
                 "impossible evidence: released counts have probability zero under BN"
             )
 
+    def _log_numerators(self, targets) -> np.ndarray:
+        return self._table.log_prob(self._c - _rows(targets, self.law.d))
+
+    def log_ratios(self, targets) -> np.ndarray:
+        """log R for each row of targets, in one table lookup; -inf where the
+        target cannot be in the dataset."""
+        return self._log_numerators(targets) - self.log_denominator
+
     def result(self, y: EncodedVector) -> PosteriorResult:
-        y = tuple(int(b) for b in y)
-        if len(y) != self.law.d:
-            raise ValueError("target has the wrong dimension")
-        diff = tuple(a - b for a, b in zip(self.counts.counts, y))
-        if any(x < 0 for x in diff):
-            log_num = LOG_ZERO
-        else:
-            lp = self._table.get(diff)
-            log_num = LOG_ZERO if lp is None else lp
+        log_num = float(self._log_numerators([y])[0])
         ratio = 0.0 if log_num == LOG_ZERO else math.exp(log_num - self.log_denominator)
         return PosteriorResult(ratio, log_num, self.log_denominator)
 

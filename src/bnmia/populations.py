@@ -8,12 +8,18 @@ from __future__ import annotations
 
 from functools import lru_cache
 from importlib import resources
+from pathlib import Path
 from typing import Sequence
 
+from . import formats
 from .model import BayesianNetwork, NodeSpec, ONE_HOT, RAW_BINARY
 
 LEFT = "left"
 RIGHT = "right"
+
+# Toy populations draw their Bernoulli parameters from this range, keeping
+# every marginal safely interior.
+TOY_PARAM_RANGE = (0.2, 0.8)
 
 
 def _check_open_unit(p: Sequence[float]) -> None:
@@ -198,8 +204,6 @@ def load_benchmark(name: str) -> BayesianNetwork:
     returned instance (and its lazily computed law) is shared; treat it as
     immutable.
     """
-    from . import formats  # local import to keep module dependencies one-way
-
     base, _, variant = name.partition(":")
     path = resources.files("bnmia.data").joinpath(f"{base}.bif")
     try:
@@ -212,3 +216,45 @@ def load_benchmark(name: str) -> BayesianNetwork:
             raise ValueError(f"unknown benchmark variant {name!r}")
         return bn.with_outputs(SACHS_OUTPUT_SETS[variant], ONE_HOT)
     return bn.with_outputs(bn.node_names, ONE_HOT)
+
+
+def resolve_network(
+    name: str,
+    rng,
+    output_nodes: Sequence[str] | None = None,
+    encoding: str | None = None,
+    fmt: str = "auto",
+) -> BayesianNetwork:
+    """The network a population name or file path denotes.
+
+    Toy names (product:<d>, half:<d>, lr:<d>) draw fresh Bernoulli parameters
+    from rng.  An existing file, or a name ending in .sexp or .bif, is parsed
+    (fmt "sexp" or "bif" forces the parser) and releases every node one-hot.
+    Any other name is a bundled benchmark.  output_nodes and encoding then
+    override the released outputs.
+    """
+    lo, hi = TOY_PARAM_RANGE
+    kind, _, arg = name.partition(":")
+    if kind in ("product", "half", "lr"):
+        d = int(arg)
+        if kind == "product":
+            bn = make_product(tuple(rng.uniform(lo, hi, size=d)))
+        elif kind == "half":
+            bn = make_half_repeated(d, tuple(rng.uniform(lo, hi, size=midpoint(d))))
+        else:
+            m = midpoint(d)
+            bn = make_lr_repeated(
+                d,
+                tuple(rng.uniform(lo, hi, size=m)),
+                tuple(rng.uniform(lo, hi, size=d - m + 2)),
+            )
+    elif name.endswith((".bif", ".sexp")) or Path(name).exists():
+        bn = formats.load_document(name, fmt).network
+        bn = bn.with_outputs(bn.node_names, ONE_HOT)
+    else:
+        bn = load_benchmark(name)
+    if output_nodes is not None:
+        bn = bn.with_outputs(output_nodes, encoding or bn.encoding)
+    elif encoding is not None:
+        bn = bn.with_outputs(bn.output_nodes, encoding)
+    return bn

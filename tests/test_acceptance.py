@@ -1,10 +1,12 @@
 """Acceptance suite: every release criterion, one pass/fail line each.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the lines.  Three
-sub-criteria are strict-xfail: they assert properties of the left/right
-hidden-coin population (and the strong-model ratio-test baseline) that the
-implemented model provably cannot satisfy; the measured gaps are printed and
-the analysis lives in notes/decisions.md at the repository root.
+Run with `pytest tests/test_acceptance.py -v -s` to see the lines.  Four
+sub-criteria are strict-xfail: criterion 2 on the left/right hidden-coin
+population, 5a, 5b, and the asia Bayes-LRT gap of criterion 6.  They assert
+properties of the hidden-coin population and of the strong-model ratio-test
+baseline that the implemented model provably cannot satisfy; the measured
+gaps are printed and the analysis lives in notes/decisions.md at the
+repository root.
 """
 import itertools
 import math

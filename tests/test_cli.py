@@ -31,6 +31,13 @@ class TestSample:
         main(["sample", "--network", "asia", "--n", "4", "--seed", "9", "--out", str(b)])
         assert a.read_text() == b.read_text()
 
+    def test_toy_population(self, capsys):
+        code = main(["sample", "--network", "product:4", "--n", "3"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "X1,X2,X3,X4"
+        assert len(lines) == 4 and all(len(line.split(",")) == 4 for line in lines)
+
 
 class TestAttack:
     def test_lrt_score_from_file(self, tmp_path, capsys):

@@ -14,8 +14,26 @@ from bnmia.inference import (
     sum_count_prob,
     sum_log_table,
 )
-from bnmia.model import ReleasedCounts, attribute_marginals, output_marginal_law
-from bnmia.populations import make_cancer, make_half_repeated, make_product
+from bnmia.model import (
+    Dataset,
+    ReleasedCounts,
+    attribute_marginals,
+    dataset_counts,
+    output_marginal_law,
+    project,
+    sample,
+)
+from bnmia.populations import (
+    SACHS_OUTPUT_SETS,
+    load_benchmark,
+    make_cancer,
+    make_half_repeated,
+    make_product,
+)
+
+BUNDLED = ("cancer", "earthquake", "asia", "survey") + tuple(
+    f"sachs:{s}" for s in SACHS_OUTPUT_SETS
+)
 
 
 class TestSumCountProb:
@@ -56,29 +74,36 @@ class TestSumCountProb:
                 assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_pruning_soundness(self):
-        # A table computed under a tight cap agrees with the uncapped table
-        # wherever both are defined.
+        # A table computed under a tight cap agrees bitwise with the uncapped
+        # table on every count vector within the cap, and holds nothing else.
         law = output_marginal_law(make_half_repeated(5, (0.3, 0.6, 0.45)))
         full = sum_log_table(law, 3, (3,) * 5)
         cap = (2, 1, 3, 3, 3)
         pruned = sum_log_table(law, 3, cap)
-        for t, lp in pruned.items():
-            assert lp == full[t]
-        for t, lp in full.items():
-            if all(a <= b for a, b in zip(t, cap)):
-                assert pruned[t] == lp
+        grid = np.indices((4,) * 5).reshape(5, -1).T
+        within = np.all(grid <= np.array(cap), axis=1)
+        pruned_lp = pruned.log_prob(grid)
+        full_lp = full.log_prob(grid)
+        assert np.all(pruned_lp[~within] == -np.inf)
+        assert np.all(pruned_lp[within] == full_lp[within])
+        assert len(pruned) == np.count_nonzero(np.isfinite(pruned_lp))
+        assert len(full) == np.count_nonzero(np.isfinite(full_lp))
 
-    def test_dict_fallback_matches_packed(self):
-        from bnmia.inference import _sum_log_table_dict
-
-        law = output_marginal_law(make_product((0.3, 0.6, 0.45)))
-        cap = (2, 2, 2)
-        keep = list(range(len(law)))
-        packed = sum_log_table(law, 2, cap)
-        fallback = _sum_log_table_dict(law.vectors(), np.log(law.probs()), 2, cap)
-        assert set(packed) == set(fallback)
-        for t in packed:
-            assert packed[t] == pytest.approx(fallback[t], rel=1e-12)
+    def test_wide_keys_copy_chain(self):
+        # 23 raw-binary copies of one coin released at n = 8 with c = 6 each:
+        # packing the 7-fold table needs 23 * log2(7) = 64.6 bits, beyond
+        # int64 keys.  Only the all-ones and all-zeros vectors have mass.
+        p = 0.6
+        nodes = (model.NodeSpec("X1", ("0", "1"), (), {(): (1 - p, p)}),) + tuple(
+            model.NodeSpec(f"X{j}", ("0", "1"), ("X1",), {(0,): (1.0, 0.0), (1,): (0.0, 1.0)})
+            for j in range(2, 24)
+        )
+        bn = model.BayesianNetwork(nodes, tuple(n.name for n in nodes), model.RAW_BINARY)
+        counts = ReleasedCounts((6,) * 23, 8)
+        assert posterior_ratio(bn, counts, (1,) * 23).ratio == pytest.approx(
+            (6 / 8) / p, rel=1e-12
+        )
+        assert posterior_ratio(bn, counts, (1,) + (0,) * 22).ratio == 0.0
 
 
 class TestPosteriorRatio:
@@ -117,6 +142,21 @@ class TestPosteriorRatio:
         engine = PosteriorEngine(law, counts)
         for y in itertools.product((0, 1), repeat=3):
             assert engine.result(y).ratio == posterior_ratio(bn, counts, y).ratio
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_ratios_average_to_one_under_the_law(name):
+    # Summed against the law, the numerator gives the denominator, so
+    # sum_y law(y) R(y) = 1 for any feasible release: a check without the
+    # oracle, at sizes the oracle cannot reach.
+    bn = load_benchmark(name)
+    law = output_marginal_law(bn)
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        records = [project(bn, sample(bn, rng)) for _ in range(4)]
+        engine = PosteriorEngine(law, dataset_counts(Dataset(tuple(records)), bn))
+        total = math.fsum(law.probs() * np.exp(engine.log_ratios(law.vectors())))
+        assert abs(total - 1.0) <= 1e-12
 
 
 class TestClosedForm:
