@@ -43,8 +43,10 @@ from .model import (
     sample,
 )
 from .populations import (
+    BUNDLED_BENCHMARKS,
     LEFT,
     RIGHT,
+    load_benchmark,
     make_half_repeated,
     make_lr_repeated,
     make_lr_side,
@@ -729,6 +731,38 @@ def verify_count_normalization(seed: int = 20250810) -> SuiteResult:
     )
 
 
+def law_ratio_deviation(
+    bn: BayesianNetwork, n: int, releases: int, rng: np.random.Generator
+) -> float:
+    """Max |sum_y law(y) R(y) - 1| over releases of n sampled records.
+
+    Summed against the law, the numerator of R gives its denominator, so the
+    sum is 1 for any feasible release: a check without the oracle, at sizes
+    the oracle cannot reach.
+    """
+    law = output_marginal_law(bn)
+    worst = 0.0
+    for _ in range(releases):
+        records = [project(bn, sample(bn, rng)) for _ in range(n)]
+        engine = PosteriorEngine(law, dataset_counts(Dataset(tuple(records)), bn))
+        total = math.fsum(law.probs() * np.exp(engine.log_ratios(law.vectors())))
+        worst = max(worst, abs(total - 1.0))
+    return worst
+
+
+def verify_law_ratio_normalization(seed: int = 20250810) -> SuiteResult:
+    """sum_y law(y) R(y) = 1 on three releases of every bundled network, n = 4."""
+    rng = np.random.default_rng(seed)
+    start = time.perf_counter()
+    worst = max(
+        law_ratio_deviation(load_benchmark(name), 4, 3, rng) for name in BUNDLED_BENCHMARKS
+    )
+    return SuiteResult(
+        "law_weighted_ratio_normalization",
+        worst, 1e-12, worst <= 1e-12, 3 * len(BUNDLED_BENCHMARKS), time.perf_counter() - start,
+    )
+
+
 def verify_equivalences(
     product_populations: int = 200,
     identity_samples: int = 1000,
@@ -743,4 +777,5 @@ def verify_equivalences(
         verify_binomial_identities(identity_samples, seed),
         verify_oracle_agreement(seed),
         verify_count_normalization(seed),
+        verify_law_ratio_normalization(seed),
     ]

@@ -2,8 +2,9 @@
 
 Provides the in-memory network model plus the operations everything else is
 built on: validation, joint probability, the exact distribution of the encoded
-output attributes, ancestral sampling, and the raw-binary / one-hot encodings
-of records and datasets.
+output attributes (by variable elimination on the outputs' ancestors; only
+`enumerate_full_records` walks the full joint), ancestral sampling, and the
+raw-binary / one-hot encodings of records and datasets.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ ENCODINGS = (RAW_BINARY, ONE_HOT)
 
 # CPT rows must sum to 1 within this tolerance to be accepted.
 ROW_SUM_TOL = 1e-12
-# Default ceiling on the full joint state count for exhaustive enumeration.
+# Default ceiling on the entries of any factor built for the output law.
 DEFAULT_STATE_GUARD = 10_000_000
 
 # A record maps node name -> state index.  Full records assign every node;
@@ -31,7 +32,7 @@ EncodedVector = tuple[int, ...]
 
 
 class ModelSizeError(ValueError):
-    """Raised when an exhaustive computation would exceed its state guard."""
+    """Raised when an exact computation would exceed its size guard."""
 
 
 @dataclass(frozen=True)
@@ -260,43 +261,96 @@ def joint_prob(bn: BayesianNetwork, full: Record) -> float:
 def output_marginal_law(
     bn: BayesianNetwork, guard: int = DEFAULT_STATE_GUARD
 ) -> SupportDistribution:
-    """Exact law of the encoded output vector, by exhaustive enumeration.
+    """Exact law of the encoded output vector, by variable elimination.
 
-    Sums the joint probability over all assignments of the non-output nodes;
-    zero-probability branches are pruned as they appear and zero-probability
-    outcomes are dropped.  Cached on the network instance.
+    Only the outputs and their ancestors are kept: every other node is a
+    barren descendant whose CPT sums to 1.  Each kept CPT becomes a factor.
+    The hidden ancestors are summed out one at a time, next the one whose
+    resulting factor is smallest (ties broken by topological position), and
+    what is left is multiplied into one table over the outputs.  Its positive
+    entries, encoded once each, are the outcomes.  Raises ModelSizeError when
+    any factor, the output table included, would exceed `guard` entries.
+    Cached on the network instance.
     """
     if bn._law is not None:
         return bn._law
-    if bn.joint_state_count > guard:
-        raise ModelSizeError(
-            f"network too large for exhaustive marginalization: "
-            f"{bn.joint_state_count} joint states > guard {guard}"
-        )
-    acc: dict[EncodedVector, float] = {}
-    nodes = bn.nodes
-    rec: Record = {}
+    outputs = tuple(dict.fromkeys(bn.output_nodes))
+    kept = set(outputs)
+    for node in reversed(bn.nodes):
+        if node.name in kept:
+            kept.update(node.parents)
+    position = {name: i for i, name in enumerate(bn.node_names)}
+    card = {name: bn.node(name).cardinality for name in kept}
+    _check_size(outputs, card, guard)
 
-    def walk(i: int, p: float) -> None:
-        if i == len(nodes):
-            vec = encode(bn, rec)
-            acc[vec] = acc.get(vec, 0.0) + p
-            return
-        node = nodes[i]
-        row = node.cpt[tuple(rec[q] for q in node.parents)]
-        for s, ps in enumerate(row):
-            if ps > 0.0:
-                rec[node.name] = s
-                walk(i + 1, p * ps)
-        rec.pop(node.name, None)
+    factors = [_cpt_factor(bn, node) for node in bn.nodes if node.name in kept]
 
-    walk(0, 1.0)
-    total = math.fsum(acc.values())
+    def resulting(h: str) -> int:
+        scope = set().union(*(s for s, _ in factors if h in s)) - {h}
+        return math.prod(card[u] for u in scope)
+
+    hidden = kept.difference(outputs)
+    while hidden:
+        v = min(hidden, key=lambda h: (resulting(h), position[h]))
+        hidden.remove(v)
+        scope, table = _product([f for f in factors if v in f[0]], card, guard)
+        factors = [f for f in factors if v not in f[0]]
+        factors.append((tuple(u for u in scope if u != v), table.sum(axis=scope.index(v))))
+    scope, table = _product(factors, card, guard)
+    table = np.transpose(table, [scope.index(v) for v in outputs])
+
+    positive = table > 0.0
+    probs = table[positive].tolist()
+    outcomes = [
+        (encode(bn, dict(zip(outputs, states))), p)
+        for states, p in zip(np.argwhere(positive).tolist(), probs)
+    ]
+    total = math.fsum(probs)
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"output law does not normalize: total probability {total!r}")
-    law = SupportDistribution(tuple(sorted(acc.items())), d=bn.d)
+    law = SupportDistribution(tuple(sorted(outcomes)), d=bn.d)
     bn._law = law
     return law
+
+
+# A factor is a scope (node names, one table axis each, in order) and a table.
+Factor = tuple[tuple[str, ...], np.ndarray]
+
+
+def _check_size(scope: Sequence[str], card: dict[str, int], guard: int) -> None:
+    size = math.prod(card[v] for v in scope)
+    if size > guard:
+        raise ModelSizeError(
+            f"network too large for variable elimination: a factor over "
+            f"{len(scope)} nodes would have {size} entries > guard {guard}"
+        )
+
+
+def _cpt_factor(bn: BayesianNetwork, node: NodeSpec) -> Factor:
+    """The node's CPT as a table with axes (parents..., node)."""
+    shape = tuple(bn.node(p).cardinality for p in node.parents) + (node.cardinality,)
+    rows = [node.cpt[combo] for combo in itertools.product(*map(range, shape[:-1]))]
+    return node.parents + (node.name,), np.array(rows, dtype=float).reshape(shape)
+
+
+def _product(factors: Sequence[Factor], card: dict[str, int], guard: int) -> Factor:
+    """Multiply factors left to right; the scope is checked against the guard
+    first, and every partial product is a sub-table of the result."""
+    scope = tuple(dict.fromkeys(v for f_scope, _ in factors for v in f_scope))
+    _check_size(scope, card, guard)
+    done: tuple[str, ...] = ()
+    table = np.ones(())
+    for f_scope, f_table in factors:
+        union = done + tuple(v for v in f_scope if v not in done)
+        # Labels are numbered per call: only this product's nodes count
+        # toward einsum's 52-label limit.
+        label = {v: i for i, v in enumerate(union)}
+        table = np.einsum(
+            table, [label[v] for v in done], f_table, [label[v] for v in f_scope],
+            list(range(len(union))),
+        )
+        done = union
+    return scope, table
 
 
 def attribute_marginals(bn: BayesianNetwork, guard: int = DEFAULT_STATE_GUARD) -> np.ndarray:

@@ -194,6 +194,12 @@ SACHS_OUTPUT_SETS = {
     "path-right": ("PKC", "PKA", "Mek", "Erk", "Akt"),
 }
 
+# Every bundled network as the suites use it: sachs through its output sets,
+# the others releasing every node.
+BUNDLED_BENCHMARKS = ("cancer", "earthquake", "asia", "survey") + tuple(
+    f"sachs:{s}" for s in SACHS_OUTPUT_SETS
+)
+
 
 @lru_cache(maxsize=None)
 def load_benchmark(name: str) -> BayesianNetwork:

@@ -128,6 +128,17 @@ class TestErrors:
         code = main(["sample", "--network", str(bad), "--n", "2"])
         assert code == 2
 
+    def test_oversized_law_is_data_error(self, capsys):
+        # 24 released binary attributes: a 2**24-entry output table, over
+        # the default guard of 10**7 entries.
+        zeros = ",".join(["0"] * 24)
+        code = main([
+            "attack", "--network", "product:24", "--counts", zeros, "--n", "4",
+            "--target", zeros, "--attack", "lrt",
+        ])
+        assert code == 2
+        assert "too large" in capsys.readouterr().err
+
     def test_usage_error_on_bad_flag(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["eval", "--no-such-flag"])

@@ -3,7 +3,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from strategies import small_networks
 
 from bnmia import model
 from bnmia.model import (
@@ -20,7 +21,14 @@ from bnmia.model import (
     sample,
     validate,
 )
-from bnmia.populations import make_cancer, make_half_repeated, make_product
+from bnmia.populations import (
+    SACHS_OUTPUT_SETS,
+    load_benchmark,
+    make_cancer,
+    make_half_repeated,
+    make_product,
+    resolve_network,
+)
 
 
 def bern(name, p, parents=(), rows=None):
@@ -122,6 +130,74 @@ class TestOutputLaw:
         bn = make_product((0.5,) * 8)
         with pytest.raises(model.ModelSizeError, match="too large"):
             output_marginal_law(bn, guard=100)
+
+    def test_guard_bounds_factors_not_the_joint(self):
+        # A fresh instance, so no cached law bypasses the guard.
+        bn = load_benchmark("sachs:path-left")
+        bn = bn.with_outputs(bn.output_nodes, bn.encoding)
+        assert bn.joint_state_count == 177_147
+        assert len(output_marginal_law(bn, guard=10_000)) == 243
+
+    def test_guard_covers_intermediate_factors(self):
+        # The 5 three-state outputs give a 243-entry table, but summing out
+        # a hidden ancestor needs a 729-entry factor first.
+        bn = load_benchmark("sachs:path-left")
+        with pytest.raises(model.ModelSizeError, match="729 entries > guard 728"):
+            output_marginal_law(bn.with_outputs(bn.output_nodes, bn.encoding), guard=728)
+        assert len(output_marginal_law(bn.with_outputs(bn.output_nodes, bn.encoding), guard=729)) == 243
+
+    def test_encodes_once_per_outcome(self, monkeypatch):
+        calls = []
+
+        def counting_encode(bn, rec):
+            calls.append(rec)
+            return encode(bn, rec)
+
+        monkeypatch.setattr(model, "encode", counting_encode)
+        bn = load_benchmark("sachs:leaf-root")
+        law = output_marginal_law(bn.with_outputs(bn.output_nodes, bn.encoding))
+        assert len(calls) == len(law) == 729
+
+
+def reference_law(bn):
+    """The law summed over every full record, in walk order."""
+    acc = {}
+    for rec, p in model.enumerate_full_records(bn):
+        vec = encode(bn, rec)
+        acc[vec] = acc.get(vec, 0.0) + p
+    return acc
+
+
+def assert_same_law(bn):
+    law = output_marginal_law(bn)
+    expected = reference_law(bn)
+    vectors = [v for v, _ in law.outcomes]
+    assert vectors == sorted(expected)
+    for vec, p in law.outcomes:
+        assert p > 0.0
+        assert abs(p - expected[vec]) <= 1e-12 * expected[vec]
+
+
+class TestLawMatchesFullEnumeration:
+    @pytest.mark.parametrize(
+        "name",
+        ("cancer", "earthquake", "asia", "survey", "sachs")
+        + tuple(f"sachs:{s}" for s in SACHS_OUTPUT_SETS),
+    )
+    def test_bundled(self, name):
+        bn = load_benchmark(name)
+        assert_same_law(bn.with_outputs(bn.output_nodes, bn.encoding))
+
+    @pytest.mark.parametrize("name", ("product:6", "half:7", "lr:8"))
+    def test_toy(self, name):
+        # lr:8 hides its side coin, so a variable is eliminated there.
+        assert_same_law(resolve_network(name, np.random.default_rng(3)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_networks())
+    def test_random_networks(self, bn):
+        assert validate(bn) == []
+        assert_same_law(bn)
 
 
 class TestAttributeMarginals:
