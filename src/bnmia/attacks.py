@@ -3,11 +3,14 @@
 Three families: marginal ratio tests (optionally clipped to an index range),
 the inner product test, and the exact Bayesian posterior odds.  Ratio scores
 are kept in log space; a zero factor dominates and yields -inf, never NaN.
+The marginal tests score one target, or a targets x d array of them at once.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .model import BayesianNetwork, EncodedVector, ReleasedCounts
 from .inference import posterior_ratio
@@ -53,34 +56,43 @@ class ClipRange:
         return range(self.lo - 1, self.hi)
 
 
-def _log_ratio_terms(mu, counts: ReleasedCounts, y: EncodedVector, indices) -> float:
-    n = counts.n
-    total = 0.0
-    for j in indices:
-        mu_j = float(mu[j])
-        if not 0.0 < mu_j < 1.0:
-            raise ValueError("population marginals must lie strictly inside (0, 1)")
-        xbar = counts.counts[j] / n
-        num = xbar if y[j] else 1.0 - xbar
-        den = mu_j if y[j] else 1.0 - mu_j
-        if num == 0.0:
-            return float("-inf")
-        total += math.log(num) - math.log(den)
+def _scored(kind: str, values: np.ndarray, y):
+    """An AttackScore for one target, the float array of scores for a batch."""
+    return AttackScore(kind, float(values[0])) if np.ndim(y) == 1 else values
+
+
+def _log_ratio_terms(mu, counts: ReleasedCounts, y, indices) -> np.ndarray:
+    """Log ratio of each target row over the coordinates in `indices`.
+
+    Each coordinate's bit-1 and bit-0 terms are built once with math.log,
+    picked by the target bits and summed column by column from the left, the
+    order of a one-target loop.  Every marginal in `indices` is checked first,
+    even past a coordinate that zeroes a target's numerator.
+    """
+    ys = np.atleast_2d(y)
+    mus = [float(mu[j]) for j in indices]
+    if not all(0.0 < mu_j < 1.0 for mu_j in mus):
+        raise ValueError("population marginals must lie strictly inside (0, 1)")
+    total = np.zeros(len(ys))
+    for j, mu_j in zip(indices, mus):
+        xbar = counts.counts[j] / counts.n
+        one = math.log(xbar) - math.log(mu_j) if xbar != 0.0 else -math.inf
+        zero = math.log(1.0 - xbar) - math.log(1.0 - mu_j) if 1.0 - xbar != 0.0 else -math.inf
+        total += np.where(ys[:, j] != 0, one, zero)
     return total
 
 
-def lrt_score(mu, counts: ReleasedCounts, y: EncodedVector) -> AttackScore:
+def lrt_score(mu, counts: ReleasedCounts, y):
     """Log ratio of the target's probability under the dataset means vs the
     population marginals, treating attributes as independent."""
-    return AttackScore(LRT, _log_ratio_terms(mu, counts, y, range(len(y))))
+    return _scored(LRT, _log_ratio_terms(mu, counts, y, range(np.shape(y)[-1])), y)
 
 
-def lrt_clipped_score(
-    mu, counts: ReleasedCounts, y: EncodedVector, clip: ClipRange
-) -> AttackScore:
+def lrt_clipped_score(mu, counts: ReleasedCounts, y, clip: ClipRange):
     """The ratio test restricted to the clip range (neutralizes repeated
     attributes when the range excludes the copies)."""
-    return AttackScore(LRT_CLIPPED, _log_ratio_terms(mu, counts, y, clip.indices(len(y))))
+    indices = clip.indices(np.shape(y)[-1])
+    return _scored(LRT_CLIPPED, _log_ratio_terms(mu, counts, y, indices), y)
 
 
 def half_clip_range(d: int) -> ClipRange:
@@ -115,11 +127,14 @@ def choose_side(counts: ReleasedCounts, d: int) -> str:
     return AMBIGUOUS
 
 
-def inner_product_score(mu, counts: ReleasedCounts, y: EncodedVector) -> AttackScore:
-    """How much the target shifts the released means away from the population."""
-    n = counts.n
-    value = sum((counts.counts[j] / n - float(mu[j])) * y[j] for j in range(len(y)))
-    return AttackScore(INNER_PRODUCT, value)
+def inner_product_score(mu, counts: ReleasedCounts, y):
+    """How much the target shifts the released means away from the population,
+    summed column by column from the left like the ratio tests."""
+    ys = np.atleast_2d(y)
+    total = np.zeros(len(ys))
+    for j in range(ys.shape[1]):
+        total += (counts.counts[j] / counts.n - float(mu[j])) * ys[:, j]
+    return _scored(INNER_PRODUCT, total, y)
 
 
 def bayes_score(

@@ -125,9 +125,10 @@ def _attack_scorers(
     counts: ReleasedCounts,
     d: int,
 ) -> dict[str, Callable | None]:
-    """Scorer per configured attack name, mapping a list of targets to their
-    scores; None marks impossible evidence.  The Bayes attack scores all
-    targets in one table lookup, the marginal attacks one target at a time."""
+    """Scorer per configured attack name, mapping a targets x d array to the
+    list of their scores; None marks impossible evidence.  The Bayes attack
+    scores the whole batch in one table lookup, the marginal attacks in one
+    array expression over the batch."""
     scorers: dict[str, Callable | None] = {}
     for name in spec_names:
         if name == "bayes":
@@ -139,14 +140,14 @@ def _attack_scorers(
                 scorers[name] = lambda ys, e=engine: e.log_ratios(ys).tolist()
             continue
         if name == "lrt":
-            score = lambda y: atk.lrt_score(mu, counts, y).value
+            score = lambda ys: atk.lrt_score(mu, counts, ys)
         elif name == "inner_product":
-            score = lambda y: atk.inner_product_score(mu, counts, y).value
+            score = lambda ys: atk.inner_product_score(mu, counts, ys)
         elif name.startswith("lrt_clipped:"):
             lo_hi = name.split(":", 1)[1]
             lo, hi = (int(x) for x in lo_hi.split("-"))
             clip = atk.ClipRange(lo, hi)
-            score = lambda y, c=clip: atk.lrt_clipped_score(mu, counts, y, c).value
+            score = lambda ys, c=clip: atk.lrt_clipped_score(mu, counts, ys, c)
         elif name in ("lrt_clipped_auto", "lrt_clipped_flip"):
             side = atk.choose_side(counts, d)
             if side == atk.AMBIGUOUS:
@@ -154,10 +155,10 @@ def _attack_scorers(
             if name.endswith("flip"):
                 side = LEFT if side == RIGHT else RIGHT
             clip = atk.side_clip_range(d, side)
-            score = lambda y, c=clip: atk.lrt_clipped_score(mu, counts, y, c).value
+            score = lambda ys, c=clip: atk.lrt_clipped_score(mu, counts, ys, c)
         else:
             raise ValueError(f"unknown attack {name!r}")
-        scorers[name] = lambda ys, s=score: [s(y) for y in ys]
+        scorers[name] = lambda ys, s=score: s(ys).tolist()
     return scorers
 
 
@@ -165,18 +166,14 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> dict[str, TrialScor
     """Sample one private dataset and score every configured attack on fresh
     in/out targets.  Fully determined by (config, trial_index)."""
     bn = resolve_population(config, _stream(config.seed, trial_index, "population"))
-    data_rng = _stream(config.seed, trial_index, "dataset")
-    full_records = [sample(bn, data_rng) for _ in range(config.n)]
-    projected = [project(bn, rec) for rec in full_records]
-    counts = dataset_counts(Dataset(tuple(projected)), bn)
+    data = project(bn, sample(bn, config.n, _stream(config.seed, trial_index, "dataset")))
+    counts = dataset_counts(Dataset(data), bn)
 
     in_rng = _stream(config.seed, trial_index, "targets_in")
     picks = in_rng.integers(0, config.n, size=config.targets_in)
-    targets_in = [encode(bn, projected[i]) for i in picks]
     out_rng = _stream(config.seed, trial_index, "targets_out")
-    targets_out = [
-        encode(bn, project(bn, sample(bn, out_rng))) for _ in range(config.targets_out)
-    ]
+    fresh = project(bn, sample(bn, config.targets_out, out_rng))
+    targets = encode(bn, np.concatenate([data[picks], fresh]))
 
     if config.threat == STRONG:
         attacker_bn = bn
@@ -204,7 +201,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> dict[str, TrialScor
                 [float("-inf")] * k_in, [float("-inf")] * k_out, k_in + k_out
             )
             continue
-        scores = scorer(targets_in + targets_out)
+        scores = scorer(targets)
         result[name] = TrialScores(scores[:k_in], scores[k_in:])
     return result
 
@@ -370,13 +367,12 @@ def bench_posterior(
         elapsed = 0.0
         calls = 0
         for i in range(datasets):
-            data_rng = _stream(seed, i, "dataset")
-            recs = [project(bn, sample(bn, data_rng)) for _ in range(n)]
-            counts = dataset_counts(Dataset(tuple(recs)), bn)
+            data = project(bn, sample(bn, n, _stream(seed, i, "dataset")))
+            counts = dataset_counts(Dataset(data), bn)
             out_rng = _stream(seed, i, "targets_out")
             half = targets // 2
-            ys = [encode(bn, recs[int(out_rng.integers(0, n))]) for _ in range(targets - half)]
-            ys += [encode(bn, project(bn, sample(bn, out_rng))) for _ in range(half)]
+            picks = out_rng.integers(0, n, size=targets - half)
+            ys = encode(bn, np.concatenate([data[picks], project(bn, sample(bn, half, out_rng))]))
             for y in ys:
                 start = time.perf_counter()
                 engine = PosteriorEngine(law, counts)
@@ -743,8 +739,7 @@ def law_ratio_deviation(
     law = output_marginal_law(bn)
     worst = 0.0
     for _ in range(releases):
-        records = [project(bn, sample(bn, rng)) for _ in range(n)]
-        engine = PosteriorEngine(law, dataset_counts(Dataset(tuple(records)), bn))
+        engine = PosteriorEngine(law, dataset_counts(Dataset(project(bn, sample(bn, n, rng))), bn))
         total = math.fsum(law.probs() * np.exp(engine.log_ratios(law.vectors())))
         worst = max(worst, abs(total - 1.0))
     return worst

@@ -284,7 +284,9 @@ def _brute_sum_table(bn: BayesianNetwork, k: int) -> dict[EncodedVector, float]:
     table = per_net.get(k)
     if table is not None:
         return table
-    instances = [(encode(bn, rec), p) for rec, p in enumerate_full_records(bn)]
+    records = list(enumerate_full_records(bn))
+    states = [[rec[v] for v in bn.output_nodes] for rec, _ in records]
+    instances = list(zip(map(tuple, encode(bn, states).tolist()), (p for _, p in records)))
     d = bn.d
     table = {}
     for combo in itertools.product(instances, repeat=k):

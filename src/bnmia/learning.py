@@ -4,6 +4,8 @@ The weak attacker knows the graph and learns the tables from the proxy; the
 weakest learns structure too.  Structure learning here is a maximum-weight
 spanning tree over pairwise empirical mutual information, which is
 deterministic and adequate at this scale at the cost of tree-shaped output.
+The proxy is one (m, nodes) array of state indices, and every fit counts from
+its columns.
 """
 from __future__ import annotations
 
@@ -17,41 +19,44 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import BayesianNetwork, NodeSpec, ONE_HOT, Record, encode
+from .model import BayesianNetwork, NodeSpec, ONE_HOT, Record, encode, project, sample
 
 
 @dataclass(frozen=True)
 class ProxyDataset:
-    """m full records over a known node schema (names and state labels)."""
+    """m full records over a known node schema (names and state labels),
+    stored as an (m, nodes) int array of state indices, column i for nodes[i].
+    `records`, `from_csv` and `to_csv` convert to and from other forms."""
 
     nodes: tuple[str, ...]
     states: dict[str, tuple[str, ...]]
-    records: tuple[Record, ...]
+    data: np.ndarray
 
     @property
     def m(self) -> int:
-        return len(self.records)
+        return len(self.data)
 
     def __post_init__(self):
-        if self.m < 1:
+        data = np.asarray(self.data, dtype=np.int64)
+        if data.ndim != 2 or data.shape[1] != len(self.nodes):
+            raise ValueError("proxy data must have one column per node")
+        if len(data) < 1:
             raise ValueError("proxy dataset must contain at least one record")
-        for rec in self.records:
-            for name in self.nodes:
-                if name not in rec:
-                    raise ValueError(f"proxy record does not assign node {name}")
+        object.__setattr__(self, "data", data)
 
-    def column(self, name: str) -> list[int]:
-        return [rec[name] for rec in self.records]
+    def column(self, name: str) -> np.ndarray:
+        return self.data[:, self.nodes.index(name)]
+
+    @property
+    def records(self) -> tuple[Record, ...]:
+        return tuple(dict(zip(self.nodes, row)) for row in self.data.tolist())
 
     @classmethod
     def from_network_samples(
         cls, bn: BayesianNetwork, m: int, rng: np.random.Generator
     ) -> "ProxyDataset":
-        from .model import sample
-
         states = {n.name: n.states for n in bn.nodes}
-        records = tuple(sample(bn, rng) for _ in range(m))
-        return cls(bn.node_names, states, records)
+        return cls(bn.node_names, states, sample(bn, m, rng))
 
     @classmethod
     def from_csv(cls, text: str, states: dict[str, tuple[str, ...]] | None = None) -> "ProxyDataset":
@@ -71,23 +76,22 @@ class ProxyDataset:
                 name: tuple(sorted({row[i] for row in data}))
                 for i, name in enumerate(names)
             }
-        records = []
-        for row in data:
-            rec: Record = {}
-            for name, label in zip(names, row):
-                try:
-                    rec[name] = states[name].index(label)
-                except ValueError:
-                    raise ValueError(f"unknown state {label!r} for node {name}") from None
-            records.append(rec)
-        return cls(names, dict(states), tuple(records))
+        array = np.zeros((len(data), len(names)), dtype=np.int64)
+        for i, (name, labels) in enumerate(zip(names, zip(*data))):
+            index = {label: k for k, label in enumerate(states[name])}
+            unknown = set(labels) - index.keys()
+            if unknown:
+                raise ValueError(f"unknown state {min(unknown)!r} for node {name}")
+            array[:, i] = [index[label] for label in labels]
+        return cls(names, dict(states), array)
 
     def to_csv(self) -> str:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(self.nodes)
-        for rec in self.records:
-            writer.writerow([self.states[n][rec[n]] for n in self.nodes])
+        labels = [self.states[n] for n in self.nodes]
+        for row in self.data.tolist():
+            writer.writerow([states[s] for states, s in zip(labels, row)])
         return out.getvalue()
 
 
@@ -108,16 +112,12 @@ def mle_fit(
     nodes = []
     for node in structure.nodes:
         k = node.cardinality
-        combos = list(
-            itertools.product(*(range(structure.node(p).cardinality) for p in node.parents))
-        )
-        tally = {combo: [0] * k for combo in combos}
-        for rec in proxy.records:
-            key = tuple(rec[p] for p in node.parents)
-            tally[key][rec[node.name]] += 1
+        names = node.parents + (node.name,)
+        shape = tuple(structure.node(p).cardinality for p in node.parents) + (k,)
+        flat = np.ravel_multi_index(tuple(proxy.column(v) for v in names), shape)
+        tally = np.bincount(flat, minlength=math.prod(shape)).reshape(-1, k).tolist()
         cpt = {}
-        for combo in combos:
-            row_counts = tally[combo]
+        for combo, row_counts in zip(itertools.product(*map(range, shape[:-1])), tally):
             total = sum(row_counts) + alpha * k
             if total == 0:
                 cpt[combo] = tuple([1.0 / k] * k)
@@ -132,8 +132,8 @@ def _pair_mutual_information(
 ) -> float:
     ku, kv = len(proxy.states[u]), len(proxy.states[v])
     joint = np.full((ku, kv), alpha, dtype=float)
-    for rec in proxy.records:
-        joint[rec[u], rec[v]] += 1.0
+    # One 1.0 added per record, in record order: the same sums for any alpha.
+    np.add.at(joint, (proxy.column(u), proxy.column(v)), 1.0)
     joint /= joint.sum()
     pu = joint.sum(axis=1)
     pv = joint.sum(axis=0)
@@ -225,9 +225,6 @@ def empirical_marginals(
         tuple(output_nodes),
         encoding,
     )
-    total = np.zeros(view.d)
-    for rec in proxy.records:
-        total += encode(view, rec)
-    freq = total / proxy.m
+    freq = encode(view, project(view, proxy.data)).sum(axis=0) / proxy.m
     lo = 1.0 / (2 * proxy.m)
     return np.clip(freq, lo, 1.0 - lo)

@@ -3,8 +3,11 @@
 Provides the in-memory network model plus the operations everything else is
 built on: validation, joint probability, the exact distribution of the encoded
 output attributes (by variable elimination on the outputs' ancestors; only
-`enumerate_full_records` walks the full joint), ancestral sampling, and the
-raw-binary / one-hot encodings of records and datasets.
+`enumerate_full_records` walks the full joint), batched ancestral sampling, and
+the raw-binary / one-hot encodings.  A batch of records is an (m, columns)
+array of state indices: `sample` draws full records (one column per node, in
+node order), `project` keeps the output columns, and `encode` turns projected
+states into the (m, d) bit array.
 """
 from __future__ import annotations
 
@@ -24,8 +27,7 @@ ROW_SUM_TOL = 1e-12
 # Default ceiling on the entries of any factor built for the output law.
 DEFAULT_STATE_GUARD = 10_000_000
 
-# A record maps node name -> state index.  Full records assign every node;
-# projected records assign (at least) every output node.
+# A record maps node name -> state index; used by the full-joint enumerator.
 Record = dict[str, int]
 # Encoded records are 0/1 bit vectors of length d.
 EncodedVector = tuple[int, ...]
@@ -75,7 +77,8 @@ class BayesianNetwork:
         self.output_nodes = tuple(self.output_nodes)
         self._by_name = {n.name: n for n in self.nodes}
         self._law = None
-        self._cum_rows = None
+        self._sampler = None
+        self._codec = None
 
     def node(self, name: str) -> NodeSpec:
         return self._by_name[name]
@@ -136,13 +139,13 @@ class SupportDistribution:
 
 @dataclass(frozen=True)
 class Dataset:
-    """A private dataset of projected records over one output node set."""
+    """A private dataset: an (n, outputs) array of projected states."""
 
-    records: tuple[Record, ...]
+    states: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.records)
+        return len(self.states)
 
 
 @dataclass(frozen=True)
@@ -270,10 +273,17 @@ def output_marginal_law(
     what is left is multiplied into one table over the outputs.  Its positive
     entries, encoded once each, are the outcomes.  Raises ModelSizeError when
     any factor, the output table included, would exceed `guard` entries.
-    Cached on the network instance.
+    Cached on the network instance with its largest factor's size, which a
+    later call's guard is checked against.
     """
     if bn._law is not None:
-        return bn._law
+        law, largest = bn._law
+        if largest > guard:
+            raise ModelSizeError(
+                f"network too large for variable elimination: its largest factor "
+                f"has {largest} entries > guard {guard}"
+            )
+        return law
     outputs = tuple(dict.fromkeys(bn.output_nodes))
     kept = set(outputs)
     for node in reversed(bn.nodes):
@@ -290,26 +300,26 @@ def output_marginal_law(
         return math.prod(card[u] for u in scope)
 
     hidden = kept.difference(outputs)
+    largest = 0
     while hidden:
         v = min(hidden, key=lambda h: (resulting(h), position[h]))
         hidden.remove(v)
         scope, table = _product([f for f in factors if v in f[0]], card, guard)
+        largest = max(largest, table.size)
         factors = [f for f in factors if v not in f[0]]
         factors.append((tuple(u for u in scope if u != v), table.sum(axis=scope.index(v))))
     scope, table = _product(factors, card, guard)
+    largest = max(largest, table.size)
     table = np.transpose(table, [scope.index(v) for v in outputs])
 
     positive = table > 0.0
     probs = table[positive].tolist()
-    outcomes = [
-        (encode(bn, dict(zip(outputs, states))), p)
-        for states, p in zip(np.argwhere(positive).tolist(), probs)
-    ]
+    vectors = map(tuple, encode(bn, np.argwhere(positive)).tolist())
     total = math.fsum(probs)
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"output law does not normalize: total probability {total!r}")
-    law = SupportDistribution(tuple(sorted(outcomes)), d=bn.d)
-    bn._law = law
+    law = SupportDistribution(tuple(sorted(zip(vectors, probs))), d=bn.d)
+    bn._law = (law, largest)
     return law
 
 
@@ -359,74 +369,82 @@ def attribute_marginals(bn: BayesianNetwork, guard: int = DEFAULT_STATE_GUARD) -
     return law.probs() @ law.vectors()
 
 
-def sample(bn: BayesianNetwork, rng: np.random.Generator) -> Record:
-    """Draw one full record by ancestral sampling in topological order."""
-    if bn._cum_rows is None:
-        bn._cum_rows = {
-            node.name: {combo: np.cumsum(row) for combo, row in node.cpt.items()}
-            for node in bn.nodes
-        }
-    rec: Record = {}
-    for node in bn.nodes:
-        cum = bn._cum_rows[node.name][tuple(rec[p] for p in node.parents)]
-        rec[node.name] = int(np.searchsorted(cum, rng.random(), side="right"))
-    return rec
+def sample(bn: BayesianNetwork, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw m full records by ancestral sampling: an (m, nodes) state array.
+
+    One uniform per (record, node), drawn as rng.random((m, nodes)), so row i
+    uses the same doubles as the i-th of m one-record draws would.  Node by
+    node, each record's CPT row is picked by its parents' states and its state
+    is the number of cumulative row entries <= its uniform.
+    """
+    if bn._sampler is None:
+        bn._sampler = []
+        for node in bn.nodes:
+            _, table = _cpt_factor(bn, node)
+            shape = table.shape[:-1]
+            strides = [math.prod(shape[j + 1 :]) for j in range(len(shape))]
+            bn._sampler.append((
+                [bn.node_names.index(p) for p in node.parents],
+                np.array(strides, dtype=np.int64),
+                np.cumsum(table.reshape(-1, node.cardinality), axis=1),
+            ))
+    u = rng.random((m, len(bn.nodes)))
+    states = np.zeros((m, len(bn.nodes)), dtype=np.int64)
+    for i, (parents, strides, cum) in enumerate(bn._sampler):
+        rows = cum[states[:, parents] @ strides]
+        states[:, i] = (rows <= u[:, i, None]).sum(axis=1)
+    return states
 
 
-def encode(bn: BayesianNetwork, rec: Record) -> EncodedVector:
-    """Encode a projected record as a bit vector per the network's encoding."""
+def _output_codec(bn: BayesianNetwork) -> tuple[list[int], np.ndarray]:
+    """The output nodes' columns in a full state array, and the offset of each
+    output's first bit in the encoded vector; cached on the network."""
+    if bn._codec is None:
+        cards = [bn.node(v).cardinality for v in bn.output_nodes]
+        wide = [v for v, k in zip(bn.output_nodes, cards) if k != 2]
+        if bn.encoding == RAW_BINARY and wide:
+            raise ValueError(f"raw-binary encoding requires binary nodes: {wide[0]}")
+        steps = np.array([1] * len(cards) if bn.encoding == RAW_BINARY else cards, dtype=np.int64)
+        bn._codec = ([bn.node_names.index(v) for v in bn.output_nodes], np.cumsum(steps) - steps)
+    return bn._codec
+
+
+def project(bn: BayesianNetwork, states: np.ndarray) -> np.ndarray:
+    """The output columns of an (m, nodes) state array, in output order."""
+    return states[:, _output_codec(bn)[0]]
+
+
+def encode(bn: BayesianNetwork, states) -> np.ndarray:
+    """Encode an (m, outputs) array of projected states as an (m, d) bit array
+    per the network's encoding."""
+    offsets = _output_codec(bn)[1]
+    states = np.asarray(states, dtype=np.int64)
     if bn.encoding == RAW_BINARY:
-        bits = []
-        for v in bn.output_nodes:
-            if bn.node(v).cardinality != 2:
-                raise ValueError(f"raw-binary encoding requires binary nodes: {v}")
-            bits.append(rec[v])
-        return tuple(bits)
-    bits = []
-    for v in bn.output_nodes:
-        k = bn.node(v).cardinality
-        block = [0] * k
-        block[rec[v]] = 1
-        bits.extend(block)
-    return tuple(bits)
+        return states.copy()
+    bits = np.zeros((len(states), bn.d), dtype=np.int64)
+    np.put_along_axis(bits, states + offsets, 1, axis=1)
+    return bits
 
 
-def decode(bn: BayesianNetwork, vec: EncodedVector) -> Record:
-    """Invert encode; the projected record over the output nodes."""
-    rec: Record = {}
-    if bn.encoding == RAW_BINARY:
-        if len(vec) != len(bn.output_nodes):
-            raise ValueError("encoded vector has wrong length")
-        for v, bit in zip(bn.output_nodes, vec):
-            rec[v] = int(bit)
-        return rec
-    pos = 0
-    for v in bn.output_nodes:
-        k = bn.node(v).cardinality
-        block = vec[pos : pos + k]
-        if sum(block) != 1:
-            raise ValueError(f"one-hot block for {v} does not sum to 1")
-        rec[v] = block.index(1)
-        pos += k
-    if pos != len(vec):
+def decode(bn: BayesianNetwork, bits) -> np.ndarray:
+    """Invert encode: the (m, outputs) projected states of an (m, d) bit array."""
+    offsets = _output_codec(bn)[1]
+    bits = np.asarray(bits, dtype=np.int64)
+    if bits.shape[1] != bn.d:
         raise ValueError("encoded vector has wrong length")
-    return rec
-
-
-def project(bn: BayesianNetwork, full: Record) -> Record:
-    """Restrict a record to the output nodes."""
-    return {v: full[v] for v in bn.output_nodes}
+    if bn.encoding == RAW_BINARY:
+        return bits.copy()
+    for v, block in zip(bn.output_nodes, np.split(bits, offsets[1:], axis=1)):
+        if np.any(block < 0) or np.any(block.sum(axis=1) != 1):
+            raise ValueError(f"one-hot block for {v} does not sum to 1")
+    return np.nonzero(bits)[1].reshape(len(bits), -1) - offsets
 
 
 def dataset_counts(ds: Dataset, bn: BayesianNetwork) -> ReleasedCounts:
     """Exact integer column sums of the encoded dataset."""
     if ds.n < 1:
         raise ValueError("dataset must contain at least one record")
-    totals = [0] * bn.d
-    for rec in ds.records:
-        for j, bit in enumerate(encode(bn, rec)):
-            totals[j] += bit
-    return ReleasedCounts(tuple(totals), ds.n)
+    return ReleasedCounts(tuple(encode(bn, ds.states).sum(axis=0).tolist()), ds.n)
 
 
 def enumerate_full_records(bn: BayesianNetwork) -> Iterable[tuple[Record, float]]:

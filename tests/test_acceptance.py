@@ -373,9 +373,9 @@ class TestCriterion10Scalability:
         bn = load_benchmark("asia")
         law = output_marginal_law(bn)
         rng = np.random.default_rng(SEED)
-        recs = [project(bn, sample(bn, rng)) for _ in range(4)]
-        counts = dataset_counts(Dataset(tuple(recs)), bn)
-        y = encode(bn, recs[0])
+        recs = project(bn, sample(bn, 4, rng))
+        counts = dataset_counts(Dataset(recs), bn)
+        y = encode(bn, recs[:1])[0]
         times = []
         for _ in range(3):
             start = time.perf_counter()

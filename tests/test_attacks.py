@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bnmia import model
+from bnmia.harness import ExperimentConfig, run_trial
 from bnmia.attacks import (
     AMBIGUOUS,
     IN,
@@ -169,3 +171,92 @@ class TestDecide:
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
             AttackScore("lrt", float("nan"))
+
+
+# The one-target loops the batched scorers replaced.
+
+def reference_log_ratio(mu, counts, y, indices):
+    total = 0.0
+    for j in indices:
+        mu_j = float(mu[j])
+        if not 0.0 < mu_j < 1.0:
+            raise ValueError("population marginals must lie strictly inside (0, 1)")
+        xbar = counts.counts[j] / counts.n
+        num = xbar if y[j] else 1.0 - xbar
+        den = mu_j if y[j] else 1.0 - mu_j
+        if num == 0.0:
+            return float("-inf")
+        total += math.log(num) - math.log(den)
+    return total
+
+
+def reference_inner_product(mu, counts, y):
+    return sum((counts.counts[j] / counts.n - float(mu[j])) * y[j] for j in range(len(y)))
+
+
+class TestBatchedScores:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_batch_equals_one_target_loops(self, d, n, seed):
+        rng = np.random.default_rng(seed)
+        mu = rng.uniform(0.01, 0.99, size=d)
+        counts = ReleasedCounts(tuple(int(c) for c in rng.integers(0, n + 1, size=d)), n)
+        ys = rng.integers(0, 2, size=(25, d))
+        lo = int(rng.integers(1, d + 1))
+        clip = ClipRange(lo, int(rng.integers(lo, d + 1)))
+        batches = (
+            (lrt_score(mu, counts, ys), lrt_score,
+             lambda y: reference_log_ratio(mu, counts, y, range(d))),
+            (lrt_clipped_score(mu, counts, ys, clip), lambda *a: lrt_clipped_score(*a, clip),
+             lambda y: reference_log_ratio(mu, counts, y, clip.indices(d))),
+            (inner_product_score(mu, counts, ys), inner_product_score,
+             lambda y: reference_inner_product(mu, counts, y)),
+        )
+        for batch, one, reference in batches:
+            assert batch.shape == (25,) and not np.isnan(batch).any()
+            for value, y in zip(batch.tolist(), ys):
+                assert value == one(mu, counts, tuple(y.tolist())).value
+                assert value == reference(tuple(y.tolist()))
+
+    def test_zero_factor_is_minus_inf_in_a_batch(self):
+        counts = ReleasedCounts((0, 4), 4)
+        ys = np.array([[1, 0], [0, 1], [1, 1], [0, 0]])
+        scores = lrt_score((0.5, 0.5), counts, ys)
+        inf = float("inf")
+        assert scores.tolist() == [-inf, math.log(2.0) + math.log(2.0), -inf, -inf]
+
+    def test_marginal_outside_the_open_interval_raises(self):
+        # A strong-threat population with a state of marginal 0: A = a2 never
+        # occurs, so its one-hot coordinate has mu = 0.
+        bn = BayesianNetwork(
+            (NodeSpec("A", ("a0", "a1", "a2"), (), {(): (0.5, 0.5, 0.0)}),), ("A",), model.ONE_HOT
+        )
+        mu = attribute_marginals(bn)
+        assert mu.tolist() == [0.5, 0.5, 0.0]
+        counts = ReleasedCounts((2, 2, 0), 4)
+        for y in ((1, 0, 0), (0, 1, 0)):
+            with pytest.raises(ValueError, match="inside"):
+                lrt_score(mu, counts, y)
+        with pytest.raises(ValueError, match="inside"):
+            lrt_score(mu, counts, np.array([[1, 0, 0], [0, 1, 0]]))
+        assert inner_product_score(mu, counts, (1, 0, 0)).value == 0.0
+
+    def test_strong_eval_on_a_zero_marginal_raises(self, tmp_path):
+        net = tmp_path / "zero.bif"
+        net.write_text(
+            "network unknown {\n}\n"
+            "variable A {\n  type discrete [ 3 ] { a0, a1, a2 };\n}\n"
+            "probability ( A ) {\n  table 0.5, 0.5, 0.0;\n}\n",
+            encoding="utf-8",
+        )
+        config = ExperimentConfig(str(net), 4, targets_in=3, targets_out=3, attacks=("lrt",))
+        with pytest.raises(ValueError, match="inside"):
+            run_trial(config, 0)
+
+    def test_every_marginal_is_checked(self):
+        # The target's first coordinate zeroes its numerator; a one-target
+        # loop would stop there, but every marginal in range is checked.
+        counts = ReleasedCounts((0, 1), 2)
+        assert reference_log_ratio((0.5, 1.0), counts, (1, 0), range(2)) == float("-inf")
+        with pytest.raises(ValueError, match="inside"):
+            lrt_score((0.5, 1.0), counts, (1, 0))

@@ -1,9 +1,12 @@
 import math
 from importlib import resources
 
+import numpy as np
 import pytest
+from reference import reference_sample
 
 from bnmia.cli import main
+from bnmia.populations import load_benchmark
 
 
 def data_path(tmp_path, name):
@@ -30,6 +33,17 @@ class TestSample:
         main(["sample", "--network", "asia", "--n", "4", "--seed", "9", "--out", str(a)])
         main(["sample", "--network", "asia", "--n", "4", "--seed", "9", "--out", str(b)])
         assert a.read_text() == b.read_text()
+
+    def test_matches_the_reference_sampler(self, tmp_path):
+        out = tmp_path / "asia.csv"
+        main(["sample", "--network", "asia", "--n", "100", "--seed", "7", "--out", str(out)])
+        bn = load_benchmark("asia")
+        rng = np.random.default_rng(7)
+        rows = [",".join(bn.node_names)]
+        for _ in range(100):
+            rec = reference_sample(bn, rng)
+            rows.append(",".join(bn.node(v).states[rec[v]] for v in bn.node_names))
+        assert out.read_text() == "\n".join(rows) + "\n"
 
     def test_toy_population(self, capsys):
         code = main(["sample", "--network", "product:4", "--n", "3"])

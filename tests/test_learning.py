@@ -1,10 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference import reference_encode, states_of
+from strategies import small_networks
 
-from bnmia import model
+from bnmia import learning, model
 from bnmia.learning import (
     ProxyDataset,
     chow_liu_fit,
@@ -22,8 +25,12 @@ from bnmia.populations import make_cancer, make_product
 
 
 def single_root_proxy(values, states=("0", "1")):
+    return ProxyDataset(("A",), {"A": tuple(states)}, np.array(values).reshape(-1, 1))
+
+
+def binary_proxy(names, records):
     return ProxyDataset(
-        ("A",), {"A": tuple(states)}, tuple({"A": v} for v in values)
+        tuple(names), {v: ("0", "1") for v in names}, states_of(names, records)
     )
 
 
@@ -57,7 +64,7 @@ class TestMleFit:
             weight = round(p * 8)
             assert weight == pytest.approx(p * 8)
             records.extend([dict(rec)] * weight)
-        proxy = ProxyDataset(("A", "B"), {"A": ("0", "1"), "B": ("0", "1")}, tuple(records))
+        proxy = binary_proxy(("A", "B"), records)
         fitted = mle_fit(chain, proxy, alpha=0.0)
         for node, orig in zip(fitted.nodes, chain.nodes):
             for combo, row in orig.cpt.items():
@@ -72,9 +79,7 @@ class TestMleFit:
             ("A", "B"),
             model.RAW_BINARY,
         )
-        proxy = ProxyDataset(
-            ("A", "B"), {"A": ("0", "1"), "B": ("0", "1")}, ({"A": 0, "B": 1},)
-        )
+        proxy = binary_proxy(("A", "B"), [{"A": 0, "B": 1}])
         fitted = mle_fit(chain, proxy, alpha=0.0)
         assert fitted.node("B").cpt[(1,)] == (0.5, 0.5)
 
@@ -96,11 +101,7 @@ class TestChowLiu:
             a = int(rng.integers(2))
             c = int(rng.integers(2))
             records.append({"A": a, "B": a, "C": c})
-        proxy = ProxyDataset(
-            ("A", "B", "C"),
-            {"A": ("0", "1"), "B": ("0", "1"), "C": ("0", "1")},
-            tuple(records),
-        )
+        proxy = binary_proxy(("A", "B", "C"), records)
         fitted = chow_liu_fit(proxy, alpha=1.0)
         edges = {(n.name, n.parents[0]) for n in fitted.nodes if n.parents}
         assert ("B", "A") in edges or ("A", "B") in edges
@@ -111,11 +112,7 @@ class TestChowLiu:
             {"A": int(rng.integers(2)), "B": int(rng.integers(2)), "C": int(rng.integers(2))}
             for _ in range(50)
         )
-        proxy = ProxyDataset(
-            ("A", "B", "C"),
-            {"A": ("0", "1"), "B": ("0", "1"), "C": ("0", "1")},
-            records,
-        )
+        proxy = binary_proxy(("A", "B", "C"), records)
         fitted = chow_liu_fit(proxy, alpha=1.0)
         assert validate(fitted) == []
         assert sum(len(n.parents) for n in fitted.nodes) == 2  # tree with 3 nodes
@@ -189,9 +186,7 @@ class TestEmpiricalMarginals:
         assert mu[0] == pytest.approx(0.4)
 
     def test_one_hot_layout(self):
-        proxy = ProxyDataset(
-            ("A",), {"A": ("x", "y", "z")}, ({"A": 0}, {"A": 2}, {"A": 2}, {"A": 1})
-        )
+        proxy = single_root_proxy([0, 2, 2, 1], ("x", "y", "z"))
         mu = empirical_marginals(proxy, ("A",), model.ONE_HOT)
         np.testing.assert_allclose(mu, [0.25, 0.25, 0.5])
 
@@ -205,6 +200,7 @@ class TestProxyCsv:
         states = {n.name: n.states for n in bn.nodes}
         back = ProxyDataset.from_csv(text, states)
         assert back.records == proxy.records
+        assert (back.data == proxy.data).all()
 
     def test_schema_inferred_from_labels(self):
         text = "A,B\nyes,low\nno,high\nyes,high\n"
@@ -215,3 +211,89 @@ class TestProxyCsv:
     def test_bad_width(self):
         with pytest.raises(ValueError, match="width"):
             ProxyDataset.from_csv("A,B\n1\n")
+
+    def test_unknown_label(self):
+        with pytest.raises(ValueError, match="unknown state 'maybe' for node B"):
+            ProxyDataset.from_csv("A,B\nyes,no\nno,maybe\n", {"A": ("no", "yes"), "B": ("no",)})
+
+    def test_records_view(self):
+        proxy = binary_proxy(("A", "B"), [{"A": 0, "B": 1}, {"A": 1, "B": 1}])
+        assert proxy.records == ({"A": 0, "B": 1}, {"A": 1, "B": 1})
+        assert proxy.m == 2
+
+    def test_needs_a_record_and_a_column_per_node(self):
+        with pytest.raises(ValueError, match="at least one record"):
+            ProxyDataset.from_csv("A,B\n\n", {"A": ("0",), "B": ("0",)})
+        with pytest.raises(ValueError, match="one column per node"):
+            ProxyDataset(("A", "B"), {"A": ("0", "1"), "B": ("0", "1")}, np.zeros((3, 1)))
+
+
+# Dict-tally references: the per-record loops the array fits replaced.
+
+def reference_mle_fit(structure, records, alpha):
+    cpts = {}
+    for node in structure.nodes:
+        k = node.cardinality
+        combos = list(
+            itertools.product(*(range(structure.node(p).cardinality) for p in node.parents))
+        )
+        tally = {combo: [0] * k for combo in combos}
+        for rec in records:
+            tally[tuple(rec[p] for p in node.parents)][rec[node.name]] += 1
+        cpt = {}
+        for combo in combos:
+            total = sum(tally[combo]) + alpha * k
+            if total == 0:
+                cpt[combo] = tuple([1.0 / k] * k)
+            else:
+                cpt[combo] = tuple((cnt + alpha) / total for cnt in tally[combo])
+        cpts[node.name] = cpt
+    return cpts
+
+
+def reference_pair_mutual_information(proxy, records, u, v, alpha):
+    ku, kv = len(proxy.states[u]), len(proxy.states[v])
+    joint = np.full((ku, kv), alpha, dtype=float)
+    for rec in records:
+        joint[rec[u], rec[v]] += 1.0
+    joint /= joint.sum()
+    pu = joint.sum(axis=1)
+    pv = joint.sum(axis=0)
+    mi = 0.0
+    for a in range(ku):
+        for b in range(kv):
+            if joint[a, b] > 0.0 and pu[a] > 0.0 and pv[b] > 0.0:
+                mi += joint[a, b] * math.log(joint[a, b] / (pu[a] * pv[b]))
+    return mi
+
+
+def reference_marginals(bn, records):
+    total = np.zeros(bn.d)
+    for rec in records:
+        total += reference_encode(bn, rec)
+    freq = total / len(records)
+    lo = 1.0 / (2 * len(records))
+    return np.clip(freq, lo, 1.0 - lo)
+
+
+class TestArrayFitsMatchDictTallies:
+    @settings(max_examples=100, deadline=None)
+    @given(small_networks(), st.integers(1, 60), st.integers(0, 2**32 - 1))
+    def test_random_proxies(self, bn, m, seed):
+        proxy = ProxyDataset.from_network_samples(bn, m, np.random.default_rng(seed))
+        records = proxy.records
+        for alpha in (0.0, 1.0, 0.3):
+            fitted = mle_fit(bn, proxy, alpha)
+            expected = reference_mle_fit(bn, records, alpha)
+            for node in fitted.nodes:
+                assert list(node.cpt.items()) == list(expected[node.name].items())
+            for u, v in itertools.combinations(proxy.nodes, 2):
+                got = learning._pair_mutual_information(proxy, u, v, alpha)
+                assert got == reference_pair_mutual_information(proxy, records, u, v, alpha)
+            if m >= 2:
+                tree = chow_liu_fit(proxy, alpha, bn.output_nodes, bn.encoding)
+                expected = reference_mle_fit(tree, records, alpha)
+                for node in tree.nodes:
+                    assert list(node.cpt.items()) == list(expected[node.name].items())
+        mu = empirical_marginals(proxy, bn.output_nodes, bn.encoding)
+        assert mu.tobytes() == reference_marginals(bn, records).tobytes()

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference import reference_encode, reference_sample, states_of
 from strategies import small_networks
 
 from bnmia import model
@@ -18,10 +19,12 @@ from bnmia.model import (
     encode,
     joint_prob,
     output_marginal_law,
+    project,
     sample,
     validate,
 )
 from bnmia.populations import (
+    BUNDLED_BENCHMARKS,
     SACHS_OUTPUT_SETS,
     load_benchmark,
     make_cancer,
@@ -132,7 +135,7 @@ class TestOutputLaw:
             output_marginal_law(bn, guard=100)
 
     def test_guard_bounds_factors_not_the_joint(self):
-        # A fresh instance, so no cached law bypasses the guard.
+        # A fresh instance, so the law is built under this guard.
         bn = load_benchmark("sachs:path-left")
         bn = bn.with_outputs(bn.output_nodes, bn.encoding)
         assert bn.joint_state_count == 177_147
@@ -146,24 +149,34 @@ class TestOutputLaw:
             output_marginal_law(bn.with_outputs(bn.output_nodes, bn.encoding), guard=728)
         assert len(output_marginal_law(bn.with_outputs(bn.output_nodes, bn.encoding), guard=729)) == 243
 
+    def test_guard_holds_on_the_cached_law(self):
+        # The shared instance: a default build caches the law, and a later
+        # smaller guard must still see its largest (729-entry) factor.
+        bn = load_benchmark("sachs:path-left")
+        assert len(output_marginal_law(bn)) == 243
+        for guard in (10, 728):
+            with pytest.raises(model.ModelSizeError, match=f"729 entries > guard {guard}"):
+                output_marginal_law(bn, guard=guard)
+        assert output_marginal_law(bn, guard=729) is output_marginal_law(bn)
+
     def test_encodes_once_per_outcome(self, monkeypatch):
         calls = []
 
-        def counting_encode(bn, rec):
-            calls.append(rec)
-            return encode(bn, rec)
+        def counting_encode(bn, states):
+            calls.append(len(states))
+            return encode(bn, states)
 
         monkeypatch.setattr(model, "encode", counting_encode)
         bn = load_benchmark("sachs:leaf-root")
         law = output_marginal_law(bn.with_outputs(bn.output_nodes, bn.encoding))
-        assert len(calls) == len(law) == 729
+        assert calls == [len(law)] == [729]
 
 
 def reference_law(bn):
     """The law summed over every full record, in walk order."""
     acc = {}
     for rec, p in model.enumerate_full_records(bn):
-        vec = encode(bn, rec)
+        vec = reference_encode(bn, rec)
         acc[vec] = acc.get(vec, 0.0) + p
     return acc
 
@@ -229,32 +242,63 @@ class TestAttributeMarginals:
 class TestSampling:
     def test_deterministic_given_seed(self):
         bn = make_cancer()
-        r1 = sample(bn, np.random.default_rng(7))
-        r2 = sample(bn, np.random.default_rng(7))
-        assert r1 == r2
+        r1 = sample(bn, 5, np.random.default_rng(7))
+        r2 = sample(bn, 5, np.random.default_rng(7))
+        assert r1.shape == (5, 5)
+        assert (r1 == r2).all()
 
     def test_bernoulli_frequency(self):
         bn = make_product((0.3,))
-        rng = np.random.default_rng(42)
-        hits = sum(sample(bn, rng)["X1"] for _ in range(100_000))
+        hits = sample(bn, 100_000, np.random.default_rng(42))[:, 0].sum()
         assert abs(hits / 100_000 - 0.3) < 0.01
 
     def test_copy_constraints_hold_in_samples(self):
         bn = make_half_repeated(5, (0.5, 0.5, 0.5))
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            rec = sample(bn, rng)
-            assert rec["X4"] == rec["X3"] == rec["X5"]
+        states = sample(bn, 200, np.random.default_rng(3))
+        assert (states[:, 3] == states[:, 2]).all() and (states[:, 4] == states[:, 2]).all()
+
+
+def assert_sampler_matches_reference(bn, m=300, seed=7):
+    """Rows of one batched draw, and their encodings, equal m successive
+    one-record draws from the same stream, bit for bit."""
+    got = sample(bn, m, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    expected = [reference_sample(bn, rng) for _ in range(m)]
+    assert got.tolist() == states_of(bn.node_names, expected).tolist()
+    bits = encode(bn, project(bn, got))
+    assert bits.tolist() == [list(reference_encode(bn, rec)) for rec in expected]
+    return expected
+
+
+class TestSamplerMatchesReference:
+    @pytest.mark.parametrize("name", BUNDLED_BENCHMARKS)
+    def test_bundled(self, name):
+        assert_sampler_matches_reference(load_benchmark(name))
+
+    @pytest.mark.parametrize("name", ("product:6", "half:7", "lr:8"))
+    def test_toy(self, name):
+        assert_sampler_matches_reference(resolve_network(name, np.random.default_rng(3)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_networks(), st.integers(0, 2**32 - 1))
+    def test_random_networks(self, bn, seed):
+        for rec in assert_sampler_matches_reference(bn, m=50, seed=seed):
+            assert joint_prob(bn, rec) > 0.0  # no probability-0 state is drawn
+
+    def test_empty_batch(self):
+        bn = make_cancer()
+        assert sample(bn, 0, np.random.default_rng(0)).shape == (0, 5)
+        assert encode(bn, np.zeros((0, 5), dtype=np.int64)).shape == (0, 10)
 
 
 class TestEncoding:
     def test_one_hot_block(self):
         bn = BayesianNetwork((bern("A", 0.5),), ("A",), model.ONE_HOT)
-        assert encode(bn, {"A": 1}) == (0, 1)
+        assert encode(bn, [[1]]).tolist() == [[0, 1]]
 
     def test_raw_binary(self):
         bn = make_product((0.5, 0.5))
-        assert encode(bn, {"X1": 1, "X2": 0}) == (1, 0)
+        assert encode(bn, [[1, 0]]).tolist() == [[1, 0]]
 
     def test_survey_dimension(self):
         cards = (3, 2, 2, 2, 2, 3)
@@ -273,39 +317,62 @@ class TestEncoding:
             NodeSpec("C", ("0", "1"), (), {(): (0.4, 0.6)}),
         )
         bn = BayesianNetwork(nodes, ("A", "B", "C"), model.ONE_HOT)
-        rec = {"A": a, "B": b, "C": c}
-        assert decode(bn, encode(bn, rec)) == rec
+        assert decode(bn, encode(bn, [[a, b, c]])).tolist() == [[a, b, c]]
+
+    def test_output_order_is_followed(self):
+        bn = make_cancer().with_outputs(("Xray", "Pollution"), model.ONE_HOT)
+        full = np.array([[1, 0, 0, 1, 0]])  # Pollution=1, Xray=1
+        assert project(bn, full).tolist() == [[1, 1]]
+        assert encode(bn, project(bn, full)).tolist() == [[0, 1, 0, 1]]
+
+    def test_decode_rejects_a_broken_block(self):
+        bn = make_cancer()
+        with pytest.raises(ValueError, match="does not sum to 1"):
+            decode(bn, [[1, 1] + [1, 0] * 4])
+        with pytest.raises(ValueError, match="wrong length"):
+            decode(bn, [[1, 0]])
+
+    def test_raw_binary_rejects_a_wide_node(self):
+        tri = NodeSpec("A", ("a", "b", "c"), (), {(): (0.2, 0.3, 0.5)})
+        with pytest.raises(ValueError, match="raw-binary"):
+            encode(BayesianNetwork((tri,), ("A",), model.RAW_BINARY), [[2]])
 
 
 class TestDatasetCounts:
     def test_hand_sum(self):
         bn = make_product((0.5, 0.5))
-        ds = Dataset(({"X1": 1, "X2": 0}, {"X1": 0, "X2": 1}, {"X1": 1, "X2": 1}))
+        ds = Dataset(np.array([[1, 0], [0, 1], [1, 1]]))
         counts = dataset_counts(ds, bn)
         assert counts == ReleasedCounts((2, 2), 3)
+        assert all(type(c) is int for c in counts.counts)
 
     def test_identical_records(self):
         bn = make_product((0.5, 0.5, 0.5))
-        rec = {"X1": 1, "X2": 0, "X3": 1}
-        ds = Dataset((rec,) * 4)
-        assert dataset_counts(ds, bn).counts == tuple(4 * b for b in encode(bn, rec))
+        ds = Dataset(np.array([[1, 0, 1]] * 4))
+        assert dataset_counts(ds, bn).counts == (4, 0, 4)
 
     def test_five_record_symptom_dataset(self):
         # n=5 dataset over (Cancer, Xray, Dyspnoea); counts are the column sums
         bn = make_cancer().with_outputs(("Cancer", "Xray", "Dyspnoea"), model.RAW_BINARY)
         rows = [(0, 0, 1), (1, 1, 0), (0, 0, 0), (1, 0, 1), (1, 1, 1)]
-        ds = Dataset(tuple({"Cancer": c, "Xray": x, "Dyspnoea": d} for c, x, d in rows))
-        counts = dataset_counts(ds, bn)
+        counts = dataset_counts(Dataset(np.array(rows)), bn)
         assert counts.counts == tuple(sum(col) for col in zip(*rows))
         assert counts.n == 5
 
     def test_one_hot_groups_sum_to_n(self):
         bn = make_cancer()
-        rng = np.random.default_rng(11)
-        ds = Dataset(tuple(sample(bn, rng) for _ in range(7)))
+        ds = Dataset(project(bn, sample(bn, 7, np.random.default_rng(11))))
         counts = dataset_counts(ds, bn)
         for g in range(5):
             assert counts.counts[2 * g] + counts.counts[2 * g + 1] == 7
+
+    def test_equals_summed_reference_encodings(self):
+        bn = load_benchmark("asia")
+        rng = np.random.default_rng(4)
+        records = [reference_sample(bn, rng) for _ in range(40)]
+        ds = Dataset(project(bn, states_of(bn.node_names, records)))
+        expected = [sum(col) for col in zip(*(reference_encode(bn, r) for r in records))]
+        assert dataset_counts(ds, bn).counts == tuple(expected)
 
 
 class TestTableDimensions:

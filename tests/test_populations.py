@@ -45,10 +45,8 @@ class TestHalfRepeated:
     def test_structure_d5(self):
         bn = make_half_repeated(5, (0.4, 0.5, 0.6))
         assert validate(bn) == []
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            rec = sample(bn, rng)
-            assert rec["X4"] == rec["X3"] == rec["X5"]
+        x = sample(bn, 100, np.random.default_rng(0))
+        assert (x[:, 3] == x[:, 2]).all() and (x[:, 4] == x[:, 2]).all()
 
     def test_support_and_marginals_d5(self):
         bn = make_half_repeated(5, (0.5, 0.5, 0.5))
@@ -70,13 +68,11 @@ class TestLrRepeated:
         bn = make_lr_repeated(4, (0.3, 0.5, 0.7), (0.4, 0.6, 0.2))
         assert validate(bn) == []
         assert "side" not in bn.output_nodes
-        rng = np.random.default_rng(1)
-        for _ in range(300):
-            rec = sample(bn, rng)
-            if rec["side"] == 0:  # right
-                assert rec["X4"] == rec["X3"]
-            else:
-                assert rec["X1"] == rec["X2"]
+        x = sample(bn, 300, np.random.default_rng(1))
+        col = {name: i for i, name in enumerate(bn.node_names)}
+        right = x[:, col["side"]] == 0
+        assert (x[right, col["X4"]] == x[right, col["X3"]]).all()
+        assert (x[~right, col["X1"]] == x[~right, col["X2"]]).all()
 
     def test_mixture_marginals(self):
         p_r, p_l = (0.3, 0.5, 0.7), (0.4, 0.6, 0.2)
@@ -91,15 +87,15 @@ class TestLrRepeated:
         m = midpoint(d)
         right = make_lr_side(d, (0.3, 0.4, 0.5, 0.6), RIGHT)
         rng = np.random.default_rng(5)
-        for _ in range(100):
-            rec = sample(right, rng)
-            for j in range(m, d):
-                assert rec[f"X{j + 1}"] == rec[f"X{m}"]
+        x = sample(right, 100, rng)
+        col = {name: i for i, name in enumerate(right.node_names)}
+        for j in range(m, d):
+            assert (x[:, col[f"X{j + 1}"]] == x[:, col[f"X{m}"]]).all()
         left = make_lr_side(d, (0.3, 0.4, 0.5, 0.6), LEFT)
-        for _ in range(100):
-            rec = sample(left, rng)
-            for j in range(1, m - 1):
-                assert rec[f"X{j + 1}"] == rec["X1"]
+        x = sample(left, 100, rng)
+        col = {name: i for i, name in enumerate(left.node_names)}
+        for j in range(1, m - 1):
+            assert (x[:, col[f"X{j + 1}"]] == x[:, col["X1"]]).all()
 
     def test_right_side_law_matches_half_repeated(self):
         # the fixed-right-side population is distributionally the
@@ -110,14 +106,14 @@ class TestLrRepeated:
         assert side.outcomes == half.outcomes
 
     def test_mixture_conditioned_on_right_matches_half_repeated(self):
-        from bnmia.model import enumerate_full_records, project, encode
+        from bnmia.model import enumerate_full_records, encode
 
         p_r, p_l = (0.3, 0.45, 0.6, 0.7), (0.25, 0.5, 0.65, 0.8)
         mix = make_lr_repeated(6, p_r, p_l)
         cond = {}
         for rec, prob in enumerate_full_records(mix):
             if rec["side"] == 0:
-                vec = encode(mix, project(mix, rec))
+                vec = tuple(encode(mix, [[rec[v] for v in mix.output_nodes]])[0].tolist())
                 cond[vec] = cond.get(vec, 0.0) + prob
         total = sum(cond.values())
         half = output_marginal_law(make_half_repeated(6, p_r))
