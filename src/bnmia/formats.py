@@ -38,11 +38,10 @@ class _Token:
     col: int
 
 
-# ---------------------------------------------------------------------------
-# S-expression dialect
-# ---------------------------------------------------------------------------
-
-def _tokenize_sexpr(text: str) -> list[_Token]:
+def _tokenize(text: str, punct: str) -> list[_Token]:
+    """Split text into tokens with 1-based line and column: each character of
+    punct is a token of its own, and so is each maximal run of other non-space
+    characters."""
     tokens: list[_Token] = []
     line, col = 1, 1
     i = 0
@@ -57,19 +56,23 @@ def _tokenize_sexpr(text: str) -> list[_Token]:
             col += 1
             i += 1
             continue
-        if ch in "()'":
+        if ch in punct:
             tokens.append(_Token(ch, line, col))
             col += 1
             i += 1
             continue
         start = i
         start_col = col
-        while i < len(text) and not text[i].isspace() and text[i] not in "()'":
+        while i < len(text) and not text[i].isspace() and text[i] not in punct:
             i += 1
             col += 1
         tokens.append(_Token(text[start:i], line, start_col))
     return tokens
 
+
+# ---------------------------------------------------------------------------
+# S-expression dialect
+# ---------------------------------------------------------------------------
 
 def _parse_forms(tokens: list[_Token]) -> list:
     """Nested lists of tokens; quote marks are transparent."""
@@ -178,7 +181,7 @@ def parse_sexpr(text: str) -> BayesianNetwork:
     single `(table p1 ... pK)` for root nodes or one `((ps1 ... psm) p1 ... pK)`
     row per parent state combination.
     """
-    forms = _parse_forms(_tokenize_sexpr(text))
+    forms = _parse_forms(_tokenize(text, "()'"))
     if len(forms) != 1 or not isinstance(forms[0], list):
         raise NetworkFormatError("expected one top-level list of clauses", *_tail_pos([]))
     top = forms[0]
@@ -363,38 +366,6 @@ def emit_sexpr(bn: BayesianNetwork) -> str:
 # BIF subset
 # ---------------------------------------------------------------------------
 
-_BIF_PUNCT = set("{}()[]|,;")
-
-
-def _tokenize_bif(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in _BIF_PUNCT:
-            tokens.append(_Token(ch, line, col))
-            col += 1
-            i += 1
-            continue
-        start = i
-        start_col = col
-        while i < len(text) and not text[i].isspace() and text[i] not in _BIF_PUNCT:
-            i += 1
-            col += 1
-        tokens.append(_Token(text[start:i], line, start_col))
-    return tokens
-
-
 class _BifReader:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
@@ -436,7 +407,7 @@ def parse_bif_subset(text: str) -> BayesianNetwork:
     state combination.  `property` lines are ignored; continuous variables
     are rejected.
     """
-    reader = _BifReader(_tokenize_bif(text))
+    reader = _BifReader(_tokenize(text, "{}()[]|,;"))
     states: dict[str, tuple[str, ...]] = {}
     decl_order: list[str] = []
     tables: dict[str, tuple[tuple[str, ...], dict, tuple[int, int]]] = {}

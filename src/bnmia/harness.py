@@ -207,7 +207,9 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> dict[str, TrialScor
 
 
 def roc_and_auc(scores_in: Sequence[float], scores_out: Sequence[float]) -> RocResult:
-    """Pairwise AUC (ties at half weight) and the swept ROC curve.
+    """Pairwise AUC (ties at half weight) and the swept ROC curve: one point
+    per distinct score t, from the largest down, with the shares of each list
+    scoring >= t counted by binary search in the sorted list.
 
     The trapezoidal area under the returned points equals the pairwise AUC.
     """
@@ -220,12 +222,10 @@ def roc_and_auc(scores_in: Sequence[float], scores_out: Sequence[float]) -> RocR
     gt = s_in[:, None] > s_out[None, :]
     eq = s_in[:, None] == s_out[None, :]
     auc = float((gt.sum() + 0.5 * eq.sum()) / (len(s_in) * len(s_out)))
-    points = [(0.0, 0.0)]
-    for t in np.unique(np.concatenate([s_in, s_out]))[::-1]:
-        points.append(
-            (float(np.mean(s_out >= t)), float(np.mean(s_in >= t)))
-        )
-    return RocResult(tuple(points), auc)
+    thresholds = np.unique(np.concatenate([s_in, s_out]))[::-1]
+    fpr = (len(s_out) - np.searchsorted(np.sort(s_out), thresholds, "left")) / len(s_out)
+    tpr = (len(s_in) - np.searchsorted(np.sort(s_in), thresholds, "left")) / len(s_in)
+    return RocResult(((0.0, 0.0),) + tuple(zip(fpr.tolist(), tpr.tolist())), auc)
 
 
 @dataclass(frozen=True)
@@ -472,13 +472,33 @@ def verify_product_equivalence(
     )
 
 
-def _half_consistent_pairs(d: int, n: int):
+def _tied_vectors(d: int, side: str, top: int):
+    """Every vector over 0..top whose repeated block copies its source: on the
+    right side coordinates m+1..d copy coordinate m, on the left side
+    coordinates 1..m-1 copy coordinate m (1-based, m = midpoint(d))."""
     m = midpoint(d)
-    for free_c in itertools.product(range(n + 1), repeat=m):
-        c = free_c + (free_c[m - 1],) * (d - m)
-        for free_y in itertools.product((0, 1), repeat=m):
-            y = free_y + (free_y[m - 1],) * (d - m)
-            yield c, y
+    if side == RIGHT:
+        for free in itertools.product(range(top + 1), repeat=m):
+            yield free + (free[m - 1],) * (d - m)
+    else:
+        for free in itertools.product(range(top + 1), repeat=d - m + 1):
+            yield (free[0],) * (m - 1) + free
+
+
+def _clipped_gap(
+    bn: BayesianNetwork, counts: ReleasedCounts, ys: np.ndarray, clip: atk.ClipRange
+) -> float:
+    """Largest |R / lambda - 1| over the targets ys of one release, where R is
+    the exact posterior odds under bn and lambda the clipped ratio statistic,
+    each scored for the whole batch in one call; inf when exactly one of them
+    is zero for some target."""
+    r_log = posterior_engine(output_marginal_law(bn), counts).log_ratios(ys)
+    lam_log = atk.lrt_clipped_score(attribute_marginals(bn), counts, ys, clip)
+    r_zero = r_log == -math.inf
+    if np.any(r_zero != (lam_log == -math.inf)):
+        return math.inf
+    gaps = (r_log[~r_zero] - lam_log[~r_zero]).tolist()
+    return max((abs(math.expm1(g)) for g in gaps), default=0.0)
 
 
 def verify_half_repeated_equivalence(seed: int = 20250810) -> SuiteResult:
@@ -489,46 +509,17 @@ def verify_half_repeated_equivalence(seed: int = 20250810) -> SuiteResult:
     worst = 0.0
     cases = 0
     for d in range(2, 8):
-        m = midpoint(d)
-        p = tuple(rng.uniform(0.2, 0.8, size=m))
-        bn = make_half_repeated(d, p)
-        mu = attribute_marginals(bn)
+        bn = make_half_repeated(d, tuple(rng.uniform(0.2, 0.8, size=midpoint(d))))
         clip = atk.half_clip_range(d)
+        ys = np.array(list(_tied_vectors(d, RIGHT, 1)))
         for n in range(1, 5):
-            for c, y in _half_consistent_pairs(d, n):
-                counts = ReleasedCounts(c, n)
-                lam_log = atk.lrt_clipped_score(mu, counts, y, clip).value
-                r_log = posterior_ratio(bn, counts, y).log_ratio
-                cases += 1
-                if lam_log == float("-inf") or r_log == float("-inf"):
-                    if lam_log != r_log:
-                        worst = math.inf
-                    continue
-                worst = max(worst, abs(math.expm1(r_log - lam_log)))
+            for c in _tied_vectors(d, RIGHT, n):
+                worst = max(worst, _clipped_gap(bn, ReleasedCounts(c, n), ys, clip))
+                cases += len(ys)
     return SuiteResult(
         "half_repeated_clipped_equivalence",
         worst, 1e-9, worst <= 1e-9, cases, time.perf_counter() - start,
     )
-
-
-def _side_support_vectors(d: int, side: str):
-    m = midpoint(d)
-    if side == RIGHT:
-        for free in itertools.product((0, 1), repeat=m):
-            yield free + (free[m - 1],) * (d - m)
-    else:
-        for free in itertools.product((0, 1), repeat=d - m + 1):
-            yield (free[0],) * (m - 1) + free
-
-
-def _side_consistent_counts(d: int, n: int, side: str):
-    m = midpoint(d)
-    if side == RIGHT:
-        for free in itertools.product(range(n + 1), repeat=m):
-            yield free + (free[m - 1],) * (d - m)
-    else:
-        for free in itertools.product(range(n + 1), repeat=d - m + 1):
-            yield (free[0],) * (m - 1) + free
 
 
 def verify_lr_pure_side_equivalence(seed: int = 20250810) -> SuiteResult:
@@ -543,22 +534,13 @@ def verify_lr_pure_side_equivalence(seed: int = 20250810) -> SuiteResult:
         m = midpoint(d)
         for side in (RIGHT, LEFT):
             size = m if side == RIGHT else d - m + 2
-            p = tuple(rng.uniform(0.2, 0.8, size=size))
-            bn = make_lr_side(d, p, side)
-            mu = attribute_marginals(bn)
+            bn = make_lr_side(d, tuple(rng.uniform(0.2, 0.8, size=size)), side)
             clip = atk.side_clip_range(d, side)
+            ys = np.array(list(_tied_vectors(d, side, 1)))
             for n in range(1, 5):
-                for c in _side_consistent_counts(d, n, side):
-                    counts = ReleasedCounts(c, n)
-                    for y in _side_support_vectors(d, side):
-                        lam_log = atk.lrt_clipped_score(mu, counts, y, clip).value
-                        r_log = posterior_ratio(bn, counts, y).log_ratio
-                        cases += 1
-                        if lam_log == float("-inf") or r_log == float("-inf"):
-                            if lam_log != r_log:
-                                worst = math.inf
-                            continue
-                        worst = max(worst, abs(math.expm1(r_log - lam_log)))
+                for c in _tied_vectors(d, side, n):
+                    worst = max(worst, _clipped_gap(bn, ReleasedCounts(c, n), ys, clip))
+                    cases += len(ys)
     return SuiteResult(
         "lr_pure_side_equivalence",
         worst, 1e-9, worst <= 1e-9, cases, time.perf_counter() - start,
@@ -583,27 +565,19 @@ def verify_lr_single_side_counts(seed: int = 20250810) -> SuiteResult:
         p_right = tuple(rng.uniform(0.2, 0.8, size=m))
         p_left = tuple(rng.uniform(0.2, 0.8, size=d - m + 2))
         bn = make_lr_repeated(d, p_right, p_left)
-        mu = attribute_marginals(bn)
         for n in (2, 3):
             for side in (RIGHT, LEFT):
                 clip = atk.side_clip_range(d, side)
-                for c in _side_consistent_counts(d, n, side):
+                ys = np.array(list(_tied_vectors(d, side, 1)))
+                for c in _tied_vectors(d, side, n):
                     counts = ReleasedCounts(c, n)
                     if atk.choose_side(counts, d) != side:
                         continue  # ambiguous or the other side
-                    for y in _side_support_vectors(d, side):
-                        try:
-                            res = posterior_ratio(bn, counts, y)
-                        except ImpossibleEvidenceError:
-                            continue
-                        lam_log = atk.lrt_clipped_score(mu, counts, y, clip).value
-                        r_log = res.log_ratio
-                        cases += 1
-                        if lam_log == float("-inf") or r_log == float("-inf"):
-                            if lam_log != r_log:
-                                worst = math.inf
-                            continue
-                        worst = max(worst, abs(math.expm1(r_log - lam_log)))
+                    try:
+                        worst = max(worst, _clipped_gap(bn, counts, ys, clip))
+                    except ImpossibleEvidenceError:
+                        continue
+                    cases += len(ys)
     return SuiteResult(
         "lr_single_side_counts_vs_mixture_posterior",
         worst, 1e-9, worst <= 1e-9, cases, time.perf_counter() - start,
@@ -668,26 +642,28 @@ def verify_oracle_agreement(seed: int = 20250810) -> SuiteResult:
     )
 
     for bn in nets:
-        d = bn.d
+        law = output_marginal_law(bn)
+        targets = list(itertools.product((0, 1), repeat=bn.d))
         for n in (1, 2, 3):
             if bn.joint_state_count**n > 200_000:
                 continue
-            for c in itertools.product(range(n + 1), repeat=d):
+            for c in itertools.product(range(n + 1), repeat=bn.d):
                 counts = ReleasedCounts(c, n)
-                for y in itertools.product((0, 1), repeat=d):
-                    try:
-                        bf = brute_force_posterior(bn, counts, y)
-                    except ImpossibleEvidenceError:
-                        try:
-                            posterior_ratio(bn, counts, y)
-                        except ImpossibleEvidenceError:
-                            cases += 1
-                            continue
-                        worst = math.inf
-                        cases += 1
-                        continue
-                    dp = posterior_ratio(bn, counts, y)
-                    cases += 1
+                cases += len(targets)
+                try:
+                    engine = posterior_engine(law, counts)
+                except ImpossibleEvidenceError:
+                    engine = None
+                try:
+                    oracle = [brute_force_posterior(bn, counts, y) for y in targets]
+                except ImpossibleEvidenceError:
+                    oracle = None
+                if (engine is None) != (oracle is None):
+                    worst = math.inf
+                if engine is None or oracle is None:
+                    continue
+                for y, bf in zip(targets, oracle):
+                    dp = engine.result(y)
                     if (dp.ratio == 0.0) != (bf.ratio == 0.0):
                         worst = math.inf
                         continue

@@ -157,6 +157,8 @@ def sum_log_table(law: SupportDistribution, k: int, cap: tuple[int, ...]) -> Cou
 
 
 def _grouped_logsumexp(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    if not len(keys):
+        return keys, vals  # no partial sum stays under the cap
     order = np.argsort(keys, kind="stable")
     k = keys[order]
     v = vals[order]

@@ -375,7 +375,10 @@ def sample(bn: BayesianNetwork, m: int, rng: np.random.Generator) -> np.ndarray:
     One uniform per (record, node), drawn as rng.random((m, nodes)), so row i
     uses the same doubles as the i-th of m one-record draws would.  Node by
     node, each record's CPT row is picked by its parents' states and its state
-    is the number of cumulative row entries <= its uniform.
+    is the number of cumulative row entries <= its uniform.  Each cumulative
+    row is exactly 1 from its last positive entry on, so a uniform in [0, 1)
+    lands on a state of positive probability even where the sum of the row
+    rounds below 1.
     """
     if bn._sampler is None:
         bn._sampler = []
@@ -383,10 +386,14 @@ def sample(bn: BayesianNetwork, m: int, rng: np.random.Generator) -> np.ndarray:
             _, table = _cpt_factor(bn, node)
             shape = table.shape[:-1]
             strides = [math.prod(shape[j + 1 :]) for j in range(len(shape))]
+            rows = table.reshape(-1, node.cardinality)
+            cum = np.cumsum(rows, axis=1)
+            last = node.cardinality - 1 - np.argmax(rows[:, ::-1] > 0.0, axis=1)
+            cum[np.arange(node.cardinality) >= last[:, None]] = 1.0
             bn._sampler.append((
                 [bn.node_names.index(p) for p in node.parents],
                 np.array(strides, dtype=np.int64),
-                np.cumsum(table.reshape(-1, node.cardinality), axis=1),
+                cum,
             ))
     u = rng.random((m, len(bn.nodes)))
     states = np.zeros((m, len(bn.nodes)), dtype=np.int64)

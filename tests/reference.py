@@ -1,5 +1,6 @@
-"""One-record reference implementations that the batched array paths must
-match bit for bit: the ancestral sampler and the dict encoder they replaced."""
+"""Reference implementations that the array paths must match bit for bit:
+the one-record ancestral sampler, the dict encoder and the per-threshold ROC
+sweep they replaced."""
 from __future__ import annotations
 
 import numpy as np
@@ -33,3 +34,13 @@ def states_of(names, records) -> np.ndarray:
     return np.array([[rec[v] for v in names] for rec in records], dtype=np.int64).reshape(
         -1, len(names)
     )
+
+
+def reference_roc_points(scores_in, scores_out) -> tuple[tuple[float, float], ...]:
+    """The ROC points by one sweep per distinct score, largest first."""
+    s_in = np.asarray(scores_in, dtype=float)
+    s_out = np.asarray(scores_out, dtype=float)
+    points = [(0.0, 0.0)]
+    for t in np.unique(np.concatenate([s_in, s_out]))[::-1]:
+        points.append((float(np.mean(s_out >= t)), float(np.mean(s_in >= t))))
+    return tuple(points)

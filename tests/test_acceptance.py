@@ -96,6 +96,7 @@ class TestCriterion2ClippedEquivalence:
         )
         assert suite.max_deviation <= 1e-9
         assert side.max_deviation <= 1e-9
+        assert (suite.cases, side.cases) == (35_312, 19_448)
         assert elapsed < 120.0
 
     @pytest.mark.xfail(
@@ -116,6 +117,7 @@ class TestCriterion2ClippedEquivalence:
             f"in {elapsed:.1f}s (tolerance 1e-9)",
             expected_failure=True,
         )
+        assert suite.cases == 6_264
         assert elapsed < 120.0
         assert suite.max_deviation <= 1e-9
 
@@ -129,6 +131,7 @@ class TestCriterion3OracleEquivalence:
             f"max deviation {suite.max_deviation:.3e} over {suite.cases} cases "
             "(posterior absolute + odds relative; zero odds agree exactly)",
         )
+        assert suite.cases == 1_950
         assert suite.max_deviation <= 1e-12
 
 

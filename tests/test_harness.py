@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference import reference_roc_points
 
 from bnmia import harness
+from bnmia.attacks import ClipRange
 from bnmia.harness import (
     ExperimentConfig,
     bench_posterior,
@@ -13,8 +15,11 @@ from bnmia.harness import (
     run_experiment,
     run_trial,
 )
+from bnmia.inference import ImpossibleEvidenceError
 from bnmia.model import ReleasedCounts, output_marginal_law
-from bnmia.populations import make_product
+from bnmia.populations import LEFT, RIGHT, make_product
+
+SCORE_GRID = [-math.inf, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0, math.inf]
 
 
 class TestRocAndAuc:
@@ -46,12 +51,13 @@ class TestRocAndAuc:
         assert r.auc == pytest.approx(0.75 + 0.125)  # 3 wins, one tie at 0.0
 
     @given(
-        st.lists(st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 2.0]), min_size=1, max_size=25),
-        st.lists(st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 2.0]), min_size=1, max_size=25),
+        st.lists(st.sampled_from(SCORE_GRID), min_size=1, max_size=25),
+        st.lists(st.sampled_from(SCORE_GRID), min_size=1, max_size=25),
     )
     @settings(max_examples=200, deadline=None)
     def test_pair_count_equals_trapezoid(self, s_in, s_out):
         r = roc_and_auc(s_in, s_out)
+        assert r.points == reference_roc_points(s_in, s_out)
         fprs = np.array([p[0] for p in r.points])
         tprs = np.array([p[1] for p in r.points])
         assert abs(np.trapezoid(tprs, fprs) - r.auc) <= 1e-12
@@ -229,3 +235,39 @@ class TestBench:
         assert row.num_nodes == 4 and row.output_dim == 4
         assert row.mean_seconds >= 0.0
         assert row.calls == 8
+
+
+class TestClippedSuites:
+    def test_tied_vectors(self):
+        assert list(harness._tied_vectors(4, LEFT, 1)) == [
+            (0, 0, 0, 0), (0, 0, 0, 1), (1, 1, 1, 0), (1, 1, 1, 1)
+        ]
+        right = list(harness._tied_vectors(4, RIGHT, 2))
+        assert len(right) == 27 and right[:2] == [(0, 0, 0, 0), (0, 0, 1, 1)]
+        assert all(v[3] == v[2] for v in right)
+
+    def test_gap_skips_rows_where_both_odds_are_zero(self):
+        bn = make_product((0.3, 0.6))
+        ys = np.array([(0, 0), (0, 1), (1, 0), (1, 1)])
+        counts = ReleasedCounts((0, 1), 1)  # only (0, 1) can be the record
+        assert harness._clipped_gap(bn, counts, ys, ClipRange(1, 2)) <= 1e-15
+
+    def test_gap_is_inf_when_exactly_one_odds_is_zero(self):
+        bn = make_product((0.3, 0.6))
+        ys = np.array([(0, 0), (0, 1)])
+        counts = ReleasedCounts((0, 1), 1)
+        assert harness._clipped_gap(bn, counts, ys, ClipRange(1, 1)) == math.inf
+
+    def test_advisory_suite_is_pinned(self):
+        suite = harness.verify_lr_single_side_counts()
+        assert suite.advisory and not suite.passed
+        assert suite.cases == 6_264
+
+    def test_oracle_mismatch_on_impossible_evidence_is_reported(self, monkeypatch):
+        def refuse(*args):
+            raise ImpossibleEvidenceError("refused")
+
+        monkeypatch.setattr(harness, "brute_force_posterior", refuse)
+        suite = harness.verify_oracle_agreement()
+        assert suite.max_deviation == math.inf and not suite.passed
+        assert suite.cases == 1_950

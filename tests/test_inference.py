@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from strategies import small_networks
 
 from bnmia import model
 from bnmia.harness import law_ratio_deviation
@@ -16,9 +18,13 @@ from bnmia.inference import (
     sum_log_table,
 )
 from bnmia.model import (
+    Dataset,
     ReleasedCounts,
     attribute_marginals,
+    dataset_counts,
     output_marginal_law,
+    project,
+    sample,
 )
 from bnmia.populations import (
     BUNDLED_BENCHMARKS,
@@ -117,6 +123,13 @@ class TestPosteriorRatio:
         bn = make_half_repeated(3, (0.5, 0.5))
         with pytest.raises(ImpossibleEvidenceError, match="impossible evidence"):
             posterior_ratio(bn, ReleasedCounts((1, 1, 2), 3), (1, 1, 1))
+
+    def test_counts_past_a_sure_state_are_impossible_evidence(self):
+        # The live table empties before the last convolution step.
+        sure = model.NodeSpec("A", ("0", "1"), (), {(): (0.0, 1.0)})
+        law = output_marginal_law(model.BayesianNetwork((sure,), ("A",), model.ONE_HOT))
+        with pytest.raises(ImpossibleEvidenceError):
+            PosteriorEngine(law, ReleasedCounts((3, 1), 3))
 
     def test_single_record_dataset(self):
         bn = make_product((0.3, 0.6))
@@ -255,3 +268,39 @@ class TestBruteForceOracle:
         bn = make_product((0.5,) * 10)
         with pytest.raises(model.ModelSizeError):
             brute_force_posterior(bn, ReleasedCounts((1,) * 10, 3), (0,) * 10)
+
+
+class TestEngineMatchesOracleOnRandomNetworks:
+    """The convolution engine against brute-force enumeration on random small
+    networks: every law-support target and one off-support vector, for the
+    release of a sampled dataset and for an arbitrary count vector."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_networks(), st.sampled_from((1, 2, 3)), st.integers(0, 2**32 - 1))
+    def test_random_networks(self, bn, n, seed):
+        assume(bn.joint_state_count**n <= 20_000)
+        rng = np.random.default_rng(seed)
+        law = output_marginal_law(bn)
+        support = [vec for vec, _ in law.outcomes]
+        off = next(
+            (y for y in itertools.product((0, 1), repeat=bn.d) if law.prob(y) == 0.0), None
+        )
+        targets = support + ([off] if off is not None else [])
+        releases = [
+            dataset_counts(Dataset(project(bn, sample(bn, n, rng))), bn),
+            ReleasedCounts(tuple(int(c) for c in rng.integers(0, n + 1, size=bn.d)), n),
+        ]
+        for counts in releases:
+            try:
+                oracle = [brute_force_posterior(bn, counts, y) for y in targets]
+            except ImpossibleEvidenceError:
+                with pytest.raises(ImpossibleEvidenceError):
+                    PosteriorEngine(law, counts)
+                continue
+            engine = PosteriorEngine(law, counts)
+            for y, bf in zip(targets, oracle):
+                dp = engine.result(y)
+                assert abs(dp.theta_in - bf.theta_in) <= 1e-12
+                assert (dp.ratio == 0.0) == (bf.ratio == 0.0)
+                if bf.ratio > 0.0:
+                    assert abs(dp.ratio - bf.ratio) <= 1e-12 * bf.ratio

@@ -291,6 +291,29 @@ class TestSamplerMatchesReference:
         assert encode(bn, np.zeros((0, 5), dtype=np.int64)).shape == (0, 10)
 
 
+class _LargestUniform:
+    """A stub generator whose every uniform is the largest double below 1."""
+
+    def random(self, shape):
+        return np.full(shape, 1.0 - 2.0**-53)
+
+
+class TestSamplerRoundedRows:
+    """A CPT row whose cumulative sum rounds below 1 must not let a uniform
+    just under 1 fall past its last state of positive probability."""
+
+    @pytest.mark.parametrize("row", [(0.1,) * 10, (0.1,) * 10 + (0.0,)])
+    def test_largest_uniform_lands_on_last_positive_state(self, row):
+        assert np.cumsum(row)[-1] <= 1.0 - 2.0**-53  # the stub uniform passes every entry
+        root = NodeSpec("A", tuple(f"a{k}" for k in range(len(row))), (), {(): row})
+        child = bern("B", 0.5, ("A",), {(k,): (0.5, 0.5) for k in range(len(row))})
+        bn = BayesianNetwork((root, child), ("A", "B"), model.ONE_HOT)
+        assert validate(bn) == []
+        assert sample(bn, 3, _LargestUniform()).tolist() == [[9, 1]] * 3
+        alone = BayesianNetwork((root,), ("A",), model.ONE_HOT)
+        assert sample(alone, 2, _LargestUniform()).tolist() == [[9]] * 2
+
+
 class TestEncoding:
     def test_one_hot_block(self):
         bn = BayesianNetwork((bern("A", 0.5),), ("A",), model.ONE_HOT)
