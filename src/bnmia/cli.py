@@ -62,12 +62,17 @@ def _cmd_sample(args) -> int:
 def _cmd_attack(args) -> int:
     bn = _load_network(args, np.random.default_rng(0))
     counts_vec = tuple(int(x) for x in args.counts.split(","))
-    counts = ReleasedCounts(counts_vec, args.n)
     y = tuple(int(x) for x in args.target.split(","))
     if len(y) != bn.d or len(counts_vec) != bn.d:
         raise NetworkFormatError(
             f"counts and target must have length d={bn.d}", 0, 0
         )
+    if any(b not in (0, 1) for b in y):
+        raise NetworkFormatError("target entries must be 0 or 1", 0, 0)
+    try:
+        counts = ReleasedCounts(counts_vec, args.n)
+    except ValueError as err:
+        raise NetworkFormatError(str(err), 0, 0) from None
     mu = attribute_marginals(bn)
     if args.attack == "lrt":
         score = atk.lrt_score(mu, counts, y)

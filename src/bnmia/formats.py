@@ -24,14 +24,6 @@ class NetworkFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class NetworkDocument:
-    """A parsed network description together with its source text."""
-
-    source_text: str
-    network: BayesianNetwork
-
-
-@dataclass(frozen=True)
 class _Token:
     text: str
     line: int
@@ -598,14 +590,14 @@ def emit_bif(bn: BayesianNetwork) -> str:
     return "\n".join(out) + "\n"
 
 
-def load_document(path: str | Path, fmt: str = "auto") -> NetworkDocument:
-    """Read a `.sexp` or `.bif` file into a NetworkDocument; fmt "sexp" or
-    "bif" picks the parser whatever the suffix."""
+def load_document(path: str | Path, fmt: str = "auto") -> BayesianNetwork:
+    """Read a `.sexp` or `.bif` file into a network; fmt "sexp" or "bif"
+    picks the parser whatever the suffix."""
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     kind = path.suffix if fmt == "auto" else "." + fmt
     if kind == ".sexp":
-        return NetworkDocument(text, parse_sexpr(text))
+        return parse_sexpr(text)
     if kind == ".bif":
-        return NetworkDocument(text, parse_bif_subset(text))
+        return parse_bif_subset(text)
     raise ValueError(f"unsupported network file extension {path.suffix!r}")

@@ -15,7 +15,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,6 +62,9 @@ THREATS = (STRONG, WEAK, WEAKEST)
 
 DEFAULT_ATTACKS = ("lrt", "inner_product", "bayes")
 
+# Additive smoothing of the attacker's CPTs fitted from proxy data.
+PROXY_SMOOTHING = 1.0
+
 _STREAM_TAGS = {"population": 0, "dataset": 1, "targets_in": 2, "targets_out": 3, "proxy": 4}
 
 @dataclass(frozen=True)
@@ -80,7 +83,6 @@ class ExperimentConfig:
     attacks: tuple[str, ...] = DEFAULT_ATTACKS
     seed: int = 0
     workers: int = 1
-    smoothing: float = 1.0
 
     def __post_init__(self):
         if self.trials < 1 or self.targets_in < 1 or self.targets_out < 1 or self.n < 1:
@@ -118,48 +120,46 @@ def resolve_population(config: ExperimentConfig, rng: np.random.Generator) -> Ba
     return resolve_network(config.population, rng, config.output_nodes, config.encoding)
 
 
-def _attack_scorers(
-    spec_names: Sequence[str],
+def _attack_scores(
+    names: Sequence[str],
     attacker_bn: BayesianNetwork,
     mu: np.ndarray,
     counts: ReleasedCounts,
-    d: int,
-) -> dict[str, Callable | None]:
-    """Scorer per configured attack name, mapping a targets x d array to the
-    list of their scores; None marks impossible evidence.  The Bayes attack
-    scores the whole batch in one table lookup, the marginal attacks in one
-    array expression over the batch."""
-    scorers: dict[str, Callable | None] = {}
-    for name in spec_names:
+    targets: np.ndarray,
+) -> dict[str, list[float] | None]:
+    """Each configured attack's scores for the rows of targets; None marks
+    impossible evidence.  The Bayes attack scores the whole batch in one table
+    lookup, the marginal attacks in one array expression over the batch."""
+    scores: dict[str, list[float] | None] = {}
+    for name in names:
         if name == "bayes":
             try:
-                engine = posterior_engine(output_marginal_law(attacker_bn), counts)
+                engine = posterior_engine(attacker_bn, counts)
             except ImpossibleEvidenceError:
-                scorers[name] = None
+                scores[name] = None
             else:
-                scorers[name] = lambda ys, e=engine: e.log_ratios(ys).tolist()
+                scores[name] = engine.log_ratios(targets).tolist()
             continue
         if name == "lrt":
-            score = lambda ys: atk.lrt_score(mu, counts, ys)
+            out = atk.lrt_score(mu, counts, targets)
         elif name == "inner_product":
-            score = lambda ys: atk.inner_product_score(mu, counts, ys)
+            out = atk.inner_product_score(mu, counts, targets)
         elif name.startswith("lrt_clipped:"):
             lo_hi = name.split(":", 1)[1]
             lo, hi = (int(x) for x in lo_hi.split("-"))
-            clip = atk.ClipRange(lo, hi)
-            score = lambda ys, c=clip: atk.lrt_clipped_score(mu, counts, ys, c)
+            out = atk.lrt_clipped_score(mu, counts, targets, atk.ClipRange(lo, hi))
         elif name in ("lrt_clipped_auto", "lrt_clipped_flip"):
+            d = len(counts.counts)
             side = atk.choose_side(counts, d)
             if side == atk.AMBIGUOUS:
                 side = RIGHT  # documented default when the counts say nothing
             if name.endswith("flip"):
                 side = LEFT if side == RIGHT else RIGHT
-            clip = atk.side_clip_range(d, side)
-            score = lambda ys, c=clip: atk.lrt_clipped_score(mu, counts, ys, c)
+            out = atk.lrt_clipped_score(mu, counts, targets, atk.side_clip_range(d, side))
         else:
             raise ValueError(f"unknown attack {name!r}")
-        scorers[name] = lambda ys, s=score: s(ys).tolist()
-    return scorers
+        scores[name] = out.tolist()
+    return scores
 
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> dict[str, TrialScores]:
@@ -182,27 +182,25 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> dict[str, TrialScor
         proxy_rng = _stream(config.seed, trial_index, "proxy")
         proxy = ProxyDataset.from_network_samples(bn, config.m, proxy_rng)
         if config.threat == WEAK:
-            attacker_bn = mle_fit(bn, proxy, alpha=config.smoothing)
+            attacker_bn = mle_fit(bn, proxy, alpha=PROXY_SMOOTHING)
         else:
             attacker_bn = chow_liu_fit(
                 proxy,
-                alpha=config.smoothing,
+                alpha=PROXY_SMOOTHING,
                 output_nodes=bn.output_nodes,
                 encoding=bn.encoding,
             )
         mu = empirical_marginals(proxy, bn.output_nodes, bn.encoding)
 
-    scorers = _attack_scorers(config.attacks, attacker_bn, mu, counts, bn.d)
     k_in, k_out = config.targets_in, config.targets_out
     result: dict[str, TrialScores] = {}
-    for name, scorer in scorers.items():
-        if scorer is None:
+    for name, scores in _attack_scores(config.attacks, attacker_bn, mu, counts, targets).items():
+        if scores is None:
             result[name] = TrialScores(
                 [float("-inf")] * k_in, [float("-inf")] * k_out, k_in + k_out
             )
-            continue
-        scores = scorer(targets)
-        result[name] = TrialScores(scores[:k_in], scores[k_in:])
+        else:
+            result[name] = TrialScores(scores[:k_in], scores[k_in:])
     return result
 
 
@@ -492,7 +490,7 @@ def _clipped_gap(
     the exact posterior odds under bn and lambda the clipped ratio statistic,
     each scored for the whole batch in one call; inf when exactly one of them
     is zero for some target."""
-    r_log = posterior_engine(output_marginal_law(bn), counts).log_ratios(ys)
+    r_log = posterior_engine(bn, counts).log_ratios(ys)
     lam_log = atk.lrt_clipped_score(attribute_marginals(bn), counts, ys, clip)
     r_zero = r_log == -math.inf
     if np.any(r_zero != (lam_log == -math.inf)):
@@ -642,7 +640,6 @@ def verify_oracle_agreement(seed: int = 20250810) -> SuiteResult:
     )
 
     for bn in nets:
-        law = output_marginal_law(bn)
         targets = list(itertools.product((0, 1), repeat=bn.d))
         for n in (1, 2, 3):
             if bn.joint_state_count**n > 200_000:
@@ -651,7 +648,7 @@ def verify_oracle_agreement(seed: int = 20250810) -> SuiteResult:
                 counts = ReleasedCounts(c, n)
                 cases += len(targets)
                 try:
-                    engine = posterior_engine(law, counts)
+                    engine = posterior_engine(bn, counts)
                 except ImpossibleEvidenceError:
                     engine = None
                 try:

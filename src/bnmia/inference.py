@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from weakref import WeakKeyDictionary
 
@@ -135,21 +134,18 @@ def sum_log_table(law: SupportDistribution, k: int, cap: tuple[int, ...]) -> Cou
     offsets = vecs @ strides
     cap_arr = np.array(cap, dtype=np.int64)
 
+    set_bits = [np.flatnonzero(v) for v in vecs]
     for _ in range(k):
-        digits = (keys[:, None] // strides[None, :]) % radix[None, :]
+        room = (keys[:, None] // strides[None, :]) % radix[None, :] < cap_arr
         chunks_k, chunks_p = [], []
         for i in range(len(offsets)):
-            set_bits = np.flatnonzero(vecs[i])
-            mask = None
-            for j in set_bits:
-                cond = digits[:, j] < cap_arr[j]
-                mask = cond if mask is None else (mask & cond)
-            if mask is None:
-                chunks_k.append(keys + offsets[i])
-                chunks_p.append(logp + logp_out[i])
-            else:
+            if len(set_bits[i]):
+                mask = room[:, set_bits[i]].all(axis=1)
                 chunks_k.append(keys[mask] + offsets[i])
                 chunks_p.append(logp[mask] + logp_out[i])
+            else:
+                chunks_k.append(keys + offsets[i])
+                chunks_p.append(logp + logp_out[i])
         cand_k = np.concatenate(chunks_k)
         cand_p = np.concatenate(chunks_p)
         keys, logp = _grouped_logsumexp(cand_k, cand_p)
@@ -187,16 +183,13 @@ class PosteriorEngine:
 
     Builds the (n-1)-fold convolution table once; each target then costs a
     table lookup.  The denominator is the table convolved one more step with
-    the law, evaluated at the released counts.
+    the law, evaluated at the released counts.  Nothing caches engines: the
+    caller holds one per release for as long as it scores that release.
     """
 
     def __init__(self, law: SupportDistribution, counts: ReleasedCounts):
-        if counts.n < 1:
-            raise ValueError("need at least one record")
         if len(counts.counts) != law.d:
             raise ValueError("released counts have the wrong dimension")
-        if any(c < 0 or c > counts.n for c in counts.counts):
-            raise ValueError("released counts must lie in [0, n]")
         self.law = law
         self.counts = counts
         c = counts.counts
@@ -225,34 +218,17 @@ class PosteriorEngine:
         return PosteriorResult(ratio, log_num, self.log_denominator)
 
 
-_ENGINE_CACHE: WeakKeyDictionary = WeakKeyDictionary()
-_ENGINE_CACHE_SIZE = 8
-
-
-def posterior_engine(law: SupportDistribution, counts: ReleasedCounts) -> PosteriorEngine:
-    """Engine for (law, counts), cached so repeated targets share the table."""
-    per_law = _ENGINE_CACHE.get(law)
-    if per_law is None:
-        per_law = OrderedDict()
-        _ENGINE_CACHE[law] = per_law
-    key = (counts.n, counts.counts)
-    engine = per_law.get(key)
-    if engine is None:
-        engine = PosteriorEngine(law, counts)
-        per_law[key] = engine
-        while len(per_law) > _ENGINE_CACHE_SIZE:
-            per_law.popitem(last=False)
-    else:
-        per_law.move_to_end(key)
-    return engine
+def posterior_engine(bn: BayesianNetwork, counts: ReleasedCounts) -> PosteriorEngine:
+    """A new engine for one release under bn; the caller holds it while it
+    scores that release's targets.  Nothing is kept between calls."""
+    return PosteriorEngine(output_marginal_law(bn), counts)
 
 
 def posterior_ratio(
     bn: BayesianNetwork, counts: ReleasedCounts, y: EncodedVector
 ) -> PosteriorResult:
     """Exact membership odds for one target under the given network."""
-    law = output_marginal_law(bn)
-    return posterior_engine(law, counts).result(y)
+    return posterior_engine(bn, counts).result(y)
 
 
 def closed_form_product_ratio(mu, counts: ReleasedCounts, y: EncodedVector) -> float:

@@ -14,7 +14,6 @@ import io
 import itertools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -93,10 +92,6 @@ class ProxyDataset:
         for row in self.data.tolist():
             writer.writerow([states[s] for states, s in zip(labels, row)])
         return out.getvalue()
-
-
-def load_proxy_csv(path: str | Path, states=None) -> ProxyDataset:
-    return ProxyDataset.from_csv(Path(path).read_text(encoding="utf-8"), states)
 
 
 def mle_fit(

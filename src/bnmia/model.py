@@ -155,9 +155,11 @@ class ReleasedCounts:
     counts: tuple[int, ...]
     n: int
 
-    @property
-    def means(self) -> tuple[float, ...]:
-        return tuple(c / self.n for c in self.counts)
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("a release needs at least one record")
+        if any(c < 0 or c > self.n for c in self.counts):
+            raise ValueError("released counts must lie in [0, n]")
 
 
 def validate(bn: BayesianNetwork) -> list[str]:

@@ -255,7 +255,7 @@ def resolve_network(
                 tuple(rng.uniform(lo, hi, size=d - m + 2)),
             )
     elif name.endswith((".bif", ".sexp")) or Path(name).exists():
-        bn = formats.load_document(name, fmt).network
+        bn = formats.load_document(name, fmt)
         bn = bn.with_outputs(bn.node_names, ONE_HOT)
     else:
         bn = load_benchmark(name)

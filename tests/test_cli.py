@@ -84,12 +84,23 @@ class TestAttack:
         ])
         assert code == 1
 
-    def test_dimension_mismatch_is_data_error(self, capsys):
+    @pytest.mark.parametrize(
+        "network, counts, n, target, attack",
+        [
+            pytest.param("cancer", "1,2", "4", "1,0", "lrt", id="length"),
+            pytest.param("product:2", "0,0", "0", "1,0", "lrt", id="no-records"),
+            pytest.param("product:2", "3,0", "2", "1,0", "inner_product", id="count-above-n"),
+            pytest.param("product:2", "1,-1", "2", "1,0", "lrt", id="negative-count"),
+            pytest.param("product:2", "1,1", "2", "2,0", "lrt", id="target-not-a-bit"),
+        ],
+    )
+    def test_dimension_mismatch_is_data_error(self, capsys, network, counts, n, target, attack):
         code = main([
-            "attack", "--network", "cancer", "--counts", "1,2",
-            "--n", "4", "--target", "1,0", "--attack", "lrt",
+            "attack", "--network", network, "--counts", counts,
+            "--n", n, "--target", target, "--attack", attack,
         ])
         assert code == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
 class TestEval:

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from bnmia.inference import (
     PosteriorEngine,
     brute_force_posterior,
     closed_form_product_ratio,
+    posterior_engine,
     posterior_ratio,
     sum_count_prob,
     sum_log_table,
@@ -141,6 +144,16 @@ class TestPosteriorRatio:
         res2 = posterior_ratio(bn, ReleasedCounts(c, 1), (0, 1))
         assert res2.ratio == 0.0
 
+    def test_posterior_engine_retains_nothing(self):
+        bn = make_product((0.3, 0.6))
+        counts = ReleasedCounts((1, 1), 2)
+        first = posterior_engine(bn, counts)
+        assert posterior_engine(bn, counts) is not first
+        ref = weakref.ref(first)
+        del first
+        gc.collect()
+        assert ref() is None
+
     def test_engine_reuse_matches_fresh(self):
         bn = make_product((0.3, 0.6, 0.45))
         counts = ReleasedCounts((2, 1, 3), 4)
@@ -200,9 +213,10 @@ class TestProductEquivalence:
             mu = attribute_marginals(bn)
             for c in itertools.product(range(n + 1), repeat=d):
                 counts = ReleasedCounts(c, n)
+                engine = posterior_engine(bn, counts)
                 for y in itertools.product((0, 1), repeat=d):
                     lam = closed_form_product_ratio(mu, counts, y)
-                    r = posterior_ratio(bn, counts, y).ratio
+                    r = engine.result(y).ratio
                     if lam == 0.0:
                         assert r == 0.0
                     else:
@@ -221,12 +235,13 @@ class TestHalfRepeatedEquivalence:
                 for free in itertools.product(range(n + 1), repeat=m):
                     c = free + (free[m - 1],) * (d - m)
                     counts = ReleasedCounts(c, n)
+                    engine = posterior_engine(bn, counts)
                     for y_free in itertools.product((0, 1), repeat=m):
                         y = y_free + (y_free[m - 1],) * (d - m)
                         lam = closed_form_product_ratio(
                             mu[:m], ReleasedCounts(c[:m], n), y[:m]
                         )
-                        r = posterior_ratio(bn, counts, y).ratio
+                        r = engine.result(y).ratio
                         if lam == 0.0:
                             assert r == 0.0
                         else:
@@ -243,9 +258,10 @@ class TestBruteForceOracle:
             bn = make_product(p)
             for c in itertools.product(range(n + 1), repeat=d):
                 counts = ReleasedCounts(c, n)
+                engine = posterior_engine(bn, counts)
                 for y in itertools.product((0, 1), repeat=d):
                     bf = brute_force_posterior(bn, counts, y)
-                    dp = posterior_ratio(bn, counts, y)
+                    dp = engine.result(y)
                     assert dp.theta_in == pytest.approx(bf.theta_in, abs=1e-12)
                     if bf.ratio == 0.0:
                         assert dp.ratio == 0.0
@@ -298,9 +314,14 @@ class TestEngineMatchesOracleOnRandomNetworks:
                     PosteriorEngine(law, counts)
                 continue
             engine = PosteriorEngine(law, counts)
-            for y, bf in zip(targets, oracle):
+            batch = engine.log_ratios(targets).tolist()
+            for y, log_r, bf in zip(targets, batch, oracle):
                 dp = engine.result(y)
-                assert abs(dp.theta_in - bf.theta_in) <= 1e-12
-                assert (dp.ratio == 0.0) == (bf.ratio == 0.0)
-                if bf.ratio > 0.0:
-                    assert abs(dp.ratio - bf.ratio) <= 1e-12 * bf.ratio
+                batch_ratio = math.exp(log_r)
+                # the per-target result, then the batch path that eval scores with
+                for ratio, theta in ((dp.ratio, dp.theta_in),
+                                     (batch_ratio, batch_ratio / (1.0 + batch_ratio))):
+                    assert abs(theta - bf.theta_in) <= 1e-12
+                    assert (ratio == 0.0) == (bf.ratio == 0.0)
+                    if bf.ratio > 0.0:
+                        assert abs(ratio - bf.ratio) <= 1e-12 * bf.ratio
