@@ -31,6 +31,11 @@ DATA_ERROR = 2
 VERIFY_FAILURE = 3
 
 
+class DataError(ValueError):
+    """Input a command cannot use that has no source position: an invalid
+    network or release, or a malformed target.  Exit code 2."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
@@ -43,7 +48,7 @@ def _load_network(args, rng: np.random.Generator) -> BayesianNetwork:
     bn = resolve_network(args.network, rng, outputs, args.encoding, args.format)
     problems = validate(bn)
     if problems:
-        raise NetworkFormatError("; ".join(problems), 0, 0)
+        raise DataError("; ".join(problems))
     return bn
 
 
@@ -64,15 +69,13 @@ def _cmd_attack(args) -> int:
     counts_vec = tuple(int(x) for x in args.counts.split(","))
     y = tuple(int(x) for x in args.target.split(","))
     if len(y) != bn.d or len(counts_vec) != bn.d:
-        raise NetworkFormatError(
-            f"counts and target must have length d={bn.d}", 0, 0
-        )
+        raise DataError(f"counts and target must have length d={bn.d}")
     if any(b not in (0, 1) for b in y):
-        raise NetworkFormatError("target entries must be 0 or 1", 0, 0)
+        raise DataError("target entries must be 0 or 1")
     try:
         counts = ReleasedCounts(counts_vec, args.n)
     except ValueError as err:
-        raise NetworkFormatError(str(err), 0, 0) from None
+        raise DataError(str(err)) from None
     mu = attribute_marginals(bn)
     if args.attack == "lrt":
         score = atk.lrt_score(mu, counts, y)
@@ -220,7 +223,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NetworkFormatError, ModelSizeError, ImpossibleEvidenceError, FileNotFoundError) as err:
+    except (
+        DataError, NetworkFormatError, ModelSizeError, ImpossibleEvidenceError, FileNotFoundError
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
         return DATA_ERROR
     except ValueError as err:

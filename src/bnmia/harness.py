@@ -13,7 +13,6 @@ import io
 import itertools
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -204,12 +203,10 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> dict[str, TrialScor
     return result
 
 
-def roc_and_auc(scores_in: Sequence[float], scores_out: Sequence[float]) -> RocResult:
-    """Pairwise AUC (ties at half weight) and the swept ROC curve: one point
-    per distinct score t, from the largest down, with the shares of each list
-    scoring >= t counted by binary search in the sorted list.
-
-    The trapezoidal area under the returned points equals the pairwise AUC.
+def auc(scores_in: Sequence[float], scores_out: Sequence[float]) -> float:
+    """Pairwise AUC: the share of (in, out) score pairs the in-score wins,
+    ties at half weight.  The out-scores are sorted once; binary search then
+    counts, for each in-score, the out-scores below it and those equal to it.
     """
     if len(scores_in) == 0 or len(scores_out) == 0:
         raise ValueError("both score lists must be nonempty")
@@ -217,13 +214,26 @@ def roc_and_auc(scores_in: Sequence[float], scores_out: Sequence[float]) -> RocR
     s_out = np.asarray(scores_out, dtype=float)
     if np.isnan(s_in).any() or np.isnan(s_out).any():
         raise ValueError("scores must not be NaN")
-    gt = s_in[:, None] > s_out[None, :]
-    eq = s_in[:, None] == s_out[None, :]
-    auc = float((gt.sum() + 0.5 * eq.sum()) / (len(s_in) * len(s_out)))
+    ranked = np.sort(s_out)
+    below = np.searchsorted(ranked, s_in, "left")
+    ties = np.searchsorted(ranked, s_in, "right") - below
+    return float((below.sum() + 0.5 * ties.sum()) / (len(s_in) * len(s_out)))
+
+
+def roc_and_auc(scores_in: Sequence[float], scores_out: Sequence[float]) -> RocResult:
+    """The swept ROC curve and `auc`: one point per distinct score t, from the
+    largest down, with the shares of each list scoring >= t counted by binary
+    search in the sorted list.
+
+    The trapezoidal area under the returned points equals the pairwise AUC.
+    """
+    area = auc(scores_in, scores_out)
+    s_in = np.asarray(scores_in, dtype=float)
+    s_out = np.asarray(scores_out, dtype=float)
     thresholds = np.unique(np.concatenate([s_in, s_out]))[::-1]
     fpr = (len(s_out) - np.searchsorted(np.sort(s_out), thresholds, "left")) / len(s_out)
     tpr = (len(s_in) - np.searchsorted(np.sort(s_in), thresholds, "left")) / len(s_in)
-    return RocResult(((0.0, 0.0),) + tuple(zip(fpr.tolist(), tpr.tolist())), auc)
+    return RocResult(((0.0, 0.0),) + tuple(zip(fpr.tolist(), tpr.tolist())), area)
 
 
 @dataclass(frozen=True)
@@ -299,6 +309,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     d = resolve_population(config, _stream(config.seed, 0, "population")).d
     tasks = [(config, i) for i in range(config.trials)]
     if config.workers > 1:
+        # Imported here: multiprocessing would otherwise add to every import of bnmia.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             outcomes = dict(pool.map(_trial_task, tasks, chunksize=1))
     else:
@@ -310,11 +323,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for i in range(config.trials):
         for name in config.attacks:
             scores = outcomes[i][name]
-            auc = roc_and_auc(scores.scores_in, scores.scores_out).auc
-            per_attack[name].append(auc)
+            area = auc(scores.scores_in, scores.scores_out)
+            per_attack[name].append(area)
             flags[name] += scores.impossible_evidence
             rows.append(
-                TrialRow(config.population, d, config.n, config.threat, config.m, name, i, auc)
+                TrialRow(config.population, d, config.n, config.threat, config.m, name, i, area)
             )
     summary = [
         SummaryRow(

@@ -108,13 +108,25 @@ def _rows(targets, d: int) -> np.ndarray:
     return t
 
 
+# Byte budget of one dense (outcomes x live partial sums) block in a
+# convolution step: the step takes as many outcomes at a time as fit in it,
+# and at least one.
+_BLOCK_BYTES = 256 * 1024
+
+
 def sum_log_table(law: SupportDistribution, k: int, cap: tuple[int, ...]) -> CountTable:
     """The table of log P(V_1 + ... + V_k = t) for t <= cap, V_i iid ~ law.
 
     Convolution states are pruned against cap coordinatewise, which is sound
-    for any query target <= cap.  Outcomes and states are processed in a fixed
-    sorted order, so results are bitwise deterministic.  Keys are int64 when
-    they fit in 62 bits and Python ints (an object array) otherwise.
+    for any query target <= cap.  Each step walks the law's outcomes in
+    contiguous blocks sized to a fixed dense-block budget (`_BLOCK_BYTES`):
+    per block, one matrix product marks the live partial sums with room under
+    the cap for every set bit of each outcome, and one boolean gather takes
+    the candidate sums outcome by outcome.  So no step materializes a whole
+    (outcomes x live) matrix, and the candidates come in the same fixed
+    sorted order whatever the block size; results are bitwise deterministic.
+    Keys are int64 when they fit in 62 bits and Python ints (an object array)
+    otherwise.
     """
     d = law.d
     cap = tuple(int(c) for c in cap)
@@ -126,28 +138,27 @@ def sum_log_table(law: SupportDistribution, k: int, cap: tuple[int, ...]) -> Cou
 
     keys = np.zeros(1, dtype=key_dtype)
     logp = np.zeros(1, dtype=float)
-    keep = [i for i, (vec, _) in enumerate(law.outcomes) if all(v <= c for v, c in zip(vec, cap))]
-    if k > 0 and not keep:
+    cap_arr = np.array(cap, dtype=np.int64)
+    keep = (law.vectors() <= cap_arr).all(axis=1)
+    if k > 0 and not keep.any():
         return CountTable(cap, strides, keys[:0], logp[:0])
     vecs = law.vectors()[keep]
     logp_out = np.log(law.probs()[keep])
     offsets = vecs @ strides
-    cap_arr = np.array(cap, dtype=np.int64)
+    bits = vecs.astype(np.float32)  # 0/1 entries: the products below count set bits exactly
 
-    set_bits = [np.flatnonzero(v) for v in vecs]
     for _ in range(k):
-        room = (keys[:, None] // strides[None, :]) % radix[None, :] < cap_arr
+        at_cap = (keys[:, None] // strides[None, :]) % radix[None, :] >= cap_arr
+        at_cap = at_cap.astype(np.float32)
+        rows = max(1, _BLOCK_BYTES // (8 * max(len(keys), 1)))
         chunks_k, chunks_p = [], []
-        for i in range(len(offsets)):
-            if len(set_bits[i]):
-                mask = room[:, set_bits[i]].all(axis=1)
-                chunks_k.append(keys[mask] + offsets[i])
-                chunks_p.append(logp[mask] + logp_out[i])
-            else:
-                chunks_k.append(keys + offsets[i])
-                chunks_p.append(logp + logp_out[i])
-        cand_k = np.concatenate(chunks_k)
-        cand_p = np.concatenate(chunks_p)
+        for lo in range(0, len(offsets), rows):
+            blk = slice(lo, lo + rows)
+            fits = bits[blk] @ at_cap.T == 0  # no set bit of the outcome is at its cap
+            chunks_k.append((offsets[blk, None] + keys[None, :])[fits])
+            chunks_p.append((logp_out[blk, None] + logp[None, :])[fits])
+        cand_k, cand_p = np.concatenate(chunks_k), np.concatenate(chunks_p)
+        del at_cap, chunks_k, chunks_p  # only the candidates stay alive while grouping
         keys, logp = _grouped_logsumexp(cand_k, cand_p)
     return CountTable(cap, strides, keys, logp)
 
@@ -181,10 +192,13 @@ def sum_count_prob(law: SupportDistribution, k: int, target) -> float:
 class PosteriorEngine:
     """Posterior odds for many targets against one released count vector.
 
-    Builds the (n-1)-fold convolution table once; each target then costs a
-    table lookup.  The denominator is the table convolved one more step with
-    the law, evaluated at the released counts.  Nothing caches engines: the
-    caller holds one per release for as long as it scores that release.
+    Builds the (n-1)-fold convolution table once, with `sum_log_table`'s
+    outcome-block steps under their fixed dense-block budget; each target
+    then costs a table lookup.  The denominator is the table convolved one
+    more step with the law, evaluated at the released counts: one lookup of
+    c - v for every law outcome v, whose unreachable entries are dropped
+    before the log-sum.  Nothing caches engines: the caller holds one per
+    release for as long as it scores that release.
     """
 
     def __init__(self, law: SupportDistribution, counts: ReleasedCounts):
@@ -195,9 +209,11 @@ class PosteriorEngine:
         c = counts.counts
         self._table = sum_log_table(law, counts.n - 1, c)
         self._c = np.array(c, dtype=np.int64)
-        table_lps = self._table.log_prob(self._c - law.vectors()).tolist()
+        table_lps = self._table.log_prob(self._c - law.vectors())
+        hit = table_lps != LOG_ZERO
         self.log_denominator = _logsumexp(
-            lp + math.log(p) for lp, (_, p) in zip(table_lps, law.outcomes)
+            lp + math.log(p)
+            for lp, p in zip(table_lps[hit].tolist(), law.probs()[hit].tolist())
         )
         if self.log_denominator == LOG_ZERO:
             raise ImpossibleEvidenceError(

@@ -1,6 +1,6 @@
 """Reference implementations that the array paths must match bit for bit:
-the one-record ancestral sampler, the dict encoder and the per-threshold ROC
-sweep they replaced."""
+the one-record ancestral sampler, the dict encoder, the per-threshold ROC
+sweep, the pairwise AUC and the per-outcome convolution step they replaced."""
 from __future__ import annotations
 
 import numpy as np
@@ -44,3 +44,44 @@ def reference_roc_points(scores_in, scores_out) -> tuple[tuple[float, float], ..
     for t in np.unique(np.concatenate([s_in, s_out]))[::-1]:
         points.append((float(np.mean(s_out >= t)), float(np.mean(s_in >= t))))
     return tuple(points)
+
+
+def reference_auc(scores_in, scores_out) -> float:
+    """Pairwise AUC from the full (in x out) win and tie matrices."""
+    s_in = np.asarray(scores_in, dtype=float)
+    s_out = np.asarray(scores_out, dtype=float)
+    gt = s_in[:, None] > s_out[None, :]
+    eq = s_in[:, None] == s_out[None, :]
+    return float((gt.sum() + 0.5 * eq.sum()) / (len(s_in) * len(s_out)))
+
+
+def reference_sum_log_table(law, k: int, cap) -> tuple[np.ndarray, np.ndarray]:
+    """The (keys, log_probs) of `sum_log_table` by one gather per law outcome
+    per step: each outcome's live partial sums are those with room under the
+    cap at every set bit of the outcome, taken in outcome order."""
+    from bnmia.inference import _grouped_logsumexp
+
+    cap = tuple(int(c) for c in cap)
+    radix = np.array([c + 1 for c in cap], dtype=np.int64)
+    strides = np.ones(len(cap), dtype=np.int64 if np.log2(radix).sum() <= 62 else object)
+    for j in range(len(cap) - 2, -1, -1):
+        strides[j] = strides[j + 1] * (cap[j + 1] + 1)
+    cap_arr = np.array(cap, dtype=np.int64)
+    keys = np.zeros(1, dtype=strides.dtype)
+    logp = np.zeros(1, dtype=float)
+    keep = [i for i, (vec, _) in enumerate(law.outcomes) if all(v <= c for v, c in zip(vec, cap))]
+    if k > 0 and not keep:
+        return keys[:0], logp[:0]
+    vecs = law.vectors()[keep]
+    logp_out = np.log(law.probs()[keep])
+    offsets = vecs @ strides
+    set_bits = [np.flatnonzero(v) for v in vecs]
+    for _ in range(k):
+        room = (keys[:, None] // strides[None, :]) % radix[None, :] < cap_arr
+        chunks_k, chunks_p = [], []
+        for i in range(len(offsets)):
+            mask = room[:, set_bits[i]].all(axis=1)
+            chunks_k.append(keys[mask] + offsets[i])
+            chunks_p.append(logp[mask] + logp_out[i])
+        keys, logp = _grouped_logsumexp(np.concatenate(chunks_k), np.concatenate(chunks_p))
+    return keys, logp

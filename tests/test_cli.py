@@ -100,7 +100,9 @@ class TestAttack:
             "--n", n, "--target", target, "--attack", attack,
         ])
         assert code == 2
-        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "line" not in err and "column" not in err  # no source position to name
 
 
 class TestEval:
@@ -163,6 +165,17 @@ class TestErrors:
         ])
         assert code == 2
         assert "too large" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sample", "attack"])
+    def test_invalid_network_is_data_error(self, capsys, command):
+        extra = {
+            "sample": ["--n", "2"],
+            "attack": ["--counts", "1,1", "--n", "2", "--target", "1,0", "--attack", "lrt"],
+        }[command]
+        code = main([command, "--network", "cancer", "--outputs", "Nope", *extra])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: output node Nope is not declared\n"
 
     def test_usage_error_on_bad_flag(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference import reference_roc_points
+from reference import reference_auc, reference_roc_points
 
 from bnmia import harness
 from bnmia.attacks import ClipRange
 from bnmia.harness import (
     ExperimentConfig,
+    auc,
     bench_posterior,
     resolve_population,
     roc_and_auc,
@@ -61,6 +62,49 @@ class TestRocAndAuc:
         fprs = np.array([p[0] for p in r.points])
         tprs = np.array([p[1] for p in r.points])
         assert abs(np.trapezoid(tprs, fprs) - r.auc) <= 1e-12
+
+
+class TestAuc:
+    """The rank-count AUC equals the pairwise formula exactly, with no
+    tolerance, and is the AUC roc_and_auc reports."""
+
+    @staticmethod
+    def check(s_in, s_out):
+        value = auc(s_in, s_out)
+        assert value == reference_auc(s_in, s_out)
+        assert roc_and_auc(s_in, s_out).auc == value
+
+    def test_random_lengths_and_grids(self):
+        rng = np.random.default_rng(11)
+        grids = [
+            np.array(SCORE_GRID + [-0.0]),
+            np.array([-math.inf, math.inf]),
+            np.round(np.linspace(-3.0, 3.0, 13), 1),
+        ]
+        for case in range(300):
+            sizes = rng.integers(1, [1001, 1001]) if case % 3 else rng.integers(1, [30, 30])
+            if case % 2:
+                grid = grids[case % len(grids)]
+                s_in, s_out = (rng.choice(grid, size) for size in sizes)
+            else:
+                s_in, s_out = rng.normal(0.3, 1.0, sizes[0]), rng.normal(0.0, 1.0, sizes[1])
+            self.check(s_in, s_out)
+
+    @pytest.mark.parametrize("size_in, size_out", [(1, 1), (1, 1000), (1000, 1), (1000, 1000)])
+    def test_extreme_lengths(self, size_in, size_out):
+        rng = np.random.default_rng(size_in + size_out)
+        self.check(rng.choice(SCORE_GRID, size_in), rng.choice(SCORE_GRID, size_out))
+
+    @pytest.mark.parametrize("value", [-math.inf, -1.5, 0.0, 2.0, math.inf])
+    def test_all_equal(self, value):
+        assert auc([value] * 7, [value] * 4) == 0.5
+        self.check([value] * 7, [value] * 4)
+
+    def test_rejects_empty_and_nan(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            auc([1.0], [])
+        with pytest.raises(ValueError, match="NaN"):
+            auc([1.0], [math.nan])
 
 
 class TestResolvePopulation:

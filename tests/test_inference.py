@@ -1,14 +1,16 @@
 import gc
 import itertools
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from reference import reference_sum_log_table
 from strategies import small_networks
 
-from bnmia import model
+from bnmia import inference, model
 from bnmia.harness import law_ratio_deviation
 from bnmia.inference import (
     ImpossibleEvidenceError,
@@ -106,6 +108,91 @@ class TestSumCountProb:
             (6 / 8) / p, rel=1e-12
         )
         assert posterior_ratio(bn, counts, (1,) + (0,) * 22).ratio == 0.0
+
+
+def released(bn, n: int, rng) -> tuple[int, ...]:
+    return dataset_counts(Dataset(project(bn, sample(bn, n, rng))), bn).counts
+
+
+def assert_matches_reference(law, k: int, cap) -> None:
+    table = sum_log_table(law, k, cap)
+    keys, log_probs = reference_sum_log_table(law, k, cap)
+    assert table.keys.dtype == keys.dtype
+    assert table.keys.tolist() == keys.tolist()
+    assert table.log_probs.tobytes() == log_probs.tobytes()
+
+
+def copy_chain_law(d: int, p: float = 0.6, q: float = 0.3) -> model.SupportDistribution:
+    """The law of a raw-binary coin with d - 2 exact copies, then an
+    independent coin: four outcomes, all d bits set in two of them.  (The
+    network's output table, 2**d entries, is over the elimination guard.)"""
+    outcomes = tuple(
+        ((x,) * (d - 1) + (z,), (p if x else 1 - p) * (q if z else 1 - q))
+        for x in (0, 1) for z in (0, 1)
+    )
+    return model.SupportDistribution(outcomes, d)
+
+
+class TestBlockedStepMatchesReference:
+    """sum_log_table's outcome-block step against the per-outcome reference
+    loop, bit for bit: same keys, same dtype, same log-probability bits."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_networks(), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_random_networks(self, bn, n, seed):
+        law = output_marginal_law(bn)
+        cap = released(bn, n, np.random.default_rng(seed))
+        for k in (n - 1, n, n + 1):  # n + 1 prunes every one-hot partial sum
+            assert_matches_reference(law, k, cap)
+
+    @pytest.mark.parametrize("name", [b for b in BUNDLED_BENCHMARKS if b.startswith("sachs:")])
+    def test_sachs_sets(self, name):
+        bn = load_benchmark(name)
+        law = output_marginal_law(bn)
+        rng = np.random.default_rng(5)
+        for n in (4, 6):
+            cap = released(bn, n, rng)
+            for k in (n - 1, n):
+                assert_matches_reference(law, k, cap)
+
+    @pytest.mark.parametrize("budget", [1, 10**12], ids=["block-per-outcome", "one-block"])
+    def test_block_budget_does_not_change_the_table(self, monkeypatch, budget):
+        monkeypatch.setattr(inference, "_BLOCK_BYTES", budget)
+        rng = np.random.default_rng(9)
+        for bn in (load_benchmark("asia"), load_benchmark("sachs:path-left"),
+                   make_product(tuple(rng.uniform(0.2, 0.8, 6)))):
+            law = output_marginal_law(bn)
+            cap = released(bn, 6, rng)
+            for k in (3, 5):
+                assert_matches_reference(law, k, cap)
+        assert_matches_reference(copy_chain_law(70), 5, (5,) * 69 + (2,))
+
+    def test_step_memory_follows_the_block_budget(self):
+        # A plain-sachs release at n = 4 that keeps 1,728 law outcomes and
+        # reaches 9,216 live partial sums: one block over a whole step peaks
+        # at about 152 MiB of numpy allocations, the 256 KiB blocks at 29 MiB.
+        law = output_marginal_law(load_benchmark("sachs"))
+        cap = (4, 0, 0, 1, 2, 1, 4, 0, 0, 1, 0, 3, 1, 2, 1, 0, 2,
+               2, 1, 2, 1, 2, 0, 2, 0, 1, 3, 3, 0, 1, 0, 3, 1)
+        law.vectors(), law.probs()  # cached on the law: not the step's memory
+        tracemalloc.start()
+        try:
+            table = sum_log_table(law, 3, cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 1728
+        assert peak < 64 * 2**20
+
+    def test_wide_raw_binary_chain(self):
+        # d = 70 needs object keys; the cap that binds first sits on the last
+        # coordinate, past any 64-bit mask.
+        law = copy_chain_law(70)
+        cap = (5,) * 69 + (2,)
+        table = sum_log_table(law, 5, cap)
+        assert table.keys.dtype == object and len(table) == 18
+        assert_matches_reference(law, 5, cap)
+        assert_matches_reference(law, 6, (5,) * 68 + (2, 5))
 
 
 class TestPosteriorRatio:
