@@ -228,6 +228,10 @@ def main(argv=None) -> int:
     ) as err:
         print(f"error: {err}", file=sys.stderr)
         return DATA_ERROR
+    except MemoryError as err:
+        detail = f": {err}" if str(err) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return DATA_ERROR
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR

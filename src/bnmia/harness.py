@@ -32,7 +32,6 @@ from .inference import (
 from .learning import ProxyDataset, chow_liu_fit, empirical_marginals, mle_fit
 from .model import (
     BayesianNetwork,
-    Dataset,
     ReleasedCounts,
     attribute_marginals,
     dataset_counts,
@@ -166,7 +165,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> dict[str, TrialScor
     in/out targets.  Fully determined by (config, trial_index)."""
     bn = resolve_population(config, _stream(config.seed, trial_index, "population"))
     data = project(bn, sample(bn, config.n, _stream(config.seed, trial_index, "dataset")))
-    counts = dataset_counts(Dataset(data), bn)
+    counts = dataset_counts(bn, data)
 
     in_rng = _stream(config.seed, trial_index, "targets_in")
     picks = in_rng.integers(0, config.n, size=config.targets_in)
@@ -379,7 +378,7 @@ def bench_posterior(
         calls = 0
         for i in range(datasets):
             data = project(bn, sample(bn, n, _stream(seed, i, "dataset")))
-            counts = dataset_counts(Dataset(data), bn)
+            counts = dataset_counts(bn, data)
             out_rng = _stream(seed, i, "targets_out")
             half = targets // 2
             picks = out_rng.integers(0, n, size=targets - half)
@@ -725,8 +724,8 @@ def law_ratio_deviation(
     law = output_marginal_law(bn)
     worst = 0.0
     for _ in range(releases):
-        engine = PosteriorEngine(law, dataset_counts(Dataset(project(bn, sample(bn, n, rng))), bn))
-        total = math.fsum(law.probs() * np.exp(engine.log_ratios(law.vectors())))
+        engine = PosteriorEngine(law, dataset_counts(bn, project(bn, sample(bn, n, rng))))
+        total = math.fsum(law.probs * np.exp(engine.log_ratios(law.vectors)))
         worst = max(worst, abs(total - 1.0))
     return worst
 

@@ -19,6 +19,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
+from . import model
 from .model import (
     BayesianNetwork,
     EncodedVector,
@@ -139,11 +140,11 @@ def sum_log_table(law: SupportDistribution, k: int, cap: tuple[int, ...]) -> Cou
     keys = np.zeros(1, dtype=key_dtype)
     logp = np.zeros(1, dtype=float)
     cap_arr = np.array(cap, dtype=np.int64)
-    keep = (law.vectors() <= cap_arr).all(axis=1)
+    keep = (law.vectors <= cap_arr).all(axis=1)
     if k > 0 and not keep.any():
         return CountTable(cap, strides, keys[:0], logp[:0])
-    vecs = law.vectors()[keep]
-    logp_out = np.log(law.probs()[keep])
+    vecs = law.vectors[keep]
+    logp_out = np.log(law.probs[keep])
     offsets = vecs @ strides
     bits = vecs.astype(np.float32)  # 0/1 entries: the products below count set bits exactly
 
@@ -169,11 +170,12 @@ def _grouped_logsumexp(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, 
     order = np.argsort(keys, kind="stable")
     k = keys[order]
     v = vals[order]
+    del order  # v is then shifted and exponentiated in place: fewer candidate-sized arrays alive
     new_group = np.concatenate(([True], k[1:] != k[:-1]))
     starts = np.flatnonzero(new_group)
-    gidx = np.cumsum(new_group) - 1
     m = np.maximum.reduceat(v, starts)
-    sums = np.add.reduceat(np.exp(v - m[gidx]), starts)
+    v -= m[np.cumsum(new_group) - 1]
+    sums = np.add.reduceat(np.exp(v, out=v), starts)
     return k[starts], m + np.log(sums)
 
 
@@ -209,11 +211,11 @@ class PosteriorEngine:
         c = counts.counts
         self._table = sum_log_table(law, counts.n - 1, c)
         self._c = np.array(c, dtype=np.int64)
-        table_lps = self._table.log_prob(self._c - law.vectors())
+        table_lps = self._table.log_prob(self._c - law.vectors)
         hit = table_lps != LOG_ZERO
         self.log_denominator = _logsumexp(
             lp + math.log(p)
-            for lp, p in zip(table_lps[hit].tolist(), law.probs()[hit].tolist())
+            for lp, p in zip(table_lps[hit].tolist(), law.probs[hit].tolist())
         )
         if self.log_denominator == LOG_ZERO:
             raise ImpossibleEvidenceError(
@@ -297,18 +299,16 @@ def _brute_sum_table(bn: BayesianNetwork, k: int) -> dict[EncodedVector, float]:
 
 
 def brute_force_posterior(
-    bn: BayesianNetwork,
-    counts: ReleasedCounts,
-    y: EncodedVector,
-    guard: int = 10_000_000,
+    bn: BayesianNetwork, counts: ReleasedCounts, y: EncodedVector
 ) -> PosteriorResult:
     """Oracle: enumerate every assignment of n independent network instances.
 
     Sums the joint probabilities of the assignments satisfying each branch's
     evidence directly, with no convolution, pruning, or log-space tricks.
+    Raises ModelSizeError past `model.STATE_GUARD` assignments.
     """
     n = counts.n
-    if bn.joint_state_count ** n > guard:
+    if bn.joint_state_count ** n > model.STATE_GUARD:
         raise ModelSizeError(
             f"brute force would enumerate {bn.joint_state_count}^{n} assignments"
         )

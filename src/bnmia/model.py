@@ -24,8 +24,9 @@ ENCODINGS = (RAW_BINARY, ONE_HOT)
 
 # CPT rows must sum to 1 within this tolerance to be accepted.
 ROW_SUM_TOL = 1e-12
-# Default ceiling on the entries of any factor built for the output law.
-DEFAULT_STATE_GUARD = 10_000_000
+# Ceiling on the entries of any factor built for the output law, and on the
+# assignments the brute-force oracle enumerates.
+STATE_GUARD = 10_000_000
 
 # A record maps node name -> state index; used by the full-joint enumerator.
 Record = dict[str, int]
@@ -53,9 +54,6 @@ class NodeSpec:
     @property
     def cardinality(self) -> int:
         return len(self.states)
-
-    def state_index(self, label: str) -> int:
-        return self.states.index(label)
 
 
 @dataclass(eq=False)
@@ -102,50 +100,24 @@ class BayesianNetwork:
         return BayesianNetwork(self.nodes, tuple(output_nodes), encoding)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SupportDistribution:
     """Exact distribution over encoded output vectors: the population's law.
 
-    Outcomes are sorted by vector, carry strictly positive probabilities, and
-    sum to 1 within 1e-9.
+    `vectors` is an (outcomes, d) int64 array of distinct rows in
+    lexicographic order; `probs` holds their probabilities, all positive and
+    summing to 1 within 1e-9.
     """
 
-    outcomes: tuple[tuple[EncodedVector, float], ...]
-    d: int
-
-    def __post_init__(self):
-        self._index = {vec: p for vec, p in self.outcomes}
-        self._vectors = None
-        self._probs = None
-
-    def prob(self, vec: EncodedVector) -> float:
-        return self._index.get(tuple(vec), 0.0)
-
-    def vectors(self) -> np.ndarray:
-        if self._vectors is None:
-            self._vectors = np.array([v for v, _ in self.outcomes], dtype=np.int64).reshape(
-                len(self.outcomes), self.d
-            )
-        return self._vectors
-
-    def probs(self) -> np.ndarray:
-        if self._probs is None:
-            self._probs = np.array([p for _, p in self.outcomes], dtype=float)
-        return self._probs
-
-    def __len__(self) -> int:
-        return len(self.outcomes)
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """A private dataset: an (n, outputs) array of projected states."""
-
-    states: np.ndarray
+    vectors: np.ndarray
+    probs: np.ndarray
 
     @property
-    def n(self) -> int:
-        return len(self.states)
+    def d(self) -> int:
+        return self.vectors.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.probs)
 
 
 @dataclass(frozen=True)
@@ -263,9 +235,7 @@ def joint_prob(bn: BayesianNetwork, full: Record) -> float:
     return prob
 
 
-def output_marginal_law(
-    bn: BayesianNetwork, guard: int = DEFAULT_STATE_GUARD
-) -> SupportDistribution:
+def output_marginal_law(bn: BayesianNetwork) -> SupportDistribution:
     """Exact law of the encoded output vector, by variable elimination.
 
     Only the outputs and their ancestors are kept: every other node is a
@@ -273,19 +243,13 @@ def output_marginal_law(
     The hidden ancestors are summed out one at a time, next the one whose
     resulting factor is smallest (ties broken by topological position), and
     what is left is multiplied into one table over the outputs.  Its positive
-    entries, encoded once each, are the outcomes.  Raises ModelSizeError when
-    any factor, the output table included, would exceed `guard` entries.
-    Cached on the network instance with its largest factor's size, which a
-    later call's guard is checked against.
+    entries, encoded in one call and put in lexicographic order of their
+    vectors, are the outcomes.  Raises ModelSizeError when any factor, the
+    output table included, would exceed `STATE_GUARD` entries.  Cached on the
+    network instance.
     """
     if bn._law is not None:
-        law, largest = bn._law
-        if largest > guard:
-            raise ModelSizeError(
-                f"network too large for variable elimination: its largest factor "
-                f"has {largest} entries > guard {guard}"
-            )
-        return law
+        return bn._law
     outputs = tuple(dict.fromkeys(bn.output_nodes))
     kept = set(outputs)
     for node in reversed(bn.nodes):
@@ -293,7 +257,7 @@ def output_marginal_law(
             kept.update(node.parents)
     position = {name: i for i, name in enumerate(bn.node_names)}
     card = {name: bn.node(name).cardinality for name in kept}
-    _check_size(outputs, card, guard)
+    _check_size(outputs, card)
 
     factors = [_cpt_factor(bn, node) for node in bn.nodes if node.name in kept]
 
@@ -302,39 +266,38 @@ def output_marginal_law(
         return math.prod(card[u] for u in scope)
 
     hidden = kept.difference(outputs)
-    largest = 0
     while hidden:
         v = min(hidden, key=lambda h: (resulting(h), position[h]))
         hidden.remove(v)
-        scope, table = _product([f for f in factors if v in f[0]], card, guard)
-        largest = max(largest, table.size)
+        scope, table = _product([f for f in factors if v in f[0]], card)
         factors = [f for f in factors if v not in f[0]]
         factors.append((tuple(u for u in scope if u != v), table.sum(axis=scope.index(v))))
-    scope, table = _product(factors, card, guard)
-    largest = max(largest, table.size)
+    scope, table = _product(factors, card)
     table = np.transpose(table, [scope.index(v) for v in outputs])
 
     positive = table > 0.0
-    probs = table[positive].tolist()
-    vectors = map(tuple, encode(bn, np.argwhere(positive)).tolist())
+    probs = table[positive]
+    vectors = encode(bn, np.argwhere(positive))
     total = math.fsum(probs)
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"output law does not normalize: total probability {total!r}")
-    law = SupportDistribution(tuple(sorted(zip(vectors, probs))), d=bn.d)
-    bn._law = (law, largest)
-    return law
+    # lexsort's last key is the primary one: rows in lexicographic order, and
+    # ties (possible only with no outputs, d = 0) by probability.
+    order = np.lexsort((probs, *vectors.T[::-1]))
+    bn._law = SupportDistribution(vectors[order], probs[order])
+    return bn._law
 
 
 # A factor is a scope (node names, one table axis each, in order) and a table.
 Factor = tuple[tuple[str, ...], np.ndarray]
 
 
-def _check_size(scope: Sequence[str], card: dict[str, int], guard: int) -> None:
+def _check_size(scope: Sequence[str], card: dict[str, int]) -> None:
     size = math.prod(card[v] for v in scope)
-    if size > guard:
+    if size > STATE_GUARD:
         raise ModelSizeError(
             f"network too large for variable elimination: a factor over "
-            f"{len(scope)} nodes would have {size} entries > guard {guard}"
+            f"{len(scope)} nodes would have {size} entries > guard {STATE_GUARD}"
         )
 
 
@@ -345,11 +308,11 @@ def _cpt_factor(bn: BayesianNetwork, node: NodeSpec) -> Factor:
     return node.parents + (node.name,), np.array(rows, dtype=float).reshape(shape)
 
 
-def _product(factors: Sequence[Factor], card: dict[str, int], guard: int) -> Factor:
+def _product(factors: Sequence[Factor], card: dict[str, int]) -> Factor:
     """Multiply factors left to right; the scope is checked against the guard
     first, and every partial product is a sub-table of the result."""
     scope = tuple(dict.fromkeys(v for f_scope, _ in factors for v in f_scope))
-    _check_size(scope, card, guard)
+    _check_size(scope, card)
     done: tuple[str, ...] = ()
     table = np.ones(())
     for f_scope, f_table in factors:
@@ -365,10 +328,10 @@ def _product(factors: Sequence[Factor], card: dict[str, int], guard: int) -> Fac
     return scope, table
 
 
-def attribute_marginals(bn: BayesianNetwork, guard: int = DEFAULT_STATE_GUARD) -> np.ndarray:
+def attribute_marginals(bn: BayesianNetwork) -> np.ndarray:
     """Per-attribute probability of bit 1 under the output law."""
-    law = output_marginal_law(bn, guard=guard)
-    return law.probs() @ law.vectors()
+    law = output_marginal_law(bn)
+    return law.probs @ law.vectors
 
 
 def sample(bn: BayesianNetwork, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -449,11 +412,10 @@ def decode(bn: BayesianNetwork, bits) -> np.ndarray:
     return np.nonzero(bits)[1].reshape(len(bits), -1) - offsets
 
 
-def dataset_counts(ds: Dataset, bn: BayesianNetwork) -> ReleasedCounts:
-    """Exact integer column sums of the encoded dataset."""
-    if ds.n < 1:
-        raise ValueError("dataset must contain at least one record")
-    return ReleasedCounts(tuple(encode(bn, ds.states).sum(axis=0).tolist()), ds.n)
+def dataset_counts(bn: BayesianNetwork, states: np.ndarray) -> ReleasedCounts:
+    """The release of a private dataset, an (n, outputs) array of projected
+    states: the exact integer column sums of its encoding, and n."""
+    return ReleasedCounts(tuple(encode(bn, states).sum(axis=0).tolist()), len(states))
 
 
 def enumerate_full_records(bn: BayesianNetwork) -> Iterable[tuple[Record, float]]:

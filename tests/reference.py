@@ -69,11 +69,13 @@ def reference_sum_log_table(law, k: int, cap) -> tuple[np.ndarray, np.ndarray]:
     cap_arr = np.array(cap, dtype=np.int64)
     keys = np.zeros(1, dtype=strides.dtype)
     logp = np.zeros(1, dtype=float)
-    keep = [i for i, (vec, _) in enumerate(law.outcomes) if all(v <= c for v, c in zip(vec, cap))]
+    keep = [
+        i for i, vec in enumerate(law.vectors.tolist()) if all(v <= c for v, c in zip(vec, cap))
+    ]
     if k > 0 and not keep:
         return keys[:0], logp[:0]
-    vecs = law.vectors()[keep]
-    logp_out = np.log(law.probs()[keep])
+    vecs = law.vectors[keep]
+    logp_out = np.log(law.probs[keep])
     offsets = vecs @ strides
     set_bits = [np.flatnonzero(v) for v in vecs]
     for _ in range(k):

@@ -21,7 +21,6 @@ from bnmia.formats import parse_bif_subset, parse_sexpr
 from bnmia.harness import ExperimentConfig, roc_and_auc, run_experiment
 from bnmia.inference import PosteriorEngine
 from bnmia.model import (
-    Dataset,
     ReleasedCounts,
     dataset_counts,
     encode,
@@ -377,7 +376,7 @@ class TestCriterion10Scalability:
         law = output_marginal_law(bn)
         rng = np.random.default_rng(SEED)
         recs = project(bn, sample(bn, 4, rng))
-        counts = dataset_counts(Dataset(recs), bn)
+        counts = dataset_counts(bn, recs)
         y = encode(bn, recs[:1])[0]
         times = []
         for _ in range(3):

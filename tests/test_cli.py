@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from reference import reference_sample
 
+from bnmia import inference
 from bnmia.cli import main
 from bnmia.populations import load_benchmark
 
@@ -165,6 +166,16 @@ class TestErrors:
         ])
         assert code == 2
         assert "too large" in capsys.readouterr().err
+
+    def test_out_of_memory_is_data_error(self, monkeypatch, capsys):
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 801. MiB for an array")
+
+        monkeypatch.setattr(inference, "sum_log_table", exhausted)
+        code = main(["bench", "--networks", "cancer", "--datasets", "1", "--targets", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 801. MiB for an array\n"
 
     @pytest.mark.parametrize("command", ["sample", "attack"])
     def test_invalid_network_is_data_error(self, capsys, command):

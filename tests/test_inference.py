@@ -23,7 +23,6 @@ from bnmia.inference import (
     sum_log_table,
 )
 from bnmia.model import (
-    Dataset,
     ReleasedCounts,
     attribute_marginals,
     dataset_counts,
@@ -111,7 +110,7 @@ class TestSumCountProb:
 
 
 def released(bn, n: int, rng) -> tuple[int, ...]:
-    return dataset_counts(Dataset(project(bn, sample(bn, n, rng))), bn).counts
+    return dataset_counts(bn, project(bn, sample(bn, n, rng))).counts
 
 
 def assert_matches_reference(law, k: int, cap) -> None:
@@ -126,11 +125,13 @@ def copy_chain_law(d: int, p: float = 0.6, q: float = 0.3) -> model.SupportDistr
     """The law of a raw-binary coin with d - 2 exact copies, then an
     independent coin: four outcomes, all d bits set in two of them.  (The
     network's output table, 2**d entries, is over the elimination guard.)"""
-    outcomes = tuple(
+    outcomes = [
         ((x,) * (d - 1) + (z,), (p if x else 1 - p) * (q if z else 1 - q))
         for x in (0, 1) for z in (0, 1)
+    ]
+    return model.SupportDistribution(
+        np.array([v for v, _ in outcomes], dtype=np.int64), np.array([w for _, w in outcomes])
     )
-    return model.SupportDistribution(outcomes, d)
 
 
 class TestBlockedStepMatchesReference:
@@ -174,7 +175,6 @@ class TestBlockedStepMatchesReference:
         law = output_marginal_law(load_benchmark("sachs"))
         cap = (4, 0, 0, 1, 2, 1, 4, 0, 0, 1, 0, 3, 1, 2, 1, 0, 2,
                2, 1, 2, 1, 2, 0, 2, 0, 1, 3, 3, 0, 1, 0, 3, 1)
-        law.vectors(), law.probs()  # cached on the law: not the step's memory
         tracemalloc.start()
         try:
             table = sum_log_table(law, 3, cap)
@@ -226,7 +226,8 @@ class TestPosteriorRatio:
         law = output_marginal_law(bn)
         c = (1, 1)
         res = posterior_ratio(bn, ReleasedCounts(c, 1), (1, 1))
-        assert res.ratio == pytest.approx(1.0 / law.prob(c), rel=1e-12)
+        assert law.vectors[-1].tolist() == list(c)
+        assert res.ratio == pytest.approx(1.0 / law.probs[-1], rel=1e-12)
         # a target that is not the released record cannot be the record
         res2 = posterior_ratio(bn, ReleasedCounts(c, 1), (0, 1))
         assert res2.ratio == 0.0
@@ -367,10 +368,15 @@ class TestBruteForceOracle:
                 if bf.ratio > 0.0:
                     assert dp.ratio == pytest.approx(bf.ratio, rel=1e-12)
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
+        # 2**10 states per instance: 2**30 assignments at n = 3, and 2**20 at
+        # n = 2 once the guard is lowered below them.
         bn = make_product((0.5,) * 10)
         with pytest.raises(model.ModelSizeError):
             brute_force_posterior(bn, ReleasedCounts((1,) * 10, 3), (0,) * 10)
+        monkeypatch.setattr(model, "STATE_GUARD", 2**20 - 1)
+        with pytest.raises(model.ModelSizeError):
+            brute_force_posterior(bn, ReleasedCounts((1,) * 10, 2), (0,) * 10)
 
 
 class TestEngineMatchesOracleOnRandomNetworks:
@@ -384,13 +390,11 @@ class TestEngineMatchesOracleOnRandomNetworks:
         assume(bn.joint_state_count**n <= 20_000)
         rng = np.random.default_rng(seed)
         law = output_marginal_law(bn)
-        support = [vec for vec, _ in law.outcomes]
-        off = next(
-            (y for y in itertools.product((0, 1), repeat=bn.d) if law.prob(y) == 0.0), None
-        )
+        support = list(map(tuple, law.vectors.tolist()))
+        off = next((y for y in itertools.product((0, 1), repeat=bn.d) if y not in support), None)
         targets = support + ([off] if off is not None else [])
         releases = [
-            dataset_counts(Dataset(project(bn, sample(bn, n, rng))), bn),
+            dataset_counts(bn, project(bn, sample(bn, n, rng))),
             ReleasedCounts(tuple(int(c) for c in rng.integers(0, n + 1, size=bn.d)), n),
         ]
         for counts in releases:

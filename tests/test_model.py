@@ -10,7 +10,6 @@ from strategies import small_networks
 from bnmia import model
 from bnmia.model import (
     BayesianNetwork,
-    Dataset,
     NodeSpec,
     ReleasedCounts,
     attribute_marginals,
@@ -110,7 +109,7 @@ class TestOutputLaw:
         bn = make_product((0.5, 0.5))
         law = output_marginal_law(bn)
         assert len(law) == 4
-        assert all(p == pytest.approx(0.25) for _, p in law.outcomes)
+        assert all(p == pytest.approx(0.25) for p in law.probs)
 
     def test_cancer_projected_to_symptoms(self):
         bn = make_cancer().with_outputs(("Xray", "Dyspnoea"), model.RAW_BINARY)
@@ -121,43 +120,42 @@ class TestOutputLaw:
         for rec, p in model.enumerate_full_records(bn):
             if rec["Xray"] == 0 and rec["Dyspnoea"] == 0:
                 expected += p
-        assert law.prob((0, 0)) == pytest.approx(expected, abs=1e-12)
+        assert law.vectors[0].tolist() == [0, 0]
+        assert law.probs[0] == pytest.approx(expected, abs=1e-12)
 
     def test_half_repeated_copy_constraint(self):
         bn = make_half_repeated(3, (0.5, 0.5))
         law = output_marginal_law(bn)
-        assert law.prob((0, 1, 0)) == 0.0
-        assert all(v[1] == v[2] for v, _ in law.outcomes)
+        assert len(law) == 4
+        assert all(v[1] == v[2] for v in law.vectors.tolist())
 
-    def test_guard(self):
-        bn = make_product((0.5,) * 8)
+    def test_no_outputs(self):
+        law = output_marginal_law(make_product((0.3, 0.6)).with_outputs((), model.ONE_HOT))
+        assert law.vectors.shape == (1, 0) and law.d == 0
+        assert law.probs.tolist() == [1.0]
+
+    def test_guard(self, monkeypatch):
+        monkeypatch.setattr(model, "STATE_GUARD", 100)
         with pytest.raises(model.ModelSizeError, match="too large"):
-            output_marginal_law(bn, guard=100)
+            output_marginal_law(make_product((0.5,) * 8))
 
-    def test_guard_bounds_factors_not_the_joint(self):
+    def test_guard_bounds_factors_not_the_joint(self, monkeypatch):
         # A fresh instance, so the law is built under this guard.
+        monkeypatch.setattr(model, "STATE_GUARD", 10_000)
         bn = load_benchmark("sachs:path-left")
         bn = bn.with_outputs(bn.output_nodes, bn.encoding)
         assert bn.joint_state_count == 177_147
-        assert len(output_marginal_law(bn, guard=10_000)) == 243
+        assert len(output_marginal_law(bn)) == 243
 
-    def test_guard_covers_intermediate_factors(self):
+    def test_guard_covers_intermediate_factors(self, monkeypatch):
         # The 5 three-state outputs give a 243-entry table, but summing out
         # a hidden ancestor needs a 729-entry factor first.
         bn = load_benchmark("sachs:path-left")
+        monkeypatch.setattr(model, "STATE_GUARD", 728)
         with pytest.raises(model.ModelSizeError, match="729 entries > guard 728"):
-            output_marginal_law(bn.with_outputs(bn.output_nodes, bn.encoding), guard=728)
-        assert len(output_marginal_law(bn.with_outputs(bn.output_nodes, bn.encoding), guard=729)) == 243
-
-    def test_guard_holds_on_the_cached_law(self):
-        # The shared instance: a default build caches the law, and a later
-        # smaller guard must still see its largest (729-entry) factor.
-        bn = load_benchmark("sachs:path-left")
-        assert len(output_marginal_law(bn)) == 243
-        for guard in (10, 728):
-            with pytest.raises(model.ModelSizeError, match=f"729 entries > guard {guard}"):
-                output_marginal_law(bn, guard=guard)
-        assert output_marginal_law(bn, guard=729) is output_marginal_law(bn)
+            output_marginal_law(bn.with_outputs(bn.output_nodes, bn.encoding))
+        monkeypatch.setattr(model, "STATE_GUARD", 729)
+        assert len(output_marginal_law(bn.with_outputs(bn.output_nodes, bn.encoding))) == 243
 
     def test_encodes_once_per_outcome(self, monkeypatch):
         calls = []
@@ -184,9 +182,11 @@ def reference_law(bn):
 def assert_same_law(bn):
     law = output_marginal_law(bn)
     expected = reference_law(bn)
-    vectors = [v for v, _ in law.outcomes]
+    assert law.vectors.dtype == np.int64
+    assert law.vectors.shape == (len(law.probs), bn.d)
+    vectors = list(map(tuple, law.vectors.tolist()))
     assert vectors == sorted(expected)
-    for vec, p in law.outcomes:
+    for vec, p in zip(vectors, law.probs.tolist()):
         assert p > 0.0
         assert abs(p - expected[vec]) <= 1e-12 * expected[vec]
 
@@ -235,7 +235,7 @@ class TestAttributeMarginals:
     def test_marginals_match_law_expectation(self):
         bn = make_cancer()
         law = output_marginal_law(bn)
-        expected = sum(p * np.array(v) for v, p in law.outcomes)
+        expected = sum(p * v for v, p in zip(law.vectors, law.probs))
         np.testing.assert_allclose(attribute_marginals(bn), expected, atol=1e-12)
 
 
@@ -364,28 +364,25 @@ class TestEncoding:
 class TestDatasetCounts:
     def test_hand_sum(self):
         bn = make_product((0.5, 0.5))
-        ds = Dataset(np.array([[1, 0], [0, 1], [1, 1]]))
-        counts = dataset_counts(ds, bn)
+        counts = dataset_counts(bn, np.array([[1, 0], [0, 1], [1, 1]]))
         assert counts == ReleasedCounts((2, 2), 3)
         assert all(type(c) is int for c in counts.counts)
 
     def test_identical_records(self):
         bn = make_product((0.5, 0.5, 0.5))
-        ds = Dataset(np.array([[1, 0, 1]] * 4))
-        assert dataset_counts(ds, bn).counts == (4, 0, 4)
+        assert dataset_counts(bn, np.array([[1, 0, 1]] * 4)).counts == (4, 0, 4)
 
     def test_five_record_symptom_dataset(self):
         # n=5 dataset over (Cancer, Xray, Dyspnoea); counts are the column sums
         bn = make_cancer().with_outputs(("Cancer", "Xray", "Dyspnoea"), model.RAW_BINARY)
         rows = [(0, 0, 1), (1, 1, 0), (0, 0, 0), (1, 0, 1), (1, 1, 1)]
-        counts = dataset_counts(Dataset(np.array(rows)), bn)
+        counts = dataset_counts(bn, np.array(rows))
         assert counts.counts == tuple(sum(col) for col in zip(*rows))
         assert counts.n == 5
 
     def test_one_hot_groups_sum_to_n(self):
         bn = make_cancer()
-        ds = Dataset(project(bn, sample(bn, 7, np.random.default_rng(11))))
-        counts = dataset_counts(ds, bn)
+        counts = dataset_counts(bn, project(bn, sample(bn, 7, np.random.default_rng(11))))
         for g in range(5):
             assert counts.counts[2 * g] + counts.counts[2 * g + 1] == 7
 
@@ -393,9 +390,9 @@ class TestDatasetCounts:
         bn = load_benchmark("asia")
         rng = np.random.default_rng(4)
         records = [reference_sample(bn, rng) for _ in range(40)]
-        ds = Dataset(project(bn, states_of(bn.node_names, records)))
+        states = project(bn, states_of(bn.node_names, records))
         expected = [sum(col) for col in zip(*(reference_encode(bn, r) for r in records))]
-        assert dataset_counts(ds, bn).counts == tuple(expected)
+        assert dataset_counts(bn, states).counts == tuple(expected)
 
 
 class TestTableDimensions:
