@@ -110,6 +110,7 @@ def _cmd_eval(args) -> int:
         seed=args.seed,
         workers=args.workers,
     )
+    _load_network(args, np.random.default_rng(args.seed))
     result = harness.run_experiment(config)
     out = Path(args.out)
     out.write_text(result.rows_csv(), encoding="utf-8")

@@ -4,7 +4,10 @@ numerical equivalence suites.
 A trial samples one private dataset, releases its counts, draws in/out
 targets, and scores every configured attack.  Per-trial randomness comes from
 streams keyed by (master seed, trial index, purpose), so adding attacks or
-reordering work never perturbs the sampled data.
+reordering work never perturbs the sampled data.  An experiment runs its
+trials in batches of at most `_BATCH_RECORDS` drawn records: one ancestral
+pass and one encoding per batch, then each trial scored on its own, so the
+outputs are those of trials run one by one.
 """
 from __future__ import annotations
 
@@ -35,6 +38,7 @@ from .model import (
     ReleasedCounts,
     attribute_marginals,
     dataset_counts,
+    draw_records,
     encode,
     output_marginal_law,
     project,
@@ -44,6 +48,7 @@ from .populations import (
     BUNDLED_BENCHMARKS,
     LEFT,
     RIGHT,
+    is_toy,
     load_benchmark,
     make_half_repeated,
     make_lr_repeated,
@@ -160,19 +165,21 @@ def _attack_scores(
     return scores
 
 
-def run_trial(config: ExperimentConfig, trial_index: int) -> dict[str, TrialScores]:
-    """Sample one private dataset and score every configured attack on fresh
-    in/out targets.  Fully determined by (config, trial_index)."""
-    bn = resolve_population(config, _stream(config.seed, trial_index, "population"))
-    data = project(bn, sample(bn, config.n, _stream(config.seed, trial_index, "dataset")))
-    counts = dataset_counts(bn, data)
+def _shared_population(config: ExperimentConfig) -> BayesianNetwork | None:
+    """The network every trial of config uses, resolved once; None for a toy
+    population, whose trials each draw their own parameters."""
+    return None if is_toy(config.population) else resolve_population(config, None)
 
-    in_rng = _stream(config.seed, trial_index, "targets_in")
-    picks = in_rng.integers(0, config.n, size=config.targets_in)
-    out_rng = _stream(config.seed, trial_index, "targets_out")
-    fresh = project(bn, sample(bn, config.targets_out, out_rng))
-    targets = encode(bn, np.concatenate([data[picks], fresh]))
 
+def _score_trial(
+    config: ExperimentConfig,
+    trial_index: int,
+    bn: BayesianNetwork,
+    counts: ReleasedCounts,
+    targets: np.ndarray,
+) -> dict[str, TrialScores]:
+    """Score every configured attack on one trial's release and its encoded
+    targets (the in-targets first), under the configured threat model."""
     if config.threat == STRONG:
         attacker_bn = bn
         mu = attribute_marginals(bn)
@@ -200,6 +207,68 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> dict[str, TrialScor
         else:
             result[name] = TrialScores(scores[:k_in], scores[k_in:])
     return result
+
+
+def _encoded_records(
+    config: ExperimentConfig, trials: Sequence[int], nets: Sequence[BayesianNetwork]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The records of a batch of trials, drawn in one pass from their trials'
+    networks and encoded: a (trials, n + targets_out, d) bit array, each
+    trial's dataset followed by its fresh targets; and each trial's in-target
+    picks, as a (trials, targets_in) array."""
+    n, k_out = config.n, config.targets_out
+    slot_of = {net: j for j, net in enumerate(dict.fromkeys(nets))}
+    bn = nets[0]
+    nodes = len(bn.nodes)
+    u = np.empty((len(trials), n + k_out, nodes))
+    picks = np.empty((len(trials), config.targets_in), dtype=np.int64)
+    for t, i in enumerate(trials):
+        u[t, :n] = _stream(config.seed, i, "dataset").random((n, nodes))
+        picks[t] = _stream(config.seed, i, "targets_in").integers(0, n, size=config.targets_in)
+        u[t, n:] = _stream(config.seed, i, "targets_out").random((k_out, nodes))
+    slot = np.repeat([slot_of[net] for net in nets], n + k_out)
+    states = draw_records(list(slot_of), slot, u.reshape(-1, nodes))
+    return encode(bn, project(bn, states)).reshape(len(trials), n + k_out, bn.d), picks
+
+
+def run_batch(
+    config: ExperimentConfig, trials: Sequence[int], shared: BayesianNetwork | None
+) -> list[dict[str, TrialScores]]:
+    """Run the given trials together and return their scores in order.
+
+    Each trial's streams make the draws it would make alone: its dataset
+    stream the uniforms of its n records, its targets_in stream the records
+    picked as in-targets, its targets_out stream the uniforms of its fresh
+    out-targets.  `shared` is the network every trial uses; when it is None
+    (toy populations) each trial resolves its own from its population stream.
+    One `draw_records` pass maps all the uniforms to states, drawing each
+    record from its trial's network, and one `project` + `encode` covers the
+    batch.  A trial's release is the column sums of its own records, and its
+    targets are its picked records followed by its fresh ones.  Scoring is
+    per trial, so a trial's scores do not depend on the batch it ran in.
+    """
+    nets = [
+        shared if shared is not None
+        else resolve_population(config, _stream(config.seed, i, "population"))
+        for i in trials
+    ]
+    bits, picks = _encoded_records(config, trials, nets)
+    n = config.n
+    counts = bits[:, :n].sum(axis=1).tolist()
+    return [
+        _score_trial(
+            config, i, nets[t], ReleasedCounts(tuple(counts[t]), n),
+            np.concatenate([bits[t, picks[t]], bits[t, n:]]),
+        )
+        for t, i in enumerate(trials)
+    ]
+
+
+def run_trial(config: ExperimentConfig, trial_index: int) -> dict[str, TrialScores]:
+    """Sample one private dataset and score every configured attack on fresh
+    in/out targets: the one-trial batch of `run_batch`.  Fully determined by
+    (config, trial_index)."""
+    return run_batch(config, [trial_index], _shared_population(config))[0]
 
 
 def auc(scores_in: Sequence[float], scores_out: Sequence[float]) -> float:
@@ -298,23 +367,38 @@ class ExperimentResult:
         return out.getvalue()
 
 
-def _trial_task(args: tuple[ExperimentConfig, int]) -> tuple[int, dict[str, TrialScores]]:
-    config, index = args
-    return index, run_trial(config, index)
+# Records (n + targets_out per trial) that one batch of trials may draw; a
+# batch always holds at least one trial.
+_BATCH_RECORDS = 1024
+
+
+def _batches(config: ExperimentConfig) -> list[range]:
+    """Consecutive trial ranges of at most `_BATCH_RECORDS` records each, and
+    at least `workers` of them when there are that many trials."""
+    size = max(1, _BATCH_RECORDS // (config.n + config.targets_out))
+    if config.workers > 1:
+        size = min(size, -(-config.trials // config.workers))
+    return [range(s, min(s + size, config.trials)) for s in range(0, config.trials, size)]
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run all trials and aggregate per-attack AUC mean and population std."""
-    d = resolve_population(config, _stream(config.seed, 0, "population")).d
-    tasks = [(config, i) for i in range(config.trials)]
+    """Run all trials, in batches of `run_batch`, and aggregate per-attack
+    AUC mean and population std.  A non-toy population is resolved once for
+    the whole experiment.  With workers > 1 a process pool runs the batches;
+    the outputs do not depend on the batching or on the workers."""
+    shared = _shared_population(config)
+    d = (shared or resolve_population(config, _stream(config.seed, 0, "population"))).d
+    ranges = _batches(config)
+    args = ([config] * len(ranges), ranges, [shared] * len(ranges))
     if config.workers > 1:
         # Imported here: multiprocessing would otherwise add to every import of bnmia.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = dict(pool.map(_trial_task, tasks, chunksize=1))
+            batches = list(pool.map(run_batch, *args, chunksize=1))
     else:
-        outcomes = dict(map(_trial_task, tasks))
+        batches = list(map(run_batch, *args))
+    outcomes = [scores for batch in batches for scores in batch]
 
     rows: list[TrialRow] = []
     per_attack: dict[str, list[float]] = {name: [] for name in config.attacks}

@@ -3,11 +3,13 @@
 Provides the in-memory network model plus the operations everything else is
 built on: validation, joint probability, the exact distribution of the encoded
 output attributes (by variable elimination on the outputs' ancestors; only
-`enumerate_full_records` walks the full joint), batched ancestral sampling, and
-the raw-binary / one-hot encodings.  A batch of records is an (m, columns)
-array of state indices: `sample` draws full records (one column per node, in
-node order), `project` keeps the output columns, and `encode` turns projected
-states into the (m, d) bit array.
+`enumerate_full_records` walks the full joint), ancestral sampling, and the
+raw-binary / one-hot encodings.  A batch of records is an (m, columns) array
+of state indices: `draw_records` maps one uniform per (record, node) to full
+records (one column per node, in node order) in one pass, even for records of
+several networks that share a structure, and `sample` is its one-network
+case; `project` keeps the output columns, and `encode` turns projected states
+into the (m, d) bit array.
 """
 from __future__ import annotations
 
@@ -338,13 +340,49 @@ def sample(bn: BayesianNetwork, m: int, rng: np.random.Generator) -> np.ndarray:
     """Draw m full records by ancestral sampling: an (m, nodes) state array.
 
     One uniform per (record, node), drawn as rng.random((m, nodes)), so row i
-    uses the same doubles as the i-th of m one-record draws would.  Node by
-    node, each record's CPT row is picked by its parents' states and its state
-    is the number of cumulative row entries <= its uniform.  Each cumulative
-    row is exactly 1 from its last positive entry on, so a uniform in [0, 1)
-    lands on a state of positive probability even where the sum of the row
-    rounds below 1.
+    uses the same doubles as the i-th of m one-record draws would.  This is
+    `draw_records` with one network.
     """
+    u = rng.random((m, len(bn.nodes)))
+    return draw_records([bn], np.zeros(m, dtype=np.int64), u)
+
+
+def draw_records(
+    bns: Sequence[BayesianNetwork], slot: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """One ancestral pass over records drawn from several networks of one
+    structure (the same nodes, parents and state counts; CPT values may
+    differ): record i is drawn from bns[slot[i]] with the uniforms u[i], one
+    per node.  Returns the (records, nodes) state array.
+
+    Node by node, the networks' cumulative CPT rows are stacked, each
+    network's block at its slot, and each record's row is picked by its slot
+    and its parents' states; its state is the number of cumulative row
+    entries <= its uniform.  Each cumulative row is exactly 1 from its last
+    positive entry on, so a uniform in [0, 1) lands on a state of positive
+    probability even where the sum of the row rounds below 1.  A record's
+    states depend only on its own network and uniforms, never on the rest of
+    the batch.
+    """
+    samplers = [_sampler(bn) for bn in bns]
+    if any(len(nodes) != u.shape[1] for nodes in samplers):
+        raise ValueError("need one uniform per node of every network")
+    states = np.zeros(u.shape, dtype=np.int64)
+    for i, layer in enumerate(zip(*samplers)):
+        parents, strides, cum = layer[0]
+        rows = states[:, parents] @ strides
+        if len(layer) > 1:
+            if any(p != parents or c.shape != cum.shape for p, _, c in layer):
+                raise ValueError("networks drawn together must share their structure")
+            rows += slot * len(cum)
+            cum = np.concatenate([c for _, _, c in layer])
+        states[:, i] = (cum[rows] <= u[:, i, None]).sum(axis=1)
+    return states
+
+
+def _sampler(bn: BayesianNetwork) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
+    """Per node: its parents' columns, the strides that turn their states
+    into a CPT row index, and the cumulative CPT rows; cached on the network."""
     if bn._sampler is None:
         bn._sampler = []
         for node in bn.nodes:
@@ -360,12 +398,7 @@ def sample(bn: BayesianNetwork, m: int, rng: np.random.Generator) -> np.ndarray:
                 np.array(strides, dtype=np.int64),
                 cum,
             ))
-    u = rng.random((m, len(bn.nodes)))
-    states = np.zeros((m, len(bn.nodes)), dtype=np.int64)
-    for i, (parents, strides, cum) in enumerate(bn._sampler):
-        rows = cum[states[:, parents] @ strides]
-        states[:, i] = (rows <= u[:, i, None]).sum(axis=1)
-    return states
+    return bn._sampler
 
 
 def _output_codec(bn: BayesianNetwork) -> tuple[list[int], np.ndarray]:

@@ -224,6 +224,12 @@ def load_benchmark(name: str) -> BayesianNetwork:
     return bn.with_outputs(bn.node_names, ONE_HOT)
 
 
+def is_toy(name: str) -> bool:
+    """Whether a population name is a toy population (product:<d>, half:<d>,
+    lr:<d>), whose Bernoulli parameters are drawn afresh on each resolve."""
+    return name.partition(":")[0] in ("product", "half", "lr")
+
+
 def resolve_network(
     name: str,
     rng,
@@ -233,15 +239,16 @@ def resolve_network(
 ) -> BayesianNetwork:
     """The network a population name or file path denotes.
 
-    Toy names (product:<d>, half:<d>, lr:<d>) draw fresh Bernoulli parameters
-    from rng.  An existing file, or a name ending in .sexp or .bif, is parsed
-    (fmt "sexp" or "bif" forces the parser) and releases every node one-hot.
+    Toy names (`is_toy`) draw fresh Bernoulli parameters from rng; no other
+    name reads it.  An existing file, or a name ending in .sexp or .bif, is
+    parsed (fmt "sexp" or "bif" forces the parser) and releases every node
+    one-hot.
     Any other name is a bundled benchmark.  output_nodes and encoding then
     override the released outputs.
     """
     lo, hi = TOY_PARAM_RANGE
-    kind, _, arg = name.partition(":")
-    if kind in ("product", "half", "lr"):
+    if is_toy(name):
+        kind, _, arg = name.partition(":")
         d = int(arg)
         if kind == "product":
             bn = make_product(tuple(rng.uniform(lo, hi, size=d)))

@@ -1,11 +1,12 @@
 """Reference implementations that the array paths must match bit for bit:
-the one-record ancestral sampler, the dict encoder, the per-threshold ROC
-sweep, the pairwise AUC and the per-outcome convolution step they replaced."""
+the one-record ancestral sampler, the dict encoder, the one-trial draw, the
+per-threshold ROC sweep, the pairwise AUC and the per-outcome convolution
+step they replaced."""
 from __future__ import annotations
 
 import numpy as np
 
-from bnmia.model import RAW_BINARY
+from bnmia.model import RAW_BINARY, dataset_counts, encode, project, sample
 
 
 def reference_sample(bn, rng: np.random.Generator) -> dict[str, int]:
@@ -27,6 +28,25 @@ def reference_encode(bn, rec: dict[str, int]) -> tuple[int, ...]:
         block[rec[v]] = 1
         bits.extend(block)
     return tuple(bits)
+
+
+def reference_trial(config, trial_index: int):
+    """One trial drawn on its own, as before trials were batched: a sample
+    call for the dataset and one for the fresh targets, the release by
+    `dataset_counts`, and one encoding of the picked records followed by the
+    fresh ones; then scored by the harness."""
+    from bnmia import harness
+
+    def stream(purpose):
+        return harness._stream(config.seed, trial_index, purpose)
+
+    bn = harness.resolve_population(config, stream("population"))
+    data = project(bn, sample(bn, config.n, stream("dataset")))
+    counts = dataset_counts(bn, data)
+    picks = stream("targets_in").integers(0, config.n, size=config.targets_in)
+    fresh = project(bn, sample(bn, config.targets_out, stream("targets_out")))
+    targets = encode(bn, np.concatenate([data[picks], fresh]))
+    return harness._score_trial(config, trial_index, bn, counts, targets)
 
 
 def states_of(names, records) -> np.ndarray:

@@ -188,6 +188,25 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err == "error: output node Nope is not declared\n"
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            (["--network", "asia", "--outputs", "asia,nope"],
+             "error: output node nope is not declared\n"),
+            (["--network", "sachs", "--encoding", "raw-binary"],
+             "error: raw-binary encoding requires binary nodes: PKC;"),
+        ],
+        ids=["unknown-output", "raw-binary-ternary"],
+    )
+    def test_eval_invalid_network_is_data_error(self, tmp_path, capsys, override, message):
+        out = tmp_path / "results.csv"
+        code = main(["eval", *override, "--n", "4", "--trials", "2", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_usage_error_on_bad_flag(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["eval", "--no-such-flag"])

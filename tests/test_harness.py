@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference import reference_auc, reference_roc_points
+from reference import reference_auc, reference_roc_points, reference_trial
 
 from bnmia import harness
 from bnmia.attacks import ClipRange
@@ -196,6 +196,103 @@ class TestRunTrial:
         assert set(scores) == set(config.attacks)
 
 
+BATCH_CASES = [
+    pytest.param(ExperimentConfig("product:6", 4, trials=5, seed=1), id="product:6"),
+    pytest.param(ExperimentConfig("half:7", 4, trials=5, seed=2), id="half:7"),
+    pytest.param(
+        ExperimentConfig("lr:6", 4, trials=5, seed=3, attacks=("lrt", "lrt_clipped_auto", "bayes")),
+        id="lr:6",
+    ),
+    pytest.param(
+        ExperimentConfig("asia", 4, trials=4, seed=4, threat="weak", m=50), id="asia-weak"
+    ),
+    pytest.param(
+        ExperimentConfig("cancer", 4, trials=4, seed=5, threat="weakest", m=20),
+        id="cancer-weakest",
+    ),
+    pytest.param(
+        ExperimentConfig("sachs:leaves", 4, trials=4, seed=6, targets_out=300), id="sachs:leaves"
+    ),
+    pytest.param(
+        ExperimentConfig("product:5", 7, trials=4, seed=7, threat="weak", m=30),
+        id="product:5-weak-n7",
+    ),
+]
+
+
+class TestBatches:
+    """Trials drawn in batches score exactly as trials drawn one by one, for
+    any batch size."""
+
+    @pytest.mark.parametrize("records", ["one-trial", "all-trials"])
+    @pytest.mark.parametrize("config", BATCH_CASES)
+    def test_batched_trials_equal_the_reference(self, monkeypatch, config, records):
+        per_trial = config.n + config.targets_out
+        limit = 1 if records == "one-trial" else config.trials * per_trial
+        monkeypatch.setattr(harness, "_BATCH_RECORDS", limit)
+        ranges = harness._batches(config)
+        assert len(ranges) == (config.trials if records == "one-trial" else 1)
+        shared = harness._shared_population(config)
+        got = [s for r in ranges for s in harness.run_batch(config, r, shared)]
+        assert len(got) == config.trials
+        for i, scores in enumerate(got):
+            expected = reference_trial(config, i)
+            assert set(scores) == set(expected) == set(config.attacks)
+            for name in config.attacks:
+                assert scores[name].scores_in == expected[name].scores_in
+                assert scores[name].scores_out == expected[name].scores_out
+                assert scores[name].impossible_evidence == expected[name].impossible_evidence
+
+    @pytest.mark.parametrize(
+        "n, targets_out, trials, workers, sizes",
+        [
+            (4, 20, 40, 1, [40]),  # 24 records a trial: every trial in one batch
+            (4, 500, 5, 1, [2, 2, 1]),  # 504 records a trial: two a batch
+            (4, 20, 40, 2, [20, 20]),  # one batch per worker at least
+            (4, 20, 3, 4, [1, 1, 1]),
+            (4, 2000, 3, 1, [1, 1, 1]),  # a trial over the limit still runs alone
+        ],
+    )
+    def test_batch_sizes(self, n, targets_out, trials, workers, sizes):
+        config = ExperimentConfig(
+            "cancer", n, trials=trials, targets_out=targets_out, workers=workers
+        )
+        ranges = harness._batches(config)
+        assert [len(r) for r in ranges] == sizes
+        assert [i for r in ranges for i in r] == list(range(trials))
+
+    def test_run_trial_is_the_one_trial_batch(self):
+        config = ExperimentConfig("half:5", 3, trials=3, seed=8)
+        for i in range(config.trials):
+            got, expected = run_trial(config, i), reference_trial(config, i)
+            assert {k: (v.scores_in, v.scores_out) for k, v in got.items()} == {
+                k: (v.scores_in, v.scores_out) for k, v in expected.items()
+            }
+
+    def test_file_population_is_parsed_once(self, monkeypatch, tmp_path):
+        from importlib import resources
+
+        from bnmia import formats
+
+        path = tmp_path / "cancer.bif"
+        path.write_text(
+            resources.files("bnmia.data").joinpath("cancer.bif").read_text(encoding="utf-8"),
+            encoding="utf-8",
+        )
+        parses = []
+        load_document = formats.load_document
+
+        def counted(*args, **kwargs):
+            parses.append(args)
+            return load_document(*args, **kwargs)
+
+        monkeypatch.setattr(formats, "load_document", counted)
+        config = ExperimentConfig(str(path), 4, trials=5, targets_in=4, targets_out=4)
+        result = run_experiment(config)
+        assert len(parses) == 1
+        assert len(result.rows) == 5 * len(config.attacks)
+
+
 class TestRunExperiment:
     def test_csv_deterministic_and_well_formed(self):
         config = ExperimentConfig(
@@ -235,6 +332,15 @@ class TestRunExperiment:
         serial = run_experiment(config)
         parallel = run_experiment(replace(config, workers=2))
         assert serial.rows_csv() == parallel.rows_csv()
+        # A bundled network whose trials span three batches of two.
+        config = ExperimentConfig(
+            population="cancer", n=4, trials=5, targets_in=4, targets_out=500, seed=13
+        )
+        assert len(harness._batches(config)) == 3
+        serial = run_experiment(config)
+        parallel = run_experiment(replace(config, workers=2))
+        assert serial.rows_csv() == parallel.rows_csv()
+        assert serial.summary_csv() == parallel.summary_csv()
 
     def test_weak_threat_runs(self):
         config = ExperimentConfig(

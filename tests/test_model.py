@@ -15,6 +15,7 @@ from bnmia.model import (
     attribute_marginals,
     dataset_counts,
     decode,
+    draw_records,
     encode,
     joint_prob,
     output_marginal_law,
@@ -289,6 +290,36 @@ class TestSamplerMatchesReference:
         bn = make_cancer()
         assert sample(bn, 0, np.random.default_rng(0)).shape == (0, 5)
         assert encode(bn, np.zeros((0, 5), dtype=np.int64)).shape == (0, 10)
+
+
+class TestDrawRecords:
+    """One pass over records of several networks of one structure draws each
+    record as `sample` draws it from its own network."""
+
+    @pytest.mark.parametrize("name", ("product:4", "lr:6"))
+    def test_stacked_networks_match_sample(self, name):
+        rng = np.random.default_rng(17)
+        nets = [resolve_network(name, rng) for _ in range(4)]
+        sizes = [5, 1, 30, 12]
+        seeds = [101, 102, 103, 104]
+        u = [np.random.default_rng(s).random((m, len(nets[0].nodes))) for s, m in zip(seeds, sizes)]
+        slot = np.repeat(np.arange(4), sizes)
+        order = rng.permutation(len(slot))  # records of the networks interleaved
+        got = np.empty((len(slot), len(nets[0].nodes)), dtype=np.int64)
+        got[order] = draw_records(nets, slot[order], np.concatenate(u)[order])
+        for j, net in enumerate(nets):
+            expected = sample(net, sizes[j], np.random.default_rng(seeds[j]))
+            assert got[slot == j].tolist() == expected.tolist()
+
+    def test_structures_must_match(self):
+        rng = np.random.default_rng(0)
+        u = rng.random((2, 4))
+        with pytest.raises(ValueError, match="share their structure"):
+            draw_records(
+                [make_half_repeated(4, (0.5,) * 3), make_product((0.5,) * 4)], np.array([0, 1]), u
+            )
+        with pytest.raises(ValueError, match="one uniform per node"):
+            draw_records([make_product((0.5,) * 3)], np.array([0, 0]), u)
 
 
 class _LargestUniform:

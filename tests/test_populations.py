@@ -6,6 +6,7 @@ from bnmia.model import attribute_marginals, joint_prob, output_marginal_law, sa
 from bnmia.populations import (
     LEFT,
     RIGHT,
+    is_toy,
     load_benchmark,
     make_cancer,
     make_half_repeated,
@@ -13,6 +14,7 @@ from bnmia.populations import (
     make_lr_side,
     make_product,
     midpoint,
+    resolve_network,
 )
 
 
@@ -165,6 +167,16 @@ class TestBenchmarks:
         assert bn.output_nodes == ("PKC", "Raf", "Mek", "Erk", "Akt")
         assert bn.d == 15
         assert validate(bn) == []
+
+    def test_only_toy_names_read_the_stream(self):
+        assert [is_toy(name) for name in ("product:3", "half:5", "lr:6")] == [True] * 3
+        assert not any(is_toy(name) for name in ("cancer", "sachs:leaves", "net.bif", "lr.sexp"))
+
+        class NoStream:
+            def uniform(self, *args, **kwargs):
+                raise AssertionError("a bundled network read the population stream")
+
+        assert resolve_network("sachs:leaves", NoStream()).d == 12
 
     def test_unknown_names(self):
         with pytest.raises(ValueError, match="unknown benchmark"):
