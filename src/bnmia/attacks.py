@@ -1,9 +1,14 @@
 """Decision statistics for the membership game, and the thresholded rule.
 
 Three families: marginal ratio tests (optionally clipped to an index range),
-the inner product test, and the exact Bayesian posterior odds.  Ratio scores
-are kept in log space; a zero factor dominates and yields -inf, never NaN.
-The marginal tests score one target, or a targets x d array of them at once.
+the inner product test, and the exact Bayesian posterior odds.  Every scorer
+takes a (targets, d) array of encoded targets and returns one float per row.
+Ratio scores are kept in log space; a zero factor dominates and yields -inf,
+never NaN.  `score` is the one dispatcher from an attack name to its scores,
+and `parse_attack` the one grammar of names: `lrt`, `inner_product`, `bayes`,
+`lrt_clipped:LO-HI` (attributes LO..HI, 1-based and inclusive), and
+`lrt_clipped_auto` / `lrt_clipped_flip` (the side `choose_side` reads from the
+counts, the right one when they say nothing, or the other side).
 """
 from __future__ import annotations
 
@@ -12,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BayesianNetwork, EncodedVector, ReleasedCounts
-from .inference import posterior_ratio
+from .model import BayesianNetwork, ReleasedCounts
+from .inference import _rows, posterior_engine
 from .populations import LEFT, RIGHT, midpoint
 
 IN = "IN"
@@ -21,22 +26,8 @@ OUT = "OUT"
 AMBIGUOUS = "ambiguous"
 
 LRT = "lrt"
-LRT_CLIPPED = "lrt_clipped"
 INNER_PRODUCT = "inner_product"
 BAYES = "bayes"
-
-
-@dataclass(frozen=True)
-class AttackScore:
-    """A comparable decision statistic: log ratio for the ratio attacks,
-    the raw inner product otherwise."""
-
-    kind: str
-    value: float
-
-    def __post_init__(self):
-        if math.isnan(self.value):
-            raise ValueError("attack scores must never be NaN")
 
 
 @dataclass(frozen=True)
@@ -56,12 +47,7 @@ class ClipRange:
         return range(self.lo - 1, self.hi)
 
 
-def _scored(kind: str, values: np.ndarray, y):
-    """An AttackScore for one target, the float array of scores for a batch."""
-    return AttackScore(kind, float(values[0])) if np.ndim(y) == 1 else values
-
-
-def _log_ratio_terms(mu, counts: ReleasedCounts, y, indices) -> np.ndarray:
+def _log_ratio_terms(mu, counts: ReleasedCounts, targets, indices) -> np.ndarray:
     """Log ratio of each target row over the coordinates in `indices`.
 
     Each coordinate's bit-1 and bit-0 terms are built once with math.log,
@@ -69,7 +55,7 @@ def _log_ratio_terms(mu, counts: ReleasedCounts, y, indices) -> np.ndarray:
     order of a one-target loop.  Every marginal in `indices` is checked first,
     even past a coordinate that zeroes a target's numerator.
     """
-    ys = np.atleast_2d(y)
+    ys = _rows(targets, len(counts.counts))
     mus = [float(mu[j]) for j in indices]
     if not all(0.0 < mu_j < 1.0 for mu_j in mus):
         raise ValueError("population marginals must lie strictly inside (0, 1)")
@@ -82,17 +68,16 @@ def _log_ratio_terms(mu, counts: ReleasedCounts, y, indices) -> np.ndarray:
     return total
 
 
-def lrt_score(mu, counts: ReleasedCounts, y):
-    """Log ratio of the target's probability under the dataset means vs the
+def lrt_score(mu, counts: ReleasedCounts, targets) -> np.ndarray:
+    """Log ratio of each target's probability under the dataset means vs the
     population marginals, treating attributes as independent."""
-    return _scored(LRT, _log_ratio_terms(mu, counts, y, range(np.shape(y)[-1])), y)
+    return _log_ratio_terms(mu, counts, targets, range(len(counts.counts)))
 
 
-def lrt_clipped_score(mu, counts: ReleasedCounts, y, clip: ClipRange):
+def lrt_clipped_score(mu, counts: ReleasedCounts, targets, clip: ClipRange) -> np.ndarray:
     """The ratio test restricted to the clip range (neutralizes repeated
     attributes when the range excludes the copies)."""
-    indices = clip.indices(np.shape(y)[-1])
-    return _scored(LRT_CLIPPED, _log_ratio_terms(mu, counts, y, indices), y)
+    return _log_ratio_terms(mu, counts, targets, clip.indices(len(counts.counts)))
 
 
 def half_clip_range(d: int) -> ClipRange:
@@ -127,27 +112,61 @@ def choose_side(counts: ReleasedCounts, d: int) -> str:
     return AMBIGUOUS
 
 
-def inner_product_score(mu, counts: ReleasedCounts, y):
-    """How much the target shifts the released means away from the population,
-    summed column by column from the left like the ratio tests."""
-    ys = np.atleast_2d(y)
+def inner_product_score(mu, counts: ReleasedCounts, targets) -> np.ndarray:
+    """How much each target shifts the released means away from the
+    population, summed column by column from the left like the ratio tests."""
+    ys = _rows(targets, len(counts.counts))
     total = np.zeros(len(ys))
     for j in range(ys.shape[1]):
         total += (counts.counts[j] / counts.n - float(mu[j])) * ys[:, j]
-    return _scored(INNER_PRODUCT, total, y)
+    return total
 
 
-def bayes_score(
-    attacker_bn: BayesianNetwork, counts: ReleasedCounts, y: EncodedVector
-) -> AttackScore:
-    """Log posterior odds computed exactly under the attacker's network.
+def parse_attack(name: str) -> ClipRange | None:
+    """Check an attack name against the grammar in the module docstring:
+    the range of `lrt_clipped:LO-HI`, None for the other names, and a
+    ValueError naming the attack for anything else."""
+    if name in (LRT, INNER_PRODUCT, BAYES, "lrt_clipped_auto", "lrt_clipped_flip"):
+        return None
+    kind, _, lo_hi = name.partition(":")
+    lo, _, hi = lo_hi.partition("-")
+    if kind != "lrt_clipped" or not (lo.isdecimal() and hi.isdecimal()):
+        raise ValueError(f"unknown attack {name!r}")
+    try:
+        return ClipRange(int(lo), int(hi))
+    except ValueError as err:
+        raise ValueError(f"attack {name!r}: {err}") from None
 
-    Impossible evidence (counts with probability zero under the attacker's
-    model) propagates as an error; it signals model mismatch, not a score.
-    """
-    return AttackScore(BAYES, posterior_ratio(attacker_bn, counts, y).log_ratio)
+
+def score(
+    name: str, attacker_bn: BayesianNetwork, mu, counts: ReleasedCounts, targets
+) -> np.ndarray:
+    """The scores of attack `name` for each row of the (targets, d) array.
+    The marginal tests read the marginals mu, bayes the attacker's network;
+    evidence impossible under it raises ImpossibleEvidenceError, a model
+    mismatch rather than a score."""
+    clip = parse_attack(name)
+    if name == BAYES:
+        out = posterior_engine(attacker_bn, counts).log_ratios(targets)
+    elif name == LRT:
+        out = lrt_score(mu, counts, targets)
+    elif name == INNER_PRODUCT:
+        out = inner_product_score(mu, counts, targets)
+    else:
+        if clip is None:
+            d = len(counts.counts)
+            side = choose_side(counts, d)
+            if side == AMBIGUOUS:
+                side = RIGHT  # documented default when the counts say nothing
+            if name == "lrt_clipped_flip":
+                side = LEFT if side == RIGHT else RIGHT
+            clip = side_clip_range(d, side)
+        out = lrt_clipped_score(mu, counts, targets, clip)
+    if np.isnan(out).any():
+        raise ValueError("attack scores must never be NaN")
+    return out
 
 
-def decide(score: AttackScore, threshold: float) -> str:
+def decide(value: float, threshold: float) -> str:
     """IN iff the score strictly exceeds the threshold."""
-    return IN if score.value > threshold else OUT
+    return IN if value > threshold else OUT

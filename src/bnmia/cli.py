@@ -1,8 +1,9 @@
 """Command-line interface: sample datasets, score targets, run experiments,
-verify the numerical equivalences, and time the posterior.
+verify the numerical equivalences, and time the posterior.  Networks resolve
+through `populations.resolve_network`, attack names through `attacks.score`.
 
-Exit codes: 0 success, 1 usage error, 2 data/format error, 3 verification
-failure.
+Exit codes: 0 success, 1 usage error (an unknown attack name among them),
+2 data/format error (an invalid network among them), 3 verification failure.
 """
 from __future__ import annotations
 
@@ -17,13 +18,7 @@ from . import harness
 from .formats import NetworkFormatError
 from .inference import ImpossibleEvidenceError
 from .learning import ProxyDataset
-from .model import (
-    BayesianNetwork,
-    ModelSizeError,
-    ReleasedCounts,
-    attribute_marginals,
-    validate,
-)
+from .model import InvalidNetworkError, ModelSizeError, ReleasedCounts, attribute_marginals
 from .populations import resolve_network
 
 USAGE_ERROR = 1
@@ -32,8 +27,8 @@ VERIFY_FAILURE = 3
 
 
 class DataError(ValueError):
-    """Input a command cannot use that has no source position: an invalid
-    network or release, or a malformed target.  Exit code 2."""
+    """A release or target the `attack` command cannot use: counts or bits
+    of the wrong length or range.  Exit code 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,18 +38,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _load_network(args, rng: np.random.Generator) -> BayesianNetwork:
-    outputs = tuple(v.strip() for v in args.outputs.split(",")) if args.outputs else None
-    bn = resolve_network(args.network, rng, outputs, args.encoding, args.format)
-    problems = validate(bn)
-    if problems:
-        raise DataError("; ".join(problems))
-    return bn
+def _listed(text: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in text.split(","))
 
 
 def _cmd_sample(args) -> int:
     rng = np.random.default_rng(args.seed)
-    bn = _load_network(args, rng)
+    bn = resolve_network(args.network, rng, args.outputs, args.encoding)
     proxy = ProxyDataset.from_network_samples(bn, args.n, rng)
     text = proxy.to_csv()
     if args.out:
@@ -65,7 +55,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    bn = _load_network(args, np.random.default_rng(0))
+    atk.parse_attack(args.attack)
+    bn = resolve_network(args.network, np.random.default_rng(0), args.outputs, args.encoding)
     counts_vec = tuple(int(x) for x in args.counts.split(","))
     y = tuple(int(x) for x in args.target.split(","))
     if len(y) != bn.d or len(counts_vec) != bn.d:
@@ -76,41 +67,28 @@ def _cmd_attack(args) -> int:
         counts = ReleasedCounts(counts_vec, args.n)
     except ValueError as err:
         raise DataError(str(err)) from None
-    mu = attribute_marginals(bn)
-    if args.attack == "lrt":
-        score = atk.lrt_score(mu, counts, y)
-    elif args.attack == "lrt_clipped":
-        if args.clip_lo is None or args.clip_hi is None:
-            print("lrt_clipped needs --clip-lo and --clip-hi", file=sys.stderr)
-            return USAGE_ERROR
-        score = atk.lrt_clipped_score(mu, counts, y, atk.ClipRange(args.clip_lo, args.clip_hi))
-    elif args.attack == "inner_product":
-        score = atk.inner_product_score(mu, counts, y)
-    else:
-        score = atk.bayes_score(bn, counts, y)
-    print(f"{score.kind} {score.value:.12g}")
+    value = float(atk.score(args.attack, bn, attribute_marginals(bn), counts, [y])[0])
+    print(f"{args.attack} {value:.12g}")
     if args.threshold is not None:
-        print(atk.decide(score, args.threshold))
+        print(atk.decide(value, args.threshold))
     return 0
 
 
 def _cmd_eval(args) -> int:
-    attacks = tuple(a.strip() for a in args.attacks.split(","))
     config = harness.ExperimentConfig(
         population=args.network,
         n=args.n,
-        output_nodes=tuple(v.strip() for v in args.outputs.split(",")) if args.outputs else None,
+        output_nodes=args.outputs,
         encoding=args.encoding,
         trials=args.trials,
         targets_in=args.targets_in,
         targets_out=args.targets_out,
         threat=args.threat,
         m=args.m,
-        attacks=attacks,
+        attacks=args.attacks,
         seed=args.seed,
         workers=args.workers,
     )
-    _load_network(args, np.random.default_rng(args.seed))
     result = harness.run_experiment(config)
     out = Path(args.out)
     out.write_text(result.rows_csv(), encoding="utf-8")
@@ -146,7 +124,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bench(args) -> int:
     rows = harness.bench_posterior(
-        [p.strip() for p in args.networks.split(",")],
+        args.networks,
         n=args.n,
         datasets=args.datasets,
         targets=args.targets,
@@ -167,9 +145,8 @@ def build_parser() -> _Parser:
 
     common_net = argparse.ArgumentParser(add_help=False)
     common_net.add_argument("--network", required=True,
-                            help="builtin population name or a .sexp/.bif path")
-    common_net.add_argument("--format", choices=("auto", "sexp", "bif"), default="auto")
-    common_net.add_argument("--outputs", help="comma-separated output node names")
+                            help="builtin population name or a network file path")
+    common_net.add_argument("--outputs", type=_listed, help="comma-separated output node names")
     common_net.add_argument("--encoding", choices=("raw-binary", "one-hot"))
 
     p = sub.add_parser("sample", parents=[common_net],
@@ -184,9 +161,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--target", required=True, help="comma-separated encoded target bits")
     p.add_argument("--attack", required=True,
-                   choices=("lrt", "lrt_clipped", "inner_product", "bayes"))
-    p.add_argument("--clip-lo", type=int)
-    p.add_argument("--clip-hi", type=int)
+                   help="lrt, inner_product, bayes, lrt_clipped:LO-HI, lrt_clipped_auto or _flip")
     p.add_argument("--threshold", type=float)
     p.set_defaults(func=_cmd_attack)
 
@@ -197,7 +172,7 @@ def build_parser() -> _Parser:
     p.add_argument("--targets-out", type=int, default=20)
     p.add_argument("--threat", choices=harness.THREATS, default=harness.STRONG)
     p.add_argument("--m", type=int)
-    p.add_argument("--attacks", default=",".join(harness.DEFAULT_ATTACKS))
+    p.add_argument("--attacks", type=_listed, default=harness.DEFAULT_ATTACKS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default="results.csv")
@@ -210,7 +185,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bench", help="time the posterior computation")
-    p.add_argument("--networks", default="product:10,cancer,asia")
+    p.add_argument("--networks", type=_listed, default=("product:10", "cancer", "asia"))
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--datasets", type=int, default=20)
     p.add_argument("--targets", type=int, default=40)
@@ -224,9 +199,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        DataError, NetworkFormatError, ModelSizeError, ImpossibleEvidenceError, FileNotFoundError
-    ) as err:
+    except (DataError, InvalidNetworkError, NetworkFormatError, ModelSizeError,
+            ImpossibleEvidenceError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return DATA_ERROR
     except MemoryError as err:

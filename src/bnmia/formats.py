@@ -3,7 +3,8 @@
 Both parsers are bit-exact: probabilities are read as decimal text into
 binary floats and never renormalized, so parse -> emit -> parse is a fixed
 point.  Rows whose printed sum strays from 1 by more than 1e-12 are rejected.
-Every rejection carries a line/column position.
+Every rejection carries a line/column position.  `load_document` reads
+either, telling them apart by the text, never by the file name.
 """
 from __future__ import annotations
 
@@ -590,14 +591,10 @@ def emit_bif(bn: BayesianNetwork) -> str:
     return "\n".join(out) + "\n"
 
 
-def load_document(path: str | Path, fmt: str = "auto") -> BayesianNetwork:
-    """Read a `.sexp` or `.bif` file into a network; fmt "sexp" or "bif"
-    picks the parser whatever the suffix."""
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    kind = path.suffix if fmt == "auto" else "." + fmt
-    if kind == ".sexp":
+def load_document(path: str | Path) -> BayesianNetwork:
+    """Read a network file whatever its name: an s-expression document if its
+    first non-space character is `(` (or a transparent quote), else BIF."""
+    text = Path(path).read_text(encoding="utf-8")
+    if text.lstrip()[:1] in ("(", "'"):
         return parse_sexpr(text)
-    if kind == ".bif":
-        return parse_bif_subset(text)
-    raise ValueError(f"unsupported network file extension {path.suffix!r}")
+    return parse_bif_subset(text)

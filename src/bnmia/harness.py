@@ -94,6 +94,8 @@ class ExperimentConfig:
             raise ValueError(f"threat must be one of {THREATS}")
         if self.threat in (WEAK, WEAKEST) and (self.m is None or self.m < 1):
             raise ValueError("weak and weakest threat models need a proxy size m >= 1")
+        for name in self.attacks:
+            atk.parse_attack(name)
 
 
 @dataclass(frozen=True)
@@ -121,48 +123,6 @@ def resolve_population(config: ExperimentConfig, rng: np.random.Generator) -> Ba
     """The trial's population network: `resolve_network` on the config's
     population name and output overrides, toy parameters drawn from rng."""
     return resolve_network(config.population, rng, config.output_nodes, config.encoding)
-
-
-def _attack_scores(
-    names: Sequence[str],
-    attacker_bn: BayesianNetwork,
-    mu: np.ndarray,
-    counts: ReleasedCounts,
-    targets: np.ndarray,
-) -> dict[str, list[float] | None]:
-    """Each configured attack's scores for the rows of targets; None marks
-    impossible evidence.  The Bayes attack scores the whole batch in one table
-    lookup, the marginal attacks in one array expression over the batch."""
-    scores: dict[str, list[float] | None] = {}
-    for name in names:
-        if name == "bayes":
-            try:
-                engine = posterior_engine(attacker_bn, counts)
-            except ImpossibleEvidenceError:
-                scores[name] = None
-            else:
-                scores[name] = engine.log_ratios(targets).tolist()
-            continue
-        if name == "lrt":
-            out = atk.lrt_score(mu, counts, targets)
-        elif name == "inner_product":
-            out = atk.inner_product_score(mu, counts, targets)
-        elif name.startswith("lrt_clipped:"):
-            lo_hi = name.split(":", 1)[1]
-            lo, hi = (int(x) for x in lo_hi.split("-"))
-            out = atk.lrt_clipped_score(mu, counts, targets, atk.ClipRange(lo, hi))
-        elif name in ("lrt_clipped_auto", "lrt_clipped_flip"):
-            d = len(counts.counts)
-            side = atk.choose_side(counts, d)
-            if side == atk.AMBIGUOUS:
-                side = RIGHT  # documented default when the counts say nothing
-            if name.endswith("flip"):
-                side = LEFT if side == RIGHT else RIGHT
-            out = atk.lrt_clipped_score(mu, counts, targets, atk.side_clip_range(d, side))
-        else:
-            raise ValueError(f"unknown attack {name!r}")
-        scores[name] = out.tolist()
-    return scores
 
 
 def _shared_population(config: ExperimentConfig) -> BayesianNetwork | None:
@@ -199,8 +159,10 @@ def _score_trial(
 
     k_in, k_out = config.targets_in, config.targets_out
     result: dict[str, TrialScores] = {}
-    for name, scores in _attack_scores(config.attacks, attacker_bn, mu, counts, targets).items():
-        if scores is None:
+    for name in config.attacks:
+        try:
+            scores = atk.score(name, attacker_bn, mu, counts, targets).tolist()
+        except ImpossibleEvidenceError:
             result[name] = TrialScores(
                 [float("-inf")] * k_in, [float("-inf")] * k_out, k_in + k_out
             )

@@ -40,6 +40,10 @@ class ModelSizeError(ValueError):
     """Raised when an exact computation would exceed its size guard."""
 
 
+class InvalidNetworkError(ValueError):
+    """A network that `validate` rejects; the message joins its problems."""
+
+
 @dataclass(frozen=True)
 class NodeSpec:
     """One discrete node: ordered states, ordered parents, and its CPT.

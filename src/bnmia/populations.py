@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import formats
-from .model import BayesianNetwork, NodeSpec, ONE_HOT, RAW_BINARY
+from .model import BayesianNetwork, InvalidNetworkError, NodeSpec, ONE_HOT, RAW_BINARY, validate
 
 LEFT = "left"
 RIGHT = "right"
@@ -235,16 +235,15 @@ def resolve_network(
     rng,
     output_nodes: Sequence[str] | None = None,
     encoding: str | None = None,
-    fmt: str = "auto",
 ) -> BayesianNetwork:
-    """The network a population name or file path denotes.
+    """The network a population name or file path denotes, validated.
 
     Toy names (`is_toy`) draw fresh Bernoulli parameters from rng; no other
     name reads it.  An existing file, or a name ending in .sexp or .bif, is
-    parsed (fmt "sexp" or "bif" forces the parser) and releases every node
-    one-hot.
-    Any other name is a bundled benchmark.  output_nodes and encoding then
-    override the released outputs.
+    read by `formats.load_document`, whose text decides the format, and
+    releases every node one-hot.  Any other name is a bundled benchmark.
+    output_nodes and encoding then override the released outputs.  Raises
+    InvalidNetworkError on any problem `validate` reports.
     """
     lo, hi = TOY_PARAM_RANGE
     if is_toy(name):
@@ -262,7 +261,7 @@ def resolve_network(
                 tuple(rng.uniform(lo, hi, size=d - m + 2)),
             )
     elif name.endswith((".bif", ".sexp")) or Path(name).exists():
-        bn = formats.load_document(name, fmt)
+        bn = formats.load_document(name)
         bn = bn.with_outputs(bn.node_names, ONE_HOT)
     else:
         bn = load_benchmark(name)
@@ -270,4 +269,7 @@ def resolve_network(
         bn = bn.with_outputs(output_nodes, encoding or bn.encoding)
     elif encoding is not None:
         bn = bn.with_outputs(bn.output_nodes, encoding)
+    problems = validate(bn)
+    if problems:
+        raise InvalidNetworkError("; ".join(problems))
     return bn

@@ -10,17 +10,18 @@ from bnmia.attacks import (
     AMBIGUOUS,
     IN,
     OUT,
-    AttackScore,
     ClipRange,
-    bayes_score,
     choose_side,
     decide,
     half_clip_range,
     inner_product_score,
     lrt_clipped_score,
     lrt_score,
+    parse_attack,
+    score,
     side_clip_range,
 )
+from bnmia.inference import ImpossibleEvidenceError, posterior_ratio
 from bnmia.model import (
     BayesianNetwork,
     NodeSpec,
@@ -30,39 +31,42 @@ from bnmia.model import (
 from bnmia.populations import LEFT, RIGHT, make_half_repeated, make_product
 
 
+def one(name, mu, counts, y, bn=None) -> float:
+    """The score of attack `name` for the one-row batch [y]."""
+    out = score(name, bn, mu, counts, [y])
+    assert out.shape == (1,)
+    return float(out[0])
+
+
 class TestLrtScore:
     def test_zero_when_means_match_marginals(self):
         counts = ReleasedCounts((2, 1), 4)
-        s = lrt_score((0.5, 0.25), counts, (1, 0))
-        assert s.value == pytest.approx(0.0, abs=1e-15)
+        assert one("lrt", (0.5, 0.25), counts, (1, 0)) == pytest.approx(0.0, abs=1e-15)
 
     def test_hand_value(self):
         counts = ReleasedCounts((3, 1), 4)
-        s = lrt_score((0.5, 0.5), counts, (1, 0))
-        assert s.value == pytest.approx(math.log(2.25), rel=1e-12)
+        assert one("lrt", (0.5, 0.5), counts, (1, 0)) == pytest.approx(math.log(2.25), rel=1e-12)
 
     def test_zero_count_with_set_bit(self):
         counts = ReleasedCounts((0, 2), 4)
-        s = lrt_score((0.5, 0.5), counts, (1, 0))
-        assert s.value == float("-inf")
+        assert one("lrt", (0.5, 0.5), counts, (1, 0)) == float("-inf")
 
     def test_boundary_marginal_rejected(self):
         with pytest.raises(ValueError, match="inside"):
-            lrt_score((1.0, 0.5), ReleasedCounts((1, 1), 2), (1, 0))
+            one("lrt", (1.0, 0.5), ReleasedCounts((1, 1), 2), (1, 0))
 
     def test_never_nan(self):
         # mean 1 on an unset bit zeroes the numerator; stays -inf, not NaN
         counts = ReleasedCounts((4, 0), 4)
-        s = lrt_score((0.5, 0.5), counts, (0, 1))
-        assert s.value == float("-inf")
+        assert one("lrt", (0.5, 0.5), counts, (0, 1)) == float("-inf")
 
     def test_one_hot_pair_doubles_raw_contribution(self):
         # a binary node's one-hot pair contributes the raw term twice
         counts_raw = ReleasedCounts((3,), 4)
-        raw = lrt_score((0.3,), counts_raw, (1,))
+        raw = one("lrt", (0.3,), counts_raw, (1,))
         counts_hot = ReleasedCounts((3, 1), 4)
-        hot = lrt_score((0.3, 0.7), counts_hot, (1, 0))
-        assert hot.value == pytest.approx(2 * raw.value, rel=1e-12)
+        hot = one("lrt", (0.3, 0.7), counts_hot, (1, 0))
+        assert hot == pytest.approx(2 * raw, rel=1e-12)
 
 
 class TestClipped:
@@ -70,8 +74,7 @@ class TestClipped:
         counts = ReleasedCounts((3, 1, 2), 4)
         mu = (0.4, 0.5, 0.6)
         y = (1, 0, 1)
-        full = lrt_clipped_score(mu, counts, y, ClipRange(1, 3))
-        assert full.value == lrt_score(mu, counts, y).value
+        assert one("lrt_clipped:1-3", mu, counts, y) == one("lrt", mu, counts, y)
 
     def test_ignores_indices_outside_range(self):
         bn = make_half_repeated(5, (0.3, 0.5, 0.7))
@@ -79,9 +82,9 @@ class TestClipped:
         y = (1, 0, 1, 1, 1)
         clip = half_clip_range(5)
         assert clip == ClipRange(1, 3)
-        a = lrt_clipped_score(mu, ReleasedCounts((2, 1, 3, 3, 3), 4), y, clip)
-        b = lrt_clipped_score(mu, ReleasedCounts((2, 1, 3, 0, 4), 4), y, clip)
-        assert a.value == b.value
+        a = one("lrt_clipped:1-3", mu, ReleasedCounts((2, 1, 3, 3, 3), 4), y)
+        b = one("lrt_clipped:1-3", mu, ReleasedCounts((2, 1, 3, 0, 4), 4), y)
+        assert a == b
 
     def test_side_ranges(self):
         assert side_clip_range(4, RIGHT) == ClipRange(1, 3)
@@ -93,7 +96,7 @@ class TestClipped:
         with pytest.raises(ValueError):
             ClipRange(3, 2)
         with pytest.raises(ValueError, match="exceeds dimension"):
-            lrt_clipped_score((0.5,), ReleasedCounts((1,), 2), (1,), ClipRange(1, 2))
+            one("lrt_clipped:1-2", (0.5,), ReleasedCounts((1,), 2), (1,))
 
 
 class TestChooseSide:
@@ -113,13 +116,12 @@ class TestChooseSide:
 class TestInnerProduct:
     def test_zero_cases(self):
         counts = ReleasedCounts((2, 1), 4)
-        assert inner_product_score((0.5, 0.25), counts, (1, 1)).value == pytest.approx(0.0)
-        assert inner_product_score((0.3, 0.9), counts, (0, 0)).value == 0.0
+        assert one("inner_product", (0.5, 0.25), counts, (1, 1)) == pytest.approx(0.0)
+        assert one("inner_product", (0.3, 0.9), counts, (0, 0)) == 0.0
 
     def test_hand_value(self):
         counts = ReleasedCounts((3, 1), 4)
-        s = inner_product_score((0.5, 0.5), counts, (1, 0))
-        assert s.value == pytest.approx(0.25, abs=1e-15)
+        assert one("inner_product", (0.5, 0.5), counts, (1, 0)) == pytest.approx(0.25, abs=1e-15)
 
 
 class TestBayesScore:
@@ -128,36 +130,33 @@ class TestBayesScore:
         mu = attribute_marginals(bn)
         counts = ReleasedCounts((2, 1, 3), 4)
         for y in [(0, 0, 0), (1, 0, 1), (1, 1, 1)]:
-            b = bayes_score(bn, counts, y)
-            l = lrt_score(mu, counts, y)
-            assert b.value == pytest.approx(l.value, rel=1e-9)
+            b = one("bayes", None, counts, y, bn)
+            assert b == pytest.approx(one("lrt", mu, counts, y), rel=1e-9)
 
     def test_matches_clipped_on_half_repeated(self):
         bn = make_half_repeated(5, (0.3, 0.6, 0.45))
         mu = attribute_marginals(bn)
         counts = ReleasedCounts((2, 1, 3, 3, 3), 3)
-        clip = half_clip_range(5)
+        assert half_clip_range(5) == ClipRange(1, 3)
         for y_free in [(0, 0, 0), (1, 0, 1), (0, 1, 1)]:
             y = y_free + (y_free[-1], y_free[-1])
-            b = bayes_score(bn, counts, y)
-            l = lrt_clipped_score(mu, counts, y, clip)
-            assert b.value == pytest.approx(l.value, rel=1e-9)
+            b = one("bayes", None, counts, y, bn)
+            assert b == pytest.approx(one("lrt_clipped:1-3", mu, counts, y), rel=1e-9)
 
     def test_infeasible_target(self):
         bn = make_product((0.5, 0.5))
-        s = bayes_score(bn, ReleasedCounts((0, 1), 2), (1, 0))
-        assert s.value == float("-inf")
+        assert one("bayes", None, ReleasedCounts((0, 1), 2), (1, 0), bn) == float("-inf")
 
 
 class TestDecide:
     def test_strict_inequality(self):
-        assert decide(AttackScore("lrt", 0.0), 0.0) == OUT
+        assert decide(0.0, 0.0) == OUT
 
     def test_infinite_score(self):
-        assert decide(AttackScore("bayes", float("inf")), 1e9) == IN
+        assert decide(float("inf"), 1e9) == IN
 
     def test_log_ratio_above_zero(self):
-        assert decide(AttackScore("lrt", math.log(2.25)), 0.0) == IN
+        assert decide(math.log(2.25), 0.0) == IN
 
     def test_order_invariance_linear_vs_log(self):
         # ordering of ratio attacks is the same whether compared as ratios
@@ -168,9 +167,6 @@ class TestDecide:
             range(4), key=lambda i: logs[i]
         )
 
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError, match="NaN"):
-            AttackScore("lrt", float("nan"))
 
 
 # The one-target loops the batched scorers replaced.
@@ -205,18 +201,19 @@ class TestBatchedScores:
         lo = int(rng.integers(1, d + 1))
         clip = ClipRange(lo, int(rng.integers(lo, d + 1)))
         batches = (
-            (lrt_score(mu, counts, ys), lrt_score,
+            (lrt_score(mu, counts, ys), "lrt",
              lambda y: reference_log_ratio(mu, counts, y, range(d))),
-            (lrt_clipped_score(mu, counts, ys, clip), lambda *a: lrt_clipped_score(*a, clip),
+            (lrt_clipped_score(mu, counts, ys, clip), f"lrt_clipped:{clip.lo}-{clip.hi}",
              lambda y: reference_log_ratio(mu, counts, y, clip.indices(d))),
-            (inner_product_score(mu, counts, ys), inner_product_score,
+            (inner_product_score(mu, counts, ys), "inner_product",
              lambda y: reference_inner_product(mu, counts, y)),
         )
-        for batch, one, reference in batches:
+        for batch, name, reference in batches:
             assert batch.shape == (25,) and not np.isnan(batch).any()
-            for value, y in zip(batch.tolist(), ys):
-                assert value == one(mu, counts, tuple(y.tolist())).value
-                assert value == reference(tuple(y.tolist()))
+            assert score(name, None, mu, counts, ys).tolist() == batch.tolist()
+            for value, y in zip(batch.tolist(), ys.tolist()):
+                assert value == one(name, mu, counts, y)
+                assert value == reference(tuple(y))
 
     def test_zero_factor_is_minus_inf_in_a_batch(self):
         counts = ReleasedCounts((0, 4), 4)
@@ -236,10 +233,10 @@ class TestBatchedScores:
         counts = ReleasedCounts((2, 2, 0), 4)
         for y in ((1, 0, 0), (0, 1, 0)):
             with pytest.raises(ValueError, match="inside"):
-                lrt_score(mu, counts, y)
+                one("lrt", mu, counts, y)
         with pytest.raises(ValueError, match="inside"):
             lrt_score(mu, counts, np.array([[1, 0, 0], [0, 1, 0]]))
-        assert inner_product_score(mu, counts, (1, 0, 0)).value == 0.0
+        assert one("inner_product", mu, counts, (1, 0, 0)) == 0.0
 
     def test_strong_eval_on_a_zero_marginal_raises(self, tmp_path):
         net = tmp_path / "zero.bif"
@@ -259,4 +256,88 @@ class TestBatchedScores:
         counts = ReleasedCounts((0, 1), 2)
         assert reference_log_ratio((0.5, 1.0), counts, (1, 0), range(2)) == float("-inf")
         with pytest.raises(ValueError, match="inside"):
-            lrt_score((0.5, 1.0), counts, (1, 0))
+            one("lrt", (0.5, 1.0), counts, (1, 0))
+
+
+class TestScore:
+    def test_nan_rejected(self):
+        # A NaN marginal passes through the inner product into its score.
+        with pytest.raises(ValueError, match="NaN"):
+            score("inner_product", None, (float("nan"), 0.5), ReleasedCounts((1, 1), 2), [[1, 0]])
+
+    @pytest.mark.parametrize(
+        "name", ["lrt", "inner_product", "bayes", "lrt_clipped:1-2", "lrt_clipped_auto"]
+    )
+    @pytest.mark.parametrize(
+        "targets", [[[1, 0, 1]], [[1, 0, 1, 0, 1]], [1, 0, 1, 0]], ids=["3", "5", "1-D"]
+    )
+    def test_wrong_width_rejected(self, name, targets):
+        bn = make_product((0.3, 0.5, 0.7, 0.4))
+        counts = ReleasedCounts((1, 2, 1, 3), 3)
+        with pytest.raises(ValueError, match="target has the wrong dimension"):
+            score(name, bn, attribute_marginals(bn), counts, targets)
+
+    def test_each_marginal_scorer_checks_the_width(self):
+        mu, counts = (0.3, 0.5, 0.7), ReleasedCounts((1, 2, 1), 3)
+        for targets in ([[1, 0]], [[1, 0, 1, 1]]):
+            for scored in (
+                lambda: lrt_score(mu, counts, targets),
+                lambda: inner_product_score(mu, counts, targets),
+                lambda: lrt_clipped_score(mu, counts, targets, ClipRange(1, 2)),
+            ):
+                with pytest.raises(ValueError, match="target has the wrong dimension"):
+                    scored()
+
+    def test_side_clips_follow_choose_side(self):
+        mu = (0.3, 0.4, 0.5, 0.6)
+        ys = np.array([[1, 0, 1, 1], [0, 1, 0, 0], [1, 1, 0, 1]])
+        right, left, neither = (
+            ReleasedCounts(c, 4) for c in ((1, 3, 2, 2), (2, 2, 3, 1), (2, 2, 2, 2))
+        )
+        for counts, side in ((right, RIGHT), (left, LEFT), (neither, RIGHT)):
+            other = LEFT if side == RIGHT else RIGHT
+            for name, clip_side in (("lrt_clipped_auto", side), ("lrt_clipped_flip", other)):
+                expected = lrt_clipped_score(mu, counts, ys, side_clip_range(4, clip_side))
+                assert score(name, None, mu, counts, ys).tolist() == expected.tolist()
+
+    def test_bayes_is_the_engine_on_the_batch(self):
+        bn = make_half_repeated(3, (0.3, 0.6))
+        counts = ReleasedCounts((2, 1, 1), 3)
+        ys = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 1], [0, 1, 1]])
+        expected = [posterior_ratio(bn, counts, y).log_ratio for y in ys.tolist()]
+        assert score("bayes", bn, None, counts, ys).tolist() == expected
+
+    def test_impossible_evidence_raises(self):
+        bn = make_half_repeated(3, (0.3, 0.6))  # the copy always equals X2
+        with pytest.raises(ImpossibleEvidenceError):
+            score("bayes", bn, None, ReleasedCounts((1, 1, 0), 2), [[1, 1, 1]])
+
+
+class TestParseAttack:
+    @pytest.mark.parametrize(
+        "name", ["lrt", "inner_product", "bayes", "lrt_clipped_auto", "lrt_clipped_flip"]
+    )
+    def test_named_attacks(self, name):
+        assert parse_attack(name) is None
+
+    def test_fixed_clip(self):
+        assert parse_attack("lrt_clipped:2-5") == ClipRange(2, 5)
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("nope", "unknown attack 'nope'"),
+            ("lrt_clipped", "unknown attack 'lrt_clipped'"),
+            ("lrt_clipped:x-3", "unknown attack 'lrt_clipped:x-3'"),
+            ("lrt_clipped:1-2-3", "unknown attack 'lrt_clipped:1-2-3'"),
+            ("lrt_clipped:-1-3", "unknown attack 'lrt_clipped:-1-3'"),
+            ("LRT", "unknown attack 'LRT'"),
+            ("lrt_clipped:3-2", r"attack 'lrt_clipped:3-2': bad clip range \[3, 2\]"),
+            ("lrt_clipped:0-2", r"attack 'lrt_clipped:0-2': bad clip range \[0, 2\]"),
+        ],
+    )
+    def test_bad_names_are_named(self, name, message):
+        with pytest.raises(ValueError, match=message):
+            parse_attack(name)
+        with pytest.raises(ValueError, match=message):
+            score(name, None, (0.5, 0.5), ReleasedCounts((1, 1), 2), [[1, 0]])

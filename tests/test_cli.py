@@ -6,7 +6,9 @@ import pytest
 from reference import reference_sample
 
 from bnmia import inference
+from bnmia.attacks import score
 from bnmia.cli import main
+from bnmia.model import ReleasedCounts, attribute_marginals
 from bnmia.populations import load_benchmark
 
 
@@ -58,7 +60,7 @@ class TestAttack:
     def test_lrt_score_from_file(self, tmp_path, capsys):
         net = data_path(tmp_path, "cancer.sexp")
         code = main([
-            "attack", "--network", str(net), "--format", "sexp",
+            "attack", "--network", str(net),
             "--outputs", "Xray,Dyspnoea", "--encoding", "raw-binary",
             "--counts", "2,1", "--n", "4", "--target", "1,0", "--attack", "lrt",
         ])
@@ -78,12 +80,34 @@ class TestAttack:
         assert out[0].startswith("bayes ")
         assert out[1] in {"IN", "OUT"}
 
-    def test_clip_flags_required(self, capsys):
+    def test_clip_range_required(self, capsys):
         code = main([
             "attack", "--network", "cancer", "--counts", "2,2,1,3,1,3,2,2,3,1",
             "--n", "4", "--target", "1,0,1,0,1,0,1,0,1,0", "--attack", "lrt_clipped",
         ])
         assert code == 1
+        assert capsys.readouterr().err == "error: unknown attack 'lrt_clipped'\n"
+        # A bad name is reported before the release, which is bad too here.
+        code = main([
+            "attack", "--network", "cancer", "--counts", "1", "--n", "4",
+            "--target", "1", "--attack", "nope",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: unknown attack 'nope'\n"
+
+    def test_clipped_attack_takes_the_eval_grammar(self, capsys):
+        code = main([
+            "attack", "--network", "cancer", "--counts", "2,2,1,3,1,3,2,2,3,1",
+            "--n", "4", "--target", "1,0,1,0,1,0,1,0,1,0", "--attack", "lrt_clipped:1-5",
+        ])
+        assert code == 0
+        kind, value = capsys.readouterr().out.split()
+        bn = load_benchmark("cancer")
+        expected = score(
+            "lrt_clipped:1-5", bn, attribute_marginals(bn),
+            ReleasedCounts((2, 2, 1, 3, 1, 3, 2, 2, 3, 1), 4), [[1, 0, 1, 0, 1, 0, 1, 0, 1, 0]],
+        )
+        assert (kind, value) == ("lrt_clipped:1-5", f"{expected[0]:.12g}")
 
     @pytest.mark.parametrize(
         "network, counts, n, target, attack",
@@ -122,6 +146,37 @@ class TestEval:
         assert header == "population,d,n,threat,m,attack,trial,auc"
         assert len(out.read_text().splitlines()) == 1 + 3 * 2
 
+    def test_file_format_is_read_from_the_text(self, tmp_path):
+        sexp = data_path(tmp_path, "cancer.sexp")
+        txt = tmp_path / "cancer.txt"
+        txt.write_text(sexp.read_text(encoding="utf-8"), encoding="utf-8")
+        outputs = {}
+        for net in (sexp, txt):
+            out = tmp_path / f"{net.suffix[1:]}.csv"
+            code = main([
+                "eval", "--network", str(net), "--n", "4", "--trials", "4",
+                "--targets-in", "4", "--targets-out", "4", "--out", str(out),
+            ])
+            assert code == 0
+            outputs[net.suffix] = [
+                [line.split(",", 1) for line in path.read_text().splitlines()[1:]]
+                for path in (out, out.with_name(out.stem + ".summary.csv"))
+            ]
+        for sexp_rows, txt_rows in zip(outputs[".sexp"], outputs[".txt"]):
+            assert [pop for pop, _ in sexp_rows] == [str(sexp)] * len(sexp_rows)
+            assert [pop for pop, _ in txt_rows] == [str(txt)] * len(txt_rows)
+            assert [rest for _, rest in sexp_rows] == [rest for _, rest in txt_rows]
+
+    def test_bad_attack_is_usage_error_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "results.csv"
+        code = main([
+            "eval", "--network", "cancer", "--n", "4", "--attacks", "lrt,lrt_clipped:x-3",
+            "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: unknown attack 'lrt_clipped:x-3'\n"
+        assert not out.exists()
+
     def test_usage_error_exit_code(self):
         code = main(["eval", "--network", "cancer", "--n", "2", "--threat", "weak"])
         assert code == 1  # missing --m
@@ -149,6 +204,11 @@ class TestErrors:
     def test_unknown_network_is_data_error(self, capsys):
         code = main(["sample", "--network", "nonesuch", "--n", "2"])
         assert code in (1, 2)
+
+    def test_missing_file_is_data_error(self, tmp_path, capsys):
+        code = main(["sample", "--network", str(tmp_path / "x.bif"), "--n", "2"])
+        assert code == 2
+        assert "No such file" in capsys.readouterr().err
 
     def test_malformed_file_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.bif"

@@ -1,13 +1,18 @@
 import itertools
+import tempfile
 from importlib import resources
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from strategies import small_networks
 
 from bnmia import formats, model
 from bnmia.formats import (
     NetworkFormatError,
     emit_bif,
     emit_sexpr,
+    load_document,
     parse_bif_subset,
     parse_sexpr,
 )
@@ -170,6 +175,46 @@ class TestParseBif:
         bn = parse_bif_subset(data_text("asia.bif"))
         again = parse_bif_subset(emit_bif(bn))
         assert again.nodes == bn.nodes
+
+
+class TestLoadDocument:
+    @pytest.mark.parametrize(
+        "text, suffix",
+        [
+            (CANCER_SEXPR, ".sexp"),
+            (CANCER_BIF, ".bif"),
+            (CANCER_SEXPR, ".txt"),
+            (CANCER_BIF, ".txt"),
+            (CANCER_SEXPR, ".bif"),  # the text decides, not the name
+            (CANCER_BIF, ".sexp"),
+            ("\n\t  " + CANCER_SEXPR, ""),
+            (CANCER_SEXPR[CANCER_SEXPR.index("'"):].rstrip()[:-1], ".net"),  # quoted body
+        ],
+    )
+    def test_text_decides_the_format(self, tmp_path, text, suffix):
+        path = tmp_path / f"net{suffix}"
+        path.write_text(text, encoding="utf-8")
+        assert load_document(path).nodes == make_cancer().nodes
+        assert load_document(str(path)).nodes == make_cancer().nodes
+
+    def test_errors_come_from_the_parser_the_text_selects(self, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_text("(variable", encoding="utf-8")
+        with pytest.raises(NetworkFormatError, match="unbalanced parentheses"):
+            load_document(path)
+        path.write_text("variable A", encoding="utf-8")
+        with pytest.raises(NetworkFormatError, match="line 1"):
+            load_document(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_networks())
+    def test_emit_load_emit_is_a_fixed_point(self, bn):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "network.net"
+            for emit in (emit_sexpr, emit_bif):
+                once = emit(bn)
+                path.write_text(once, encoding="utf-8")
+                assert emit(load_document(path)) == once
 
 
 class TestFuzzSafety:

@@ -17,7 +17,7 @@ from bnmia.harness import (
     run_trial,
 )
 from bnmia.inference import ImpossibleEvidenceError
-from bnmia.model import ReleasedCounts, output_marginal_law
+from bnmia.model import InvalidNetworkError, ReleasedCounts, output_marginal_law
 from bnmia.populations import LEFT, RIGHT, make_product
 
 SCORE_GRID = [-math.inf, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0, math.inf]
@@ -183,9 +183,23 @@ class TestRunTrial:
             assert np.any(np.abs(prob - law.probs) < 1e-9)
 
     def test_unknown_attack_rejected(self):
-        config = ExperimentConfig(population="product:3", n=2, attacks=("nonesuch",))
         with pytest.raises(ValueError, match="unknown attack"):
-            run_trial(config, 0)
+            ExperimentConfig(population="product:3", n=2, attacks=("nonesuch",))
+
+    @pytest.mark.parametrize(
+        "attack, message",
+        [
+            ("lrt_clipped:x-3", "unknown attack 'lrt_clipped:x-3'"),
+            ("lrt_clipped:3-2", "attack 'lrt_clipped:3-2': bad clip range"),
+        ],
+    )
+    def test_bad_attack_rejected_before_any_resolve(self, monkeypatch, attack, message):
+        def resolve(*args):
+            raise AssertionError("a network was resolved")
+
+        monkeypatch.setattr(harness, "resolve_network", resolve)
+        with pytest.raises(ValueError, match=message):
+            run_experiment(ExperimentConfig("asia", 4, trials=2, attacks=("lrt", attack)))
 
     def test_clip_attacks_run_on_lr(self):
         config = ExperimentConfig(
@@ -357,6 +371,16 @@ class TestRunExperiment:
         )
         result = run_experiment(config)
         assert result.summary[0].trials == 2
+
+    @pytest.mark.parametrize("population", ["asia", "product:3"])
+    def test_invalid_network_raised_before_any_batch(self, monkeypatch, population):
+        def run_batch(*args):
+            raise AssertionError("a batch was drawn")
+
+        monkeypatch.setattr(harness, "run_batch", run_batch)
+        config = ExperimentConfig(population, 4, output_nodes=("nope",), workers=2)
+        with pytest.raises(InvalidNetworkError, match="^output node nope is not declared$"):
+            run_experiment(config)
 
     def test_missing_m_rejected(self):
         with pytest.raises(ValueError, match="proxy size"):

@@ -183,3 +183,34 @@ class TestBenchmarks:
             load_benchmark("nonesuch")
         with pytest.raises(ValueError, match="unknown benchmark variant"):
             load_benchmark("asia:leaves")
+
+
+class TestResolveNetwork:
+    @pytest.mark.parametrize(
+        "name, outputs, encoding, message",
+        [
+            ("asia", ("nope",), None, "output node nope is not declared"),
+            ("product:3", ("X1", "X1"), None, "output node X1 listed twice"),
+            ("sachs:leaves", None, model.RAW_BINARY,
+             "raw-binary encoding requires binary nodes: Akt; "
+             "raw-binary encoding requires binary nodes: Jnk; "
+             "raw-binary encoding requires binary nodes: P38; "
+             "raw-binary encoding requires binary nodes: PIP2"),
+        ],
+    )
+    def test_invalid_network_raises_with_every_problem(self, name, outputs, encoding, message):
+        with pytest.raises(model.InvalidNetworkError) as excinfo:
+            resolve_network(name, np.random.default_rng(0), outputs, encoding)
+        assert str(excinfo.value) == message
+        assert isinstance(excinfo.value, ValueError)
+
+    def test_file_of_any_name_is_read(self, tmp_path):
+        from importlib import resources
+
+        path = tmp_path / "cancer.net"
+        path.write_text(
+            resources.files("bnmia.data").joinpath("cancer.sexp").read_text(encoding="utf-8"),
+            encoding="utf-8",
+        )
+        bn = resolve_network(str(path), None)
+        assert bn.nodes == make_cancer().nodes and bn.d == 10
