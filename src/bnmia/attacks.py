@@ -18,7 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import BayesianNetwork, ReleasedCounts
-from .inference import _rows, posterior_engine
+from .inference import (
+    _IMPOSSIBLE,
+    ImpossibleEvidenceError,
+    _stack,
+    _stacked_targets,
+    _unstack,
+    posterior_engine,
+)
 from .populations import LEFT, RIGHT, midpoint
 
 IN = "IN"
@@ -47,37 +54,62 @@ class ClipRange:
         return range(self.lo - 1, self.hi)
 
 
-def _log_ratio_terms(mu, counts: ReleasedCounts, targets, indices) -> np.ndarray:
-    """Log ratio of each target row over the coordinates in `indices`.
+def _log_ratio_terms(mu, counts, targets, clip: ClipRange | None) -> np.ndarray:
+    """Log ratio of each target row over the coordinates in the clip range
+    (all of them when clip is None), for one release or for each release of
+    a batch (see `lrt_score`).
 
-    Each coordinate's bit-1 and bit-0 terms are built once with math.log,
-    picked by the target bits and summed column by column from the left, the
-    order of a one-target loop.  Every marginal in `indices` is checked first,
-    even past a coordinate that zeroes a target's numerator.
+    Each (release, coordinate) pair's bit-1 and bit-0 terms are built once
+    with math.log, picked by the target bits and summed column by column from
+    the left, the order of a one-target loop.  Every marginal in the range is
+    checked first, even past a coordinate that zeroes a target's numerator.
     """
-    ys = _rows(targets, len(counts.counts))
+    c, n = _stack(counts)
+    indices = range(c.shape[1]) if clip is None else clip.indices(c.shape[1])
+    ys = _stacked_targets(targets, counts, c.shape[1])
     mus = [float(mu[j]) for j in indices]
     if not all(0.0 < mu_j < 1.0 for mu_j in mus):
         raise ValueError("population marginals must lie strictly inside (0, 1)")
-    total = np.zeros(len(ys))
-    for j, mu_j in zip(indices, mus):
-        xbar = counts.counts[j] / counts.n
-        one = math.log(xbar) - math.log(mu_j) if xbar != 0.0 else -math.inf
-        zero = math.log(1.0 - xbar) - math.log(1.0 - mu_j) if 1.0 - xbar != 0.0 else -math.inf
-        total += np.where(ys[:, j] != 0, one, zero)
+    xbars = (c.T[list(indices)] / n).tolist()
+    ones = [
+        math.log(x) - math.log(mu_j) if x != 0.0 else -math.inf
+        for mu_j, column in zip(mus, xbars) for x in column
+    ]
+    zeros = [
+        math.log(1.0 - x) - math.log(1.0 - mu_j) if 1.0 - x != 0.0 else -math.inf
+        for mu_j, column in zip(mus, xbars) for x in column
+    ]
+    shape = (len(mus), len(c), 1)
+    columns = np.where(
+        (ys != 0).transpose(2, 0, 1)[list(indices)],
+        np.array(ones).reshape(shape),
+        np.array(zeros).reshape(shape),
+    )
+    return _unstack(_sum_from_left(columns, ys.shape[:2]), counts)
+
+
+def _sum_from_left(columns: np.ndarray, shape) -> np.ndarray:
+    """The sum of a stack of (release, target) columns, added one at a time
+    from the left: the order of a one-target loop."""
+    total = np.zeros(shape)
+    for column in columns:
+        total += column
     return total
 
 
-def lrt_score(mu, counts: ReleasedCounts, targets) -> np.ndarray:
+def lrt_score(mu, counts, targets) -> np.ndarray:
     """Log ratio of each target's probability under the dataset means vs the
-    population marginals, treating attributes as independent."""
-    return _log_ratio_terms(mu, counts, targets, range(len(counts.counts)))
+    population marginals, treating attributes as independent: one score per
+    row of a (targets, d) array against one ReleasedCounts, or a (releases,
+    targets) array for a sequence of releases of one size and their
+    (releases, targets, d) array."""
+    return _log_ratio_terms(mu, counts, targets, None)
 
 
-def lrt_clipped_score(mu, counts: ReleasedCounts, targets, clip: ClipRange) -> np.ndarray:
+def lrt_clipped_score(mu, counts, targets, clip: ClipRange) -> np.ndarray:
     """The ratio test restricted to the clip range (neutralizes repeated
-    attributes when the range excludes the copies)."""
-    return _log_ratio_terms(mu, counts, targets, clip.indices(len(counts.counts)))
+    attributes when the range excludes the copies); shapes as `lrt_score`."""
+    return _log_ratio_terms(mu, counts, targets, clip)
 
 
 def half_clip_range(d: int) -> ClipRange:
@@ -112,14 +144,15 @@ def choose_side(counts: ReleasedCounts, d: int) -> str:
     return AMBIGUOUS
 
 
-def inner_product_score(mu, counts: ReleasedCounts, targets) -> np.ndarray:
+def inner_product_score(mu, counts, targets) -> np.ndarray:
     """How much each target shifts the released means away from the
-    population, summed column by column from the left like the ratio tests."""
-    ys = _rows(targets, len(counts.counts))
-    total = np.zeros(len(ys))
-    for j in range(ys.shape[1]):
-        total += (counts.counts[j] / counts.n - float(mu[j])) * ys[:, j]
-    return total
+    population, summed column by column from the left like the ratio tests;
+    shapes as `lrt_score`."""
+    c, n = _stack(counts)
+    ys = _stacked_targets(targets, counts, c.shape[1])
+    mus = np.array([float(mu[j]) for j in range(c.shape[1])])
+    columns = (c.T / n - mus[:, None])[:, :, None] * ys.transpose(2, 0, 1)
+    return _unstack(_sum_from_left(columns, ys.shape[:2]), counts)
 
 
 def parse_attack(name: str) -> ClipRange | None:
@@ -138,33 +171,49 @@ def parse_attack(name: str) -> ClipRange | None:
         raise ValueError(f"attack {name!r}: {err}") from None
 
 
-def score(
-    name: str, attacker_bn: BayesianNetwork, mu, counts: ReleasedCounts, targets
-) -> np.ndarray:
-    """The scores of attack `name` for each row of the (targets, d) array.
-    The marginal tests read the marginals mu, bayes the attacker's network;
+def score(name: str, attacker_bn: BayesianNetwork, mu, counts, targets) -> np.ndarray:
+    """The scores of attack `name`: one per row of a (targets, d) array
+    against one ReleasedCounts, or a (releases, targets) array for a sequence
+    of releases of one size and their (releases, targets, d) array.  The
+    marginal tests read the marginals mu, bayes the attacker's network;
     evidence impossible under it raises ImpossibleEvidenceError, a model
-    mismatch rather than a score."""
+    mismatch rather than a score, naming the impossible releases of a
+    batch."""
     clip = parse_attack(name)
+    batch = [counts] if isinstance(counts, ReleasedCounts) else list(counts)
+    ys = _stacked_targets(targets, counts, len(batch[0].counts))
+    impossible = ()
     if name == BAYES:
-        out = posterior_engine(attacker_bn, counts).log_ratios(targets)
+        engine = posterior_engine(attacker_bn, batch)
+        out = engine.log_ratios(ys)
+        impossible = engine.impossible
     elif name == LRT:
-        out = lrt_score(mu, counts, targets)
+        out = lrt_score(mu, batch, ys)
     elif name == INNER_PRODUCT:
-        out = inner_product_score(mu, counts, targets)
+        out = inner_product_score(mu, batch, ys)
     else:
-        if clip is None:
-            d = len(counts.counts)
-            side = choose_side(counts, d)
-            if side == AMBIGUOUS:
-                side = RIGHT  # documented default when the counts say nothing
-            if name == "lrt_clipped_flip":
-                side = LEFT if side == RIGHT else RIGHT
-            clip = side_clip_range(d, side)
-        out = lrt_clipped_score(mu, counts, targets, clip)
+        clips = [clip or _auto_clip(name, release) for release in batch]
+        out = np.empty(ys.shape[:2])
+        for each in dict.fromkeys(clips):
+            rows = [r for r, other in enumerate(clips) if other == each]
+            out[rows] = lrt_clipped_score(mu, [batch[r] for r in rows], ys[rows], each)
     if np.isnan(out).any():
         raise ValueError("attack scores must never be NaN")
-    return out
+    if impossible:
+        raise ImpossibleEvidenceError(_IMPOSSIBLE, impossible, _unstack(out, counts))
+    return _unstack(out, counts)
+
+
+def _auto_clip(name: str, counts: ReleasedCounts) -> ClipRange:
+    """The side clip `lrt_clipped_auto` (or, flipped, `lrt_clipped_flip`)
+    reads from one release's counts."""
+    d = len(counts.counts)
+    side = choose_side(counts, d)
+    if side == AMBIGUOUS:
+        side = RIGHT  # documented default when the counts say nothing
+    if name == "lrt_clipped_flip":
+        side = LEFT if side == RIGHT else RIGHT
+    return side_clip_range(d, side)
 
 
 def decide(value: float, threshold: float) -> str:

@@ -6,8 +6,9 @@ targets, and scores every configured attack.  Per-trial randomness comes from
 streams keyed by (master seed, trial index, purpose), so adding attacks or
 reordering work never perturbs the sampled data.  An experiment runs its
 trials in batches of at most `_BATCH_RECORDS` drawn records: one ancestral
-pass and one encoding per batch, then each trial scored on its own, so the
-outputs are those of trials run one by one.
+pass and one encoding per batch, then one scoring call per attack for each
+group of trials sharing the attacker's network; the outputs are those of
+trials run one by one.
 """
 from __future__ import annotations
 
@@ -131,43 +132,48 @@ def _shared_population(config: ExperimentConfig) -> BayesianNetwork | None:
     return None if is_toy(config.population) else resolve_population(config, None)
 
 
-def _score_trial(
-    config: ExperimentConfig,
-    trial_index: int,
-    bn: BayesianNetwork,
-    counts: ReleasedCounts,
-    targets: np.ndarray,
-) -> dict[str, TrialScores]:
-    """Score every configured attack on one trial's release and its encoded
-    targets (the in-targets first), under the configured threat model."""
+def _attacker(config: ExperimentConfig, trial_index: int, bn: BayesianNetwork):
+    """The attacker's network and marginals for one trial under the
+    configured threat model: the population's own under the strong threat,
+    fitted to the trial's proxy sample otherwise."""
     if config.threat == STRONG:
-        attacker_bn = bn
-        mu = attribute_marginals(bn)
+        return bn, attribute_marginals(bn)
+    proxy = ProxyDataset.from_network_samples(
+        bn, config.m, _stream(config.seed, trial_index, "proxy")
+    )
+    if config.threat == WEAK:
+        attacker_bn = mle_fit(bn, proxy, alpha=PROXY_SMOOTHING)
     else:
-        proxy_rng = _stream(config.seed, trial_index, "proxy")
-        proxy = ProxyDataset.from_network_samples(bn, config.m, proxy_rng)
-        if config.threat == WEAK:
-            attacker_bn = mle_fit(bn, proxy, alpha=PROXY_SMOOTHING)
-        else:
-            attacker_bn = chow_liu_fit(
-                proxy,
-                alpha=PROXY_SMOOTHING,
-                output_nodes=bn.output_nodes,
-                encoding=bn.encoding,
-            )
-        mu = empirical_marginals(proxy, bn.output_nodes, bn.encoding)
+        attacker_bn = chow_liu_fit(
+            proxy, alpha=PROXY_SMOOTHING, output_nodes=bn.output_nodes, encoding=bn.encoding
+        )
+    return attacker_bn, empirical_marginals(proxy, bn.output_nodes, bn.encoding)
 
+
+def _score_group(
+    config: ExperimentConfig,
+    trials: Sequence[int],
+    bn: BayesianNetwork,
+    releases: Sequence[ReleasedCounts],
+    targets: np.ndarray,
+) -> list[dict[str, TrialScores]]:
+    """Score every configured attack on a group of trials that share one
+    attacker (the first trial's): one `attacks.score` call per attack for
+    all their releases and their (trials, targets, d) encoded targets, the
+    in-targets first.  A trial whose release is impossible evidence under the
+    attacker's network has that attack flagged and scored -inf."""
+    attacker_bn, mu = _attacker(config, trials[0], bn)
     k_in, k_out = config.targets_in, config.targets_out
-    result: dict[str, TrialScores] = {}
+    result: list[dict[str, TrialScores]] = [{} for _ in trials]
     for name in config.attacks:
+        impossible = ()
         try:
-            scores = atk.score(name, attacker_bn, mu, counts, targets).tolist()
-        except ImpossibleEvidenceError:
-            result[name] = TrialScores(
-                [float("-inf")] * k_in, [float("-inf")] * k_out, k_in + k_out
-            )
-        else:
-            result[name] = TrialScores(scores[:k_in], scores[k_in:])
+            scores = atk.score(name, attacker_bn, mu, releases, targets)
+        except ImpossibleEvidenceError as err:
+            scores, impossible = err.scores, err.releases
+        for t, row in enumerate(scores.tolist()):
+            flagged = k_in + k_out if t in impossible else 0
+            result[t][name] = TrialScores(row[:k_in], row[k_in:], flagged)
     return result
 
 
@@ -206,8 +212,12 @@ def run_batch(
     One `draw_records` pass maps all the uniforms to states, drawing each
     record from its trial's network, and one `project` + `encode` covers the
     batch.  A trial's release is the column sums of its own records, and its
-    targets are its picked records followed by its fresh ones.  Scoring is
-    per trial, so a trial's scores do not depend on the batch it ran in.
+    targets are its picked records followed by its fresh ones.  Trials that
+    share the attacker's network are scored together (`_score_group`): the
+    whole batch under the strong threat on a shared network, each trial alone
+    under the weak and weakest threats or on a toy population.  Every score
+    is that of the trial scored alone, bit for bit, so a trial's scores still
+    do not depend on the batch it ran in.
     """
     nets = [
         shared if shared is not None
@@ -217,12 +227,18 @@ def run_batch(
     bits, picks = _encoded_records(config, trials, nets)
     n = config.n
     counts = bits[:, :n].sum(axis=1).tolist()
+    releases = [ReleasedCounts(tuple(c), n) for c in counts]
+    fresh = np.broadcast_to(np.arange(n, n + config.targets_out), (len(trials), config.targets_out))
+    targets = bits[np.arange(len(trials))[:, None], np.concatenate([picks, fresh], axis=1)]
+    del bits  # scoring holds the targets, not every drawn record
+    if config.threat == STRONG and shared is not None:
+        groups = [slice(0, len(trials))]
+    else:
+        groups = [slice(t, t + 1) for t in range(len(trials))]
     return [
-        _score_trial(
-            config, i, nets[t], ReleasedCounts(tuple(counts[t]), n),
-            np.concatenate([bits[t, picks[t]], bits[t, n:]]),
-        )
-        for t, i in enumerate(trials)
+        scores
+        for g in groups
+        for scores in _score_group(config, trials[g], nets[g.start], releases[g], targets[g])
     ]
 
 
@@ -235,19 +251,46 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> dict[str, TrialScor
 
 def auc(scores_in: Sequence[float], scores_out: Sequence[float]) -> float:
     """Pairwise AUC: the share of (in, out) score pairs the in-score wins,
-    ties at half weight.  The out-scores are sorted once; binary search then
-    counts, for each in-score, the out-scores below it and those equal to it.
+    ties at half weight; `auc_rows` on one row."""
+    return float(auc_rows([scores_in], [scores_out])[0])
+
+
+def auc_rows(scores_in, scores_out) -> np.ndarray:
+    """The pairwise AUC of each row of a (rows, k_in) and a (rows, k_out)
+    score array, counted by rank (the Mann-Whitney form) in one pass: each
+    row's scores are sorted together, and each in-score counts the
+    out-scores in tie groups below its own, and those in its own at half
+    weight.  The counts are integers, so every AUC is exact up to the one
+    final division.
     """
-    if len(scores_in) == 0 or len(scores_out) == 0:
-        raise ValueError("both score lists must be nonempty")
     s_in = np.asarray(scores_in, dtype=float)
     s_out = np.asarray(scores_out, dtype=float)
+    if s_in.size == 0 or s_out.size == 0:
+        raise ValueError("both score lists must be nonempty")
     if np.isnan(s_in).any() or np.isnan(s_out).any():
         raise ValueError("scores must not be NaN")
-    ranked = np.sort(s_out)
-    below = np.searchsorted(ranked, s_in, "left")
-    ties = np.searchsorted(ranked, s_in, "right") - below
-    return float((below.sum() + 0.5 * ties.sum()) / (len(s_in) * len(s_out)))
+    rows, k_in = s_in.shape
+    width = k_in + s_out.shape[1]
+    both = np.concatenate([s_in, s_out], axis=1)
+    del s_in, s_out  # the pass holds few (rows, width) arrays at once
+    order = np.argsort(both, axis=1)
+    is_out = (order >= k_in).ravel()
+    order += np.arange(0, rows * width, width)[:, None]
+    ranked = both.take(order).ravel()
+    del both, order
+    new_group = np.ones(rows * width, dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=new_group[1:])
+    new_group[::width] = True  # groups never span two rows
+    del ranked
+    starts = np.flatnonzero(new_group)
+    outs = np.add.reduceat(is_out, starts, dtype=np.int64)
+    ins = np.diff(starts, append=rows * width) - outs
+    outs_before = np.cumsum(is_out.reshape(rows, width), axis=1, dtype=np.int32).ravel()[starts]
+    outs_before -= is_out[starts]  # outs in earlier groups of the row
+    first_of_row = np.searchsorted(starts, np.arange(0, rows * width, width))
+    below = np.add.reduceat(ins * outs_before, first_of_row)
+    ties = np.add.reduceat(ins * outs, first_of_row)
+    return (below + 0.5 * ties) / (k_in * (width - k_in))
 
 
 def roc_and_auc(scores_in: Sequence[float], scores_out: Sequence[float]) -> RocResult:
@@ -352,28 +395,34 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     d = (shared or resolve_population(config, _stream(config.seed, 0, "population"))).d
     ranges = _batches(config)
     args = ([config] * len(ranges), ranges, [shared] * len(ranges))
+    per_attack: dict[str, list[float]] = {name: [] for name in config.attacks}
+    flags = dict.fromkeys(config.attacks, 0)
+
+    def count(batches) -> None:
+        # One rank pass per attack and batch; a batch's scores are then dropped.
+        for batch in batches:
+            for name in config.attacks:
+                per_attack[name] += auc_rows(
+                    [scores[name].scores_in for scores in batch],
+                    [scores[name].scores_out for scores in batch],
+                ).tolist()
+                flags[name] += sum(scores[name].impossible_evidence for scores in batch)
+
     if config.workers > 1:
         # Imported here: multiprocessing would otherwise add to every import of bnmia.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            batches = list(pool.map(run_batch, *args, chunksize=1))
+            count(pool.map(run_batch, *args, chunksize=1))
     else:
-        batches = list(map(run_batch, *args))
-    outcomes = [scores for batch in batches for scores in batch]
-
-    rows: list[TrialRow] = []
-    per_attack: dict[str, list[float]] = {name: [] for name in config.attacks}
-    flags: dict[str, int] = {name: 0 for name in config.attacks}
-    for i in range(config.trials):
-        for name in config.attacks:
-            scores = outcomes[i][name]
-            area = auc(scores.scores_in, scores.scores_out)
-            per_attack[name].append(area)
-            flags[name] += scores.impossible_evidence
-            rows.append(
-                TrialRow(config.population, d, config.n, config.threat, config.m, name, i, area)
-            )
+        count(map(run_batch, *args))
+    rows = [
+        TrialRow(
+            config.population, d, config.n, config.threat, config.m, name, i, per_attack[name][i]
+        )
+        for i in range(config.trials)
+        for name in config.attacks
+    ]
     summary = [
         SummaryRow(
             config.population, d, config.n, config.threat, config.m, name,

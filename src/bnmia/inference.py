@@ -7,14 +7,19 @@ The evidence is the released integer count vector c = n * mean.  The odds are
 computed exactly from the population's output law by iterated convolution
 into a table of feasible partial-sum vectors and their log probabilities,
 pruning any partial sum that exceeds the released counts in some
-coordinate.  A brute-force enumeration over full network instances provides
-an independent oracle for the same quantity.
+coordinate.  The releases of a batch share one table: each release's partial
+sums are keyed under its own index and pruned against its own counts, so
+every release gets the bits it would get alone.  A brute-force enumeration
+over full network instances provides an independent oracle for the same
+quantity.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -34,12 +39,22 @@ from .model import (
 LOG_ZERO = float("-inf")
 
 
+_IMPOSSIBLE = "impossible evidence: released counts have probability zero under BN"
+
+
 class ImpossibleEvidenceError(ValueError):
     """The released counts have probability zero under the attacker's model.
 
     Distinct from a ratio of zero (which is a valid result meaning the target
-    cannot be in the dataset): this signals model mismatch.
+    cannot be in the dataset): this signals model mismatch.  Raised for a
+    batch of releases, `releases` holds the indices of the impossible ones
+    and `scores` the batch's scores, -inf on their rows.
     """
+
+    def __init__(self, message: str, releases=(), scores=None):
+        super().__init__(message)
+        self.releases = tuple(releases)
+        self.scores = scores
 
 
 @dataclass(frozen=True)
@@ -71,34 +86,75 @@ def _logsumexp(values) -> float:
     return m + math.log(math.fsum(math.exp(v - m) for v in values))
 
 
-@dataclass(frozen=True)
-class CountTable:
-    """log P(V_1 + ... + V_k = t) for every reachable count vector t <= cap.
+class _Part(NamedTuple):
+    """Releases first .. first + size - 1 of a stack, packed with common
+    strides taken from their elementwise-max cap `top` (unsigned); `span`
+    is the key distance between consecutive releases.  keys are sorted and
+    unique.  `outcomes` are the law outcomes under some release's cap, and
+    fits[r, i] is whether outcomes[i] is under release r's cap."""
 
-    Each t is packed into one integer key (mixed radix cap_j + 1, C order);
-    keys are sorted and unique.  The packing is internal: look entries up
-    with `log_prob`.
-    """
-
-    cap: tuple[int, ...]
+    first: int
+    size: int
+    outcomes: np.ndarray
+    fits: np.ndarray
+    top: np.ndarray
     strides: np.ndarray
+    span: int
     keys: np.ndarray
     log_probs: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.keys)
 
-    def log_prob(self, targets) -> np.ndarray:
-        """log P for each row of targets; -inf where a target is unreachable,
-        negative, or outside the cap."""
-        t = _rows(targets, len(self.cap))
-        inside = np.all((t >= 0) & (t <= np.array(self.cap, dtype=np.int64)), axis=1)
-        packed = t[inside] @ self.strides
-        pos = np.searchsorted(self.keys, packed)
-        hit = pos < len(self.keys)
-        hit[hit] = self.keys[pos[hit]] == packed[hit]
+@dataclass(frozen=True)
+class CountTable:
+    """log P(V_1 + ... + V_k = t) for every reachable count vector t <= caps[r],
+    for each release r of an (R, d) stack of caps.
+
+    The stack is held in parts of consecutive releases.  Within a part, (r, t)
+    is packed into one integer key: the release's place in the part is the
+    most significant digit, then t in mixed radix (the part's elementwise-max
+    cap + 1, C order).  The packing is internal: look entries up with
+    `log_prob`.
+    """
+
+    caps: np.ndarray
+    parts: tuple[_Part, ...]
+
+    def __len__(self) -> int:
+        return sum(len(part.keys) for part in self.parts)
+
+    def fitting_outcomes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (release, law outcome) index pairs with the outcome under the
+        release's cap, release by release and in law order within one."""
+        pairs = [np.nonzero(part.fits) for part in self.parts]
+        return (
+            _joined([part.first + r for part, (r, _) in zip(self.parts, pairs)], None),
+            _joined([part.outcomes[i] for part, (_, i) in zip(self.parts, pairs)], None),
+        )
+
+    def log_prob(self, targets, releases=0) -> np.ndarray:
+        """log P for each row of targets in the table of its release (one
+        index for every row, or one per row); -inf where a target is
+        unreachable, negative, or outside that release's cap."""
+        t = _rows(targets, self.caps.shape[1])
+        r = np.asarray(releases, dtype=np.int64)
         out = np.full(len(t), LOG_ZERO)
-        out[np.flatnonzero(inside)[hit]] = self.log_probs[pos[hit]]
+        ones = np.ones(t.shape[1], dtype=np.float32)
+        for part in self.parts:
+            # Digits up to the part's top cap cannot carry into the next one,
+            # so a target over its own release's cap just misses the keys.
+            # As unsigned, a negative entry is huge: one comparison checks
+            # 0 <= t <= top, and a product counts the entries outside.
+            inside = (t.view(np.uint64) > part.top).astype(np.float32) @ ones == 0
+            if len(self.parts) > 1:
+                inside &= (r >= part.first) & (r < part.first + part.size)
+            rows = np.flatnonzero(inside)
+            packed = (t @ part.strides)[rows]
+            if part.size > 1:
+                packed += (np.broadcast_to(r, len(t))[rows] - part.first) * part.span
+            pos = np.searchsorted(part.keys, packed)
+            hit = pos < len(part.keys)
+            hit[hit] = part.keys[pos[hit]] == packed[hit]
+            out[rows[hit]] = part.log_probs[pos[hit]]
         return out
 
 
@@ -109,59 +165,175 @@ def _rows(targets, d: int) -> np.ndarray:
     return t
 
 
+def _stack(counts) -> tuple[np.ndarray, int]:
+    """The (R, d) counts and the common size n of a sequence of R releases,
+    or of one ReleasedCounts (R = 1)."""
+    releases = [counts] if isinstance(counts, ReleasedCounts) else list(counts)
+    sizes = {r.n for r in releases}
+    if len(sizes) != 1:
+        raise ValueError("a batch needs at least one release, all of one size n")
+    return np.array([r.counts for r in releases], dtype=np.int64), sizes.pop()
+
+
+def _stacked_targets(targets, counts, d: int) -> np.ndarray:
+    """(R, T, d) targets: the (T, d) rows of one ReleasedCounts, or a
+    batch's (R, T, d) array."""
+    if isinstance(counts, ReleasedCounts):
+        return _rows(targets, d)[None]
+    t = np.asarray(targets, dtype=np.int64)
+    if t.ndim != 3 or t.shape[0] != len(counts) or t.shape[2] != d:
+        raise ValueError("a batch's targets must be a (releases, targets, d) array")
+    return t
+
+
+def _unstack(out: np.ndarray, counts) -> np.ndarray:
+    """A batch result as the caller passed the releases: its one row for a
+    single ReleasedCounts."""
+    return out[0] if isinstance(counts, ReleasedCounts) else out
+
+
 # Byte budget of one dense (outcomes x live partial sums) block in a
 # convolution step: the step takes as many outcomes at a time as fit in it,
 # and at least one.
 _BLOCK_BYTES = 256 * 1024
+# Byte budget of the live partial sums (8 bytes each) in one range of a
+# convolution step: the step takes as many consecutive releases at a time as
+# fit in it, and at least one.
+_RANGE_BYTES = 2 * 1024
 
 
-def sum_log_table(law: SupportDistribution, k: int, cap: tuple[int, ...]) -> CountTable:
-    """The table of log P(V_1 + ... + V_k = t) for t <= cap, V_i iid ~ law.
+def _key_bits(top: np.ndarray, size: int) -> float:
+    """Bits of the keys of `size` releases packed under the elementwise-max
+    cap top."""
+    return float(np.sum(np.log2(top + 1))) + math.log2(size)
 
-    Convolution states are pruned against cap coordinatewise, which is sound
-    for any query target <= cap.  Each step walks the law's outcomes in
-    contiguous blocks sized to a fixed dense-block budget (`_BLOCK_BYTES`):
-    per block, one matrix product marks the live partial sums with room under
-    the cap for every set bit of each outcome, and one boolean gather takes
-    the candidate sums outcome by outcome.  So no step materializes a whole
-    (outcomes x live) matrix, and the candidates come in the same fixed
-    sorted order whatever the block size; results are bitwise deterministic.
-    Keys are int64 when they fit in 62 bits and Python ints (an object array)
-    otherwise.
+
+def sum_log_table(law: SupportDistribution, k: int, caps) -> CountTable:
+    """The table of log P(V_1 + ... + V_k = t) for t <= caps[r], V_i iid ~ law,
+    for each release r of caps: an (R, d) array, or one cap of length d.
+
+    Convolution states are pruned against their release's cap coordinatewise,
+    which is sound for any query target <= that cap.  Consecutive releases
+    share a part (`CountTable`) while its keys fit in 62 bits; a single
+    release past 62 bits gets Python-int keys (an object array).  Each step
+    walks a part's live keys in release-aligned ranges sized to a fixed
+    budget (`_RANGE_BYTES`, at least one release a range), and each range's
+    law outcomes in contiguous blocks sized to another (`_BLOCK_BYTES`): per
+    block, one matrix product marks the live partial sums with room under
+    their release's cap for every set bit of each outcome, and one boolean
+    gather takes the candidate sums outcome by outcome.  A range's candidates
+    are grouped before the next range starts.  So no step materializes a
+    whole (outcomes x live) matrix, and every (release, partial sum) group
+    sees the same candidates in the same order as in a table of its release
+    alone, whatever the budgets; results are bitwise deterministic.
     """
-    d = law.d
-    cap = tuple(int(c) for c in cap)
-    radix = np.array([c + 1 for c in cap], dtype=np.int64)
-    key_dtype = np.int64 if float(np.sum(np.log2(radix))) <= 62 else object
-    strides = np.ones(d, dtype=key_dtype)
-    for j in range(d - 2, -1, -1):
-        strides[j] = strides[j + 1] * (cap[j + 1] + 1)
+    caps = np.atleast_2d(np.asarray(caps, dtype=np.int64))
+    parts, first = [], 0
+    while first < len(caps):
+        top, stop = caps[first], first + 1
+        while stop < len(caps):
+            grown = np.maximum(top, caps[stop])
+            if _key_bits(grown, stop + 1 - first) > 62:
+                break
+            top, stop = grown, stop + 1
+        parts.append(_part_table(law, k, caps[first:stop], first))
+        first = stop
+    return CountTable(caps, tuple(parts))
 
-    keys = np.zeros(1, dtype=key_dtype)
-    logp = np.zeros(1, dtype=float)
-    cap_arr = np.array(cap, dtype=np.int64)
-    keep = (law.vectors <= cap_arr).all(axis=1)
-    if k > 0 and not keep.any():
-        return CountTable(cap, strides, keys[:0], logp[:0])
+
+def _part_table(law: SupportDistribution, k: int, caps: np.ndarray, first: int) -> _Part:
+    """The k-fold table of the part whose (size, d) caps are releases first
+    .. first + size - 1 of the stack (see `sum_log_table`)."""
+    size, d = caps.shape
+    top = caps.max(axis=0)
+    unsigned_top = top.astype(np.uint64)
+    radix = top + 1
+    key_dtype = np.int64 if _key_bits(top, size) <= 62 else object
+    strides = np.ones(d, dtype=key_dtype)
+    bound = top.tolist()  # Python ints: exact past 64 bits
+    for j in range(d - 2, -1, -1):
+        strides[j] = strides[j + 1] * (bound[j + 1] + 1)
+    span = int(strides[0]) * int(radix[0]) if d else 1
+    # Digit j of a key is at its cap exactly when the key modulo
+    # stride_j * radix_j reaches cap_j * stride_j: one remainder per digit.
+    moduli, cap_keys = strides * radix, caps * strides
+    starts = np.arange(size).astype(key_dtype) * span  # each release's first key
+
+    keys = starts
+    logp = np.zeros(size, dtype=float)
+    # The outcomes under some release's cap, in law order; a range walks
+    # only those under the caps of its own releases.
+    fits = _fits(law.vectors, caps)
+    keep = np.flatnonzero(fits.any(axis=1))
+    fit = fits[keep]
+    del fits
+    if k > 0 and not len(keep):
+        return _Part(first, size, keep, fit.T, unsigned_top, strides, span, keys[:0], logp[:0])
     vecs = law.vectors[keep]
     logp_out = np.log(law.probs[keep])
     offsets = vecs @ strides
     bits = vecs.astype(np.float32)  # 0/1 entries: the products below count set bits exactly
+    budget = max(1, _RANGE_BYTES // 8)
 
     for _ in range(k):
-        at_cap = (keys[:, None] // strides[None, :]) % radix[None, :] >= cap_arr
-        at_cap = at_cap.astype(np.float32)
-        rows = max(1, _BLOCK_BYTES // (8 * max(len(keys), 1)))
-        chunks_k, chunks_p = [], []
-        for lo in range(0, len(offsets), rows):
-            blk = slice(lo, lo + rows)
-            fits = bits[blk] @ at_cap.T == 0  # no set bit of the outcome is at its cap
-            chunks_k.append((offsets[blk, None] + keys[None, :])[fits])
-            chunks_p.append((logp_out[blk, None] + logp[None, :])[fits])
-        cand_k, cand_p = np.concatenate(chunks_k), np.concatenate(chunks_p)
-        del at_cap, chunks_k, chunks_p  # only the candidates stay alive while grouping
-        keys, logp = _grouped_logsumexp(cand_k, cand_p)
-    return CountTable(cap, strides, keys, logp)
+        # release r's live keys are keys[bounds[r]:bounds[r + 1]]
+        bounds = [0] if size == 1 else np.searchsorted(keys, starts).tolist()
+        bounds.append(len(keys))
+        out_k, out_p = [], []
+        lo_r = 0
+        while lo_r < size:
+            hi_r = max(lo_r + 1, bisect.bisect_right(bounds, bounds[lo_r] + budget) - 1)
+            lo, hi = bounds[lo_r], bounds[hi_r]
+            if hi > lo:
+                cap = cap_keys[lo_r] if hi_r - lo_r == 1 else np.repeat(
+                    cap_keys[lo_r:hi_r], np.diff(bounds[lo_r : hi_r + 1]), axis=0
+                )
+                outcomes = slice(None) if size == 1 else fit[:, lo_r:hi_r].any(axis=1)
+                cand_k, cand_p = _range_candidates(
+                    keys[lo:hi], logp[lo:hi], cap, moduli,
+                    offsets[outcomes], logp_out[outcomes], bits[outcomes],
+                )
+                grouped = _grouped_logsumexp(cand_k, cand_p)
+                del cand_k, cand_p  # only one range's candidates are alive at a time
+                out_k.append(grouped[0])
+                out_p.append(grouped[1])
+            lo_r = hi_r
+        keys, logp = _joined(out_k, keys[:0]), _joined(out_p, logp[:0])
+    return _Part(first, size, keep, fit.T, unsigned_top, strides, span, keys, logp)
+
+
+def _fits(vectors: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """Whether each 0/1 outcome row of vectors is <= each cap, as an
+    (outcomes, caps) array: per block of outcomes under `_BLOCK_BYTES`, one
+    float32 matrix product counts the outcome's set bits where the cap is 0."""
+    zero = (caps == 0).T.astype(np.float32)
+    rows = max(1, _BLOCK_BYTES // (4 * max(vectors.shape[1], len(caps))))
+    blocks = range(0, len(vectors), rows)
+    return _joined([vectors[lo : lo + rows].astype(np.float32) @ zero == 0 for lo in blocks], None)
+
+
+def _joined(chunks: list, empty: np.ndarray) -> np.ndarray:
+    """The chunks end to end, without a copy when there is only one."""
+    if len(chunks) == 1:
+        return chunks[0]
+    return np.concatenate(chunks) if chunks else empty
+
+
+def _range_candidates(live, logp, cap_keys, moduli, offsets, logp_out, bits):
+    """Every (outcome, live partial sum) sum with room under the partial
+    sum's cap (given as cap_j * stride_j, one row per live key or one for
+    all), outcome by outcome, walking the outcomes in blocks of
+    `_BLOCK_BYTES`."""
+    at_cap = (live[:, None] % moduli[None, :] >= cap_keys).astype(np.float32)
+    rows = max(1, _BLOCK_BYTES // (8 * len(live)))
+    chunks_k, chunks_p = [], []
+    for lo in range(0, len(offsets), rows):
+        blk = slice(lo, lo + rows)
+        fits = bits[blk] @ at_cap.T == 0  # no set bit of the outcome is at its cap
+        chunks_k.append((offsets[blk, None] + live[None, :])[fits])
+        chunks_p.append((logp_out[blk, None] + logp[None, :])[fits])
+    del at_cap
+    return _joined(chunks_k, live[:0]), _joined(chunks_p, logp[:0])
 
 
 def _grouped_logsumexp(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,53 +364,78 @@ def sum_count_prob(law: SupportDistribution, k: int, target) -> float:
 
 
 class PosteriorEngine:
-    """Posterior odds for many targets against one released count vector.
+    """Posterior odds for many targets against one released count vector, or
+    against each release of a batch of releases of one size n.
 
-    Builds the (n-1)-fold convolution table once, with `sum_log_table`'s
-    outcome-block steps under their fixed dense-block budget; each target
-    then costs a table lookup.  The denominator is the table convolved one
-    more step with the law, evaluated at the released counts: one lookup of
-    c - v for every law outcome v, whose unreachable entries are dropped
-    before the log-sum.  Nothing caches engines: the caller holds one per
-    release for as long as it scores that release.
+    Builds one (n-1)-fold convolution table for all the releases
+    (`sum_log_table` on their stacked counts); each target then costs a table
+    lookup.  A release's denominator is the table convolved one more step
+    with the law, evaluated at its counts c_r: one lookup of every pair
+    (r, c_r - v), over the law outcomes v <= c_r of every release at once,
+    whose unreachable entries are dropped before each release's log-sum.
+    Evidence impossible under the law raises ImpossibleEvidenceError for a
+    single release; in a batch, that release's denominator is -inf, its
+    index is in `impossible`, and its targets score -inf.  Nothing caches
+    engines: the caller holds one per release or batch for as long as it
+    scores them.
     """
 
-    def __init__(self, law: SupportDistribution, counts: ReleasedCounts):
-        if len(counts.counts) != law.d:
+    def __init__(self, law: SupportDistribution, counts):
+        if not isinstance(counts, ReleasedCounts):
+            counts = tuple(counts)
+        c, n = _stack(counts)
+        if c.shape[1] != law.d:
             raise ValueError("released counts have the wrong dimension")
         self.law = law
         self.counts = counts
-        c = counts.counts
-        self._table = sum_log_table(law, counts.n - 1, c)
-        self._c = np.array(c, dtype=np.int64)
-        table_lps = self._table.log_prob(self._c - law.vectors)
-        hit = table_lps != LOG_ZERO
-        self.log_denominator = _logsumexp(
-            lp + math.log(p)
-            for lp, p in zip(table_lps[hit].tolist(), law.probs[hit].tolist())
-        )
-        if self.log_denominator == LOG_ZERO:
-            raise ImpossibleEvidenceError(
-                "impossible evidence: released counts have probability zero under BN"
-            )
-
-    def _log_numerators(self, targets) -> np.ndarray:
-        return self._table.log_prob(self._c - _rows(targets, self.law.d))
+        self._c = c
+        self._table = sum_log_table(law, n - 1, c)
+        rel, out = self._table.fitting_outcomes()
+        pairs = c[rel]
+        pairs -= law.vectors[out]
+        lps = self._table.log_prob(pairs, rel)
+        del pairs
+        hit = np.flatnonzero(lps != LOG_ZERO)
+        lps, probs = lps[hit].tolist(), law.probs[out[hit]].tolist()
+        bounds = np.searchsorted(rel[hit], np.arange(len(c) + 1)).tolist()
+        self.log_denominators = np.array([
+            _logsumexp(lp + math.log(p) for lp, p in zip(lps[lo:hi], probs[lo:hi]))
+            for lo, hi in zip(bounds, bounds[1:])
+        ])
+        # The releases whose counts have probability zero under the law.
+        self.impossible = tuple(np.flatnonzero(self.log_denominators == LOG_ZERO).tolist())
+        if isinstance(counts, ReleasedCounts) and self.impossible:
+            raise ImpossibleEvidenceError(_IMPOSSIBLE)
 
     def log_ratios(self, targets) -> np.ndarray:
-        """log R for each row of targets, in one table lookup; -inf where the
-        target cannot be in the dataset."""
-        return self._log_numerators(targets) - self.log_denominator
+        """log R for each target, in one table lookup: one per row of a
+        (targets, d) array for a single release, a (releases, targets) array
+        for a batch's (releases, targets, d) array.  -inf where the target
+        cannot be in the dataset, and on the rows of impossible releases."""
+        t = _stacked_targets(targets, self.counts, self.law.d)
+        size, per, d = t.shape
+        log_num = self._table.log_prob(
+            (self._c[:, None, :] - t).reshape(-1, d), np.repeat(np.arange(size), per)
+        ).reshape(size, per)
+        out = log_num - self.log_denominators[:, None]
+        if self.impossible:
+            out[list(self.impossible)] = LOG_ZERO
+        return _unstack(out, self.counts)
 
-    def result(self, y: EncodedVector) -> PosteriorResult:
-        log_num = float(self._log_numerators([y])[0])
-        ratio = 0.0 if log_num == LOG_ZERO else math.exp(log_num - self.log_denominator)
-        return PosteriorResult(ratio, log_num, self.log_denominator)
+    def result(self, y: EncodedVector, release: int = 0) -> PosteriorResult:
+        """The odds of one target against one release of the engine."""
+        log_den = float(self.log_denominators[release])
+        if log_den == LOG_ZERO:
+            raise ImpossibleEvidenceError(_IMPOSSIBLE)
+        log_num = float(self._table.log_prob(self._c[release] - _rows([y], self.law.d), release)[0])
+        ratio = 0.0 if log_num == LOG_ZERO else math.exp(log_num - log_den)
+        return PosteriorResult(ratio, log_num, log_den)
 
 
-def posterior_engine(bn: BayesianNetwork, counts: ReleasedCounts) -> PosteriorEngine:
-    """A new engine for one release under bn; the caller holds it while it
-    scores that release's targets.  Nothing is kept between calls."""
+def posterior_engine(bn: BayesianNetwork, counts) -> PosteriorEngine:
+    """A new engine for one release, or a batch of releases of one size,
+    under bn; the caller holds it while it scores their targets.  Nothing is
+    kept between calls."""
     return PosteriorEngine(output_marginal_law(bn), counts)
 
 
@@ -318,9 +515,7 @@ def brute_force_posterior(
     diff = tuple(a - b for a, b in zip(c, y))
     numerator = 0.0 if any(x < 0 for x in diff) else _brute_sum_table(bn, n - 1).get(diff, 0.0)
     if denominator == 0.0:
-        raise ImpossibleEvidenceError(
-            "impossible evidence: released counts have probability zero under BN"
-        )
+        raise ImpossibleEvidenceError(_IMPOSSIBLE)
     log_num = math.log(numerator) if numerator > 0.0 else LOG_ZERO
     return PosteriorResult(
         numerator / denominator, log_num, math.log(denominator)

@@ -147,6 +147,8 @@ def validate(bn: BayesianNetwork) -> list[str]:
     exceptions, so broken networks can be inspected.
     """
     problems: list[str] = []
+    if not bn.nodes:
+        problems.append("network has no nodes")
     if bn.encoding not in ENCODINGS:
         problems.append(f"unknown encoding {bn.encoding!r}")
 

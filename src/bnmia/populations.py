@@ -239,9 +239,10 @@ def resolve_network(
     """The network a population name or file path denotes, validated.
 
     Toy names (`is_toy`) draw fresh Bernoulli parameters from rng; no other
-    name reads it.  An existing file, or a name ending in .sexp or .bif, is
+    name reads it.  A name with a path separator or a file suffix is a file,
     read by `formats.load_document`, whose text decides the format, and
-    releases every node one-hot.  Any other name is a bundled benchmark.
+    releases every node one-hot.  Any other name is a bundled benchmark, even
+    when a file of that name exists in the working directory.
     output_nodes and encoding then override the released outputs.  Raises
     InvalidNetworkError on any problem `validate` reports.
     """
@@ -260,7 +261,7 @@ def resolve_network(
                 tuple(rng.uniform(lo, hi, size=m)),
                 tuple(rng.uniform(lo, hi, size=d - m + 2)),
             )
-    elif name.endswith((".bif", ".sexp")) or Path(name).exists():
+    elif Path(name).name != name or Path(name).suffix:
         bn = formats.load_document(name)
         bn = bn.with_outputs(bn.node_names, ONE_HOT)
     else:

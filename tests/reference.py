@@ -34,7 +34,7 @@ def reference_trial(config, trial_index: int):
     """One trial drawn on its own, as before trials were batched: a sample
     call for the dataset and one for the fresh targets, the release by
     `dataset_counts`, and one encoding of the picked records followed by the
-    fresh ones; then scored by the harness."""
+    fresh ones; then scored by the harness as a group of one."""
     from bnmia import harness
 
     def stream(purpose):
@@ -46,7 +46,7 @@ def reference_trial(config, trial_index: int):
     picks = stream("targets_in").integers(0, config.n, size=config.targets_in)
     fresh = project(bn, sample(bn, config.targets_out, stream("targets_out")))
     targets = encode(bn, np.concatenate([data[picks], fresh]))
-    return harness._score_trial(config, trial_index, bn, counts, targets)
+    return harness._score_group(config, [trial_index], bn, [counts], targets[None])[0]
 
 
 def states_of(names, records) -> np.ndarray:

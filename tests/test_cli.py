@@ -48,6 +48,19 @@ class TestSample:
             rows.append(",".join(bn.node(v).states[rec[v]] for v in bn.node_names))
         assert out.read_text() == "\n".join(rows) + "\n"
 
+    def test_bundled_name_wins_over_a_file_of_that_name(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "asia").write_text(
+            "variable A { type discrete [ 2 ] { a, b }; }\n"
+            "probability ( A ) { table 0.5, 0.5; }\n",
+            encoding="utf-8",
+        )
+        assert main(["sample", "--network", "asia", "--n", "2"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header == ",".join(load_benchmark("asia").node_names)
+        assert main(["sample", "--network", "./asia", "--n", "2"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "A"
+
     def test_toy_population(self, capsys):
         code = main(["sample", "--network", "product:4", "--n", "3"])
         assert code == 0
@@ -265,6 +278,16 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith(message)
         assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_empty_network_is_invalid(self, tmp_path, capsys):
+        empty = tmp_path / "empty.net"
+        empty.write_text("", encoding="utf-8")
+        out = tmp_path / "results.csv"
+        code = main(["eval", "--network", str(empty), "--n", "2", "--trials", "1",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: network has no nodes\n"
         assert not out.exists()
 
     def test_usage_error_on_bad_flag(self):

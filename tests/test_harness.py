@@ -18,7 +18,7 @@ from bnmia.harness import (
 )
 from bnmia.inference import ImpossibleEvidenceError
 from bnmia.model import InvalidNetworkError, ReleasedCounts, output_marginal_law
-from bnmia.populations import LEFT, RIGHT, make_product
+from bnmia.populations import LEFT, RIGHT, make_half_repeated, make_product
 
 SCORE_GRID = [-math.inf, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0, math.inf]
 
@@ -231,6 +231,9 @@ BATCH_CASES = [
         ExperimentConfig("product:5", 7, trials=4, seed=7, threat="weak", m=30),
         id="product:5-weak-n7",
     ),
+    # Strong threat on a bundled network: the whole batch is one stacked group.
+    pytest.param(ExperimentConfig("survey", 4, trials=12, seed=8), id="survey"),
+    pytest.param(ExperimentConfig("sachs:leaf-root", 4, trials=14, seed=9), id="sachs:leaf-root"),
 ]
 
 
@@ -274,6 +277,24 @@ class TestBatches:
         ranges = harness._batches(config)
         assert [len(r) for r in ranges] == sizes
         assert [i for r in ranges for i in r] == list(range(trials))
+
+    def test_impossible_release_flags_only_its_trial(self):
+        # X3 copies X2, so the second release is impossible evidence.
+        bn = make_half_repeated(3, (0.5, 0.4))
+        config = ExperimentConfig("half:3", 3, targets_in=2, targets_out=2, trials=3)
+        releases = [ReleasedCounts(c, 3) for c in ((1, 1, 1), (1, 1, 2), (2, 0, 0))]
+        targets = np.array([[(0, 1, 1), (1, 0, 0), (1, 1, 1), (0, 0, 0)]] * 3)
+        got = harness._score_group(config, [0, 1, 2], bn, releases, targets)
+        for t in range(3):
+            one = slice(t, t + 1)
+            alone = harness._score_group(config, [t], bn, releases[one], targets[one])[0]
+            for name in config.attacks:
+                flagged = 4 if (t, name) == (1, "bayes") else 0
+                assert got[t][name].impossible_evidence == flagged
+                assert alone[name].impossible_evidence == flagged
+                assert got[t][name].scores_in == alone[name].scores_in
+                assert got[t][name].scores_out == alone[name].scores_out
+        assert got[1]["bayes"].scores_in + got[1]["bayes"].scores_out == [-math.inf] * 4
 
     def test_run_trial_is_the_one_trial_batch(self):
         config = ExperimentConfig("half:5", 3, trials=3, seed=8)

@@ -6,7 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from reference import reference_sum_log_table
 from strategies import small_networks
 
@@ -114,7 +114,7 @@ def released(bn, n: int, rng) -> tuple[int, ...]:
 
 
 def assert_matches_reference(law, k: int, cap) -> None:
-    table = sum_log_table(law, k, cap)
+    (table,) = sum_log_table(law, k, cap).parts  # one release: one part
     keys, log_probs = reference_sum_log_table(law, k, cap)
     assert table.keys.dtype == keys.dtype
     assert table.keys.tolist() == keys.tolist()
@@ -190,9 +190,71 @@ class TestBlockedStepMatchesReference:
         law = copy_chain_law(70)
         cap = (5,) * 69 + (2,)
         table = sum_log_table(law, 5, cap)
-        assert table.keys.dtype == object and len(table) == 18
+        assert table.parts[0].keys.dtype == object and len(table) == 18
         assert_matches_reference(law, 5, cap)
         assert_matches_reference(law, 6, (5,) * 68 + (2, 5))
+
+
+class TestStackedTable:
+    """One table for a stack of releases against one table per release: the
+    same lookups, bit for bit, of c_r - v for every law outcome v and of
+    random targets, one release at a time and all at once, whatever the
+    release ranges of a step and however the stack is split into parts."""
+
+    @pytest.mark.parametrize("mode", ["release-per-range", "one-range", "split"])
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        small_networks(), st.integers(1, 5), st.integers(2, 6), st.integers(0, 2**32 - 1),
+        st.integers(0, 1),
+    )
+    def test_lookups_equal_one_table_per_release(
+        self, monkeypatch, mode, bn, n, releases, seed, headroom
+    ):
+        law = output_marginal_law(bn)
+        rng = np.random.default_rng(seed)
+        caps = np.array([released(bn, n, rng) for _ in range(releases)])
+        if mode == "split":
+            # Coordinate 0 takes the cap that makes the stack's elementwise
+            # max 61.5 - headroom bits wide: the whole stack is past 62
+            # bits, and any 2**headroom releases fit in one part.
+            assume(releases >= 2 ** (headroom + 1))
+            rest = np.log2(caps[:, 1:].max(axis=0) + 1).sum()
+            caps[:, 0] = int(2.0 ** (61.5 - headroom - rest))
+        if mode != "split":
+            budget = 1 if mode == "release-per-range" else 10**12
+            monkeypatch.setattr(inference, "_RANGE_BYTES", budget)
+        k = n - 1
+        table = sum_log_table(law, k, caps)
+        assert (len(table.parts) > 1) == (mode == "split")
+        assert all(part.keys.dtype == np.int64 for part in table.parts)
+        all_targets, all_releases, expected = [], [], []
+        for r, cap in enumerate(caps):
+            alone = sum_log_table(law, k, cap)
+            targets = np.concatenate([cap - law.vectors, rng.integers(-1, k + 2, (20, law.d))])
+            assert np.array_equal(table.log_prob(targets, r), alone.log_prob(targets))
+            all_targets.append(targets)
+            all_releases.append(np.full(len(targets), r))
+            expected.append(alone.log_prob(targets))
+        got = table.log_prob(np.concatenate(all_targets), np.concatenate(all_releases))
+        assert np.array_equal(got, np.concatenate(expected))
+
+    @pytest.mark.parametrize("budget", [1, 10**12], ids=["release-per-range", "one-range"])
+    def test_release_under_which_no_outcome_fits(self, monkeypatch, budget):
+        # A one-hot law has no outcome under an all-zero cap: that release's
+        # table empties at the first step, beside releases whose tables do not.
+        monkeypatch.setattr(inference, "_RANGE_BYTES", budget)
+        bn = make_cancer()
+        law = output_marginal_law(bn)
+        rng = np.random.default_rng(4)
+        caps = np.array([released(bn, 4, rng), (0,) * law.d, released(bn, 4, rng)])
+        table = sum_log_table(law, 3, caps)
+        for r, cap in enumerate(caps):
+            targets = np.concatenate([cap - law.vectors, np.zeros((1, law.d), dtype=np.int64)])
+            alone = sum_log_table(law, 3, cap)
+            assert np.array_equal(table.log_prob(targets, r), alone.log_prob(targets))
+        assert len(sum_log_table(law, 3, caps[1])) == 0
 
 
 class TestPosteriorRatio:
@@ -220,6 +282,25 @@ class TestPosteriorRatio:
         law = output_marginal_law(model.BayesianNetwork((sure,), ("A",), model.ONE_HOT))
         with pytest.raises(ImpossibleEvidenceError):
             PosteriorEngine(law, ReleasedCounts((3, 1), 3))
+
+    def test_one_impossible_release_in_a_batch(self):
+        # X3 copies X2, so counts with c3 != c2 are impossible evidence.
+        law = output_marginal_law(make_half_repeated(3, (0.5, 0.4)))
+        batch = [ReleasedCounts(c, 3) for c in ((1, 1, 1), (1, 1, 2), (2, 0, 0))]
+        engine = PosteriorEngine(law, batch)
+        assert np.isneginf(engine.log_denominators).tolist() == [False, True, False]
+        assert engine.impossible == (1,)
+        targets = np.array([list(itertools.product((0, 1), repeat=3))] * 3)
+        ratios = engine.log_ratios(targets)
+        assert np.all(ratios[1] == -np.inf)
+        for r in (0, 2):
+            alone = PosteriorEngine(law, batch[r])
+            assert engine.log_denominators[r] == alone.log_denominators[0]
+            assert np.array_equal(ratios[r], alone.log_ratios(targets[r]))
+        with pytest.raises(ImpossibleEvidenceError):
+            engine.result((0, 1, 1), release=1)
+        with pytest.raises(ImpossibleEvidenceError):
+            PosteriorEngine(law, batch[1])
 
     def test_single_record_dataset(self):
         bn = make_product((0.3, 0.6))
