@@ -417,7 +417,9 @@ class PosteriorEngine:
         log_num = self._table.log_prob(
             (self._c[:, None, :] - t).reshape(-1, d), np.repeat(np.arange(size), per)
         ).reshape(size, per)
-        out = log_num - self.log_denominators[:, None]
+        # -inf - -inf is nan: an impossible release subtracts 0, then its row is set to -inf.
+        den = np.where(self.log_denominators == LOG_ZERO, 0.0, self.log_denominators)
+        out = log_num - den[:, None]
         if self.impossible:
             out[list(self.impossible)] = LOG_ZERO
         return _unstack(out, self.counts)
