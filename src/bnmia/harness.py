@@ -1,5 +1,5 @@
-"""Experiment orchestration: trials, threat models, ROC/AUC, timing, and the
-numerical equivalence suites.
+"""Experiment orchestration: trials, threat models, AUC by rank, timing, and
+the numerical equivalence suites.
 
 A trial samples one private dataset, releases its counts, draws in/out
 targets, and scores every configured attack.  Per-trial randomness comes from
@@ -29,8 +29,6 @@ from .inference import (
     brute_force_posterior,
     closed_form_product_ratio,
     posterior_engine,
-    posterior_ratio,
-    sum_count_prob,
     sum_log_table,
 )
 from .learning import ProxyDataset, chow_liu_fit, empirical_marginals, mle_fit
@@ -91,20 +89,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1 or self.targets_in < 1 or self.targets_out < 1 or self.n < 1:
             raise ValueError("trials, targets, and n must all be at least 1")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
         if self.threat not in THREATS:
             raise ValueError(f"threat must be one of {THREATS}")
         if self.threat in (WEAK, WEAKEST) and (self.m is None or self.m < 1):
             raise ValueError("weak and weakest threat models need a proxy size m >= 1")
         for name in self.attacks:
             atk.parse_attack(name)
-
-
-@dataclass(frozen=True)
-class RocResult:
-    """ROC operating points from (0,0) to (1,1) plus the pairwise AUC."""
-
-    points: tuple[tuple[float, float], ...]
-    auc: float
 
 
 @dataclass
@@ -242,19 +234,6 @@ def run_batch(
     ]
 
 
-def run_trial(config: ExperimentConfig, trial_index: int) -> dict[str, TrialScores]:
-    """Sample one private dataset and score every configured attack on fresh
-    in/out targets: the one-trial batch of `run_batch`.  Fully determined by
-    (config, trial_index)."""
-    return run_batch(config, [trial_index], _shared_population(config))[0]
-
-
-def auc(scores_in: Sequence[float], scores_out: Sequence[float]) -> float:
-    """Pairwise AUC: the share of (in, out) score pairs the in-score wins,
-    ties at half weight; `auc_rows` on one row."""
-    return float(auc_rows([scores_in], [scores_out])[0])
-
-
 def auc_rows(scores_in, scores_out) -> np.ndarray:
     """The pairwise AUC of each row of a (rows, k_in) and a (rows, k_out)
     score array, counted by rank (the Mann-Whitney form) in one pass: each
@@ -291,22 +270,6 @@ def auc_rows(scores_in, scores_out) -> np.ndarray:
     below = np.add.reduceat(ins * outs_before, first_of_row)
     ties = np.add.reduceat(ins * outs, first_of_row)
     return (below + 0.5 * ties) / (k_in * (width - k_in))
-
-
-def roc_and_auc(scores_in: Sequence[float], scores_out: Sequence[float]) -> RocResult:
-    """The swept ROC curve and `auc`: one point per distinct score t, from the
-    largest down, with the shares of each list scoring >= t counted by binary
-    search in the sorted list.
-
-    The trapezoidal area under the returned points equals the pairwise AUC.
-    """
-    area = auc(scores_in, scores_out)
-    s_in = np.asarray(scores_in, dtype=float)
-    s_out = np.asarray(scores_out, dtype=float)
-    thresholds = np.unique(np.concatenate([s_in, s_out]))[::-1]
-    fpr = (len(s_out) - np.searchsorted(np.sort(s_out), thresholds, "left")) / len(s_out)
-    tpr = (len(s_in) - np.searchsorted(np.sort(s_in), thresholds, "left")) / len(s_in)
-    return RocResult(((0.0, 0.0),) + tuple(zip(fpr.tolist(), tpr.tolist())), area)
 
 
 @dataclass(frozen=True)
@@ -461,6 +424,8 @@ def bench_posterior(
     across targets); the population's output law is computed once up front,
     like a compiled model.
     """
+    if datasets < 1 or targets < 1:
+        raise ValueError("datasets and targets must be at least 1")
     rows = []
     for name in populations:
         config = ExperimentConfig(population=name, n=n, seed=seed)
@@ -547,7 +512,7 @@ def _product_net_deviation(p: np.ndarray, n: int, rng: np.random.Generator):
         y = tuple(int(x) for x in rng.integers(0, 2, size=d))
         counts = ReleasedCounts(c, n)
         lam = closed_form_product_ratio(p, counts, y)
-        r = posterior_ratio(bn, counts, y).ratio
+        r = math.exp(posterior_engine(bn, counts).result(y))
         if lam == 0.0:
             if r != 0.0:
                 worst = math.inf
@@ -719,6 +684,12 @@ def verify_binomial_identities(samples: int = 1000, seed: int = 20250810) -> Sui
     )
 
 
+def _theta_in(ratio: float) -> float:
+    """The membership posterior under a fair-coin prior, R / (1 + R); 1.0
+    for infinite odds."""
+    return 1.0 if math.isinf(ratio) else ratio / (1.0 + ratio)
+
+
 def verify_oracle_agreement(seed: int = 20250810) -> SuiteResult:
     """Convolution posterior vs brute-force enumeration over full network
     instances, exhaustively over all feasible counts and targets.
@@ -767,13 +738,13 @@ def verify_oracle_agreement(seed: int = 20250810) -> SuiteResult:
                 if engine is None or oracle is None:
                     continue
                 for y, bf in zip(targets, oracle):
-                    dp = engine.result(y)
-                    if (dp.ratio == 0.0) != (bf.ratio == 0.0):
+                    dp = math.exp(engine.result(y))
+                    if (dp == 0.0) != (bf == 0.0):
                         worst = math.inf
                         continue
-                    dev = abs(dp.theta_in - bf.theta_in)
-                    if bf.ratio > 0.0:
-                        dev = max(dev, abs(dp.ratio - bf.ratio) / bf.ratio)
+                    dev = abs(_theta_in(dp) - _theta_in(bf))
+                    if bf > 0.0:
+                        dev = max(dev, abs(dp - bf) / bf)
                     worst = max(worst, dev)
     return SuiteResult(
         "oracle_agreement",
@@ -796,7 +767,7 @@ def verify_count_normalization(seed: int = 20250810) -> SuiteResult:
         law = output_marginal_law(bn)
         for n in (1, 2, 3):
             total = math.fsum(
-                sum_count_prob(law, n, c)
+                math.exp(sum_log_table(law, n, c).log_prob([c])[0])
                 for c in itertools.product(range(n + 1), repeat=bn.d)
             )
             worst = max(worst, abs(total - 1.0))

@@ -57,27 +57,6 @@ class ImpossibleEvidenceError(ValueError):
         self.scores = scores
 
 
-@dataclass(frozen=True)
-class PosteriorResult:
-    """Posterior odds and the fair-coin-prior membership posterior."""
-
-    ratio: float
-    log_numerator: float
-    log_denominator: float
-
-    @property
-    def log_ratio(self) -> float:
-        if self.log_numerator == LOG_ZERO:
-            return LOG_ZERO
-        return self.log_numerator - self.log_denominator
-
-    @property
-    def theta_in(self) -> float:
-        if math.isinf(self.ratio):
-            return 1.0
-        return self.ratio / (1.0 + self.ratio)
-
-
 def _logsumexp(values) -> float:
     values = [v for v in values if v != LOG_ZERO]
     if not values:
@@ -351,18 +330,6 @@ def _grouped_logsumexp(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, 
     return k[starts], m + np.log(sums)
 
 
-def sum_count_prob(law: SupportDistribution, k: int, target) -> float:
-    """Exact P(V_1 + ... + V_k = target) for V_i iid ~ law."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    target = tuple(int(t) for t in target)
-    if len(target) != law.d:
-        raise ValueError(f"target has length {len(target)}, expected {law.d}")
-    if any(t < 0 or t > k for t in target):
-        return 0.0
-    return math.exp(sum_log_table(law, k, target).log_prob([target])[0])
-
-
 class PosteriorEngine:
     """Posterior odds for many targets against one released count vector, or
     against each release of a batch of releases of one size n.
@@ -424,14 +391,14 @@ class PosteriorEngine:
             out[list(self.impossible)] = LOG_ZERO
         return _unstack(out, self.counts)
 
-    def result(self, y: EncodedVector, release: int = 0) -> PosteriorResult:
-        """The odds of one target against one release of the engine."""
+    def result(self, y: EncodedVector, release: int = 0) -> float:
+        """log R of one target against one release of the engine; -inf when
+        the target cannot be in the dataset."""
         log_den = float(self.log_denominators[release])
         if log_den == LOG_ZERO:
             raise ImpossibleEvidenceError(_IMPOSSIBLE)
         log_num = float(self._table.log_prob(self._c[release] - _rows([y], self.law.d), release)[0])
-        ratio = 0.0 if log_num == LOG_ZERO else math.exp(log_num - log_den)
-        return PosteriorResult(ratio, log_num, log_den)
+        return log_num - log_den
 
 
 def posterior_engine(bn: BayesianNetwork, counts) -> PosteriorEngine:
@@ -439,13 +406,6 @@ def posterior_engine(bn: BayesianNetwork, counts) -> PosteriorEngine:
     under bn; the caller holds it while it scores their targets.  Nothing is
     kept between calls."""
     return PosteriorEngine(output_marginal_law(bn), counts)
-
-
-def posterior_ratio(
-    bn: BayesianNetwork, counts: ReleasedCounts, y: EncodedVector
-) -> PosteriorResult:
-    """Exact membership odds for one target under the given network."""
-    return posterior_engine(bn, counts).result(y)
 
 
 def closed_form_product_ratio(mu, counts: ReleasedCounts, y: EncodedVector) -> float:
@@ -497,14 +457,13 @@ def _brute_sum_table(bn: BayesianNetwork, k: int) -> dict[EncodedVector, float]:
     return table
 
 
-def brute_force_posterior(
-    bn: BayesianNetwork, counts: ReleasedCounts, y: EncodedVector
-) -> PosteriorResult:
-    """Oracle: enumerate every assignment of n independent network instances.
+def brute_force_posterior(bn: BayesianNetwork, counts: ReleasedCounts, y: EncodedVector) -> float:
+    """Oracle for the odds R: enumerate every assignment of n independent
+    network instances.
 
     Sums the joint probabilities of the assignments satisfying each branch's
-    evidence directly, with no convolution, pruning, or log-space tricks.
-    Raises ModelSizeError past `model.STATE_GUARD` assignments.
+    evidence directly, with no convolution, pruning, or log-space tricks, and
+    divides.  Raises ModelSizeError past `model.STATE_GUARD` assignments.
     """
     n = counts.n
     if bn.joint_state_count ** n > model.STATE_GUARD:
@@ -518,7 +477,4 @@ def brute_force_posterior(
     numerator = 0.0 if any(x < 0 for x in diff) else _brute_sum_table(bn, n - 1).get(diff, 0.0)
     if denominator == 0.0:
         raise ImpossibleEvidenceError(_IMPOSSIBLE)
-    log_num = math.log(numerator) if numerator > 0.0 else LOG_ZERO
-    return PosteriorResult(
-        numerator / denominator, log_num, math.log(denominator)
-    )
+    return numerator / denominator

@@ -18,14 +18,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import BayesianNetwork, NodeSpec, ONE_HOT, Record, encode, project, sample
+from .model import BayesianNetwork, NodeSpec, ONE_HOT, encode, project, sample
 
 
 @dataclass(frozen=True)
 class ProxyDataset:
     """m full records over a known node schema (names and state labels),
     stored as an (m, nodes) int array of state indices, column i for nodes[i].
-    `records`, `from_csv` and `to_csv` convert to and from other forms."""
+    `from_csv` and `to_csv` convert to and from CSV text."""
 
     nodes: tuple[str, ...]
     states: dict[str, tuple[str, ...]]
@@ -45,10 +45,6 @@ class ProxyDataset:
 
     def column(self, name: str) -> np.ndarray:
         return self.data[:, self.nodes.index(name)]
-
-    @property
-    def records(self) -> tuple[Record, ...]:
-        return tuple(dict(zip(self.nodes, row)) for row in self.data.tolist())
 
     @classmethod
     def from_network_samples(

@@ -1,8 +1,8 @@
 """Discrete Bayesian networks with explicit conditional probability tables.
 
 Provides the in-memory network model plus the operations everything else is
-built on: validation, joint probability, the exact distribution of the encoded
-output attributes (by variable elimination on the outputs' ancestors; only
+built on: validation, the exact distribution of the encoded output
+attributes (by variable elimination on the outputs' ancestors; only
 `enumerate_full_records` walks the full joint), ancestral sampling, and the
 raw-binary / one-hot encodings.  A batch of records is an (m, columns) array
 of state indices: `draw_records` maps one uniform per (record, node) to full
@@ -232,17 +232,6 @@ def _has_cycle(bn: BayesianNetwork) -> bool:
     return any(visit(v) for v in edges)
 
 
-def joint_prob(bn: BayesianNetwork, full: Record) -> float:
-    """Chain-rule probability of a full assignment."""
-    prob = 1.0
-    for node in bn.nodes:
-        if node.name not in full:
-            raise ValueError(f"record does not assign node {node.name}")
-        row = node.cpt[tuple(full[p] for p in node.parents)]
-        prob *= row[full[node.name]]
-    return prob
-
-
 def output_marginal_law(bn: BayesianNetwork) -> SupportDistribution:
     """Exact law of the encoded output vector, by variable elimination.
 
@@ -435,20 +424,6 @@ def encode(bn: BayesianNetwork, states) -> np.ndarray:
     bits = np.zeros((len(states), bn.d), dtype=np.int64)
     np.put_along_axis(bits, states + offsets, 1, axis=1)
     return bits
-
-
-def decode(bn: BayesianNetwork, bits) -> np.ndarray:
-    """Invert encode: the (m, outputs) projected states of an (m, d) bit array."""
-    offsets = _output_codec(bn)[1]
-    bits = np.asarray(bits, dtype=np.int64)
-    if bits.shape[1] != bn.d:
-        raise ValueError("encoded vector has wrong length")
-    if bn.encoding == RAW_BINARY:
-        return bits.copy()
-    for v, block in zip(bn.output_nodes, np.split(bits, offsets[1:], axis=1)):
-        if np.any(block < 0) or np.any(block.sum(axis=1) != 1):
-            raise ValueError(f"one-hot block for {v} does not sum to 1")
-    return np.nonzero(bits)[1].reshape(len(bits), -1) - offsets
 
 
 def dataset_counts(bn: BayesianNetwork, states: np.ndarray) -> ReleasedCounts:

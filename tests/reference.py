@@ -1,7 +1,8 @@
 """Reference implementations that the array paths must match bit for bit:
 the one-record ancestral sampler, the dict encoder, the one-trial draw, the
-per-threshold ROC sweep, the pairwise AUC and the per-outcome convolution
-step they replaced."""
+pairwise AUC and the per-outcome convolution step they replaced; the swept
+ROC curve, whose area the rank-count AUC must equal; and two dict-record
+helpers, the chain-rule joint probability and a proxy's records."""
 from __future__ import annotations
 
 import numpy as np
@@ -47,6 +48,22 @@ def reference_trial(config, trial_index: int):
     fresh = project(bn, sample(bn, config.targets_out, stream("targets_out")))
     targets = encode(bn, np.concatenate([data[picks], fresh]))
     return harness._score_group(config, [trial_index], bn, [counts], targets[None])[0]
+
+
+def joint_prob(bn, full: dict[str, int]) -> float:
+    """Chain-rule probability of a full assignment."""
+    prob = 1.0
+    for node in bn.nodes:
+        if node.name not in full:
+            raise ValueError(f"record does not assign node {node.name}")
+        row = node.cpt[tuple(full[p] for p in node.parents)]
+        prob *= row[full[node.name]]
+    return prob
+
+
+def proxy_records(proxy) -> tuple[dict[str, int], ...]:
+    """A proxy dataset's rows as dict records."""
+    return tuple(dict(zip(proxy.nodes, row)) for row in proxy.data.tolist())
 
 
 def states_of(names, records) -> np.ndarray:

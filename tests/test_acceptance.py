@@ -15,16 +15,16 @@ import time
 
 import numpy as np
 import pytest
+from reference import joint_prob, reference_roc_points
 
 from bnmia import harness
 from bnmia.formats import parse_bif_subset, parse_sexpr
-from bnmia.harness import ExperimentConfig, roc_and_auc, run_experiment
+from bnmia.harness import ExperimentConfig, auc_rows, run_experiment
 from bnmia.inference import PosteriorEngine
 from bnmia.model import (
     ReleasedCounts,
     dataset_counts,
     encode,
-    joint_prob,
     output_marginal_law,
     project,
     sample,
@@ -318,14 +318,15 @@ class TestCriterion8RocContract:
             pool = rng.normal(size=8).round(1)
             s_in = rng.choice(pool, size=k_in)
             s_out = rng.choice(pool, size=k_out)
-            r = roc_and_auc(s_in, s_out)
-            fprs = np.array([p[0] for p in r.points])
-            tprs = np.array([p[1] for p in r.points])
-            worst = max(worst, abs(float(np.trapezoid(tprs, fprs)) - r.auc))
-        hand = (
-            roc_and_auc([1.0, 1.0], [0.0, 0.0]).auc,
-            roc_and_auc([0.3, 0.7], [0.3, 0.7]).auc,
-            roc_and_auc([0.9, 0.4], [0.6, 0.1]).auc,
+            points = reference_roc_points(s_in, s_out)
+            fprs = np.array([p[0] for p in points])
+            tprs = np.array([p[1] for p in points])
+            area = float(auc_rows([s_in], [s_out])[0])
+            worst = max(worst, abs(float(np.trapezoid(tprs, fprs)) - area))
+        hand = tuple(
+            float(auc_rows([s_in], [s_out])[0])
+            for s_in, s_out in (([1.0, 1.0], [0.0, 0.0]), ([0.3, 0.7], [0.3, 0.7]),
+                                ([0.9, 0.4], [0.6, 0.1]))
         )
         ok = worst <= 1e-12 and hand == (1.0, 0.5, 0.75)
         _report(

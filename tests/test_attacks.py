@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bnmia import model
-from bnmia.harness import ExperimentConfig, run_trial
+from bnmia import harness, model
+from bnmia.harness import ExperimentConfig
 from bnmia.attacks import (
     AMBIGUOUS,
     IN,
@@ -21,7 +21,7 @@ from bnmia.attacks import (
     score,
     side_clip_range,
 )
-from bnmia.inference import ImpossibleEvidenceError, posterior_ratio
+from bnmia.inference import ImpossibleEvidenceError, posterior_engine
 from bnmia.model import (
     BayesianNetwork,
     NodeSpec,
@@ -248,7 +248,7 @@ class TestBatchedScores:
         )
         config = ExperimentConfig(str(net), 4, targets_in=3, targets_out=3, attacks=("lrt",))
         with pytest.raises(ValueError, match="inside"):
-            run_trial(config, 0)
+            harness.run_batch(config, [0], harness._shared_population(config))
 
     def test_every_marginal_is_checked(self):
         # The target's first coordinate zeroes its numerator; a one-target
@@ -304,7 +304,8 @@ class TestScore:
         bn = make_half_repeated(3, (0.3, 0.6))
         counts = ReleasedCounts((2, 1, 1), 3)
         ys = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 1], [0, 1, 1]])
-        expected = [posterior_ratio(bn, counts, y).log_ratio for y in ys.tolist()]
+        engine = posterior_engine(bn, counts)
+        expected = [engine.result(y) for y in ys.tolist()]
         assert score("bayes", bn, None, counts, ys).tolist() == expected
 
     def test_impossible_evidence_raises(self):

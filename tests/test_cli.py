@@ -194,6 +194,17 @@ class TestEval:
         code = main(["eval", "--network", "cancer", "--n", "2", "--threat", "weak"])
         assert code == 1  # missing --m
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_usage_error(self, tmp_path, capsys, workers):
+        out = tmp_path / "results.csv"
+        code = main([
+            "eval", "--network", "cancer", "--n", "4", "--trials", "2",
+            "--workers", workers, "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: workers must be at least 1\n"
+        assert not out.exists()
+
 
 class TestVerifyAndBench:
     def test_verify_small(self, capsys):
@@ -211,6 +222,12 @@ class TestVerifyAndBench:
         ])
         assert code == 0
         assert "sec/call" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--datasets", "--targets"])
+    def test_bench_needs_a_dataset_and_a_target(self, capsys, flag):
+        code = main(["bench", "--networks", "product:3", "--n", "2", flag, "0"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: datasets and targets must be at least 1\n"
 
 
 class TestErrors:

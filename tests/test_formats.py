@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from reference import joint_prob
 from strategies import small_networks
 
 from bnmia import formats, model
@@ -16,7 +17,7 @@ from bnmia.formats import (
     parse_bif_subset,
     parse_sexpr,
 )
-from bnmia.model import joint_prob, validate
+from bnmia.model import validate
 from bnmia.populations import make_cancer, make_product
 
 

@@ -9,12 +9,11 @@ from bnmia import harness
 from bnmia.attacks import ClipRange
 from bnmia.harness import (
     ExperimentConfig,
-    auc,
+    auc_rows,
     bench_posterior,
     resolve_population,
-    roc_and_auc,
+    run_batch,
     run_experiment,
-    run_trial,
 )
 from bnmia.inference import ImpossibleEvidenceError
 from bnmia.model import InvalidNetworkError, ReleasedCounts, output_marginal_law
@@ -23,33 +22,41 @@ from bnmia.populations import LEFT, RIGHT, make_half_repeated, make_product
 SCORE_GRID = [-math.inf, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0, math.inf]
 
 
+def one_row_auc(scores_in, scores_out) -> float:
+    """`auc_rows` on one row: the AUC eval reports for one trial."""
+    return float(auc_rows([scores_in], [scores_out])[0])
+
+
 class TestRocAndAuc:
+    """The AUC eval reports is the area under the swept ROC curve of the
+    reference."""
+
     def test_perfect_separation(self):
-        r = roc_and_auc([1.0, 1.0], [0.0, 0.0])
-        assert r.auc == 1.0
-        assert r.points[0] == (0.0, 0.0)
-        assert r.points[-1] == (1.0, 1.0)
+        points = reference_roc_points([1.0, 1.0], [0.0, 0.0])
+        assert one_row_auc([1.0, 1.0], [0.0, 0.0]) == 1.0
+        assert points[0] == (0.0, 0.0)
+        assert points[-1] == (1.0, 1.0)
 
     def test_identical_multisets(self):
-        assert roc_and_auc([0.3, 0.7], [0.3, 0.7]).auc == 0.5
+        assert one_row_auc([0.3, 0.7], [0.3, 0.7]) == 0.5
 
     def test_three_of_four_pairs(self):
-        assert roc_and_auc([0.9, 0.4], [0.6, 0.1]).auc == 0.75
+        assert one_row_auc([0.9, 0.4], [0.6, 0.1]) == 0.75
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
-            roc_and_auc([], [1.0])
+            one_row_auc([], [1.0])
 
     def test_curve_monotone(self):
         rng = np.random.default_rng(0)
-        r = roc_and_auc(rng.normal(1, 1, 30), rng.normal(0, 1, 25))
-        fprs = [p[0] for p in r.points]
-        tprs = [p[1] for p in r.points]
+        points = reference_roc_points(rng.normal(1, 1, 30), rng.normal(0, 1, 25))
+        fprs = [p[0] for p in points]
+        tprs = [p[1] for p in points]
         assert fprs == sorted(fprs) and tprs == sorted(tprs)
 
     def test_handles_infinite_scores(self):
-        r = roc_and_auc([math.inf, 0.0], [-math.inf, 0.0])
-        assert r.auc == pytest.approx(0.75 + 0.125)  # 3 wins, one tie at 0.0
+        value = one_row_auc([math.inf, 0.0], [-math.inf, 0.0])
+        assert value == pytest.approx(0.75 + 0.125)  # 3 wins, one tie at 0.0
 
     @given(
         st.lists(st.sampled_from(SCORE_GRID), min_size=1, max_size=25),
@@ -57,22 +64,19 @@ class TestRocAndAuc:
     )
     @settings(max_examples=200, deadline=None)
     def test_pair_count_equals_trapezoid(self, s_in, s_out):
-        r = roc_and_auc(s_in, s_out)
-        assert r.points == reference_roc_points(s_in, s_out)
-        fprs = np.array([p[0] for p in r.points])
-        tprs = np.array([p[1] for p in r.points])
-        assert abs(np.trapezoid(tprs, fprs) - r.auc) <= 1e-12
+        points = reference_roc_points(s_in, s_out)
+        fprs = np.array([p[0] for p in points])
+        tprs = np.array([p[1] for p in points])
+        assert abs(np.trapezoid(tprs, fprs) - one_row_auc(s_in, s_out)) <= 1e-12
 
 
 class TestAuc:
     """The rank-count AUC equals the pairwise formula exactly, with no
-    tolerance, and is the AUC roc_and_auc reports."""
+    tolerance."""
 
     @staticmethod
     def check(s_in, s_out):
-        value = auc(s_in, s_out)
-        assert value == reference_auc(s_in, s_out)
-        assert roc_and_auc(s_in, s_out).auc == value
+        assert one_row_auc(s_in, s_out) == reference_auc(s_in, s_out)
 
     def test_random_lengths_and_grids(self):
         rng = np.random.default_rng(11)
@@ -97,14 +101,14 @@ class TestAuc:
 
     @pytest.mark.parametrize("value", [-math.inf, -1.5, 0.0, 2.0, math.inf])
     def test_all_equal(self, value):
-        assert auc([value] * 7, [value] * 4) == 0.5
+        assert one_row_auc([value] * 7, [value] * 4) == 0.5
         self.check([value] * 7, [value] * 4)
 
     def test_rejects_empty_and_nan(self):
         with pytest.raises(ValueError, match="nonempty"):
-            auc([1.0], [])
+            one_row_auc([1.0], [])
         with pytest.raises(ValueError, match="NaN"):
-            auc([1.0], [math.nan])
+            one_row_auc([1.0], [math.nan])
 
 
 class TestResolvePopulation:
@@ -143,13 +147,18 @@ class TestResolvePopulation:
         assert resolve_population(config, np.random.default_rng(0)).d == 10
 
 
+def run_one(config: ExperimentConfig, trial_index: int):
+    """The scores of one trial, run as a batch of one."""
+    return run_batch(config, [trial_index], harness._shared_population(config))[0]
+
+
 class TestRunTrial:
     def test_deterministic(self):
         config = ExperimentConfig(
             population="product:4", n=3, targets_in=5, targets_out=5, seed=11
         )
-        a = run_trial(config, 0)
-        b = run_trial(config, 0)
+        a = run_one(config, 0)
+        b = run_one(config, 0)
         for name in config.attacks:
             assert a[name].scores_in == b[name].scores_in
             assert a[name].scores_out == b[name].scores_out
@@ -159,7 +168,7 @@ class TestRunTrial:
             population="product:4", n=3, targets_in=6, targets_out=6, seed=3,
             attacks=("lrt", "bayes"),
         )
-        scores = run_trial(config, 1)
+        scores = run_one(config, 1)
         for s_l, s_b in zip(scores["lrt"].scores_in, scores["bayes"].scores_in):
             if math.isinf(s_l):
                 assert math.isinf(s_b)
@@ -173,7 +182,7 @@ class TestRunTrial:
         )
         bn = resolve_population(config, harness._stream(5, 0, "population"))
         law = output_marginal_law(bn)
-        scores = run_trial(config, 0)
+        scores = run_one(config, 0)
         # with n=1 every IN target equals the single record, so the odds are
         # exactly 1 / law(record)
         finite = [s for s in scores["bayes"].scores_in if not math.isinf(s)]
@@ -206,7 +215,7 @@ class TestRunTrial:
             population="lr:6", n=3, targets_in=4, targets_out=4, seed=9,
             attacks=("lrt", "lrt_clipped_auto", "lrt_clipped_flip", "lrt_clipped:1-4"),
         )
-        scores = run_trial(config, 0)
+        scores = run_one(config, 0)
         assert set(scores) == set(config.attacks)
 
 
@@ -296,10 +305,10 @@ class TestBatches:
                 assert got[t][name].scores_out == alone[name].scores_out
         assert got[1]["bayes"].scores_in + got[1]["bayes"].scores_out == [-math.inf] * 4
 
-    def test_run_trial_is_the_one_trial_batch(self):
+    def test_one_trial_batch_is_the_reference_trial(self):
         config = ExperimentConfig("half:5", 3, trials=3, seed=8)
         for i in range(config.trials):
-            got, expected = run_trial(config, i), reference_trial(config, i)
+            got, expected = run_one(config, i), reference_trial(config, i)
             assert {k: (v.scores_in, v.scores_out) for k, v in got.items()} == {
                 k: (v.scores_in, v.scores_out) for k, v in expected.items()
             }

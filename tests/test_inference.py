@@ -11,15 +11,13 @@ from reference import reference_sum_log_table
 from strategies import small_networks
 
 from bnmia import inference, model
-from bnmia.harness import law_ratio_deviation
+from bnmia.harness import _theta_in, law_ratio_deviation
 from bnmia.inference import (
     ImpossibleEvidenceError,
     PosteriorEngine,
     brute_force_posterior,
     closed_form_product_ratio,
     posterior_engine,
-    posterior_ratio,
-    sum_count_prob,
     sum_log_table,
 )
 from bnmia.model import (
@@ -39,24 +37,37 @@ from bnmia.populations import (
 )
 
 
+def count_prob(law, k: int, target) -> float:
+    """P(V_1 + ... + V_k = target) for V_i iid ~ law: one lookup in the table
+    capped at k in every coordinate."""
+    return math.exp(sum_log_table(law, k, (k,) * law.d).log_prob([target])[0])
+
+
+def odds(bn, counts, y) -> float:
+    """The posterior odds R of one target, from a new engine."""
+    return math.exp(posterior_engine(bn, counts).result(y))
+
+
 class TestSumCountProb:
+    """The count law, looked up in `sum_log_table`."""
+
     def test_fair_coin_binomial(self):
         law = output_marginal_law(make_product((0.5,)))
-        assert sum_count_prob(law, 2, (1,)) == pytest.approx(0.5, abs=1e-15)
+        assert count_prob(law, 2, (1,)) == pytest.approx(0.5, abs=1e-15)
 
     def test_empty_sum(self):
         law = output_marginal_law(make_product((0.5,)))
-        assert sum_count_prob(law, 0, (0,)) == 1.0
-        assert sum_count_prob(law, 0, (1,)) == 0.0
+        assert count_prob(law, 0, (0,)) == 1.0
+        assert count_prob(law, 0, (1,)) == 0.0
 
     def test_two_draws_corner(self):
         law = output_marginal_law(make_product((0.5, 0.5)))
         # only composition of (2, 0) is (1,0)+(1,0)
-        assert sum_count_prob(law, 2, (2, 0)) == pytest.approx(0.0625, abs=1e-15)
+        assert count_prob(law, 2, (2, 0)) == pytest.approx(0.0625, abs=1e-15)
 
     def test_negative_target_is_zero(self):
         law = output_marginal_law(make_product((0.5,)))
-        assert sum_count_prob(law, 2, (-1,)) == 0.0
+        assert count_prob(law, 2, (-1,)) == 0.0
 
     def test_matches_binomial_pmf(self):
         p = 0.37
@@ -64,14 +75,14 @@ class TestSumCountProb:
         for n in range(1, 7):
             for k in range(n + 1):
                 expected = math.comb(n, k) * p**k * (1 - p) ** (n - k)
-                assert sum_count_prob(law, n, (k,)) == pytest.approx(expected, rel=1e-12)
+                assert count_prob(law, n, (k,)) == pytest.approx(expected, rel=1e-12)
 
     def test_normalization_small_instances(self):
         for p in [(0.3, 0.6), (0.2, 0.5, 0.8)]:
             law = output_marginal_law(make_product(p))
             for n in (1, 2, 3):
                 total = sum(
-                    sum_count_prob(law, n, c)
+                    count_prob(law, n, c)
                     for c in itertools.product(range(n + 1), repeat=len(p))
                 )
                 assert total == pytest.approx(1.0, abs=1e-9)
@@ -103,10 +114,8 @@ class TestSumCountProb:
         )
         bn = model.BayesianNetwork(nodes, tuple(n.name for n in nodes), model.RAW_BINARY)
         counts = ReleasedCounts((6,) * 23, 8)
-        assert posterior_ratio(bn, counts, (1,) * 23).ratio == pytest.approx(
-            (6 / 8) / p, rel=1e-12
-        )
-        assert posterior_ratio(bn, counts, (1,) + (0,) * 22).ratio == 0.0
+        assert odds(bn, counts, (1,) * 23) == pytest.approx((6 / 8) / p, rel=1e-12)
+        assert odds(bn, counts, (1,) + (0,) * 22) == 0.0
 
 
 def released(bn, n: int, rng) -> tuple[int, ...]:
@@ -260,21 +269,20 @@ class TestStackedTable:
 class TestPosteriorRatio:
     def test_single_coin_closed_form_value(self):
         bn = make_product((0.5,))
-        res = posterior_ratio(bn, ReleasedCounts((2,), 2), (1,))
-        assert res.ratio == pytest.approx(2.0, rel=1e-12)
-        assert res.theta_in == pytest.approx(2 / 3, rel=1e-12)
+        ratio = odds(bn, ReleasedCounts((2,), 2), (1,))
+        assert ratio == pytest.approx(2.0, rel=1e-12)
+        assert _theta_in(ratio) == pytest.approx(2 / 3, rel=1e-12)
 
     def test_infeasible_target_gives_zero(self):
         bn = make_product((0.5,))
-        res = posterior_ratio(bn, ReleasedCounts((0,), 2), (1,))
-        assert res.ratio == 0.0
-        assert res.theta_in == 0.0
-        assert res.log_ratio == float("-inf")
+        log_ratio = posterior_engine(bn, ReleasedCounts((0,), 2)).result((1,))
+        assert log_ratio == float("-inf")
+        assert math.exp(log_ratio) == 0.0
 
     def test_copy_violation_is_impossible_evidence(self):
         bn = make_half_repeated(3, (0.5, 0.5))
         with pytest.raises(ImpossibleEvidenceError, match="impossible evidence"):
-            posterior_ratio(bn, ReleasedCounts((1, 1, 2), 3), (1, 1, 1))
+            posterior_engine(bn, ReleasedCounts((1, 1, 2), 3))
 
     def test_counts_past_a_sure_state_are_impossible_evidence(self):
         # The live table empties before the last convolution step.
@@ -306,12 +314,12 @@ class TestPosteriorRatio:
         bn = make_product((0.3, 0.6))
         law = output_marginal_law(bn)
         c = (1, 1)
-        res = posterior_ratio(bn, ReleasedCounts(c, 1), (1, 1))
         assert law.vectors[-1].tolist() == list(c)
-        assert res.ratio == pytest.approx(1.0 / law.probs[-1], rel=1e-12)
+        assert odds(bn, ReleasedCounts(c, 1), (1, 1)) == pytest.approx(
+            1.0 / law.probs[-1], rel=1e-12
+        )
         # a target that is not the released record cannot be the record
-        res2 = posterior_ratio(bn, ReleasedCounts(c, 1), (0, 1))
-        assert res2.ratio == 0.0
+        assert odds(bn, ReleasedCounts(c, 1), (0, 1)) == 0.0
 
     def test_posterior_engine_retains_nothing(self):
         bn = make_product((0.3, 0.6))
@@ -329,7 +337,7 @@ class TestPosteriorRatio:
         law = output_marginal_law(bn)
         engine = PosteriorEngine(law, counts)
         for y in itertools.product((0, 1), repeat=3):
-            assert engine.result(y).ratio == posterior_ratio(bn, counts, y).ratio
+            assert engine.result(y) == posterior_engine(bn, counts).result(y)
 
 
 @pytest.mark.parametrize("name", BUNDLED_BENCHMARKS)
@@ -385,7 +393,7 @@ class TestProductEquivalence:
                 engine = posterior_engine(bn, counts)
                 for y in itertools.product((0, 1), repeat=d):
                     lam = closed_form_product_ratio(mu, counts, y)
-                    r = engine.result(y).ratio
+                    r = math.exp(engine.result(y))
                     if lam == 0.0:
                         assert r == 0.0
                     else:
@@ -410,7 +418,7 @@ class TestHalfRepeatedEquivalence:
                         lam = closed_form_product_ratio(
                             mu[:m], ReleasedCounts(c[:m], n), y[:m]
                         )
-                        r = engine.result(y).ratio
+                        r = math.exp(engine.result(y))
                         if lam == 0.0:
                             assert r == 0.0
                         else:
@@ -430,12 +438,12 @@ class TestBruteForceOracle:
                 engine = posterior_engine(bn, counts)
                 for y in itertools.product((0, 1), repeat=d):
                     bf = brute_force_posterior(bn, counts, y)
-                    dp = engine.result(y)
-                    assert dp.theta_in == pytest.approx(bf.theta_in, abs=1e-12)
-                    if bf.ratio == 0.0:
-                        assert dp.ratio == 0.0
+                    dp = math.exp(engine.result(y))
+                    assert _theta_in(dp) == pytest.approx(_theta_in(bf), abs=1e-12)
+                    if bf == 0.0:
+                        assert dp == 0.0
                     else:
-                        assert dp.ratio == pytest.approx(bf.ratio, rel=1e-12)
+                        assert dp == pytest.approx(bf, rel=1e-12)
 
     def test_cancer_projected(self):
         bn = make_cancer().with_outputs(("Xray", "Dyspnoea"), model.RAW_BINARY)
@@ -444,10 +452,10 @@ class TestBruteForceOracle:
             counts = ReleasedCounts(c, n)
             for y in itertools.product((0, 1), repeat=2):
                 bf = brute_force_posterior(bn, counts, y)
-                dp = posterior_ratio(bn, counts, y)
-                assert dp.theta_in == pytest.approx(bf.theta_in, abs=1e-12)
-                if bf.ratio > 0.0:
-                    assert dp.ratio == pytest.approx(bf.ratio, rel=1e-12)
+                dp = odds(bn, counts, y)
+                assert _theta_in(dp) == pytest.approx(_theta_in(bf), abs=1e-12)
+                if bf > 0.0:
+                    assert dp == pytest.approx(bf, rel=1e-12)
 
     def test_guard(self, monkeypatch):
         # 2**10 states per instance: 2**30 assignments at n = 3, and 2**20 at
@@ -488,12 +496,9 @@ class TestEngineMatchesOracleOnRandomNetworks:
             engine = PosteriorEngine(law, counts)
             batch = engine.log_ratios(targets).tolist()
             for y, log_r, bf in zip(targets, batch, oracle):
-                dp = engine.result(y)
-                batch_ratio = math.exp(log_r)
                 # the per-target result, then the batch path that eval scores with
-                for ratio, theta in ((dp.ratio, dp.theta_in),
-                                     (batch_ratio, batch_ratio / (1.0 + batch_ratio))):
-                    assert abs(theta - bf.theta_in) <= 1e-12
-                    assert (ratio == 0.0) == (bf.ratio == 0.0)
-                    if bf.ratio > 0.0:
-                        assert abs(ratio - bf.ratio) <= 1e-12 * bf.ratio
+                for ratio in (math.exp(engine.result(y)), math.exp(log_r)):
+                    assert abs(_theta_in(ratio) - _theta_in(bf)) <= 1e-12
+                    assert (ratio == 0.0) == (bf == 0.0)
+                    if bf > 0.0:
+                        assert abs(ratio - bf) <= 1e-12 * bf

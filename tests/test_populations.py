@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from reference import joint_prob
 
 from bnmia import model
-from bnmia.model import attribute_marginals, joint_prob, output_marginal_law, sample, validate
+from bnmia.model import attribute_marginals, output_marginal_law, sample, validate
 from bnmia.populations import (
     LEFT,
     RIGHT,
