@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BayesianNetwork, ReleasedCounts
+from .model import ReleasedCounts
 from .inference import (
     _IMPOSSIBLE,
     ImpossibleEvidenceError,
@@ -57,7 +57,8 @@ class ClipRange:
 def _log_ratio_terms(mu, counts, targets, clip: ClipRange | None) -> np.ndarray:
     """Log ratio of each target row over the coordinates in the clip range
     (all of them when clip is None), for one release or for each release of
-    a batch (see `lrt_score`).
+    a batch, against one marginal vector or one per release (see
+    `lrt_score`).
 
     Each (release, coordinate) pair's bit-1 and bit-0 terms are built once
     with math.log, picked by the target bits and summed column by column from
@@ -67,17 +68,17 @@ def _log_ratio_terms(mu, counts, targets, clip: ClipRange | None) -> np.ndarray:
     c, n = _stack(counts)
     indices = range(c.shape[1]) if clip is None else clip.indices(c.shape[1])
     ys = _stacked_targets(targets, counts, c.shape[1])
-    mus = [float(mu[j]) for j in indices]
-    if not all(0.0 < mu_j < 1.0 for mu_j in mus):
+    mus = np.broadcast_to(np.asarray(mu, dtype=float), c.shape).T[list(indices)].tolist()
+    if not all(0.0 < mu_j < 1.0 for column in mus for mu_j in column):
         raise ValueError("population marginals must lie strictly inside (0, 1)")
     xbars = (c.T[list(indices)] / n).tolist()
     ones = [
         math.log(x) - math.log(mu_j) if x != 0.0 else -math.inf
-        for mu_j, column in zip(mus, xbars) for x in column
+        for mu_column, column in zip(mus, xbars) for mu_j, x in zip(mu_column, column)
     ]
     zeros = [
         math.log(1.0 - x) - math.log(1.0 - mu_j) if 1.0 - x != 0.0 else -math.inf
-        for mu_j, column in zip(mus, xbars) for x in column
+        for mu_column, column in zip(mus, xbars) for mu_j, x in zip(mu_column, column)
     ]
     shape = (len(mus), len(c), 1)
     columns = np.where(
@@ -102,7 +103,8 @@ def lrt_score(mu, counts, targets) -> np.ndarray:
     population marginals, treating attributes as independent: one score per
     row of a (targets, d) array against one ReleasedCounts, or a (releases,
     targets) array for a sequence of releases of one size and their
-    (releases, targets, d) array."""
+    (releases, targets, d) array.  mu is one length-d marginal vector, or a
+    (releases, d) array of one per release."""
     return _log_ratio_terms(mu, counts, targets, None)
 
 
@@ -150,8 +152,8 @@ def inner_product_score(mu, counts, targets) -> np.ndarray:
     shapes as `lrt_score`."""
     c, n = _stack(counts)
     ys = _stacked_targets(targets, counts, c.shape[1])
-    mus = np.array([float(mu[j]) for j in range(c.shape[1])])
-    columns = (c.T / n - mus[:, None])[:, :, None] * ys.transpose(2, 0, 1)
+    mus = np.broadcast_to(np.asarray(mu, dtype=float), c.shape)
+    columns = (c.T / n - mus.T)[:, :, None] * ys.transpose(2, 0, 1)
     return _unstack(_sum_from_left(columns, ys.shape[:2]), counts)
 
 
@@ -171,11 +173,13 @@ def parse_attack(name: str) -> ClipRange | None:
         raise ValueError(f"attack {name!r}: {err}") from None
 
 
-def score(name: str, attacker_bn: BayesianNetwork, mu, counts, targets) -> np.ndarray:
+def score(name: str, attacker, mu, counts, targets) -> np.ndarray:
     """The scores of attack `name`: one per row of a (targets, d) array
     against one ReleasedCounts, or a (releases, targets) array for a sequence
     of releases of one size and their (releases, targets, d) array.  The
-    marginal tests read the marginals mu, bayes the attacker's network;
+    marginal tests read the marginals mu (one length-d vector, or a
+    (releases, d) array of one per release), bayes the attacker's network
+    or law (one for every release, or a sequence of one per release);
     evidence impossible under it raises ImpossibleEvidenceError, a model
     mismatch rather than a score, naming the impossible releases of a
     batch."""
@@ -184,7 +188,7 @@ def score(name: str, attacker_bn: BayesianNetwork, mu, counts, targets) -> np.nd
     ys = _stacked_targets(targets, counts, len(batch[0].counts))
     impossible = ()
     if name == BAYES:
-        engine = posterior_engine(attacker_bn, batch)
+        engine = posterior_engine(attacker, batch)
         out = engine.log_ratios(ys)
         impossible = engine.impossible
     elif name == LRT:
@@ -196,7 +200,8 @@ def score(name: str, attacker_bn: BayesianNetwork, mu, counts, targets) -> np.nd
         out = np.empty(ys.shape[:2])
         for each in dict.fromkeys(clips):
             rows = [r for r, other in enumerate(clips) if other == each]
-            out[rows] = lrt_clipped_score(mu, [batch[r] for r in rows], ys[rows], each)
+            mu_rows = mu if np.ndim(mu) == 1 else np.asarray(mu)[rows]
+            out[rows] = lrt_clipped_score(mu_rows, [batch[r] for r in rows], ys[rows], each)
     if np.isnan(out).any():
         raise ValueError("attack scores must never be NaN")
     if impossible:

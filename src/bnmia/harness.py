@@ -6,9 +6,11 @@ targets, and scores every configured attack.  Per-trial randomness comes from
 streams keyed by (master seed, trial index, purpose), so adding attacks or
 reordering work never perturbs the sampled data.  An experiment runs its
 trials in batches of at most `_BATCH_RECORDS` drawn records: one ancestral
-pass and one encoding per batch, then one scoring call per attack for each
-group of trials sharing the attacker's network; the outputs are those of
-trials run one by one.
+pass and one encoding per batch, then one scoring call per attack for the
+whole batch, against one attacker per trial or one shared by all (under the
+weak and weakest threats the attackers are fitted to proxies drawn in one
+pass per `_BATCH_RECORDS` proxy records); the outputs are those of trials
+run one by one.
 """
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ from .learning import ProxyDataset, chow_liu_fit, empirical_marginals, mle_fit
 from .model import (
     BayesianNetwork,
     ReleasedCounts,
+    SupportDistribution,
     attribute_marginals,
     dataset_counts,
     draw_records,
@@ -124,49 +127,82 @@ def _shared_population(config: ExperimentConfig) -> BayesianNetwork | None:
     return None if is_toy(config.population) else resolve_population(config, None)
 
 
-def _attacker(config: ExperimentConfig, trial_index: int, bn: BayesianNetwork):
-    """The attacker's network and marginals for one trial under the
-    configured threat model: the population's own under the strong threat,
-    fitted to the trial's proxy sample otherwise."""
+def _attackers(
+    config: ExperimentConfig, trials: Sequence[int], nets: Sequence[BayesianNetwork]
+):
+    """The attacker of each trial of a batch under the configured threat
+    model: its network (or law) and its marginals.  Under the strong threat
+    the trials' population networks, one for all when they share one;
+    otherwise one law and one marginal row per trial, fitted to the trial's
+    proxy sample.  The proxies are drawn in one `draw_records` pass per at
+    most `_BATCH_RECORDS` proxy records (at least one trial), each trial's m
+    uniforms from its own proxy stream, and fitted chunk by chunk; a trial
+    keeps only its law, whose outcome vectors it shares with the previous
+    trial's when they are equal, and its marginals."""
     if config.threat == STRONG:
-        return bn, attribute_marginals(bn)
-    proxy = ProxyDataset.from_network_samples(
-        bn, config.m, _stream(config.seed, trial_index, "proxy")
-    )
-    if config.threat == WEAK:
-        attacker_bn = mle_fit(bn, proxy, alpha=PROXY_SMOOTHING)
-    else:
-        attacker_bn = chow_liu_fit(
-            proxy, alpha=PROXY_SMOOTHING, output_nodes=bn.output_nodes, encoding=bn.encoding
-        )
-    return attacker_bn, empirical_marginals(proxy, bn.output_nodes, bn.encoding)
+        if all(bn is nets[0] for bn in nets):
+            return nets[0], attribute_marginals(nets[0])
+        return nets, np.array([attribute_marginals(bn) for bn in nets])
+    m, bn = config.m, nets[0]
+    proxy_states = {node.name: node.states for node in bn.nodes}
+    chunk = max(1, _BATCH_RECORDS // m)
+    laws, mus = [], []
+    for lo in range(0, len(trials), chunk):
+        hi = min(lo + chunk, len(trials))
+        u = np.stack([
+            _stream(config.seed, i, "proxy").random((m, len(bn.nodes))) for i in trials[lo:hi]
+        ])
+        for net, data in zip(nets[lo:hi], _draw(nets[lo:hi], u)):
+            proxy = ProxyDataset(bn.node_names, proxy_states, data)
+            if config.threat == WEAK:
+                fitted = mle_fit(net, proxy, alpha=PROXY_SMOOTHING)
+            else:
+                fitted = chow_liu_fit(
+                    proxy, alpha=PROXY_SMOOTHING, output_nodes=bn.output_nodes,
+                    encoding=bn.encoding,
+                )
+            law = output_marginal_law(fitted)
+            if laws and np.array_equal(laws[-1].vectors, law.vectors):
+                law = SupportDistribution(laws[-1].vectors, law.probs)
+            laws.append(law)
+            mus.append(empirical_marginals(proxy, bn.output_nodes, bn.encoding))
+    return laws, np.array(mus)
 
 
-def _score_group(
+def _score_batch(
     config: ExperimentConfig,
     trials: Sequence[int],
-    bn: BayesianNetwork,
+    nets: Sequence[BayesianNetwork],
     releases: Sequence[ReleasedCounts],
     targets: np.ndarray,
 ) -> list[dict[str, TrialScores]]:
-    """Score every configured attack on a group of trials that share one
-    attacker (the first trial's): one `attacks.score` call per attack for
-    all their releases and their (trials, targets, d) encoded targets, the
-    in-targets first.  A trial whose release is impossible evidence under the
-    attacker's network has that attack flagged and scored -inf."""
-    attacker_bn, mu = _attacker(config, trials[0], bn)
+    """Score every configured attack on a batch of trials, trial t drawn
+    from nets[t]: one `attacks.score` call per attack for all their
+    releases, their attackers (`_attackers`) and their (trials, targets, d)
+    encoded targets, the in-targets first.  A trial whose release is
+    impossible evidence under its attacker's network has that attack
+    flagged and scored -inf."""
+    attacker, mu = _attackers(config, trials, nets)
     k_in, k_out = config.targets_in, config.targets_out
     result: list[dict[str, TrialScores]] = [{} for _ in trials]
     for name in config.attacks:
         impossible = ()
         try:
-            scores = atk.score(name, attacker_bn, mu, releases, targets)
+            scores = atk.score(name, attacker, mu, releases, targets)
         except ImpossibleEvidenceError as err:
             scores, impossible = err.scores, err.releases
         for t, row in enumerate(scores.tolist()):
             flagged = k_in + k_out if t in impossible else 0
             result[t][name] = TrialScores(row[:k_in], row[k_in:], flagged)
     return result
+
+
+def _draw(nets: Sequence[BayesianNetwork], u: np.ndarray) -> np.ndarray:
+    """The (trials, records, nodes) states of one `draw_records` pass over a
+    (trials, records, nodes) uniform array, trial t's records from nets[t]."""
+    slot_of = {net: j for j, net in enumerate(dict.fromkeys(nets))}
+    slot = np.repeat([slot_of[net] for net in nets], u.shape[1])
+    return draw_records(list(slot_of), slot, u.reshape(-1, u.shape[2])).reshape(u.shape)
 
 
 def _encoded_records(
@@ -177,7 +213,6 @@ def _encoded_records(
     trial's dataset followed by its fresh targets; and each trial's in-target
     picks, as a (trials, targets_in) array."""
     n, k_out = config.n, config.targets_out
-    slot_of = {net: j for j, net in enumerate(dict.fromkeys(nets))}
     bn = nets[0]
     nodes = len(bn.nodes)
     u = np.empty((len(trials), n + k_out, nodes))
@@ -186,8 +221,7 @@ def _encoded_records(
         u[t, :n] = _stream(config.seed, i, "dataset").random((n, nodes))
         picks[t] = _stream(config.seed, i, "targets_in").integers(0, n, size=config.targets_in)
         u[t, n:] = _stream(config.seed, i, "targets_out").random((k_out, nodes))
-    slot = np.repeat([slot_of[net] for net in nets], n + k_out)
-    states = draw_records(list(slot_of), slot, u.reshape(-1, nodes))
+    states = _draw(nets, u).reshape(-1, nodes)
     return encode(bn, project(bn, states)).reshape(len(trials), n + k_out, bn.d), picks
 
 
@@ -204,12 +238,13 @@ def run_batch(
     One `draw_records` pass maps all the uniforms to states, drawing each
     record from its trial's network, and one `project` + `encode` covers the
     batch.  A trial's release is the column sums of its own records, and its
-    targets are its picked records followed by its fresh ones.  Trials that
-    share the attacker's network are scored together (`_score_group`): the
-    whole batch under the strong threat on a shared network, each trial alone
-    under the weak and weakest threats or on a toy population.  Every score
-    is that of the trial scored alone, bit for bit, so a trial's scores still
-    do not depend on the batch it ran in.
+    targets are its picked records followed by its fresh ones.  The batch is
+    scored together (`_score_batch`), under every threat and population: one
+    call per attack, against one attacker for all the trials (the strong
+    threat on a shared network) or one per trial (fitted to the trial's
+    proxy, or a toy population's own network).  Every score is that of the
+    trial scored alone, bit for bit, so a trial's scores still do not depend
+    on the batch it ran in.
     """
     nets = [
         shared if shared is not None
@@ -223,15 +258,7 @@ def run_batch(
     fresh = np.broadcast_to(np.arange(n, n + config.targets_out), (len(trials), config.targets_out))
     targets = bits[np.arange(len(trials))[:, None], np.concatenate([picks, fresh], axis=1)]
     del bits  # scoring holds the targets, not every drawn record
-    if config.threat == STRONG and shared is not None:
-        groups = [slice(0, len(trials))]
-    else:
-        groups = [slice(t, t + 1) for t in range(len(trials))]
-    return [
-        scores
-        for g in groups
-        for scores in _score_group(config, trials[g], nets[g.start], releases[g], targets[g])
-    ]
+    return _score_batch(config, trials, nets, releases, targets)
 
 
 def auc_rows(scores_in, scores_out) -> np.ndarray:

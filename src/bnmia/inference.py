@@ -8,8 +8,9 @@ computed exactly from the population's output law by iterated convolution
 into a table of feasible partial-sum vectors and their log probabilities,
 pruning any partial sum that exceeds the released counts in some
 coordinate.  The releases of a batch share one table: each release's partial
-sums are keyed under its own index and pruned against its own counts, so
-every release gets the bits it would get alone.  A brute-force enumeration
+sums are keyed under its own index, pruned against its own counts and
+convolved with its own law (one law for all, or one per release), so every
+release gets the bits it would get alone.  A brute-force enumeration
 over full network instances provides an independent oracle for the same
 quantity.
 """
@@ -69,8 +70,9 @@ class _Part(NamedTuple):
     """Releases first .. first + size - 1 of a stack, packed with common
     strides taken from their elementwise-max cap `top` (unsigned); `span`
     is the key distance between consecutive releases.  keys are sorted and
-    unique.  `outcomes` are the law outcomes under some release's cap, and
-    fits[r, i] is whether outcomes[i] is under release r's cap."""
+    unique.  `outcomes` are the outcomes of the part's law vectors under
+    some release's cap, and fits[r, i] is whether outcomes[i] is under
+    release r's cap."""
 
     first: int
     size: int
@@ -88,11 +90,11 @@ class CountTable:
     """log P(V_1 + ... + V_k = t) for every reachable count vector t <= caps[r],
     for each release r of an (R, d) stack of caps.
 
-    The stack is held in parts of consecutive releases.  Within a part, (r, t)
-    is packed into one integer key: the release's place in the part is the
-    most significant digit, then t in mixed radix (the part's elementwise-max
-    cap + 1, C order).  The packing is internal: look entries up with
-    `log_prob`.
+    The stack is held in parts of consecutive releases whose laws share
+    their outcome vectors.  Within a part, (r, t) is packed into one integer
+    key: the release's place in the part is the most significant digit, then
+    t in mixed radix (the part's elementwise-max cap + 1, C order).  The
+    packing is internal: look entries up with `log_prob`.
     """
 
     caps: np.ndarray
@@ -187,18 +189,22 @@ def _key_bits(top: np.ndarray, size: int) -> float:
     return float(np.sum(np.log2(top + 1))) + math.log2(size)
 
 
-def sum_log_table(law: SupportDistribution, k: int, caps) -> CountTable:
-    """The table of log P(V_1 + ... + V_k = t) for t <= caps[r], V_i iid ~ law,
-    for each release r of caps: an (R, d) array, or one cap of length d.
+def sum_log_table(law, k: int, caps) -> CountTable:
+    """The table of log P(V_1 + ... + V_k = t) for t <= caps[r], V_i iid ~
+    release r's law, for each release r of caps: an (R, d) array, or one cap
+    of length d.  `law` is one SupportDistribution for every release, or a
+    sequence of R of them, one per release.
 
     Convolution states are pruned against their release's cap coordinatewise,
     which is sound for any query target <= that cap.  Consecutive releases
-    share a part (`CountTable`) while its keys fit in 62 bits; a single
-    release past 62 bits gets Python-int keys (an object array).  Each step
-    walks a part's live keys in release-aligned ranges sized to a fixed
-    budget (`_RANGE_BYTES`, at least one release a range), and each range's
-    law outcomes in contiguous blocks sized to another (`_BLOCK_BYTES`): per
-    block, one matrix product marks the live partial sums with room under
+    share a part (`CountTable`) while their laws have the same outcome
+    vectors and the part's keys fit in 62 bits; a single release past 62
+    bits gets Python-int keys (an object array).  Each candidate sum takes
+    its outcome's log probability from its own release's law; a shared law
+    keeps one row for all.  Each step walks a part's live keys in
+    release-aligned ranges sized to a fixed budget (`_RANGE_BYTES`, at least
+    one release a range), and each range's law outcomes in contiguous blocks
+    sized to another (`_BLOCK_BYTES`): per block, one matrix product marks the live partial sums with room under
     their release's cap for every set bit of each outcome, and one boolean
     gather takes the candidate sums outcome by outcome.  A range's candidates
     are grouped before the next range starts.  So no step materializes a
@@ -207,22 +213,41 @@ def sum_log_table(law: SupportDistribution, k: int, caps) -> CountTable:
     alone, whatever the budgets; results are bitwise deterministic.
     """
     caps = np.atleast_2d(np.asarray(caps, dtype=np.int64))
+    if (caps < 0).any():
+        raise ValueError("caps must be nonnegative")
+    shared = isinstance(law, SupportDistribution)
+    laws = [law] * len(caps) if shared else _per_release(law, len(caps))
     parts, first = [], 0
     while first < len(caps):
         top, stop = caps[first], first + 1
-        while stop < len(caps):
+        while stop < len(caps) and _same_outcomes(laws[first], laws[stop]):
             grown = np.maximum(top, caps[stop])
             if _key_bits(grown, stop + 1 - first) > 62:
                 break
             top, stop = grown, stop + 1
-        parts.append(_part_table(law, k, caps[first:stop], first))
+        part_law = law if shared else laws[first:stop]
+        parts.append(_part_table(part_law, k, caps[first:stop], first))
         first = stop
     return CountTable(caps, tuple(parts))
 
 
-def _part_table(law: SupportDistribution, k: int, caps: np.ndarray, first: int) -> _Part:
+def _per_release(laws, releases: int) -> list[SupportDistribution]:
+    laws = list(laws)
+    if len(laws) != releases:
+        raise ValueError("a batch needs one law for all its releases or one per release")
+    return laws
+
+
+def _same_outcomes(a: SupportDistribution, b: SupportDistribution) -> bool:
+    return a.vectors is b.vectors or np.array_equal(a.vectors, b.vectors)
+
+
+def _part_table(law, k: int, caps: np.ndarray, first: int) -> _Part:
     """The k-fold table of the part whose (size, d) caps are releases first
-    .. first + size - 1 of the stack (see `sum_log_table`)."""
+    .. first + size - 1 of the stack, under one law or one per release of
+    the part, all with the same outcome vectors (see `sum_log_table`)."""
+    shared = isinstance(law, SupportDistribution)
+    vectors = law.vectors if shared else law[0].vectors
     size, d = caps.shape
     top = caps.max(axis=0)
     unsigned_top = top.astype(np.uint64)
@@ -242,14 +267,19 @@ def _part_table(law: SupportDistribution, k: int, caps: np.ndarray, first: int) 
     logp = np.zeros(size, dtype=float)
     # The outcomes under some release's cap, in law order; a range walks
     # only those under the caps of its own releases.
-    fits = _fits(law.vectors, caps)
+    fits = _fits(vectors, caps)
     keep = np.flatnonzero(fits.any(axis=1))
     fit = fits[keep]
     del fits
     if k > 0 and not len(keep):
         return _Part(first, size, keep, fit.T, unsigned_top, strides, span, keys[:0], logp[:0])
-    vecs = law.vectors[keep]
-    logp_out = np.log(law.probs[keep])
+    vecs = vectors[keep]
+    # One log per law, as for its release alone: (outcomes,) shared, or
+    # (outcomes, releases) with one column per release.
+    if shared:
+        logp_out = np.log(law.probs[keep])
+    else:
+        logp_out = np.stack([np.log(each.probs[keep]) for each in law], axis=1)
     offsets = vecs @ strides
     bits = vecs.astype(np.float32)  # 0/1 entries: the products below count set bits exactly
     budget = max(1, _RANGE_BYTES // 8)
@@ -268,9 +298,13 @@ def _part_table(law: SupportDistribution, k: int, caps: np.ndarray, first: int) 
                     cap_keys[lo_r:hi_r], np.diff(bounds[lo_r : hi_r + 1]), axis=0
                 )
                 outcomes = slice(None) if size == 1 else fit[:, lo_r:hi_r].any(axis=1)
+                lp_out, rel = logp_out[outcomes], None
+                if not shared:  # each live key's column: its release in the range
+                    lp_out = lp_out[:, lo_r:hi_r]
+                    rel = np.repeat(np.arange(hi_r - lo_r), np.diff(bounds[lo_r : hi_r + 1]))
                 cand_k, cand_p = _range_candidates(
                     keys[lo:hi], logp[lo:hi], cap, moduli,
-                    offsets[outcomes], logp_out[outcomes], bits[outcomes],
+                    offsets[outcomes], lp_out, bits[outcomes], rel,
                 )
                 grouped = _grouped_logsumexp(cand_k, cand_p)
                 del cand_k, cand_p  # only one range's candidates are alive at a time
@@ -298,11 +332,12 @@ def _joined(chunks: list, empty: np.ndarray) -> np.ndarray:
     return np.concatenate(chunks) if chunks else empty
 
 
-def _range_candidates(live, logp, cap_keys, moduli, offsets, logp_out, bits):
+def _range_candidates(live, logp, cap_keys, moduli, offsets, logp_out, bits, rel=None):
     """Every (outcome, live partial sum) sum with room under the partial
     sum's cap (given as cap_j * stride_j, one row per live key or one for
     all), outcome by outcome, walking the outcomes in blocks of
-    `_BLOCK_BYTES`."""
+    `_BLOCK_BYTES`.  An outcome's log probability is logp_out[outcome], or,
+    with rel, logp_out[outcome, rel[i]] for live key i."""
     at_cap = (live[:, None] % moduli[None, :] >= cap_keys).astype(np.float32)
     rows = max(1, _BLOCK_BYTES // (8 * len(live)))
     chunks_k, chunks_p = [], []
@@ -310,7 +345,8 @@ def _range_candidates(live, logp, cap_keys, moduli, offsets, logp_out, bits):
         blk = slice(lo, lo + rows)
         fits = bits[blk] @ at_cap.T == 0  # no set bit of the outcome is at its cap
         chunks_k.append((offsets[blk, None] + live[None, :])[fits])
-        chunks_p.append((logp_out[blk, None] + logp[None, :])[fits])
+        out_p = logp_out[blk, None] if rel is None else logp_out[blk][:, rel]
+        chunks_p.append((out_p + logp[None, :])[fits])
     del at_cap
     return _joined(chunks_k, live[:0]), _joined(chunks_p, logp[:0])
 
@@ -332,13 +368,14 @@ def _grouped_logsumexp(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, 
 
 class PosteriorEngine:
     """Posterior odds for many targets against one released count vector, or
-    against each release of a batch of releases of one size n.
+    against each release of a batch of releases of one size n, under one law
+    for every release or one law per release.
 
     Builds one (n-1)-fold convolution table for all the releases
     (`sum_log_table` on their stacked counts); each target then costs a table
     lookup.  A release's denominator is the table convolved one more step
-    with the law, evaluated at its counts c_r: one lookup of every pair
-    (r, c_r - v), over the law outcomes v <= c_r of every release at once,
+    with its law, evaluated at its counts c_r: one lookup of every pair
+    (r, c_r - v), over the outcomes v <= c_r of every release's law at once,
     whose unreachable entries are dropped before each release's log-sum.
     Evidence impossible under the law raises ImpossibleEvidenceError for a
     single release; in a batch, that release's denominator is -inf, its
@@ -347,23 +384,32 @@ class PosteriorEngine:
     scores them.
     """
 
-    def __init__(self, law: SupportDistribution, counts):
+    def __init__(self, law, counts):
         if not isinstance(counts, ReleasedCounts):
             counts = tuple(counts)
         c, n = _stack(counts)
-        if c.shape[1] != law.d:
+        laws = [law] if isinstance(law, SupportDistribution) else _per_release(law, len(c))
+        if any(each.d != c.shape[1] for each in laws):
             raise ValueError("released counts have the wrong dimension")
         self.law = law
         self.counts = counts
         self._c = c
         self._table = sum_log_table(law, n - 1, c)
         rel, out = self._table.fitting_outcomes()
+        if len(laws) == 1:
+            vectors, probs = laws[0].vectors[out], laws[0].probs[out]
+        else:  # rel is ascending: each release's outcomes from its own law
+            spans = np.searchsorted(rel, np.arange(len(c) + 1)).tolist()
+            picks = [(each, out[lo:hi]) for each, lo, hi in zip(laws, spans, spans[1:])]
+            vectors = _joined([each.vectors[o] for each, o in picks], None)
+            probs = _joined([each.probs[o] for each, o in picks], None)
         pairs = c[rel]
-        pairs -= law.vectors[out]
+        pairs -= vectors
+        del vectors
         lps = self._table.log_prob(pairs, rel)
         del pairs
         hit = np.flatnonzero(lps != LOG_ZERO)
-        lps, probs = lps[hit].tolist(), law.probs[out[hit]].tolist()
+        lps, probs = lps[hit].tolist(), probs[hit].tolist()
         bounds = np.searchsorted(rel[hit], np.arange(len(c) + 1)).tolist()
         self.log_denominators = np.array([
             _logsumexp(lp + math.log(p) for lp, p in zip(lps[lo:hi], probs[lo:hi]))
@@ -379,7 +425,7 @@ class PosteriorEngine:
         (targets, d) array for a single release, a (releases, targets) array
         for a batch's (releases, targets, d) array.  -inf where the target
         cannot be in the dataset, and on the rows of impossible releases."""
-        t = _stacked_targets(targets, self.counts, self.law.d)
+        t = _stacked_targets(targets, self.counts, self._c.shape[1])
         size, per, d = t.shape
         log_num = self._table.log_prob(
             (self._c[:, None, :] - t).reshape(-1, d), np.repeat(np.arange(size), per)
@@ -397,15 +443,22 @@ class PosteriorEngine:
         log_den = float(self.log_denominators[release])
         if log_den == LOG_ZERO:
             raise ImpossibleEvidenceError(_IMPOSSIBLE)
-        log_num = float(self._table.log_prob(self._c[release] - _rows([y], self.law.d), release)[0])
-        return log_num - log_den
+        target = self._c[release] - _rows([y], self._c.shape[1])
+        return float(self._table.log_prob(target, release)[0]) - log_den
 
 
-def posterior_engine(bn: BayesianNetwork, counts) -> PosteriorEngine:
+def posterior_engine(bn, counts) -> PosteriorEngine:
     """A new engine for one release, or a batch of releases of one size,
-    under bn; the caller holds it while it scores their targets.  Nothing is
-    kept between calls."""
-    return PosteriorEngine(output_marginal_law(bn), counts)
+    under bn: one network (or law) for every release, or a sequence of one
+    network or law per release.  The caller holds it while it scores their
+    targets; nothing is kept between calls."""
+    if isinstance(bn, (BayesianNetwork, SupportDistribution)):
+        return PosteriorEngine(_law(bn), counts)
+    return PosteriorEngine([_law(each) for each in bn], counts)
+
+
+def _law(bn) -> SupportDistribution:
+    return bn if isinstance(bn, SupportDistribution) else output_marginal_law(bn)
 
 
 def closed_form_product_ratio(mu, counts: ReleasedCounts, y: EncodedVector) -> float:

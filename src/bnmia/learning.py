@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import BayesianNetwork, NodeSpec, ONE_HOT, encode, project, sample
+from .model import BayesianNetwork, NodeSpec, ONE_HOT, RAW_BINARY, sample
 
 
 @dataclass(frozen=True)
@@ -118,22 +118,45 @@ def mle_fit(
     return BayesianNetwork(tuple(nodes), structure.output_nodes, structure.encoding)
 
 
-def _pair_mutual_information(
-    proxy: ProxyDataset, u: str, v: str, alpha: float
-) -> float:
-    ku, kv = len(proxy.states[u]), len(proxy.states[v])
-    joint = np.full((ku, kv), alpha, dtype=float)
-    # One 1.0 added per record, in record order: the same sums for any alpha.
-    np.add.at(joint, (proxy.column(u), proxy.column(v)), 1.0)
-    joint /= joint.sum()
-    pu = joint.sum(axis=1)
-    pv = joint.sum(axis=0)
-    mi = 0.0
-    for a in range(ku):
-        for b in range(kv):
-            if joint[a, b] > 0.0 and pu[a] > 0.0 and pv[b] > 0.0:
-                mi += joint[a, b] * math.log(joint[a, b] / (pu[a] * pv[b]))
-    return mi
+def _mutual_informations(proxy: ProxyDataset, alpha: float) -> list[float]:
+    """The empirical mutual information of every node pair, in
+    `itertools.combinations` order, from alpha-smoothed cell counts.
+
+    All pairs' (ku, kv) tables are tallied in one `np.add.at` over one flat
+    array: one 1.0 added per record, in record order, the same sums for any
+    alpha.  The pairs of one table shape lie next to each other, so each
+    shape's tables are normalized and summed as one (pairs, ku, kv) block,
+    with the per-table sums of a lone (ku, kv) table.  A pair's terms are
+    then added in Python floats, cell by cell."""
+    cards = [len(proxy.states[v]) for v in proxy.nodes]
+    pairs = list(itertools.combinations(range(len(cards)), 2))
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (a, b) in enumerate(pairs):
+        groups.setdefault((cards[a], cards[b]), []).append(i)
+    order = [i for group in groups.values() for i in group]
+    a = np.array([pairs[i][0] for i in order], dtype=np.int64)
+    b = np.array([pairs[i][1] for i in order], dtype=np.int64)
+    kv = np.array(cards, dtype=np.int64)[b]
+    sizes = np.array(cards, dtype=np.int64)[a] * kv
+    cells = (proxy.data[:, a] * kv + proxy.data[:, b] + (np.cumsum(sizes) - sizes)).T.ravel()
+    tally = np.full(int(sizes.sum()), alpha, dtype=float)
+    np.add.at(tally, cells, 1.0)
+    out = [0.0] * len(pairs)
+    lo = 0
+    for (ku, kv), group in groups.items():
+        joint = tally[lo : lo + len(group) * ku * kv].reshape(len(group), ku, kv)
+        lo += len(group) * ku * kv
+        joint /= joint.reshape(len(group), -1).sum(axis=1)[:, None, None]
+        for i, table, pu, pv in zip(
+            group, joint.tolist(), joint.sum(axis=2).tolist(), joint.sum(axis=1).tolist()
+        ):
+            mi = 0.0
+            for p_u, row in zip(pu, table):
+                for p_v, p in zip(pv, row):
+                    if p > 0.0 and p_u > 0.0 and p_v > 0.0:
+                        mi += p * math.log(p / (p_u * p_v))
+            out[i] = mi
+    return out
 
 
 def chow_liu_fit(
@@ -149,10 +172,10 @@ def chow_liu_fit(
     if proxy.m < 2:
         raise ValueError("structure learning needs at least two records")
     names = proxy.nodes
-    edges = []
-    for u, v in itertools.combinations(names, 2):
-        lo, hi = sorted((u, v))
-        edges.append((-_pair_mutual_information(proxy, u, v, alpha), lo, hi))
+    edges = [
+        (-mi, *sorted(pair))
+        for mi, pair in zip(_mutual_informations(proxy, alpha), itertools.combinations(names, 2))
+    ]
     edges.sort()
 
     parent_of = {name: name for name in names}
@@ -206,16 +229,16 @@ def empirical_marginals(
     proxy: ProxyDataset, output_nodes: Sequence[str], encoding: str
 ) -> np.ndarray:
     """Per-attribute frequencies in the proxy, clamped away from 0 and 1 so
-    ratio attacks stay defined: the clamp is [1/(2m), 1 - 1/(2m)]."""
-    states = {name: proxy.states[name] for name in proxy.nodes}
-    view = BayesianNetwork(
-        tuple(
-            NodeSpec(n, states[n], (), {(): (1.0 / len(states[n]),) * len(states[n])})
-            for n in proxy.nodes
-        ),
-        tuple(output_nodes),
-        encoding,
-    )
-    freq = encode(view, project(view, proxy.data)).sum(axis=0) / proxy.m
+    ratio attacks stay defined: the clamp is [1/(2m), 1 - 1/(2m)].  Each
+    output node's states are counted with one `np.bincount`; raw-binary
+    keeps the count of state 1."""
+    tallies = []
+    for name in output_nodes:
+        k = len(proxy.states[name])
+        if encoding == RAW_BINARY and k != 2:
+            raise ValueError(f"raw-binary encoding requires binary nodes: {name}")
+        counts = np.bincount(proxy.column(name), minlength=k)
+        tallies.append(counts[1:] if encoding == RAW_BINARY else counts)
+    freq = np.concatenate(tallies) / proxy.m if tallies else np.zeros(0)
     lo = 1.0 / (2 * proxy.m)
     return np.clip(freq, lo, 1.0 - lo)

@@ -353,9 +353,11 @@ def draw_records(
     Node by node, the networks' cumulative CPT rows are stacked, each
     network's block at its slot, and each record's row is picked by its slot
     and its parents' states; its state is the number of cumulative row
-    entries <= its uniform.  Each cumulative row is exactly 1 from its last
-    positive entry on, so a uniform in [0, 1) lands on a state of positive
-    probability even where the sum of the row rounds below 1.  A record's
+    entries <= its uniform, counted one column of the rows at a time.  Each
+    cumulative row is exactly 1 from its last positive entry on, so a
+    uniform in [0, 1) lands on a state of positive probability even where
+    the sum of the row rounds below 1 (and the last column, always 1, is
+    never counted).  A record's
     states depend only on its own network and uniforms, never on the rest of
     the batch.
     """
@@ -371,7 +373,9 @@ def draw_records(
                 raise ValueError("networks drawn together must share their structure")
             rows += slot * len(cum)
             cum = np.concatenate([c for _, _, c in layer])
-        states[:, i] = (cum[rows] <= u[:, i, None]).sum(axis=1)
+        column = states[:, i]
+        for entries in cum.T[:-1]:
+            column += entries[rows] <= u[:, i]
     return states
 
 

@@ -1,6 +1,6 @@
 """Reference implementations that the array paths must match bit for bit:
-the one-record ancestral sampler, the dict encoder, the one-trial draw, the
-pairwise AUC and the per-outcome convolution step they replaced; the swept
+the one-record ancestral sampler, the dict encoder, the one-trial draw and
+score with its own attacker, the pairwise AUC and the per-outcome convolution step they replaced; the swept
 ROC curve, whose area the rank-count AUC must equal; and two dict-record
 helpers, the chain-rule joint probability and a proxy's records."""
 from __future__ import annotations
@@ -32,11 +32,13 @@ def reference_encode(bn, rec: dict[str, int]) -> tuple[int, ...]:
 
 
 def reference_trial(config, trial_index: int):
-    """One trial drawn on its own, as before trials were batched: a sample
-    call for the dataset and one for the fresh targets, the release by
-    `dataset_counts`, and one encoding of the picked records followed by the
-    fresh ones; then scored by the harness as a group of one."""
-    from bnmia import harness
+    """One trial drawn and scored on its own, as before trials were batched:
+    a sample call for the dataset and one for the fresh targets, the release
+    by `dataset_counts`, and one encoding of the picked records followed by
+    the fresh ones; the attacker from `reference_attacker`, and one
+    `attacks.score` call per attack on the one release."""
+    from bnmia import attacks, harness
+    from bnmia.inference import ImpossibleEvidenceError
 
     def stream(purpose):
         return harness._stream(config.seed, trial_index, purpose)
@@ -47,7 +49,38 @@ def reference_trial(config, trial_index: int):
     picks = stream("targets_in").integers(0, config.n, size=config.targets_in)
     fresh = project(bn, sample(bn, config.targets_out, stream("targets_out")))
     targets = encode(bn, np.concatenate([data[picks], fresh]))
-    return harness._score_group(config, [trial_index], bn, [counts], targets[None])[0]
+    attacker, mu = reference_attacker(config, trial_index, bn)
+    k_in = config.targets_in
+    out = {}
+    for name in config.attacks:
+        flagged = 0
+        try:
+            scores = attacks.score(name, attacker, mu, counts, targets)
+        except ImpossibleEvidenceError as err:
+            scores, flagged = err.scores, len(targets)
+        out[name] = harness.TrialScores(scores[:k_in].tolist(), scores[k_in:].tolist(), flagged)
+    return out
+
+
+def reference_attacker(config, trial_index: int, bn):
+    """One trial's attacker network and marginals: the population's own under
+    the strong threat, else fitted to a proxy sampled on its own from the
+    trial's proxy stream."""
+    from bnmia import harness
+    from bnmia.learning import ProxyDataset, chow_liu_fit, empirical_marginals, mle_fit
+    from bnmia.model import attribute_marginals
+
+    if config.threat == harness.STRONG:
+        return bn, attribute_marginals(bn)
+    proxy = ProxyDataset.from_network_samples(
+        bn, config.m, harness._stream(config.seed, trial_index, "proxy")
+    )
+    alpha = harness.PROXY_SMOOTHING
+    if config.threat == harness.WEAK:
+        attacker = mle_fit(bn, proxy, alpha=alpha)
+    else:
+        attacker = chow_liu_fit(proxy, alpha, bn.output_nodes, bn.encoding)
+    return attacker, empirical_marginals(proxy, bn.output_nodes, bn.encoding)
 
 
 def joint_prob(bn, full: dict[str, int]) -> float:

@@ -308,6 +308,21 @@ class TestScore:
         expected = [engine.result(y) for y in ys.tolist()]
         assert score("bayes", bn, None, counts, ys).tolist() == expected
 
+    @pytest.mark.parametrize(
+        "name", ["lrt", "inner_product", "bayes", "lrt_clipped:2-3", "lrt_clipped_auto"]
+    )
+    def test_one_attacker_per_release(self, name):
+        # Each release against its own network and marginal row, in one call.
+        rng = np.random.default_rng(21)
+        nets = [make_product(tuple(rng.uniform(0.2, 0.8, size=4))) for _ in range(5)]
+        mus = np.array([attribute_marginals(bn) for bn in nets])
+        releases = [ReleasedCounts(tuple(rng.integers(0, 4, size=4).tolist()), 3) for _ in nets]
+        ys = rng.integers(0, 2, size=(5, 6, 4))
+        got = score(name, nets, mus, releases, ys)
+        for r, bn in enumerate(nets):
+            alone = score(name, bn, mus[r], releases[r], ys[r])
+            assert got[r].tobytes() == alone.tobytes()
+
     def test_impossible_evidence_raises(self):
         bn = make_half_repeated(3, (0.3, 0.6))  # the copy always equals X2
         with pytest.raises(ImpossibleEvidenceError):

@@ -243,6 +243,16 @@ BATCH_CASES = [
     # Strong threat on a bundled network: the whole batch is one stacked group.
     pytest.param(ExperimentConfig("survey", 4, trials=12, seed=8), id="survey"),
     pytest.param(ExperimentConfig("sachs:leaf-root", 4, trials=14, seed=9), id="sachs:leaf-root"),
+    # Fitted attackers, one law per trial: hidden ancestors and ternary nodes,
+    # and proxies of 400 records, two trials to a draw chunk by default.
+    pytest.param(
+        ExperimentConfig("sachs:leaf-root", 4, trials=4, seed=10, threat="weak", m=30),
+        id="sachs:leaf-root-weak",
+    ),
+    pytest.param(
+        ExperimentConfig("asia", 4, trials=5, seed=11, threat="weakest", m=400),
+        id="asia-weakest-m400",
+    ),
 ]
 
 
@@ -250,14 +260,16 @@ class TestBatches:
     """Trials drawn in batches score exactly as trials drawn one by one, for
     any batch size."""
 
-    @pytest.mark.parametrize("records", ["one-trial", "all-trials"])
+    @pytest.mark.parametrize("records", ["one-trial", "all-trials", "default"])
     @pytest.mark.parametrize("config", BATCH_CASES)
     def test_batched_trials_equal_the_reference(self, monkeypatch, config, records):
         per_trial = config.n + config.targets_out
-        limit = 1 if records == "one-trial" else config.trials * per_trial
-        monkeypatch.setattr(harness, "_BATCH_RECORDS", limit)
+        if records != "default":
+            limit = 1 if records == "one-trial" else config.trials * per_trial
+            monkeypatch.setattr(harness, "_BATCH_RECORDS", limit)
         ranges = harness._batches(config)
-        assert len(ranges) == (config.trials if records == "one-trial" else 1)
+        if records != "default":
+            assert len(ranges) == (config.trials if records == "one-trial" else 1)
         shared = harness._shared_population(config)
         got = [s for r in ranges for s in harness.run_batch(config, r, shared)]
         assert len(got) == config.trials
@@ -293,10 +305,10 @@ class TestBatches:
         config = ExperimentConfig("half:3", 3, targets_in=2, targets_out=2, trials=3)
         releases = [ReleasedCounts(c, 3) for c in ((1, 1, 1), (1, 1, 2), (2, 0, 0))]
         targets = np.array([[(0, 1, 1), (1, 0, 0), (1, 1, 1), (0, 0, 0)]] * 3)
-        got = harness._score_group(config, [0, 1, 2], bn, releases, targets)
+        got = harness._score_batch(config, [0, 1, 2], [bn] * 3, releases, targets)
         for t in range(3):
             one = slice(t, t + 1)
-            alone = harness._score_group(config, [t], bn, releases[one], targets[one])[0]
+            alone = harness._score_batch(config, [t], [bn], releases[one], targets[one])[0]
             for name in config.attacks:
                 flagged = 4 if (t, name) == (1, "bayes") else 0
                 assert got[t][name].impossible_evidence == flagged

@@ -12,6 +12,7 @@ from strategies import small_networks
 
 from bnmia import inference, model
 from bnmia.harness import _theta_in, law_ratio_deviation
+from bnmia.learning import ProxyDataset, mle_fit
 from bnmia.inference import (
     ImpossibleEvidenceError,
     PosteriorEngine,
@@ -68,6 +69,13 @@ class TestSumCountProb:
     def test_negative_target_is_zero(self):
         law = output_marginal_law(make_product((0.5,)))
         assert count_prob(law, 2, (-1,)) == 0.0
+
+    def test_negative_cap_is_rejected(self):
+        law = output_marginal_law(make_product((0.5, 0.5)))
+        with pytest.raises(ValueError, match="caps must be nonnegative"):
+            sum_log_table(law, 2, (-1, 1))
+        with pytest.raises(ValueError, match="caps must be nonnegative"):
+            sum_log_table(law, 2, [(1, 1), (0, -2)])
 
     def test_matches_binomial_pmf(self):
         p = 0.37
@@ -264,6 +272,92 @@ class TestStackedTable:
             alone = sum_log_table(law, 3, cap)
             assert np.array_equal(table.log_prob(targets, r), alone.log_prob(targets))
         assert len(sum_log_table(law, 3, caps[1])) == 0
+
+
+def fitted_laws(bn, count: int, m: int, alpha: float, rng) -> list:
+    """The output laws of `count` networks refit to proxies of m records."""
+    return [
+        output_marginal_law(mle_fit(bn, ProxyDataset.from_network_samples(bn, m, rng), alpha))
+        for _ in range(count)
+    ]
+
+
+def drawn_release(law, n: int, rng) -> ReleasedCounts:
+    """The release of n records drawn from law itself: possible under it."""
+    picks = rng.choice(len(law), size=n, p=law.probs / law.probs.sum())
+    return ReleasedCounts(tuple(law.vectors[picks].sum(axis=0).tolist()), n)
+
+
+class TestStackedLaws:
+    """One engine over a stack of per-release laws against one engine per
+    release: the same denominators and log ratios, bit for bit, whether the
+    laws' supports differ (so the stack splits into parts), a release in
+    the middle is impossible evidence, or one law is passed for all."""
+
+    def assert_equals_one_engine_per_release(self, laws, releases, rng):
+        engine = PosteriorEngine(laws, releases)
+        each = [laws] * len(releases) if isinstance(laws, model.SupportDistribution) else laws
+        outcomes = np.unique(np.concatenate([law.vectors for law in each]), axis=0)
+        targets = np.concatenate([outcomes, rng.integers(0, 2, (10, outcomes.shape[1]))])
+        ratios = engine.log_ratios(np.array([targets] * len(releases)))
+        impossible = []
+        for r, release in enumerate(releases):
+            try:
+                alone = PosteriorEngine(each[r], release)
+            except ImpossibleEvidenceError:
+                impossible.append(r)
+                assert engine.log_denominators[r] == -np.inf
+                assert np.all(ratios[r] == -np.inf)
+                continue
+            assert engine.log_denominators[r] == alone.log_denominators[0]
+            assert ratios[r].tobytes() == alone.log_ratios(targets).tobytes()
+        assert engine.impossible == tuple(impossible)
+        return engine
+
+    @pytest.mark.parametrize("budget", [1, 10**12], ids=["release-per-range", "one-range"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_laws_with_different_supports(self, monkeypatch, budget, seed):
+        # Unsmoothed fits to 6 records leave outcomes out, each fit its own.
+        monkeypatch.setattr(inference, "_RANGE_BYTES", budget)
+        rng = np.random.default_rng(seed)
+        bn = make_cancer().with_outputs(("Smoker", "Cancer", "Xray", "Dyspnoea"), "one-hot")
+        laws = fitted_laws(bn, 6, 6, 0.0, rng)
+        releases = [drawn_release(law, 4, rng) for law in laws]
+        engine = self.assert_equals_one_engine_per_release(laws, releases, rng)
+        assert len(engine._table.parts) > 1
+
+    @pytest.mark.parametrize("budget", [1, 10**12], ids=["release-per-range", "one-range"])
+    def test_impossible_release_in_the_middle(self, monkeypatch, budget):
+        # Smoothed fits share their support; a one-hot block summing past n
+        # is impossible under any of them.
+        monkeypatch.setattr(inference, "_RANGE_BYTES", budget)
+        rng = np.random.default_rng(11)
+        bn = make_cancer()
+        laws = fitted_laws(bn, 5, 20, 1.0, rng)
+        releases = [drawn_release(law, 3, rng) for law in laws]
+        releases[2] = ReleasedCounts((3,) * bn.d, 3)
+        engine = self.assert_equals_one_engine_per_release(laws, releases, rng)
+        assert engine.impossible == (2,)
+        assert len(engine._table.parts) == 1
+
+    def test_shared_law_passed_once(self):
+        rng = np.random.default_rng(12)
+        bn = load_benchmark("asia")
+        law = output_marginal_law(bn)
+        releases = [drawn_release(law, 4, rng) for _ in range(6)]
+        once = self.assert_equals_one_engine_per_release(law, releases, rng)
+        per_release = PosteriorEngine([law] * len(releases), releases)
+        assert per_release.log_denominators.tobytes() == once.log_denominators.tobytes()
+        targets = np.array([law.vectors[:40]] * len(releases))
+        assert per_release.log_ratios(targets).tobytes() == once.log_ratios(targets).tobytes()
+
+    def test_one_law_per_release(self):
+        law = output_marginal_law(make_product((0.3, 0.6)))
+        releases = [ReleasedCounts((1, 1), 2)] * 3
+        with pytest.raises(ValueError, match="one law for all its releases or one per release"):
+            PosteriorEngine([law] * 2, releases)
+        with pytest.raises(ValueError, match="one law for all its releases or one per release"):
+            sum_log_table([law] * 4, 1, [(1, 1)] * 3)
 
 
 class TestPosteriorRatio:
