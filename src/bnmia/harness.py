@@ -33,7 +33,9 @@ from .inference import (
     posterior_engine,
     sum_log_table,
 )
-from .learning import ProxyDataset, chow_liu_fit, empirical_marginals, mle_fit
+from .learning import (
+    ProxyDataset, chow_liu_structures, cpt_tables, empirical_marginals, tally_cells
+)
 from .model import (
     BayesianNetwork,
     ReleasedCounts,
@@ -42,6 +44,7 @@ from .model import (
     dataset_counts,
     draw_records,
     encode,
+    output_laws,
     output_marginal_law,
     project,
     sample,
@@ -98,6 +101,10 @@ class ExperimentConfig:
             raise ValueError(f"threat must be one of {THREATS}")
         if self.threat in (WEAK, WEAKEST) and (self.m is None or self.m < 1):
             raise ValueError("weak and weakest threat models need a proxy size m >= 1")
+        if self.threat == WEAKEST and self.m < 2:
+            raise ValueError(
+                "the weakest threat model learns structure: it needs a proxy size m >= 2"
+            )
         for name in self.attacks:
             atk.parse_attack(name)
 
@@ -136,37 +143,47 @@ def _attackers(
     otherwise one law and one marginal row per trial, fitted to the trial's
     proxy sample.  The proxies are drawn in one `draw_records` pass per at
     most `_BATCH_RECORDS` proxy records (at least one trial), each trial's m
-    uniforms from its own proxy stream, and fitted chunk by chunk; a trial
-    keeps only its law, whose outcome vectors it shares with the previous
-    trial's when they are equal, and its marginals."""
+    uniforms from its own proxy stream.  A chunk's trials are grouped by
+    structure (node order and parents: the population's under the weak
+    threat, each proxy's Chow-Liu tree under the weakest), and only each
+    group's cell counts are kept; each structure's CPTs are then fitted, and
+    its laws eliminated, once for the whole batch.  A law shares the
+    previous trial's outcome vectors when they are equal."""
     if config.threat == STRONG:
         if all(bn is nets[0] for bn in nets):
             return nets[0], attribute_marginals(nets[0])
         return nets, np.array([attribute_marginals(bn) for bn in nets])
     m, bn = config.m, nets[0]
-    proxy_states = {node.name: node.states for node in bn.nodes}
+    names, states = bn.node_names, {node.name: node.states for node in bn.nodes}
     chunk = max(1, _BATCH_RECORDS // m)
-    laws, mus = [], []
+    groups, mus = {}, []
     for lo in range(0, len(trials), chunk):
         hi = min(lo + chunk, len(trials))
         u = np.stack([
-            _stream(config.seed, i, "proxy").random((m, len(bn.nodes))) for i in trials[lo:hi]
+            _stream(config.seed, i, "proxy").random((m, len(names))) for i in trials[lo:hi]
         ])
-        for net, data in zip(nets[lo:hi], _draw(nets[lo:hi], u)):
-            proxy = ProxyDataset(bn.node_names, proxy_states, data)
-            if config.threat == WEAK:
-                fitted = mle_fit(net, proxy, alpha=PROXY_SMOOTHING)
-            else:
-                fitted = chow_liu_fit(
-                    proxy, alpha=PROXY_SMOOTHING, output_nodes=bn.output_nodes,
-                    encoding=bn.encoding,
-                )
-            law = output_marginal_law(fitted)
-            if laws and np.array_equal(laws[-1].vectors, law.vectors):
-                law = SupportDistribution(laws[-1].vectors, law.probs)
-            laws.append(law)
-            mus.append(empirical_marginals(proxy, bn.output_nodes, bn.encoding))
-    return laws, np.array(mus)
+        proxies = ProxyDataset(names, states, _draw(nets[lo:hi], u))
+        mus.append(empirical_marginals(proxies, bn.output_nodes, bn.encoding))
+        structures = [bn] * (hi - lo) if config.threat == WEAK else chow_liu_structures(
+            proxies, PROXY_SMOOTHING, bn.output_nodes, bn.encoding
+        )
+        rows: dict[tuple, list[int]] = {}
+        for r, structure in enumerate(structures):
+            rows.setdefault(tuple((v.name, v.parents) for v in structure.nodes), []).append(r)
+        for key, picked in rows.items():
+            structure, index, tallies = groups.setdefault(key, (structures[picked[0]], [], []))
+            index += [lo + r for r in picked]
+            group = ProxyDataset(names, states, proxies.data[picked])
+            tallies.append(tally_cells(structure, group))
+    laws = [None] * len(trials)
+    for structure, index, tallies in groups.values():
+        tables = cpt_tables([np.concatenate(t) for t in zip(*tallies)], PROXY_SMOOTHING)
+        for t, law in zip(index, output_laws(structure, tables)):
+            laws[t] = law
+    for t in range(1, len(laws)):
+        if np.array_equal(laws[t - 1].vectors, laws[t].vectors):
+            laws[t] = SupportDistribution(laws[t - 1].vectors, laws[t].probs)
+    return laws, np.concatenate(mus)
 
 
 def _score_batch(

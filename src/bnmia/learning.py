@@ -5,7 +5,9 @@ weakest learns structure too.  Structure learning here is a maximum-weight
 spanning tree over pairwise empirical mutual information, which is
 deterministic and adequate at this scale at the cost of tree-shaped output.
 The proxy is one (m, nodes) array of state indices, and every fit counts from
-its columns.
+its columns.  The fits also take a stack of R proxies, counting the cells of
+all of them in one `np.bincount` (or `np.add.at`) per table, with each
+proxy's numbers as it would get alone; `mle_fit` is the one-proxy case.
 """
 from __future__ import annotations
 
@@ -24,8 +26,9 @@ from .model import BayesianNetwork, NodeSpec, ONE_HOT, RAW_BINARY, sample
 @dataclass(frozen=True)
 class ProxyDataset:
     """m full records over a known node schema (names and state labels),
-    stored as an (m, nodes) int array of state indices, column i for nodes[i].
-    `from_csv` and `to_csv` convert to and from CSV text."""
+    stored as an (m, nodes) int array of state indices, column i for nodes[i]
+    (or R proxies as an (R, m, nodes) stack).  `from_csv` and `to_csv`
+    convert one proxy to and from CSV text."""
 
     nodes: tuple[str, ...]
     states: dict[str, tuple[str, ...]]
@@ -33,18 +36,20 @@ class ProxyDataset:
 
     @property
     def m(self) -> int:
-        return len(self.data)
+        return self.data.shape[-2]
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.int64)
-        if data.ndim != 2 or data.shape[1] != len(self.nodes):
+        if data.ndim not in (2, 3) or data.shape[-1] != len(self.nodes):
             raise ValueError("proxy data must have one column per node")
-        if len(data) < 1:
+        if data.shape[-2] < 1:
             raise ValueError("proxy dataset must contain at least one record")
         object.__setattr__(self, "data", data)
 
-    def column(self, name: str) -> np.ndarray:
-        return self.data[:, self.nodes.index(name)]
+    @property
+    def stack(self) -> np.ndarray:
+        """The records as an (R, m, nodes) array; R = 1 for one proxy."""
+        return self.data.reshape(-1, *self.data.shape[-2:])
 
     @classmethod
     def from_network_samples(
@@ -81,6 +86,8 @@ class ProxyDataset:
         return cls(names, dict(states), array)
 
     def to_csv(self) -> str:
+        if self.data.ndim != 2:
+            raise ValueError("only one proxy converts to CSV, not a stack")
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(self.nodes)
@@ -93,42 +100,64 @@ class ProxyDataset:
 def mle_fit(
     structure: BayesianNetwork, proxy: ProxyDataset, alpha: float = 0.0
 ) -> BayesianNetwork:
-    """Refit every CPT from proxy counts with additive smoothing alpha.
+    """Refit every CPT of one proxy's network: `cpt_tables` of its
+    `tally_cells`, turned into CPT dicts."""
+    if proxy.data.ndim != 2:
+        raise ValueError("mle_fit fits one proxy; tally_cells counts a stack")
+    tables = cpt_tables(tally_cells(structure, proxy), alpha)
+    nodes = tuple(
+        NodeSpec(node.name, node.states, node.parents, dict(zip(
+            itertools.product(*map(range, table.shape[1:-1])),
+            map(tuple, table.reshape(-1, node.cardinality).tolist()),
+        )))
+        for node, table in zip(structure.nodes, tables)
+    )
+    return BayesianNetwork(nodes, structure.output_nodes, structure.encoding)
 
-    alpha = 0 is the unsmoothed maximum-likelihood estimate; parent
-    combinations never observed then fall back to a uniform row.
-    """
+
+def tally_cells(structure: BayesianNetwork, proxy: ProxyDataset) -> list[np.ndarray]:
+    """Each structure node's (parents..., node) cell counts in every proxy of
+    a stack, in structure order: (R, *parent cards, k) int arrays, each from
+    one `np.bincount` over the cells indexed (proxy, parents..., node)."""
+    stack, tables = proxy.stack, []
+    for node in structure.nodes:
+        names = node.parents + (node.name,)
+        shape = (len(stack), *(structure.node(v).cardinality for v in names))
+        columns = (stack[..., proxy.nodes.index(v)] for v in names)
+        flat = np.ravel_multi_index((np.arange(len(stack))[:, None], *columns), shape)
+        tables.append(np.bincount(flat.ravel(), minlength=math.prod(shape)).reshape(shape))
+    return tables
+
+
+def cpt_tables(tallies: Sequence[np.ndarray], alpha: float) -> list[np.ndarray]:
+    """CPT stacks from cell counts with additive smoothing alpha: each row is
+    (count + alpha) / (row total + alpha * k), the IEEE operations of the row
+    fitted on its own.  alpha = 0 is the unsmoothed maximum-likelihood
+    estimate; a row never observed then falls back to uniform."""
     if alpha < 0:
         raise ValueError("smoothing must be nonnegative")
-    nodes = []
-    for node in structure.nodes:
-        k = node.cardinality
-        names = node.parents + (node.name,)
-        shape = tuple(structure.node(p).cardinality for p in node.parents) + (k,)
-        flat = np.ravel_multi_index(tuple(proxy.column(v) for v in names), shape)
-        tally = np.bincount(flat, minlength=math.prod(shape)).reshape(-1, k).tolist()
-        cpt = {}
-        for combo, row_counts in zip(itertools.product(*map(range, shape[:-1])), tally):
-            total = sum(row_counts) + alpha * k
-            if total == 0:
-                cpt[combo] = tuple([1.0 / k] * k)
-            else:
-                cpt[combo] = tuple((cnt + alpha) / total for cnt in row_counts)
-        nodes.append(NodeSpec(node.name, node.states, node.parents, cpt))
-    return BayesianNetwork(tuple(nodes), structure.output_nodes, structure.encoding)
+    tables = []
+    for counts in tallies:
+        k = counts.shape[-1]
+        total = counts.sum(axis=-1, keepdims=True) + alpha * k
+        table = np.full(counts.shape, 1.0 / k)
+        tables.append(np.divide(counts + alpha, total, out=table, where=total != 0))
+    return tables
 
 
-def _mutual_informations(proxy: ProxyDataset, alpha: float) -> list[float]:
+def _mutual_informations(proxy: ProxyDataset, alpha: float) -> list[list[float]]:
     """The empirical mutual information of every node pair, in
-    `itertools.combinations` order, from alpha-smoothed cell counts.
+    `itertools.combinations` order, in each proxy of a stack, from
+    alpha-smoothed cell counts.
 
-    All pairs' (ku, kv) tables are tallied in one `np.add.at` over one flat
-    array: one 1.0 added per record, in record order, the same sums for any
-    alpha.  The pairs of one table shape lie next to each other, so each
-    shape's tables are normalized and summed as one (pairs, ku, kv) block,
-    with the per-table sums of a lone (ku, kv) table.  A pair's terms are
-    then added in Python floats, cell by cell."""
+    All proxies' and pairs' (ku, kv) tables are tallied in one `np.add.at`
+    over one flat array: one 1.0 added per record, in record order, the same
+    sums for any alpha.  The tables of one shape lie next to each other and
+    are normalized and summed as one (R, pairs, ku, kv) block, with the
+    per-table sums of a lone table.  A pair's terms are then added in
+    Python floats, cell by cell."""
     cards = [len(proxy.states[v]) for v in proxy.nodes]
+    data = proxy.stack
     pairs = list(itertools.combinations(range(len(cards)), 2))
     groups: dict[tuple[int, int], list[int]] = {}
     for i, (a, b) in enumerate(pairs):
@@ -138,24 +167,27 @@ def _mutual_informations(proxy: ProxyDataset, alpha: float) -> list[float]:
     b = np.array([pairs[i][1] for i in order], dtype=np.int64)
     kv = np.array(cards, dtype=np.int64)[b]
     sizes = np.array(cards, dtype=np.int64)[a] * kv
-    cells = (proxy.data[:, a] * kv + proxy.data[:, b] + (np.cumsum(sizes) - sizes)).T.ravel()
-    tally = np.full(int(sizes.sum()), alpha, dtype=float)
-    np.add.at(tally, cells, 1.0)
-    out = [0.0] * len(pairs)
+    proxies, width = len(data), int(sizes.sum())
+    cells = data[:, :, a] * kv + data[:, :, b] + (np.cumsum(sizes) - sizes)
+    cells += width * np.arange(proxies)[:, None, None]
+    tally = np.full((proxies, width), alpha, dtype=float)
+    np.add.at(tally.ravel(), cells.transpose(0, 2, 1).ravel(), 1.0)
+    out = [[0.0] * len(pairs) for _ in range(proxies)]
     lo = 0
     for (ku, kv), group in groups.items():
-        joint = tally[lo : lo + len(group) * ku * kv].reshape(len(group), ku, kv)
+        joint = tally[:, lo : lo + len(group) * ku * kv].reshape(proxies, len(group), ku, kv)
         lo += len(group) * ku * kv
-        joint /= joint.reshape(len(group), -1).sum(axis=1)[:, None, None]
-        for i, table, pu, pv in zip(
-            group, joint.tolist(), joint.sum(axis=2).tolist(), joint.sum(axis=1).tolist()
-        ):
-            mi = 0.0
-            for p_u, row in zip(pu, table):
-                for p_v, p in zip(pv, row):
-                    if p > 0.0 and p_u > 0.0 and p_v > 0.0:
-                        mi += p * math.log(p / (p_u * p_v))
-            out[i] = mi
+        joint /= joint.reshape(proxies, len(group), -1).sum(axis=2)[:, :, None, None]
+        # Lists are made one proxy at a time: a whole stack's at once
+        # raised the peak RSS of a 40-proxy chunk by 0.4 MiB.
+        for mis, tables, pus, pvs in zip(out, joint, joint.sum(axis=3), joint.sum(axis=2)):
+            for i, table, pu, pv in zip(group, tables.tolist(), pus.tolist(), pvs.tolist()):
+                mi = 0.0
+                for p_u, row in zip(pu, table):
+                    for p_v, p in zip(pv, row):
+                        if p > 0.0 and p_u > 0.0 and p_v > 0.0:
+                            mi += p * math.log(p / (p_u * p_v))
+                mis[i] = mi
     return out
 
 
@@ -165,19 +197,34 @@ def chow_liu_fit(
     output_nodes: Sequence[str] | None = None,
     encoding: str = ONE_HOT,
 ) -> BayesianNetwork:
-    """Learn a tree-shaped network: maximum-weight spanning tree on pairwise
-    mutual information (alpha-smoothed cell counts), rooted at the first
-    node, with CPTs refit by mle_fit.  Ties break on lexicographic edge name.
-    """
+    """Learn a tree-shaped network from one proxy: its `chow_liu_structures`
+    tree with CPTs refit by mle_fit."""
+    return mle_fit(chow_liu_structures(proxy, alpha, output_nodes, encoding)[0], proxy, alpha)
+
+
+def chow_liu_structures(
+    proxy: ProxyDataset, alpha: float = 0.0, output_nodes: Sequence[str] | None = None,
+    encoding: str = ONE_HOT,
+) -> list[BayesianNetwork]:
+    """The tree learned from each proxy of a stack, as a network with empty
+    CPTs: maximum-weight spanning tree on pairwise mutual information
+    (alpha-smoothed cell counts), rooted at the first node."""
     if proxy.m < 2:
         raise ValueError("structure learning needs at least two records")
-    names = proxy.nodes
-    edges = [
-        (-mi, *sorted(pair))
-        for mi, pair in zip(_mutual_informations(proxy, alpha), itertools.combinations(names, 2))
-    ]
-    edges.sort()
+    outputs = tuple(output_nodes) if output_nodes is not None else proxy.nodes
+    trees = []
+    for mis in _mutual_informations(proxy, alpha):
+        parents = _tree(proxy.nodes, mis)
+        nodes = tuple(NodeSpec(v, proxy.states[v], parents[v], {}) for v in parents)
+        trees.append(BayesianNetwork(nodes, outputs, encoding))
+    return trees
 
+
+def _tree(names: Sequence[str], mis: Sequence[float]) -> dict[str, tuple[str, ...]]:
+    """Each node's parents in the maximum-weight spanning tree on the pairwise
+    mutual informations mis (in `itertools.combinations` order), rooted at
+    names[0], in breadth-first order.  Ties break on lexicographic edge name."""
+    edges = sorted((-mi, *sorted(pair)) for mi, pair in zip(mis, itertools.combinations(names, 2)))
     parent_of = {name: name for name in names}
 
     def find(x: str) -> str:
@@ -198,47 +245,36 @@ def chow_liu_fit(
             if picked == len(names) - 1:
                 break
 
-    root = names[0]
-    order = [root]
-    parents: dict[str, tuple[str, ...]] = {root: ()}
-    frontier = [root]
-    seen = {root}
+    parents: dict[str, tuple[str, ...]] = {names[0]: ()}
+    frontier = [names[0]]
     while frontier:
         nxt = []
         for u in frontier:
             for v in sorted(chosen[u]):
-                if v not in seen:
+                if v not in parents:
                     parents[v] = (u,)
-                    order.append(v)
-                    seen.add(v)
                     nxt.append(v)
         frontier = nxt
-
-    skeleton_nodes = tuple(
-        NodeSpec(name, proxy.states[name], parents[name], {}) for name in order
-    )
-    skeleton = BayesianNetwork(
-        skeleton_nodes,
-        tuple(output_nodes) if output_nodes is not None else names,
-        encoding,
-    )
-    return mle_fit(skeleton, proxy, alpha)
+    return parents
 
 
 def empirical_marginals(
     proxy: ProxyDataset, output_nodes: Sequence[str], encoding: str
 ) -> np.ndarray:
     """Per-attribute frequencies in the proxy, clamped away from 0 and 1 so
-    ratio attacks stay defined: the clamp is [1/(2m), 1 - 1/(2m)].  Each
-    output node's states are counted with one `np.bincount`; raw-binary
-    keeps the count of state 1."""
-    tallies = []
-    for name in output_nodes:
-        k = len(proxy.states[name])
-        if encoding == RAW_BINARY and k != 2:
-            raise ValueError(f"raw-binary encoding requires binary nodes: {name}")
-        counts = np.bincount(proxy.column(name), minlength=k)
-        tallies.append(counts[1:] if encoding == RAW_BINARY else counts)
-    freq = np.concatenate(tallies) / proxy.m if tallies else np.zeros(0)
+    ratio attacks stay defined: the clamp is [1/(2m), 1 - 1/(2m)].  The
+    output nodes' states in every proxy of a stack are counted with one
+    `np.bincount`, in one-hot layout; raw-binary keeps the count of state 1.
+    A stack of R proxies gives an (R, d) array."""
+    cards = np.array([len(proxy.states[name]) for name in output_nodes], dtype=np.int64)
+    if encoding == RAW_BINARY and (cards != 2).any():
+        wide = output_nodes[int(np.argmax(cards != 2))]
+        raise ValueError(f"raw-binary encoding requires binary nodes: {wide}")
+    stack = proxy.stack
+    width = int(cards.sum())
+    cells = stack[:, :, [proxy.nodes.index(v) for v in output_nodes]] + np.cumsum(cards) - cards
+    cells += width * np.arange(len(stack))[:, None, None]
+    counts = np.bincount(cells.ravel(), minlength=len(stack) * width).reshape(len(stack), width)
+    freq = (counts[:, 1::2] if encoding == RAW_BINARY else counts) / proxy.m
     lo = 1.0 / (2 * proxy.m)
-    return np.clip(freq, lo, 1.0 - lo)
+    return np.clip(freq, lo, 1.0 - lo).reshape(*proxy.data.shape[:-2], freq.shape[1])

@@ -233,30 +233,46 @@ def _has_cycle(bn: BayesianNetwork) -> bool:
 
 
 def output_marginal_law(bn: BayesianNetwork) -> SupportDistribution:
-    """Exact law of the encoded output vector, by variable elimination.
+    """Exact law of the encoded output vector, by variable elimination: the
+    one-network case of `output_laws`, on the network's own CPTs.  Cached on
+    the network instance."""
+    if bn._law is None:
+        bn._law, = output_laws(bn, [_cpt_table(bn, node)[None] for node in bn.nodes])
+    return bn._law
+
+
+def output_laws(
+    structure: BayesianNetwork, tables: Sequence[np.ndarray]
+) -> list[SupportDistribution]:
+    """The exact output laws of R networks of one structure, by variable
+    elimination with the networks as a leading axis: tables[i] stacks the R
+    CPTs of structure.nodes[i] as an (R, *parent cards, k) array.
 
     Only the outputs and their ancestors are kept: every other node is a
-    barren descendant whose CPT sums to 1.  Each kept CPT becomes a factor.
-    The hidden ancestors are summed out one at a time, next the one whose
-    resulting factor is smallest (ties broken by topological position), and
-    what is left is multiplied into one table over the outputs.  Its positive
-    entries, encoded in one call and put in lexicographic order of their
-    vectors, are the outcomes.  Raises ModelSizeError when any factor, the
-    output table included, would exceed `STATE_GUARD` entries.  Cached on the
-    network instance.
+    barren descendant whose CPT sums to 1.  The hidden ancestors are summed
+    out one at a time, next the one whose resulting factor is smallest (ties
+    broken by topological position), and the rest is multiplied into one
+    table over the outputs.  The plan depends on the structure alone, so each
+    law is that of its network alone, bit for bit.  The outcomes positive in
+    any network are encoded once and sorted by vector; each law keeps its
+    positive ones, and laws positive everywhere share one vectors array.
+    Raises ModelSizeError when one network's factor, the output table
+    included, would exceed `STATE_GUARD` entries; the stack holds R of each.
     """
-    if bn._law is not None:
-        return bn._law
-    outputs = tuple(dict.fromkeys(bn.output_nodes))
+    stack = len(tables[0])
+    outputs = tuple(dict.fromkeys(structure.output_nodes))
     kept = set(outputs)
-    for node in reversed(bn.nodes):
+    for node in reversed(structure.nodes):
         if node.name in kept:
             kept.update(node.parents)
-    position = {name: i for i, name in enumerate(bn.node_names)}
-    card = {name: bn.node(name).cardinality for name in kept}
+    position = {name: i for i, name in enumerate(structure.node_names)}
+    card = {name: structure.node(name).cardinality for name in kept}
     _check_size(outputs, card)
 
-    factors = [_cpt_factor(bn, node) for node in bn.nodes if node.name in kept]
+    factors = [
+        (node.parents + (node.name,), table)
+        for node, table in zip(structure.nodes, tables) if node.name in kept
+    ]
 
     def resulting(h: str) -> int:
         scope = set().union(*(s for s, _ in factors if h in s)) - {h}
@@ -266,23 +282,31 @@ def output_marginal_law(bn: BayesianNetwork) -> SupportDistribution:
     while hidden:
         v = min(hidden, key=lambda h: (resulting(h), position[h]))
         hidden.remove(v)
-        scope, table = _product([f for f in factors if v in f[0]], card)
+        scope, table = _product([f for f in factors if v in f[0]], card, stack)
         factors = [f for f in factors if v not in f[0]]
-        factors.append((tuple(u for u in scope if u != v), table.sum(axis=scope.index(v))))
-    scope, table = _product(factors, card)
-    table = np.transpose(table, [scope.index(v) for v in outputs])
+        factors.append((tuple(u for u in scope if u != v), table.sum(axis=scope.index(v) + 1)))
+    scope, table = _product(factors, card, stack)
+    table = np.transpose(table, [0] + [scope.index(v) + 1 for v in outputs])
 
-    positive = table > 0.0
-    probs = table[positive]
-    vectors = encode(bn, np.argwhere(positive))
-    total = math.fsum(probs)
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"output law does not normalize: total probability {total!r}")
-    # lexsort's last key is the primary one: rows in lexicographic order, and
-    # ties (possible only with no outputs, d = 0) by probability.
-    order = np.lexsort((probs, *vectors.T[::-1]))
-    bn._law = SupportDistribution(vectors[order], probs[order])
-    return bn._law
+    shape, table = table.shape[1:], table.reshape(len(table), -1)
+    union = (table > 0.0).any(axis=0)
+    vectors = encode(structure, np.argwhere(union.reshape(shape)))
+    # lexsort's last key is the primary one; the rows are distinct, and with
+    # no outputs (d = 0) there is one outcome and nothing to sort.
+    order = np.lexsort(vectors.T[::-1]) if vectors.shape[1] else slice(None)
+    vectors = vectors[order]
+    table = table[:, np.flatnonzero(union)[order]]
+    laws = []
+    for probs in table:
+        total = math.fsum(probs)
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"output law does not normalize: total probability {total!r}")
+        keep = probs > 0.0
+        if keep.all():
+            laws.append(SupportDistribution(vectors, probs))
+        else:
+            laws.append(SupportDistribution(vectors[keep], probs[keep]))
+    return laws
 
 
 # A factor is a scope (node names, one table axis each, in order) and a table.
@@ -298,28 +322,29 @@ def _check_size(scope: Sequence[str], card: dict[str, int]) -> None:
         )
 
 
-def _cpt_factor(bn: BayesianNetwork, node: NodeSpec) -> Factor:
+def _cpt_table(bn: BayesianNetwork, node: NodeSpec) -> np.ndarray:
     """The node's CPT as a table with axes (parents..., node)."""
     shape = tuple(bn.node(p).cardinality for p in node.parents) + (node.cardinality,)
     rows = [node.cpt[combo] for combo in itertools.product(*map(range, shape[:-1]))]
-    return node.parents + (node.name,), np.array(rows, dtype=float).reshape(shape)
+    return np.array(rows, dtype=float).reshape(shape)
 
 
-def _product(factors: Sequence[Factor], card: dict[str, int]) -> Factor:
-    """Multiply factors left to right; the scope is checked against the guard
-    first, and every partial product is a sub-table of the result."""
+def _product(factors: Sequence[Factor], card: dict[str, int], stack: int) -> Factor:
+    """Multiply factors left to right, each with a leading axis of `stack`
+    networks (einsum label 0); the scope is checked against the guard first,
+    and every partial product is a sub-table of the result."""
     scope = tuple(dict.fromkeys(v for f_scope, _ in factors for v in f_scope))
     _check_size(scope, card)
     done: tuple[str, ...] = ()
-    table = np.ones(())
+    table = np.ones(stack)
     for f_scope, f_table in factors:
         union = done + tuple(v for v in f_scope if v not in done)
         # Labels are numbered per call: only this product's nodes count
         # toward einsum's 52-label limit.
-        label = {v: i for i, v in enumerate(union)}
+        label = {v: i for i, v in enumerate(union, 1)}
         table = np.einsum(
-            table, [label[v] for v in done], f_table, [label[v] for v in f_scope],
-            list(range(len(union))),
+            table, [0] + [label[v] for v in done], f_table, [0] + [label[v] for v in f_scope],
+            list(range(len(union) + 1)),
         )
         done = union
     return scope, table
@@ -385,7 +410,7 @@ def _sampler(bn: BayesianNetwork) -> list[tuple[list[int], np.ndarray, np.ndarra
     if bn._sampler is None:
         bn._sampler = []
         for node in bn.nodes:
-            _, table = _cpt_factor(bn, node)
+            table = _cpt_table(bn, node)
             shape = table.shape[:-1]
             strides = [math.prod(shape[j + 1 :]) for j in range(len(shape))]
             rows = table.reshape(-1, node.cardinality)

@@ -9,15 +9,17 @@ from bnmia.model import ONE_HOT, RAW_BINARY, BayesianNetwork, NodeSpec
 
 
 @st.composite
-def small_networks(draw, max_nodes: int = 5, max_parents: int = 3) -> BayesianNetwork:
+def small_networks(
+    draw, max_nodes: int = 5, max_parents: int = 3, max_states: int = 3
+) -> BayesianNetwork:
     """A random well-formed network: a DAG of 1..max_nodes nodes listed in
-    topological order, 2 or 3 states each, CPT rows with exact zeros, and a
-    random ordered subset of released outputs.  Raw-binary encoding is drawn
-    only when every output is binary."""
+    topological order, 2..max_states states each, CPT rows with exact zeros,
+    and a random ordered subset of released outputs.  Raw-binary encoding is
+    drawn only when every output is binary."""
     size = draw(st.integers(1, max_nodes))
     nodes: list[NodeSpec] = []
     for i in range(size):
-        card = draw(st.integers(2, 3))
+        card = draw(st.integers(2, max_states))
         parents = tuple(
             nodes[j] for j in draw(
                 st.lists(st.integers(0, i - 1), unique=True, max_size=min(i, max_parents))

@@ -190,6 +190,18 @@ class TestEval:
         assert capsys.readouterr().err == "error: unknown attack 'lrt_clipped:x-3'\n"
         assert not out.exists()
 
+    def test_weakest_with_one_proxy_record_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "results.csv"
+        code = main([
+            "eval", "--network", "cancer", "--n", "4", "--trials", "2",
+            "--threat", "weakest", "--m", "1", "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: the weakest threat model learns structure: it needs a proxy size m >= 2\n"
+        )
+        assert not out.exists()
+
     def test_usage_error_exit_code(self):
         code = main(["eval", "--network", "cancer", "--n", "2", "--threat", "weak"])
         assert code == 1  # missing --m

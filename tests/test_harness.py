@@ -253,6 +253,18 @@ BATCH_CASES = [
         ExperimentConfig("asia", 4, trials=5, seed=11, threat="weakest", m=400),
         id="asia-weakest-m400",
     ),
+    # Proxies that learn five distinct trees in 8 trials, drawn in chunks of
+    # five trials; three trees are learned once in each chunk, so their
+    # stacked fits span chunks.
+    pytest.param(
+        ExperimentConfig("asia", 4, trials=8, seed=12, threat="weakest", m=200),
+        id="asia-weakest-m200",
+    ),
+    # One trial to a proxy chunk: the batch's one stacked fit spans chunks.
+    pytest.param(
+        ExperimentConfig("asia", 4, trials=3, seed=13, threat="weak", m=600),
+        id="asia-weak-m600",
+    ),
 ]
 
 
@@ -427,6 +439,16 @@ class TestRunExperiment:
     def test_missing_m_rejected(self):
         with pytest.raises(ValueError, match="proxy size"):
             ExperimentConfig(population="cancer", n=2, threat="weak")
+
+    def test_weakest_needs_two_proxy_records_before_any_resolve(self, monkeypatch):
+        def resolve(*args):
+            raise AssertionError("a network was resolved")
+
+        monkeypatch.setattr(harness, "resolve_network", resolve)
+        with pytest.raises(ValueError, match="^the weakest threat model .* m >= 2$"):
+            ExperimentConfig("cancer", 4, trials=2, threat="weakest", m=1)
+        # The weak threat fits tables to the known graph: one record will do.
+        ExperimentConfig("cancer", 4, trials=2, threat="weak", m=1)
 
 
 class TestThreatModelOrdering:

@@ -4,20 +4,24 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference import proxy_records, reference_encode, states_of
+from reference import joint_prob, proxy_records, reference_encode, states_of
 from strategies import small_networks
 
 from bnmia import learning, model
 from bnmia.learning import (
     ProxyDataset,
     chow_liu_fit,
+    chow_liu_structures,
+    cpt_tables,
     empirical_marginals,
     mle_fit,
+    tally_cells,
 )
 from bnmia.model import (
     BayesianNetwork,
     NodeSpec,
     attribute_marginals,
+    output_laws,
     output_marginal_law,
     validate,
 )
@@ -285,7 +289,7 @@ class TestArrayFitsMatchDictTallies:
             for node in fitted.nodes:
                 assert list(node.cpt.items()) == list(expected[node.name].items())
             pairs = list(itertools.combinations(proxy.nodes, 2))
-            got = learning._mutual_informations(proxy, alpha)
+            got, = learning._mutual_informations(proxy, alpha)
             assert got == [
                 reference_pair_mutual_information(proxy, records, u, v, alpha) for u, v in pairs
             ]
@@ -296,3 +300,106 @@ class TestArrayFitsMatchDictTallies:
                     assert list(node.cpt.items()) == list(expected[node.name].items())
         mu = empirical_marginals(proxy, bn.output_nodes, bn.encoding)
         assert mu.tobytes() == reference_marginals(bn, records).tobytes()
+
+
+def brute_force_law(bn) -> dict[tuple[int, ...], float]:
+    """The output law summed over every full assignment by `joint_prob`."""
+    law: dict[tuple[int, ...], float] = {}
+    for states in itertools.product(*(range(node.cardinality) for node in bn.nodes)):
+        rec = dict(zip(bn.node_names, states))
+        vec = reference_encode(bn, rec)
+        law[vec] = law.get(vec, 0.0) + joint_prob(bn, rec)
+    return {vec: p for vec, p in law.items() if p > 0.0}
+
+
+def assert_stack_fits_each_proxy(bn, data, alpha):
+    """The stacked fits of an (R, m, nodes) proxy stack against each proxy
+    fitted alone: laws, trees and marginals bit for bit, and each law within
+    1e-12 of the brute-force law of that proxy's fitted network."""
+    states = {node.name: node.states for node in bn.nodes}
+    stack = ProxyDataset(bn.node_names, states, data)
+    laws = output_laws(bn, cpt_tables(tally_cells(bn, stack), alpha))
+    trees = []
+    if data.shape[1] > 1:
+        trees = chow_liu_structures(stack, alpha, bn.output_nodes, bn.encoding)
+    marginals = empirical_marginals(stack, bn.output_nodes, bn.encoding)
+    assert len(laws) == len(marginals) == len(data)
+    for r, law in enumerate(laws):
+        proxy = ProxyDataset(bn.node_names, states, data[r])
+        fitted = mle_fit(bn, proxy, alpha)
+        alone = output_marginal_law(fitted)
+        assert np.array_equal(law.vectors, alone.vectors)
+        assert np.array_equal(law.probs, alone.probs)
+        expected = brute_force_law(fitted)
+        assert list(map(tuple, law.vectors.tolist())) == sorted(expected)
+        for vec, p in zip(map(tuple, law.vectors.tolist()), law.probs.tolist()):
+            assert abs(p - expected[vec]) <= 1e-12 * expected[vec]
+        assert marginals[r].tobytes() == empirical_marginals(
+            proxy, bn.output_nodes, bn.encoding
+        ).tobytes()
+        if trees:
+            tree = chow_liu_fit(proxy, alpha, bn.output_nodes, bn.encoding)
+            assert [(v.name, v.parents) for v in trees[r].nodes] == [
+                (v.name, v.parents) for v in tree.nodes
+            ]
+    return laws
+
+
+def wide_network() -> BayesianNetwork:
+    """A hidden 9-state root H, so the elimination sums over nine states, with
+    a binary output A below it and a ternary output B below both."""
+    h = NodeSpec("H", tuple(f"h{i}" for i in range(9)), (), {(): tuple([1 / 9] * 9)})
+    a = NodeSpec("A", ("0", "1"), ("H",), {(i,): (0.5, 0.5) for i in range(9)})
+    b = NodeSpec("B", ("0", "1", "2"), ("H", "A"), {
+        (i, j): (0.2, 0.3, 0.5) for i in range(9) for j in range(2)
+    })
+    return BayesianNetwork((h, a, b), ("A", "B"), model.ONE_HOT)
+
+
+class TestStackedFits:
+    """Fitting R proxies as one stack gives each proxy's own fit, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(small_networks(), small_networks(max_nodes=4, max_parents=1, max_states=9)),
+        st.integers(1, 4),
+        st.integers(1, 6),
+        st.sampled_from((0.0, 1.0)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_random_stacks(self, bn, stack, m, alpha, seed):
+        # States drawn uniformly, not from bn: few records leave parent rows
+        # unseen, and with alpha = 0 the proxies' laws have different supports.
+        rng = np.random.default_rng(seed)
+        cards = [node.cardinality for node in bn.nodes]
+        data = np.stack([rng.integers(0, k, size=(stack, m)) for k in cards], axis=2)
+        assert_stack_fits_each_proxy(bn, data, alpha)
+
+    def test_one_proxy_paths_reject_a_stack(self):
+        bn = make_cancer()
+        stack = ProxyDataset.from_network_samples(bn, 6, np.random.default_rng(0))
+        stack = ProxyDataset(stack.nodes, stack.states, stack.data.reshape(2, 3, -1))
+        assert stack.m == 3
+        with pytest.raises(ValueError, match="one proxy"):
+            mle_fit(bn, stack)
+        with pytest.raises(ValueError, match="one proxy"):
+            stack.to_csv()
+        with pytest.raises(ValueError, match="one proxy"):
+            chow_liu_fit(stack)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_unseen_rows_differing_supports_and_a_nine_state_node(self, alpha):
+        bn = wide_network()
+        data = np.array([
+            [[0, 0, 0], [0, 1, 2], [8, 1, 1], [8, 0, 2]],
+            [[3, 1, 0], [3, 1, 0], [5, 0, 1], [5, 1, 2]],
+            [[2, 0, 2], [7, 1, 1], [7, 0, 0], [4, 0, 1]],
+        ])
+        states = {node.name: node.states for node in bn.nodes}
+        counts = tally_cells(bn, ProxyDataset(bn.node_names, states, data))
+        assert (counts[1].sum(axis=-1) == 0).any()  # some (proxy, H) rows of A unseen
+        laws = assert_stack_fits_each_proxy(bn, data, alpha)
+        if alpha == 0.0:
+            assert len({tuple(map(tuple, law.vectors.tolist())) for law in laws}) == 3
+        else:
+            assert all(law.vectors is laws[0].vectors for law in laws)
