@@ -99,6 +99,8 @@ class ExperimentConfig:
             raise ValueError("workers must be at least 1")
         if self.threat not in THREATS:
             raise ValueError(f"threat must be one of {THREATS}")
+        if self.threat == STRONG and self.m is not None:
+            raise ValueError("m applies only to the weak and weakest threats")
         if self.threat in (WEAK, WEAKEST) and (self.m is None or self.m < 1):
             raise ValueError("weak and weakest threat models need a proxy size m >= 1")
         if self.threat == WEAKEST and self.m < 2:
@@ -110,10 +112,19 @@ class ExperimentConfig:
 
 
 @dataclass
-class TrialScores:
-    scores_in: list[float]
-    scores_out: list[float]
-    impossible_evidence: int = 0
+class BatchScores:
+    """The scores of a batch of trials, by each trial's distinct targets.
+
+    `scores[a, t, s]` is attack `config.attacks[a]`'s score of the target row
+    in slot s of trial t; `ins[t, s]` and `outs[t, s]` count the in- and
+    out-targets of trial t equal to that row (both 0 on a padding slot,
+    which repeats a scored row); `impossible[a, t]` flags a trial whose
+    release is impossible evidence for attack a."""
+
+    scores: np.ndarray
+    ins: np.ndarray
+    outs: np.ndarray
+    impossible: np.ndarray
 
 
 def _stream(seed: int, trial: int, purpose: str) -> np.random.Generator:
@@ -192,26 +203,59 @@ def _score_batch(
     nets: Sequence[BayesianNetwork],
     releases: Sequence[ReleasedCounts],
     targets: np.ndarray,
-) -> list[dict[str, TrialScores]]:
+) -> BatchScores:
     """Score every configured attack on a batch of trials, trial t drawn
     from nets[t]: one `attacks.score` call per attack for all their
-    releases, their attackers (`_attackers`) and their (trials, targets, d)
-    encoded targets, the in-targets first.  A trial whose release is
-    impossible evidence under its attacker's network has that attack
-    flagged and scored -inf."""
+    releases, their attackers (`_attackers`) and each trial's distinct rows
+    of its (trials, targets, d) encoded targets, the in-targets first.
+    Scoring is elementwise, so every target's score is that of its row.  A
+    trial whose release is impossible evidence under its attacker's network
+    has that attack flagged and scored -inf."""
     attacker, mu = _attackers(config, trials, nets)
-    k_in, k_out = config.targets_in, config.targets_out
-    result: list[dict[str, TrialScores]] = [{} for _ in trials]
-    for name in config.attacks:
-        impossible = ()
+    rows, slot = _distinct_targets(targets)
+    size = rows.shape[1]
+    slot += np.arange(len(trials))[:, None] * size
+    k_in = config.targets_in
+    ins, outs = (
+        np.bincount(part.ravel(), minlength=len(trials) * size).reshape(-1, size)
+        for part in (slot[:, :k_in], slot[:, k_in:])
+    )
+    scores = np.empty((len(config.attacks), len(trials), size))
+    impossible = np.zeros(scores.shape[:2], dtype=bool)
+    for a, name in enumerate(config.attacks):
         try:
-            scores = atk.score(name, attacker, mu, releases, targets)
+            scores[a] = atk.score(name, attacker, mu, releases, rows)
         except ImpossibleEvidenceError as err:
-            scores, impossible = err.scores, err.releases
-        for t, row in enumerate(scores.tolist()):
-            flagged = k_in + k_out if t in impossible else 0
-            result[t][name] = TrialScores(row[:k_in], row[k_in:], flagged)
-    return result
+            scores[a] = err.scores
+            impossible[a, list(err.releases)] = True
+    return BatchScores(scores, ins, outs, impossible)
+
+
+def _distinct_targets(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each trial's distinct rows of a (trials, targets, d) bit array: a
+    (trials, distinct, d) array, a trial's rows in its first slots and its
+    other slots padded with its first target; and the (trials, targets) slot
+    of each target's row.  Rows are compared as words of up to 63 bits,
+    sorted within each trial, so the rows may be of any width."""
+    trials, k, d = targets.shape
+    words = np.stack([
+        targets[:, :, lo : lo + 63] @ (1 << np.arange(min(63, d - lo)))
+        for lo in range(0, max(d, 1), 63)
+    ], axis=2)
+    if words.shape[2] == 1:
+        order = np.argsort(words[:, :, 0], axis=1)
+    else:  # lexsort's last key is the primary one
+        order = np.lexsort(words.transpose(2, 0, 1)[::-1], axis=1)
+    each = np.arange(trials)[:, None]
+    ranked = words[each, order]
+    new = np.ones((trials, k), dtype=bool)
+    np.any(ranked[:, 1:] != ranked[:, :-1], axis=2, out=new[:, 1:])
+    ranked_slot = np.cumsum(new, axis=1) - 1
+    slot = np.empty_like(ranked_slot)
+    slot[each, order] = ranked_slot
+    first = np.zeros((trials, int(ranked_slot[:, -1].max()) + 1), dtype=np.int64)
+    first[np.nonzero(new)[0], ranked_slot[new]] = order[new]
+    return targets[each, first], slot
 
 
 def _draw(nets: Sequence[BayesianNetwork], u: np.ndarray) -> np.ndarray:
@@ -244,8 +288,9 @@ def _encoded_records(
 
 def run_batch(
     config: ExperimentConfig, trials: Sequence[int], shared: BayesianNetwork | None
-) -> list[dict[str, TrialScores]]:
-    """Run the given trials together and return their scores in order.
+) -> BatchScores:
+    """Run the given trials together and return their scores, trial by trial
+    in order.
 
     Each trial's streams make the draws it would make alone: its dataset
     stream the uniforms of its n records, its targets_in stream the records
@@ -259,9 +304,9 @@ def run_batch(
     scored together (`_score_batch`), under every threat and population: one
     call per attack, against one attacker for all the trials (the strong
     threat on a shared network) or one per trial (fitted to the trial's
-    proxy, or a toy population's own network).  Every score is that of the
-    trial scored alone, bit for bit, so a trial's scores still do not depend
-    on the batch it ran in.
+    proxy, or a toy population's own network), once per distinct target row
+    of each trial.  Every score is that of the trial scored alone, bit for
+    bit, so a trial's scores still do not depend on the batch it ran in.
     """
     nets = [
         shared if shared is not None
@@ -280,40 +325,55 @@ def run_batch(
 
 def auc_rows(scores_in, scores_out) -> np.ndarray:
     """The pairwise AUC of each row of a (rows, k_in) and a (rows, k_out)
-    score array, counted by rank (the Mann-Whitney form) in one pass: each
-    row's scores are sorted together, and each in-score counts the
-    out-scores in tie groups below its own, and those in its own at half
-    weight.  The counts are integers, so every AUC is exact up to the one
-    final division.
-    """
+    score array: `weighted_auc_rows` on the rows side by side, each in-score
+    standing for one in-target and each out-score for one out-target."""
     s_in = np.asarray(scores_in, dtype=float)
     s_out = np.asarray(scores_out, dtype=float)
     if s_in.size == 0 or s_out.size == 0:
         raise ValueError("both score lists must be nonempty")
-    if np.isnan(s_in).any() or np.isnan(s_out).any():
+    is_in = np.arange(s_in.shape[1] + s_out.shape[1]) < s_in.shape[1]
+    return weighted_auc_rows(np.concatenate([s_in, s_out], axis=1), is_in, ~is_in)
+
+
+def weighted_auc_rows(scores, ins, outs) -> np.ndarray:
+    """The pairwise AUC of each row of a (..., width) score array whose
+    entry j stands for ins[..., j] in-targets and outs[..., j] out-targets
+    (integer weights, broadcast to the scores' shape), counted by rank (the
+    Mann-Whitney form) in one pass over all rows: each row is sorted, and
+    each tie group adds its in-weight times the out-weight of the row's
+    groups below it, and times its own out-weight at half weight.  The
+    counts are integers, the same as on the rows expanded by their weights,
+    so every AUC is exact up to the one final division.
+    """
+    s = np.asarray(scores, dtype=float)
+    if np.isnan(s).any():
         raise ValueError("scores must not be NaN")
-    rows, k_in = s_in.shape
-    width = k_in + s_out.shape[1]
-    both = np.concatenate([s_in, s_out], axis=1)
-    del s_in, s_out  # the pass holds few (rows, width) arrays at once
-    order = np.argsort(both, axis=1)
-    is_out = (order >= k_in).ravel()
-    order += np.arange(0, rows * width, width)[:, None]
-    ranked = both.take(order).ravel()
-    del both, order
-    new_group = np.ones(rows * width, dtype=bool)
-    np.not_equal(ranked[1:], ranked[:-1], out=new_group[1:])
-    new_group[::width] = True  # groups never span two rows
+    shape = s.shape
+    width = shape[-1]
+    s = s.reshape(-1, width)
+    w_in, w_out = (
+        np.broadcast_to(np.asarray(w, dtype=np.int64), shape).reshape(s.shape) for w in (ins, outs)
+    )
+    k_in, k_out = w_in.sum(axis=1), w_out.sum(axis=1)
+    if not (k_in.all() and k_out.all()):
+        raise ValueError("both score lists must be nonempty")
+    order = np.argsort(s, axis=1)
+    ranked = np.take_along_axis(s, order, axis=1)
+    del s  # the pass holds few (rows, width) arrays at once
+    new_group = np.ones(ranked.shape, dtype=bool)
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=new_group[:, 1:])
     del ranked
-    starts = np.flatnonzero(new_group)
-    outs = np.add.reduceat(is_out, starts, dtype=np.int64)
-    ins = np.diff(starts, append=rows * width) - outs
-    outs_before = np.cumsum(is_out.reshape(rows, width), axis=1, dtype=np.int32).ravel()[starts]
-    outs_before -= is_out[starts]  # outs in earlier groups of the row
-    first_of_row = np.searchsorted(starts, np.arange(0, rows * width, width))
-    below = np.add.reduceat(ins * outs_before, first_of_row)
-    ties = np.add.reduceat(ins * outs, first_of_row)
-    return (below + 0.5 * ties) / (k_in * (width - k_in))
+    starts = np.flatnonzero(new_group)  # groups never span two rows
+    w_in = np.take_along_axis(w_in, order, axis=1)
+    w_out = np.take_along_axis(w_out, order, axis=1)
+    del order
+    ins_g = np.add.reduceat(w_in.ravel(), starts)
+    outs_g = np.add.reduceat(w_out.ravel(), starts)
+    outs_before = (np.cumsum(w_out, axis=1) - w_out).ravel()[starts]  # earlier groups of the row
+    first_of_row = np.searchsorted(starts, np.arange(0, w_out.size, width))
+    below = np.add.reduceat(ins_g * outs_before, first_of_row)
+    ties = np.add.reduceat(ins_g * outs_g, first_of_row)
+    return ((below + 0.5 * ties) / (k_in * k_out)).reshape(shape[:-1])
 
 
 @dataclass(frozen=True)
@@ -406,14 +466,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     flags = dict.fromkeys(config.attacks, 0)
 
     def count(batches) -> None:
-        # One rank pass per attack and batch; a batch's scores are then dropped.
+        # One rank pass per batch for every attack; its scores are then dropped.
+        flagged = config.targets_in + config.targets_out
         for batch in batches:
-            for name in config.attacks:
-                per_attack[name] += auc_rows(
-                    [scores[name].scores_in for scores in batch],
-                    [scores[name].scores_out for scores in batch],
-                ).tolist()
-                flags[name] += sum(scores[name].impossible_evidence for scores in batch)
+            aucs = weighted_auc_rows(batch.scores, batch.ins, batch.outs).tolist()
+            for name, row, impossible in zip(config.attacks, aucs, batch.impossible.sum(axis=1)):
+                per_attack[name] += row
+                flags[name] += flagged * int(impossible)
 
     if config.workers > 1:
         # Imported here: multiprocessing would otherwise add to every import of bnmia.

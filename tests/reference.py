@@ -1,9 +1,12 @@
 """Reference implementations that the array paths must match bit for bit:
 the one-record ancestral sampler, the dict encoder, the one-trial draw and
 score with its own attacker, the pairwise AUC and the per-outcome convolution step they replaced; the swept
-ROC curve, whose area the rank-count AUC must equal; and two dict-record
-helpers, the chain-rule joint probability and a proxy's records."""
+ROC curve, whose area the rank-count AUC must equal; a batch result read
+trial by trial; and two dict-record helpers, the chain-rule joint
+probability and a proxy's records."""
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,12 +34,46 @@ def reference_encode(bn, rec: dict[str, int]) -> tuple[int, ...]:
     return tuple(bits)
 
 
+class TrialScores(NamedTuple):
+    """One trial's scores under one attack, its in-targets' and its
+    out-targets', and how many of them were flagged as impossible
+    evidence."""
+
+    scores_in: list[float]
+    scores_out: list[float]
+    impossible_evidence: int = 0
+
+    def sorted(self) -> TrialScores:
+        """The same scores, each list sorted: the form `batch_trials` gives."""
+        return self._replace(scores_in=sorted(self.scores_in), scores_out=sorted(self.scores_out))
+
+
+def batch_trials(config, batch) -> list[dict[str, TrialScores]]:
+    """A `harness.BatchScores` trial by trial, attack -> TrialScores: each
+    distinct target's score repeated by its in- and by its out-multiplicity,
+    each list sorted, and targets_in + targets_out where the trial is
+    flagged."""
+    flagged = config.targets_in + config.targets_out
+    return [
+        {
+            name: TrialScores(
+                sorted(np.repeat(batch.scores[a, t], batch.ins[t]).tolist()),
+                sorted(np.repeat(batch.scores[a, t], batch.outs[t]).tolist()),
+                flagged * int(batch.impossible[a, t]),
+            )
+            for a, name in enumerate(config.attacks)
+        }
+        for t in range(len(batch.ins))
+    ]
+
+
 def reference_trial(config, trial_index: int):
     """One trial drawn and scored on its own, as before trials were batched:
     a sample call for the dataset and one for the fresh targets, the release
     by `dataset_counts`, and one encoding of the picked records followed by
     the fresh ones; the attacker from `reference_attacker`, and one
-    `attacks.score` call per attack on the one release."""
+    `attacks.score` call per attack on the one release, every target scored
+    in order."""
     from bnmia import attacks, harness
     from bnmia.inference import ImpossibleEvidenceError
 
@@ -58,7 +95,7 @@ def reference_trial(config, trial_index: int):
             scores = attacks.score(name, attacker, mu, counts, targets)
         except ImpossibleEvidenceError as err:
             scores, flagged = err.scores, len(targets)
-        out[name] = harness.TrialScores(scores[:k_in].tolist(), scores[k_in:].tolist(), flagged)
+        out[name] = TrialScores(scores[:k_in].tolist(), scores[k_in:].tolist(), flagged)
     return out
 
 

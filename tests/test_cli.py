@@ -202,6 +202,16 @@ class TestEval:
         )
         assert not out.exists()
 
+    def test_m_under_the_strong_threat_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "results.csv"
+        code = main([
+            "eval", "--network", "cancer", "--n", "4", "--trials", "2", "--m", "5",
+            "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: m applies only to the weak and weakest threats\n"
+        assert not out.exists()
+
     def test_usage_error_exit_code(self):
         code = main(["eval", "--network", "cancer", "--n", "2", "--threat", "weak"])
         assert code == 1  # missing --m

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference import reference_auc, reference_roc_points, reference_trial
+from reference import (
+    TrialScores, batch_trials, reference_auc, reference_roc_points, reference_trial
+)
 
-from bnmia import harness
+from bnmia import attacks, harness
 from bnmia.attacks import ClipRange
 from bnmia.harness import (
     ExperimentConfig,
@@ -14,9 +16,17 @@ from bnmia.harness import (
     resolve_population,
     run_batch,
     run_experiment,
+    weighted_auc_rows,
 )
 from bnmia.inference import ImpossibleEvidenceError
-from bnmia.model import InvalidNetworkError, ReleasedCounts, output_marginal_law
+from bnmia.model import (
+    BayesianNetwork,
+    InvalidNetworkError,
+    NodeSpec,
+    ReleasedCounts,
+    attribute_marginals,
+    output_marginal_law,
+)
 from bnmia.populations import LEFT, RIGHT, make_half_repeated, make_product
 
 SCORE_GRID = [-math.inf, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0, math.inf]
@@ -109,6 +119,48 @@ class TestAuc:
             one_row_auc([1.0], [])
         with pytest.raises(ValueError, match="NaN"):
             one_row_auc([1.0], [math.nan])
+        with pytest.raises(ValueError, match="nonempty"):
+            weighted_auc_rows([[1.0, 2.0]], [[1, 2]], [[0, 0]])
+
+
+@st.composite
+def weighted_rows(draw):
+    """A (rows, width) score array drawn from a small grid with both
+    infinities, so most rows have many ties and some one distinct value,
+    with in- and out-weights of 0..3: some slots stand for no target, as
+    padding does, but every row has at least one of each."""
+    rows, width = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    cells = st.lists(st.integers(0, 3), min_size=width, max_size=width)
+    grid = draw(st.sampled_from([SCORE_GRID, [-math.inf, math.inf], [0.5]]))
+    scores = [draw(st.lists(st.sampled_from(grid), min_size=width, max_size=width))
+              for _ in range(rows)]
+    ins = [draw(cells.filter(any)) for _ in range(rows)]
+    outs = [draw(cells.filter(any)) for _ in range(rows)]
+    return np.array(scores), np.array(ins), np.array(outs)
+
+
+class TestWeightedAuc:
+    """Counting with multiplicities gives the AUC of the expanded lists,
+    with no tolerance."""
+
+    @given(weighted_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_pairwise_formula_on_expanded_lists(self, case):
+        scores, ins, outs = case
+        got = weighted_auc_rows(scores, ins, outs)
+        assert got.shape == (len(scores),)
+        for row, w_in, w_out, auc in zip(scores, ins, outs, got.tolist()):
+            assert auc == reference_auc(np.repeat(row, w_in), np.repeat(row, w_out))
+
+    def test_weights_broadcast_over_leading_axes(self):
+        rng = np.random.default_rng(5)
+        scores = rng.choice(SCORE_GRID, (3, 4, 9))
+        ins, outs = rng.integers(1, 4, (2, 4, 9))
+        got = weighted_auc_rows(scores, ins, outs)
+        assert got.shape == (3, 4)
+        for a, t in np.ndindex(3, 4):
+            row = scores[a, t]
+            assert got[a, t] == reference_auc(np.repeat(row, ins[t]), np.repeat(row, outs[t]))
 
 
 class TestResolvePopulation:
@@ -148,8 +200,10 @@ class TestResolvePopulation:
 
 
 def run_one(config: ExperimentConfig, trial_index: int):
-    """The scores of one trial, run as a batch of one."""
-    return run_batch(config, [trial_index], harness._shared_population(config))[0]
+    """The scores of one trial, run as a batch of one, read through
+    `batch_trials`."""
+    batch = run_batch(config, [trial_index], harness._shared_population(config))
+    return batch_trials(config, batch)[0]
 
 
 class TestRunTrial:
@@ -168,8 +222,11 @@ class TestRunTrial:
             population="product:4", n=3, targets_in=6, targets_out=6, seed=3,
             attacks=("lrt", "bayes"),
         )
-        scores = run_one(config, 1)
-        for s_l, s_b in zip(scores["lrt"].scores_in, scores["bayes"].scores_in):
+        batch = run_batch(config, [1], None)
+        members = batch.ins[0] > 0
+        lrt, bayes = (row[members].tolist() for row in batch.scores[:, 0])
+        assert len(lrt) == len(bayes) > 0
+        for s_l, s_b in zip(lrt, bayes):
             if math.isinf(s_l):
                 assert math.isinf(s_b)
             else:
@@ -268,6 +325,48 @@ BATCH_CASES = [
 ]
 
 
+@st.composite
+def target_stacks(draw):
+    """A (trials, targets, d) bit array, each trial's targets drawn from a
+    few rows of its own, d up to 140: rows of up to three 63-bit words."""
+    trials, k, d = draw(st.integers(1, 5)), draw(st.integers(1, 30)), draw(st.integers(0, 140))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.integers(0, 2, (trials, draw(st.integers(1, 8)), d))
+    return pool[np.arange(trials)[:, None], rng.integers(0, pool.shape[1], (trials, k))]
+
+
+class TestDistinctTargets:
+    @given(target_stacks())
+    @settings(max_examples=200, deadline=None)
+    def test_each_target_has_its_row_and_rows_are_distinct(self, targets):
+        rows, slot = harness._distinct_targets(targets)
+        assert np.array_equal(rows[np.arange(len(targets))[:, None], slot], targets)
+        for t in range(len(targets)):
+            used = int(slot[t].max()) + 1
+            assert sorted(set(slot[t].tolist())) == list(range(used))
+            assert len({row.tobytes() for row in rows[t, :used]}) == used
+            assert (rows[t, used:] == targets[t, 0]).all()  # padding
+
+
+def wide_network() -> BayesianNetwork:
+    """Three 24-state nodes in a chain, one-hot: d = 72, so a target row is
+    two 63-bit words and a packed (trial, row) key would pass 63 bits."""
+    rng = np.random.default_rng(3)
+    states = tuple(f"s{i}" for i in range(24))
+
+    def cpt(combos) -> dict:
+        weights = rng.uniform(0.1, 1.0, (len(combos), 24))
+        return {c: tuple((w / w.sum()).tolist()) for c, w in zip(combos, weights)}
+
+    by_parent = [(i,) for i in range(24)]
+    nodes = (
+        NodeSpec("A", states, (), cpt([()])),
+        NodeSpec("B", states, ("A",), cpt(by_parent)),
+        NodeSpec("C", states, ("B",), cpt(by_parent)),
+    )
+    return BayesianNetwork(nodes, ("A", "B", "C"), "one-hot")
+
+
 class TestBatches:
     """Trials drawn in batches score exactly as trials drawn one by one, for
     any batch size."""
@@ -283,15 +382,13 @@ class TestBatches:
         if records != "default":
             assert len(ranges) == (config.trials if records == "one-trial" else 1)
         shared = harness._shared_population(config)
-        got = [s for r in ranges for s in harness.run_batch(config, r, shared)]
+        got = [s for r in ranges for s in batch_trials(config, harness.run_batch(config, r, shared))]
         assert len(got) == config.trials
         for i, scores in enumerate(got):
             expected = reference_trial(config, i)
             assert set(scores) == set(expected) == set(config.attacks)
             for name in config.attacks:
-                assert scores[name].scores_in == expected[name].scores_in
-                assert scores[name].scores_out == expected[name].scores_out
-                assert scores[name].impossible_evidence == expected[name].impossible_evidence
+                assert scores[name] == expected[name].sorted()
 
     @pytest.mark.parametrize(
         "n, targets_out, trials, workers, sizes",
@@ -317,10 +414,12 @@ class TestBatches:
         config = ExperimentConfig("half:3", 3, targets_in=2, targets_out=2, trials=3)
         releases = [ReleasedCounts(c, 3) for c in ((1, 1, 1), (1, 1, 2), (2, 0, 0))]
         targets = np.array([[(0, 1, 1), (1, 0, 0), (1, 1, 1), (0, 0, 0)]] * 3)
-        got = harness._score_batch(config, [0, 1, 2], [bn] * 3, releases, targets)
+        got = batch_trials(config, harness._score_batch(config, [0, 1, 2], [bn] * 3, releases, targets))
         for t in range(3):
             one = slice(t, t + 1)
-            alone = harness._score_batch(config, [t], [bn], releases[one], targets[one])[0]
+            alone = batch_trials(
+                config, harness._score_batch(config, [t], [bn], releases[one], targets[one])
+            )[0]
             for name in config.attacks:
                 flagged = 4 if (t, name) == (1, "bayes") else 0
                 assert got[t][name].impossible_evidence == flagged
@@ -329,13 +428,55 @@ class TestBatches:
                 assert got[t][name].scores_out == alone[name].scores_out
         assert got[1]["bayes"].scores_in + got[1]["bayes"].scores_out == [-math.inf] * 4
 
+    @pytest.mark.parametrize("case", ["sachs:leaf-root", "wide"])
+    def test_distinct_scores_expand_to_the_reference(self, tmp_path, case):
+        if case == "wide":
+            from bnmia.formats import emit_sexpr
+
+            path = tmp_path / "wide.sexp"
+            path.write_text(emit_sexpr(wide_network()), encoding="utf-8")
+            config = ExperimentConfig(str(path), 4, trials=4, targets_in=30, targets_out=30, seed=2)
+        else:
+            config = ExperimentConfig(case, 4, trials=14, seed=9)
+        batch = run_batch(config, range(config.trials), harness._shared_population(config))
+        k = config.targets_in + config.targets_out
+        assert batch.scores.shape[:2] == (len(config.attacks), config.trials)
+        assert batch.scores.shape[2] < k  # some targets share a row
+        assert (batch.ins.sum(axis=1) == config.targets_in).all()
+        assert (batch.outs.sum(axis=1) == config.targets_out).all()
+        for t, scores in enumerate(batch_trials(config, batch)):
+            expected = reference_trial(config, t)
+            assert scores == {name: each.sorted() for name, each in expected.items()}
+
+    def test_impossible_release_scores_by_distinct_targets(self):
+        # X3 copies X2, so the second release is impossible evidence; the
+        # trials' six targets hold two, two and three distinct rows.
+        bn = make_half_repeated(3, (0.5, 0.4))
+        config = ExperimentConfig("half:3", 3, targets_in=3, targets_out=3, trials=3)
+        releases = [ReleasedCounts(c, 3) for c in ((1, 1, 1), (1, 1, 2), (2, 0, 0))]
+        rows = np.array([(0, 1, 1), (1, 0, 0), (1, 1, 1), (0, 0, 0)])
+        targets = rows[[[0, 1, 0, 1, 1, 0], [2, 2, 2, 3, 3, 2], [3, 0, 3, 3, 0, 1]]]
+        batch = harness._score_batch(config, [0, 1, 2], [bn] * 3, releases, targets)
+        assert ((batch.ins + batch.outs) > 0).sum(axis=1).tolist() == [2, 2, 3]
+        assert batch.impossible.tolist() == [[False] * 3, [False] * 3, [False, True, False]]
+        got = batch_trials(config, batch)
+        mu = attribute_marginals(bn)
+        for t, release in enumerate(releases):
+            for name in config.attacks:
+                flagged = 0
+                try:
+                    scores = attacks.score(name, bn, mu, release, targets[t])
+                except ImpossibleEvidenceError as err:
+                    scores, flagged = err.scores, 6
+                expected = TrialScores(scores[:3].tolist(), scores[3:].tolist(), flagged)
+                assert got[t][name] == expected.sorted()
+        assert got[1]["bayes"].scores_in + got[1]["bayes"].scores_out == [-math.inf] * 6
+
     def test_one_trial_batch_is_the_reference_trial(self):
         config = ExperimentConfig("half:5", 3, trials=3, seed=8)
         for i in range(config.trials):
             got, expected = run_one(config, i), reference_trial(config, i)
-            assert {k: (v.scores_in, v.scores_out) for k, v in got.items()} == {
-                k: (v.scores_in, v.scores_out) for k, v in expected.items()
-            }
+            assert got == {name: scores.sorted() for name, scores in expected.items()}
 
     def test_file_population_is_parsed_once(self, monkeypatch, tmp_path):
         from importlib import resources
@@ -439,6 +580,14 @@ class TestRunExperiment:
     def test_missing_m_rejected(self):
         with pytest.raises(ValueError, match="proxy size"):
             ExperimentConfig(population="cancer", n=2, threat="weak")
+
+    def test_m_under_the_strong_threat_rejected(self):
+        # No proxy is drawn under the strong threat, so an m would only be
+        # written into every CSV row.
+        with pytest.raises(ValueError, match="^m applies only to the weak and weakest threats$"):
+            ExperimentConfig("cancer", 4, trials=2, m=5)
+        with pytest.raises(ValueError, match="^m applies only"):
+            ExperimentConfig("cancer", 4, threat="strong", m=1)
 
     def test_weakest_needs_two_proxy_records_before_any_resolve(self, monkeypatch):
         def resolve(*args):
