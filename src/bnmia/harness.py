@@ -4,13 +4,16 @@ the numerical equivalence suites.
 A trial samples one private dataset, releases its counts, draws in/out
 targets, and scores every configured attack.  Per-trial randomness comes from
 streams keyed by (master seed, trial index, purpose), so adding attacks or
-reordering work never perturbs the sampled data.  An experiment runs its
-trials in batches of at most `_BATCH_RECORDS` drawn records: one ancestral
-pass and one encoding per batch, then one scoring call per attack for the
-whole batch, against one attacker per trial or one shared by all (under the
-weak and weakest threats the attackers are fitted to proxies drawn in one
-pass per `_BATCH_RECORDS` proxy records); the outputs are those of trials
-run one by one.
+reordering work never perturbs the sampled data.  An experiment gives each
+worker a share of its trials.  A share is drawn in chunks of at most
+`_BATCH_RECORDS` drawn records, one ancestral pass and one encoding per
+chunk, and each chunk is reduced at once to its trials' distinct target
+rows.  Those rows are scored in groups of trials whose padded row stack fits
+in `_GROUP_BYTES`: one scoring call per attack for the whole group, against
+one attacker per trial or one shared by all (under the weak and weakest
+threats the attackers are fitted to proxies drawn in one pass per
+`_BATCH_RECORDS` proxy records), and one rank pass.  The outputs are those
+of trials run one by one.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ import io
 import itertools
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -97,6 +101,9 @@ class ExperimentConfig:
             raise ValueError("trials, targets, and n must all be at least 1")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        repeated = [name for name, k in Counter(self.attacks).items() if k > 1]
+        if repeated:
+            raise ValueError(f"attack {repeated[0]!r} is named more than once")
         if self.threat not in THREATS:
             raise ValueError(f"threat must be one of {THREATS}")
         if self.threat == STRONG and self.m is not None:
@@ -113,18 +120,22 @@ class ExperimentConfig:
 
 @dataclass
 class BatchScores:
-    """The scores of a batch of trials, by each trial's distinct targets.
+    """The scores of a worker's share of trials, or of one scoring group, by
+    each trial's distinct targets.
 
     `scores[a, t, s]` is attack `config.attacks[a]`'s score of the target row
     in slot s of trial t; `ins[t, s]` and `outs[t, s]` count the in- and
     out-targets of trial t equal to that row (both 0 on a padding slot,
     which repeats a scored row); `impossible[a, t]` flags a trial whose
-    release is impossible evidence for attack a."""
+    release is impossible evidence for attack a; and `aucs[a, t]` is
+    `weighted_auc_rows` of scores[a, t] under those weights, counted when
+    the group was scored."""
 
     scores: np.ndarray
     ins: np.ndarray
     outs: np.ndarray
     impossible: np.ndarray
+    aucs: np.ndarray
 
 
 def _stream(seed: int, trial: int, purpose: str) -> np.random.Generator:
@@ -148,7 +159,7 @@ def _shared_population(config: ExperimentConfig) -> BayesianNetwork | None:
 def _attackers(
     config: ExperimentConfig, trials: Sequence[int], nets: Sequence[BayesianNetwork]
 ):
-    """The attacker of each trial of a batch under the configured threat
+    """The attacker of each trial of a group under the configured threat
     model: its network (or law) and its marginals.  Under the strong threat
     the trials' population networks, one for all when they share one;
     otherwise one law and one marginal row per trial, fitted to the trial's
@@ -158,7 +169,7 @@ def _attackers(
     structure (node order and parents: the population's under the weak
     threat, each proxy's Chow-Liu tree under the weakest), and only each
     group's cell counts are kept; each structure's CPTs are then fitted, and
-    its laws eliminated, once for the whole batch.  A law shares the
+    its laws eliminated, once for the whole group.  A law shares the
     previous trial's outcome vectors when they are equal."""
     if config.threat == STRONG:
         if all(bn is nets[0] for bn in nets):
@@ -197,30 +208,26 @@ def _attackers(
     return laws, np.concatenate(mus)
 
 
-def _score_batch(
+def _score_group(
     config: ExperimentConfig,
     trials: Sequence[int],
     nets: Sequence[BayesianNetwork],
     releases: Sequence[ReleasedCounts],
-    targets: np.ndarray,
+    rows: np.ndarray,
+    ins: np.ndarray,
+    outs: np.ndarray,
 ) -> BatchScores:
-    """Score every configured attack on a batch of trials, trial t drawn
+    """Score every configured attack on a group of trials, trial t drawn
     from nets[t]: one `attacks.score` call per attack for all their
-    releases, their attackers (`_attackers`) and each trial's distinct rows
-    of its (trials, targets, d) encoded targets, the in-targets first.
-    Scoring is elementwise, so every target's score is that of its row.  A
-    trial whose release is impossible evidence under its attacker's network
-    has that attack flagged and scored -inf."""
+    releases, their attackers (`_attackers`) and the (trials, slots, d)
+    distinct target rows with their (trials, slots) in- and
+    out-multiplicities (`_weighted_rows`).  Scoring is elementwise, so every
+    target's score is that of its row.  A trial whose release is impossible
+    evidence under its attacker's network has that attack flagged and
+    scored -inf.  One `weighted_auc_rows` pass then counts every attack's
+    AUCs for the group."""
     attacker, mu = _attackers(config, trials, nets)
-    rows, slot = _distinct_targets(targets)
-    size = rows.shape[1]
-    slot += np.arange(len(trials))[:, None] * size
-    k_in = config.targets_in
-    ins, outs = (
-        np.bincount(part.ravel(), minlength=len(trials) * size).reshape(-1, size)
-        for part in (slot[:, :k_in], slot[:, k_in:])
-    )
-    scores = np.empty((len(config.attacks), len(trials), size))
+    scores = np.empty((len(config.attacks),) + rows.shape[:2])
     impossible = np.zeros(scores.shape[:2], dtype=bool)
     for a, name in enumerate(config.attacks):
         try:
@@ -228,7 +235,24 @@ def _score_batch(
         except ImpossibleEvidenceError as err:
             scores[a] = err.scores
             impossible[a, list(err.releases)] = True
-    return BatchScores(scores, ins, outs, impossible)
+    return BatchScores(scores, ins, outs, impossible, weighted_auc_rows(scores, ins, outs))
+
+
+def _weighted_rows(
+    config: ExperimentConfig, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each trial's distinct rows of its (trials, targets, d) encoded
+    targets, the in-targets first (`_distinct_targets`), and the (trials,
+    slots) counts of its in- and of its out-targets equal to each row."""
+    rows, slot = _distinct_targets(targets)
+    size = rows.shape[1]
+    slot += np.arange(len(targets))[:, None] * size
+    k_in = config.targets_in
+    ins, outs = (
+        np.bincount(part.ravel(), minlength=len(targets) * size).reshape(-1, size)
+        for part in (slot[:, :k_in], slot[:, k_in:])
+    )
+    return rows, ins, outs
 
 
 def _distinct_targets(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -266,13 +290,14 @@ def _draw(nets: Sequence[BayesianNetwork], u: np.ndarray) -> np.ndarray:
     return draw_records(list(slot_of), slot, u.reshape(-1, u.shape[2])).reshape(u.shape)
 
 
-def _encoded_records(
+def _draw_chunk(
     config: ExperimentConfig, trials: Sequence[int], nets: Sequence[BayesianNetwork]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The records of a batch of trials, drawn in one pass from their trials'
-    networks and encoded: a (trials, n + targets_out, d) bit array, each
-    trial's dataset followed by its fresh targets; and each trial's in-target
-    picks, as a (trials, targets_in) array."""
+) -> tuple[list[ReleasedCounts], np.ndarray, np.ndarray, np.ndarray]:
+    """Draw a chunk of trials in one pass from their trials' networks, with
+    one `project` + `encode`, and reduce it to what scoring needs: each
+    trial's release, the column sums of its n records, and its distinct
+    target rows with their multiplicities (`_weighted_rows`), its targets
+    being its picked records followed by its fresh ones."""
     n, k_out = config.n, config.targets_out
     bn = nets[0]
     nodes = len(bn.nodes)
@@ -283,44 +308,111 @@ def _encoded_records(
         picks[t] = _stream(config.seed, i, "targets_in").integers(0, n, size=config.targets_in)
         u[t, n:] = _stream(config.seed, i, "targets_out").random((k_out, nodes))
     states = _draw(nets, u).reshape(-1, nodes)
-    return encode(bn, project(bn, states)).reshape(len(trials), n + k_out, bn.d), picks
+    bits = encode(bn, project(bn, states)).reshape(len(trials), n + k_out, bn.d)
+    releases = [ReleasedCounts(tuple(c), n) for c in bits[:, :n].sum(axis=1).tolist()]
+    fresh = np.broadcast_to(np.arange(n, n + k_out), (len(trials), k_out))
+    targets = bits[np.arange(len(trials))[:, None], np.concatenate([picks, fresh], axis=1)]
+    return releases, *_weighted_rows(config, targets)
+
+
+def _slots(a: np.ndarray, width: int, axis: int = 1, weights: bool = False) -> np.ndarray:
+    """a with `width` slots along axis, its own cut or padded: a padding slot
+    repeats slot 0, at weight 0 in a (trials, slots) array of weights.  Only
+    padding slots are ever cut."""
+    index = np.arange(width)
+    pad = index >= a.shape[axis]
+    index[pad] = 0
+    out = np.take(a, index, axis=axis)
+    if weights:
+        out[:, pad] = 0
+    return out
+
+
+def _groups(config: ExperimentConfig, trials: Sequence[int], shared: BayesianNetwork | None):
+    """The scoring groups of a share of trials, each yielded as soon as it
+    closes, as `_score_group`'s arguments after config: its trials, their
+    networks and releases, and its (trials, slots, d) distinct target rows
+    with their in- and out-multiplicities, each trial padded to the group's
+    widest.
+
+    Trials are drawn in chunks of at most `_BATCH_RECORDS` records (n +
+    targets_out a trial, at least one trial), and each chunk is reduced to
+    its distinct rows at once (`_draw_chunk`).  A toy population's networks
+    are resolved chunk by chunk, each from its trial's population stream,
+    so only the chunk's and the open group's are held.  A group collects
+    trials across chunks, and closes only when one more trial would take its
+    padded row stack, at 8 bytes an entry as scoring holds it, past
+    `_GROUP_BYTES`; it always holds at least one trial."""
+    chunk = max(1, _BATCH_RECORDS // (config.n + config.targets_out))
+    pieces = []  # the open group's slices of drawn chunks
+    size = width = 0  # the open group's trials and slots
+
+    def closed():
+        ids, nets, releases = ([x for piece in pieces for x in piece[p]] for p in range(3))
+        rows = np.concatenate([_slots(piece[3], width) for piece in pieces])
+        ins, outs = (
+            np.concatenate([_slots(piece[p], width, weights=True) for piece in pieces])
+            for p in (4, 5)
+        )
+        return ids, nets, releases, rows, ins, outs
+
+    for lo in range(0, len(trials), chunk):
+        ids = trials[lo : lo + chunk]
+        nets = [
+            shared if shared is not None
+            else resolve_population(config, _stream(config.seed, i, "population"))
+            for i in ids
+        ]
+        drawn = (ids, nets, *_draw_chunk(config, ids, nets))
+        slot_bytes = 8 * nets[0].d
+        cut = 0
+        for t, used in enumerate(np.count_nonzero(drawn[4] + drawn[5], axis=1).tolist()):
+            if size and (size + 1) * max(width, used) * slot_bytes > _GROUP_BYTES:
+                pieces.append([part[cut:t] for part in drawn])
+                yield closed()
+                pieces, size, width, cut = [], 0, 0, t
+            size, width = size + 1, max(width, used)
+        pieces.append([part[cut:] for part in drawn])
+    yield closed()
+
+
+def _joined(groups: Sequence[BatchScores]) -> BatchScores:
+    """The scores of consecutive groups of trials as one BatchScores, every
+    group padded to the widest group's slots."""
+    if len(groups) == 1:
+        return groups[0]
+    width = max(g.ins.shape[1] for g in groups)
+    return BatchScores(
+        np.concatenate([_slots(g.scores, width, axis=2) for g in groups], axis=1),
+        np.concatenate([_slots(g.ins, width, weights=True) for g in groups]),
+        np.concatenate([_slots(g.outs, width, weights=True) for g in groups]),
+        np.concatenate([g.impossible for g in groups], axis=1),
+        np.concatenate([g.aucs for g in groups], axis=1),
+    )
 
 
 def run_batch(
     config: ExperimentConfig, trials: Sequence[int], shared: BayesianNetwork | None
 ) -> BatchScores:
-    """Run the given trials together and return their scores, trial by trial
-    in order.
+    """Run the given trials, a worker's share, and return their scores and
+    AUCs, trial by trial in order.
 
     Each trial's streams make the draws it would make alone: its dataset
     stream the uniforms of its n records, its targets_in stream the records
     picked as in-targets, its targets_out stream the uniforms of its fresh
     out-targets.  `shared` is the network every trial uses; when it is None
     (toy populations) each trial resolves its own from its population stream.
-    One `draw_records` pass maps all the uniforms to states, drawing each
-    record from its trial's network, and one `project` + `encode` covers the
-    batch.  A trial's release is the column sums of its own records, and its
-    targets are its picked records followed by its fresh ones.  The batch is
-    scored together (`_score_batch`), under every threat and population: one
-    call per attack, against one attacker for all the trials (the strong
+    The trials are drawn in chunks of bounded records and scored in groups
+    of bounded distinct rows (`_groups`).  Each group is scored and ranked
+    together (`_score_group`), under every threat and population: one call
+    per attack, against one attacker for all the group's trials (the strong
     threat on a shared network) or one per trial (fitted to the trial's
     proxy, or a toy population's own network), once per distinct target row
     of each trial.  Every score is that of the trial scored alone, bit for
-    bit, so a trial's scores still do not depend on the batch it ran in.
+    bit, so a trial's scores still do not depend on the chunk or group it
+    ran in.
     """
-    nets = [
-        shared if shared is not None
-        else resolve_population(config, _stream(config.seed, i, "population"))
-        for i in trials
-    ]
-    bits, picks = _encoded_records(config, trials, nets)
-    n = config.n
-    counts = bits[:, :n].sum(axis=1).tolist()
-    releases = [ReleasedCounts(tuple(c), n) for c in counts]
-    fresh = np.broadcast_to(np.arange(n, n + config.targets_out), (len(trials), config.targets_out))
-    targets = bits[np.arange(len(trials))[:, None], np.concatenate([picks, fresh], axis=1)]
-    del bits  # scoring holds the targets, not every drawn record
-    return _score_batch(config, trials, nets, releases, targets)
+    return _joined([_score_group(config, *group) for group in _groups(config, trials, shared)])
 
 
 def auc_rows(scores_in, scores_out) -> np.ndarray:
@@ -439,25 +531,32 @@ class ExperimentResult:
         return out.getvalue()
 
 
-# Records (n + targets_out per trial) that one batch of trials may draw; a
-# batch always holds at least one trial.
+# Records (n + targets_out per trial) that one draw chunk of trials may hold;
+# a chunk always holds at least one trial.  Chunks bound the drawn records
+# alive at once: each chunk is reduced to its distinct target rows before the
+# next one is drawn.
 _BATCH_RECORDS = 1024
+# Byte budget of one scoring group's padded (trials, distinct rows, d) target
+# stack, at 8 bytes an entry: a group closes when one more trial would take
+# it past this, and always holds at least one trial.  40 trials of 40
+# distinct targets fit at d up to 40.
+_GROUP_BYTES = 512 * 1024
 
 
 def _batches(config: ExperimentConfig) -> list[range]:
-    """Consecutive trial ranges of at most `_BATCH_RECORDS` records each, and
-    at least `workers` of them when there are that many trials."""
-    size = max(1, _BATCH_RECORDS // (config.n + config.targets_out))
-    if config.workers > 1:
-        size = min(size, -(-config.trials // config.workers))
+    """Each worker's share of the trials: consecutive ranges of
+    ceil(trials / workers) trials, so `workers` of them when there are that
+    many trials."""
+    size = -(-config.trials // config.workers)
     return [range(s, min(s + size, config.trials)) for s in range(0, config.trials, size)]
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run all trials, in batches of `run_batch`, and aggregate per-attack
-    AUC mean and population std.  A non-toy population is resolved once for
-    the whole experiment.  With workers > 1 a process pool runs the batches;
-    the outputs do not depend on the batching or on the workers."""
+    """Run all trials, one `run_batch` per worker's share, and aggregate
+    per-attack AUC mean and population std.  A non-toy population is
+    resolved once for the whole experiment.  With workers > 1 a process pool
+    runs the shares; the outputs do not depend on the shares, the draw
+    chunks, the scoring groups or the workers."""
     shared = _shared_population(config)
     d = (shared or resolve_population(config, _stream(config.seed, 0, "population"))).d
     ranges = _batches(config)
@@ -466,10 +565,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     flags = dict.fromkeys(config.attacks, 0)
 
     def count(batches) -> None:
-        # One rank pass per batch for every attack; its scores are then dropped.
         flagged = config.targets_in + config.targets_out
         for batch in batches:
-            aucs = weighted_auc_rows(batch.scores, batch.ins, batch.outs).tolist()
+            aucs = batch.aucs.tolist()
             for name, row, impossible in zip(config.attacks, aucs, batch.impossible.sum(axis=1)):
                 per_attack[name] += row
                 flags[name] += flagged * int(impossible)

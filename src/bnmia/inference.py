@@ -119,13 +119,12 @@ class CountTable:
         t = _rows(targets, self.caps.shape[1])
         r = np.asarray(releases, dtype=np.int64)
         out = np.full(len(t), LOG_ZERO)
-        ones = np.ones(t.shape[1], dtype=np.float32)
         for part in self.parts:
             # Digits up to the part's top cap cannot carry into the next one,
             # so a target over its own release's cap just misses the keys.
             # As unsigned, a negative entry is huge: one comparison checks
-            # 0 <= t <= top, and a product counts the entries outside.
-            inside = (t.view(np.uint64) > part.top).astype(np.float32) @ ones == 0
+            # 0 <= t <= top.
+            inside = ~(t.view(np.uint64) > part.top).any(axis=1)
             if len(self.parts) > 1:
                 inside &= (r >= part.first) & (r < part.first + part.size)
             rows = np.flatnonzero(inside)

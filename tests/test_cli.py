@@ -190,6 +190,15 @@ class TestEval:
         assert capsys.readouterr().err == "error: unknown attack 'lrt_clipped:x-3'\n"
         assert not out.exists()
 
+    def test_repeated_attack_is_usage_error_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "results.csv"
+        code = main([
+            "eval", "--network", "cancer", "--n", "4", "--attacks", "lrt,lrt", "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: attack 'lrt' is named more than once\n"
+        assert not out.exists()
+
     def test_weakest_with_one_proxy_record_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "results.csv"
         code = main([

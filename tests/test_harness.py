@@ -367,46 +367,125 @@ def wide_network() -> BayesianNetwork:
     return BayesianNetwork(nodes, ("A", "B", "C"), "one-hot")
 
 
+def record_chunks_and_groups(monkeypatch) -> tuple[list[int], list[int]]:
+    """Record the trials of every draw chunk and of every scoring group
+    that `run_batch` makes from here on, in this process."""
+    chunks, groups = [], []
+    draw_chunk, score_group = harness._draw_chunk, harness._score_group
+
+    def drawn(config, trials, *args):
+        chunks.append(len(trials))
+        return draw_chunk(config, trials, *args)
+
+    def scored(config, trials, *args):
+        groups.append(len(trials))
+        return score_group(config, trials, *args)
+
+    monkeypatch.setattr(harness, "_draw_chunk", drawn)
+    monkeypatch.setattr(harness, "_score_group", scored)
+    return chunks, groups
+
+
 class TestBatches:
-    """Trials drawn in batches score exactly as trials drawn one by one, for
-    any batch size."""
+    """Trials drawn in chunks and scored in groups score exactly as trials
+    drawn one by one, for any chunk and group size."""
 
     @pytest.mark.parametrize("records", ["one-trial", "all-trials", "default"])
     @pytest.mark.parametrize("config", BATCH_CASES)
     def test_batched_trials_equal_the_reference(self, monkeypatch, config, records):
-        per_trial = config.n + config.targets_out
+        # Each draw budget is crossed with the scoring budget's extremes (one
+        # trial a group, every trial in one group) and its default.
         if records != "default":
-            limit = 1 if records == "one-trial" else config.trials * per_trial
+            limit = 1 if records == "one-trial" else config.trials * (config.n + config.targets_out)
             monkeypatch.setattr(harness, "_BATCH_RECORDS", limit)
-        ranges = harness._batches(config)
-        if records != "default":
-            assert len(ranges) == (config.trials if records == "one-trial" else 1)
+        chunks, groups = record_chunks_and_groups(monkeypatch)
         shared = harness._shared_population(config)
-        got = [s for r in ranges for s in batch_trials(config, harness.run_batch(config, r, shared))]
-        assert len(got) == config.trials
-        for i, scores in enumerate(got):
-            expected = reference_trial(config, i)
-            assert set(scores) == set(expected) == set(config.attacks)
-            for name in config.attacks:
-                assert scores[name] == expected[name].sorted()
+        expected = [reference_trial(config, i) for i in range(config.trials)]
+        budgets = {"one-trial": 1, "all-trials": 1 << 62, "default": harness._GROUP_BYTES}
+        for budget, group_bytes in budgets.items():
+            monkeypatch.setattr(harness, "_GROUP_BYTES", group_bytes)
+            chunks.clear()
+            groups.clear()
+            batch = run_batch(config, range(config.trials), shared)
+            assert np.array_equal(batch.aucs, weighted_auc_rows(batch.scores, batch.ins, batch.outs))
+            got = batch_trials(config, batch)
+            if records != "default":
+                assert chunks == ([1] * config.trials if records == "one-trial" else [config.trials])
+            if budget != "default":
+                assert groups == ([1] * config.trials if budget == "one-trial" else [config.trials])
+            assert len(got) == config.trials
+            for scores, reference in zip(got, expected):
+                assert set(scores) == set(reference) == set(config.attacks)
+                for name in config.attacks:
+                    assert scores[name] == reference[name].sorted()
 
     @pytest.mark.parametrize(
         "n, targets_out, trials, workers, sizes",
         [
-            (4, 20, 40, 1, [40]),  # 24 records a trial: every trial in one batch
-            (4, 500, 5, 1, [2, 2, 1]),  # 504 records a trial: two a batch
-            (4, 20, 40, 2, [20, 20]),  # one batch per worker at least
-            (4, 20, 3, 4, [1, 1, 1]),
-            (4, 2000, 3, 1, [1, 1, 1]),  # a trial over the limit still runs alone
+            # (worker shares, draw chunks of each share, scoring groups of each share)
+            (4, 20, 40, 1, ([40], [[40]], [[40]])),  # 24 records a trial: one chunk
+            (4, 500, 5, 1, ([5], [[2, 2, 1]], [[5]])),  # 504 records a trial: two a chunk
+            (4, 20, 40, 2, ([20, 20], [[20], [20]], [[20], [20]])),  # one share per worker
+            (4, 20, 3, 4, ([1, 1, 1], [[1], [1], [1]], [[1], [1], [1]])),
+            # A trial over the record limit is drawn alone, but scored with the others.
+            (4, 2000, 3, 1, ([3], [[1, 1, 1]], [[3]])),
         ],
     )
-    def test_batch_sizes(self, n, targets_out, trials, workers, sizes):
+    def test_batch_sizes(self, monkeypatch, n, targets_out, trials, workers, sizes):
         config = ExperimentConfig(
             "cancer", n, trials=trials, targets_out=targets_out, workers=workers
         )
         ranges = harness._batches(config)
-        assert [len(r) for r in ranges] == sizes
         assert [i for r in ranges for i in r] == list(range(trials))
+        chunks, groups = record_chunks_and_groups(monkeypatch)
+        per_share = []
+        for r in ranges:
+            run_batch(config, r, harness._shared_population(config))
+            per_share.append((chunks[:], groups[:]))
+            chunks.clear()
+            groups.clear()
+        got = ([len(r) for r in ranges], [c for c, _ in per_share], [g for _, g in per_share])
+        assert got == sizes
+
+    def test_one_engine_per_experiment(self, monkeypatch):
+        # 500 + 500 targets draw two trials a chunk, but the 40 trials'
+        # distinct rows are scored as one group: one engine for all releases.
+        from bnmia.inference import PosteriorEngine
+
+        built = []
+        init = PosteriorEngine.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PosteriorEngine, "__init__", counted)
+        config = ExperimentConfig("cancer", 4, targets_in=500, targets_out=500)
+        chunks, groups = record_chunks_and_groups(monkeypatch)
+        run_experiment(config)
+        assert len(built) == 1
+        assert chunks == [2] * 20 and groups == [40]
+
+    def test_toy_networks_are_resolved_chunk_by_chunk(self, monkeypatch):
+        # Each toy network caches its output law, so a share resolves its
+        # trials' networks only as their chunk is drawn.
+        config = ExperimentConfig("product:3", 2, trials=5, targets_in=3, targets_out=3)
+        monkeypatch.setattr(harness, "_BATCH_RECORDS", 2 * (config.n + config.targets_out))
+        events = []
+        resolve, draw_chunk = harness.resolve_population, harness._draw_chunk
+
+        def resolved(config, rng):
+            events.append("resolve")
+            return resolve(config, rng)
+
+        def drawn(config, trials, nets):
+            events.append(f"draw {len(trials)}")
+            return draw_chunk(config, trials, nets)
+
+        monkeypatch.setattr(harness, "resolve_population", resolved)
+        monkeypatch.setattr(harness, "_draw_chunk", drawn)
+        run_batch(config, range(config.trials), None)
+        assert events == ["resolve", "resolve", "draw 2"] * 2 + ["resolve", "draw 1"]
 
     def test_impossible_release_flags_only_its_trial(self):
         # X3 copies X2, so the second release is impossible evidence.
@@ -414,12 +493,14 @@ class TestBatches:
         config = ExperimentConfig("half:3", 3, targets_in=2, targets_out=2, trials=3)
         releases = [ReleasedCounts(c, 3) for c in ((1, 1, 1), (1, 1, 2), (2, 0, 0))]
         targets = np.array([[(0, 1, 1), (1, 0, 0), (1, 1, 1), (0, 0, 0)]] * 3)
-        got = batch_trials(config, harness._score_batch(config, [0, 1, 2], [bn] * 3, releases, targets))
+        got = batch_trials(config, harness._score_group(
+            config, [0, 1, 2], [bn] * 3, releases, *harness._weighted_rows(config, targets)
+        ))
         for t in range(3):
             one = slice(t, t + 1)
-            alone = batch_trials(
-                config, harness._score_batch(config, [t], [bn], releases[one], targets[one])
-            )[0]
+            alone = batch_trials(config, harness._score_group(
+                config, [t], [bn], releases[one], *harness._weighted_rows(config, targets[one])
+            ))[0]
             for name in config.attacks:
                 flagged = 4 if (t, name) == (1, "bayes") else 0
                 assert got[t][name].impossible_evidence == flagged
@@ -456,7 +537,9 @@ class TestBatches:
         releases = [ReleasedCounts(c, 3) for c in ((1, 1, 1), (1, 1, 2), (2, 0, 0))]
         rows = np.array([(0, 1, 1), (1, 0, 0), (1, 1, 1), (0, 0, 0)])
         targets = rows[[[0, 1, 0, 1, 1, 0], [2, 2, 2, 3, 3, 2], [3, 0, 3, 3, 0, 1]]]
-        batch = harness._score_batch(config, [0, 1, 2], [bn] * 3, releases, targets)
+        batch = harness._score_group(
+            config, [0, 1, 2], [bn] * 3, releases, *harness._weighted_rows(config, targets)
+        )
         assert ((batch.ins + batch.outs) > 0).sum(axis=1).tolist() == [2, 2, 3]
         assert batch.impossible.tolist() == [[False] * 3, [False] * 3, [False, True, False]]
         got = batch_trials(config, batch)
@@ -532,7 +615,7 @@ class TestRunExperiment:
         for row in result.summary:
             assert row.mean_auc > 0.55
 
-    def test_workers_match_serial(self):
+    def test_workers_match_serial(self, monkeypatch):
         from dataclasses import replace
 
         config = ExperimentConfig(
@@ -541,12 +624,15 @@ class TestRunExperiment:
         serial = run_experiment(config)
         parallel = run_experiment(replace(config, workers=2))
         assert serial.rows_csv() == parallel.rows_csv()
-        # A bundled network whose trials span three batches of two.
+        # A bundled network whose trials are drawn in three chunks, two
+        # trials a chunk, and shared three and two between two workers.
         config = ExperimentConfig(
             population="cancer", n=4, trials=5, targets_in=4, targets_out=500, seed=13
         )
-        assert len(harness._batches(config)) == 3
+        assert [len(r) for r in harness._batches(replace(config, workers=2))] == [3, 2]
+        chunks, _ = record_chunks_and_groups(monkeypatch)
         serial = run_experiment(config)
+        assert chunks == [2, 2, 1]
         parallel = run_experiment(replace(config, workers=2))
         assert serial.rows_csv() == parallel.rows_csv()
         assert serial.summary_csv() == parallel.summary_csv()
@@ -580,6 +666,17 @@ class TestRunExperiment:
     def test_missing_m_rejected(self):
         with pytest.raises(ValueError, match="proxy size"):
             ExperimentConfig(population="cancer", n=2, threat="weak")
+
+    def test_repeated_attack_rejected_before_any_resolve(self, monkeypatch):
+        # A repeated name would append each trial's AUCs to one list twice.
+        def resolve(*args):
+            raise AssertionError("a network was resolved")
+
+        monkeypatch.setattr(harness, "resolve_network", resolve)
+        with pytest.raises(ValueError, match="^attack 'lrt' is named more than once$"):
+            ExperimentConfig("cancer", 4, trials=3, targets_out=600, attacks=("lrt", "lrt"))
+        with pytest.raises(ValueError, match="^attack 'bayes' is named more than once$"):
+            ExperimentConfig("cancer", 4, attacks=("bayes", "lrt", "bayes"))
 
     def test_m_under_the_strong_threat_rejected(self):
         # No proxy is drawn under the strong threat, so an m would only be
