@@ -2,13 +2,15 @@
 
 Three families: marginal ratio tests (optionally clipped to an index range),
 the inner product test, and the exact Bayesian posterior odds.  Every scorer
-takes a (targets, d) array of encoded targets and returns one float per row.
-Ratio scores are kept in log space; a zero factor dominates and yields -inf,
-never NaN.  `score` is the one dispatcher from an attack name to its scores,
-and `parse_attack` the one grammar of names: `lrt`, `inner_product`, `bayes`,
-`lrt_clipped:LO-HI` (attributes LO..HI, 1-based and inclusive), and
-`lrt_clipped_auto` / `lrt_clipped_flip` (the side `choose_side` reads from the
-counts, the right one when they say nothing, or the other side).
+takes a batch: a sequence of R released counts of one size n and an (R, T, d)
+array of encoded targets, one row of targets per release, and returns (R, T)
+scores; one release is the batch of one.  Ratio scores are kept in log space;
+a zero factor dominates and yields -inf, never NaN.  `score` is the one
+dispatcher from an attack name to its scores, and `parse_attack` the one
+grammar of names: `lrt`, `inner_product`, `bayes`, `lrt_clipped:LO-HI`
+(attributes LO..HI, 1-based and inclusive), and `lrt_clipped_auto` /
+`lrt_clipped_flip` (the side `choose_side` reads from each release's counts,
+the right one when they say nothing, or the other side).
 """
 from __future__ import annotations
 
@@ -23,7 +25,6 @@ from .inference import (
     ImpossibleEvidenceError,
     _stack,
     _stacked_targets,
-    _unstack,
     posterior_engine,
 )
 from .populations import LEFT, RIGHT, midpoint
@@ -55,10 +56,9 @@ class ClipRange:
 
 
 def _log_ratio_terms(mu, counts, targets, clip: ClipRange | None) -> np.ndarray:
-    """Log ratio of each target row over the coordinates in the clip range
-    (all of them when clip is None), for one release or for each release of
-    a batch, against one marginal vector or one per release (see
-    `lrt_score`).
+    """Log ratio of each target over the coordinates in the clip range (all
+    of them when clip is None), for each release of a batch, against one
+    marginal vector or one per release (see `lrt_score`).
 
     Each (release, coordinate) pair's bit-1 and bit-0 terms are built once
     with math.log, picked by the target bits and summed column by column from
@@ -67,7 +67,7 @@ def _log_ratio_terms(mu, counts, targets, clip: ClipRange | None) -> np.ndarray:
     """
     c, n = _stack(counts)
     indices = range(c.shape[1]) if clip is None else clip.indices(c.shape[1])
-    ys = _stacked_targets(targets, counts, c.shape[1])
+    ys = _stacked_targets(targets, len(c), c.shape[1])
     mus = np.broadcast_to(np.asarray(mu, dtype=float), c.shape).T[list(indices)].tolist()
     if not all(0.0 < mu_j < 1.0 for column in mus for mu_j in column):
         raise ValueError("population marginals must lie strictly inside (0, 1)")
@@ -86,7 +86,7 @@ def _log_ratio_terms(mu, counts, targets, clip: ClipRange | None) -> np.ndarray:
         np.array(ones).reshape(shape),
         np.array(zeros).reshape(shape),
     )
-    return _unstack(_sum_from_left(columns, ys.shape[:2]), counts)
+    return _sum_from_left(columns, ys.shape[:2])
 
 
 def _sum_from_left(columns: np.ndarray, shape) -> np.ndarray:
@@ -100,10 +100,9 @@ def _sum_from_left(columns: np.ndarray, shape) -> np.ndarray:
 
 def lrt_score(mu, counts, targets) -> np.ndarray:
     """Log ratio of each target's probability under the dataset means vs the
-    population marginals, treating attributes as independent: one score per
-    row of a (targets, d) array against one ReleasedCounts, or a (releases,
+    population marginals, treating attributes as independent: a (releases,
     targets) array for a sequence of releases of one size and their
-    (releases, targets, d) array.  mu is one length-d marginal vector, or a
+    (releases, targets, d) targets.  mu is one length-d marginal vector, or a
     (releases, d) array of one per release."""
     return _log_ratio_terms(mu, counts, targets, None)
 
@@ -151,10 +150,10 @@ def inner_product_score(mu, counts, targets) -> np.ndarray:
     population, summed column by column from the left like the ratio tests;
     shapes as `lrt_score`."""
     c, n = _stack(counts)
-    ys = _stacked_targets(targets, counts, c.shape[1])
+    ys = _stacked_targets(targets, len(c), c.shape[1])
     mus = np.broadcast_to(np.asarray(mu, dtype=float), c.shape)
     columns = (c.T / n - mus.T)[:, :, None] * ys.transpose(2, 0, 1)
-    return _unstack(_sum_from_left(columns, ys.shape[:2]), counts)
+    return _sum_from_left(columns, ys.shape[:2])
 
 
 def parse_attack(name: str) -> ClipRange | None:
@@ -174,39 +173,38 @@ def parse_attack(name: str) -> ClipRange | None:
 
 
 def score(name: str, attacker, mu, counts, targets) -> np.ndarray:
-    """The scores of attack `name`: one per row of a (targets, d) array
-    against one ReleasedCounts, or a (releases, targets) array for a sequence
-    of releases of one size and their (releases, targets, d) array.  The
+    """The (releases, targets) scores of attack `name` for a sequence of
+    releases of one size and their (releases, targets, d) targets.  The
     marginal tests read the marginals mu (one length-d vector, or a
-    (releases, d) array of one per release), bayes the attacker's network
-    or law (one for every release, or a sequence of one per release);
-    evidence impossible under it raises ImpossibleEvidenceError, a model
-    mismatch rather than a score, naming the impossible releases of a
-    batch."""
+    (releases, d) array of one per release), bayes the attacker's network or
+    law (one for every release, or a sequence of one per release).  Evidence
+    impossible under it is a model mismatch rather than a score:
+    ImpossibleEvidenceError names the impossible releases (`releases`) and
+    carries the batch's scores (`scores`), -inf on their rows."""
     clip = parse_attack(name)
-    batch = [counts] if isinstance(counts, ReleasedCounts) else list(counts)
-    ys = _stacked_targets(targets, counts, len(batch[0].counts))
+    c, _ = _stack(counts)
+    ys = _stacked_targets(targets, len(c), c.shape[1])
     impossible = ()
     if name == BAYES:
-        engine = posterior_engine(attacker, batch)
+        engine = posterior_engine(attacker, counts)
         out = engine.log_ratios(ys)
         impossible = engine.impossible
     elif name == LRT:
-        out = lrt_score(mu, batch, ys)
+        out = lrt_score(mu, counts, ys)
     elif name == INNER_PRODUCT:
-        out = inner_product_score(mu, batch, ys)
+        out = inner_product_score(mu, counts, ys)
     else:
-        clips = [clip or _auto_clip(name, release) for release in batch]
+        clips = [clip or _auto_clip(name, release) for release in counts]
         out = np.empty(ys.shape[:2])
         for each in dict.fromkeys(clips):
             rows = [r for r, other in enumerate(clips) if other == each]
             mu_rows = mu if np.ndim(mu) == 1 else np.asarray(mu)[rows]
-            out[rows] = lrt_clipped_score(mu_rows, [batch[r] for r in rows], ys[rows], each)
+            out[rows] = lrt_clipped_score(mu_rows, [counts[r] for r in rows], ys[rows], each)
     if np.isnan(out).any():
         raise ValueError("attack scores must never be NaN")
     if impossible:
-        raise ImpossibleEvidenceError(_IMPOSSIBLE, impossible, _unstack(out, counts))
-    return _unstack(out, counts)
+        raise ImpossibleEvidenceError(_IMPOSSIBLE, impossible, out)
+    return out
 
 
 def _auto_clip(name: str, counts: ReleasedCounts) -> ClipRange:

@@ -67,7 +67,7 @@ def _cmd_attack(args) -> int:
         counts = ReleasedCounts(counts_vec, args.n)
     except ValueError as err:
         raise DataError(str(err)) from None
-    value = float(atk.score(args.attack, bn, attribute_marginals(bn), counts, [y])[0])
+    value = float(atk.score(args.attack, bn, attribute_marginals(bn), [counts], [[y]])[0, 0])
     print(f"{args.attack} {value:.12g}")
     if args.threshold is not None:
         print(atk.decide(value, args.threshold))
@@ -200,7 +200,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (DataError, InvalidNetworkError, NetworkFormatError, ModelSizeError,
-            ImpossibleEvidenceError, FileNotFoundError) as err:
+            ImpossibleEvidenceError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return DATA_ERROR
     except MemoryError as err:

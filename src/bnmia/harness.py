@@ -415,18 +415,6 @@ def run_batch(
     return _joined([_score_group(config, *group) for group in _groups(config, trials, shared)])
 
 
-def auc_rows(scores_in, scores_out) -> np.ndarray:
-    """The pairwise AUC of each row of a (rows, k_in) and a (rows, k_out)
-    score array: `weighted_auc_rows` on the rows side by side, each in-score
-    standing for one in-target and each out-score for one out-target."""
-    s_in = np.asarray(scores_in, dtype=float)
-    s_out = np.asarray(scores_out, dtype=float)
-    if s_in.size == 0 or s_out.size == 0:
-        raise ValueError("both score lists must be nonempty")
-    is_in = np.arange(s_in.shape[1] + s_out.shape[1]) < s_in.shape[1]
-    return weighted_auc_rows(np.concatenate([s_in, s_out], axis=1), is_in, ~is_in)
-
-
 def weighted_auc_rows(scores, ins, outs) -> np.ndarray:
     """The pairwise AUC of each row of a (..., width) score array whose
     entry j stands for ins[..., j] in-targets and outs[..., j] out-targets
@@ -646,7 +634,7 @@ def bench_posterior(
             ys = encode(bn, np.concatenate([data[picks], project(bn, sample(bn, half, out_rng))]))
             for y in ys:
                 start = time.perf_counter()
-                engine = PosteriorEngine(law, counts)
+                engine = PosteriorEngine(law, [counts])
                 engine.result(y)
                 elapsed += time.perf_counter() - start
                 calls += 1
@@ -713,7 +701,7 @@ def _product_net_deviation(p: np.ndarray, n: int, rng: np.random.Generator):
         y = tuple(int(x) for x in rng.integers(0, 2, size=d))
         counts = ReleasedCounts(c, n)
         lam = closed_form_product_ratio(p, counts, y)
-        r = math.exp(posterior_engine(bn, counts).result(y))
+        r = math.exp(posterior_engine(bn, [counts]).result(y))
         if lam == 0.0:
             if r != 0.0:
                 worst = math.inf
@@ -761,10 +749,11 @@ def _clipped_gap(
 ) -> float:
     """Largest |R / lambda - 1| over the targets ys of one release, where R is
     the exact posterior odds under bn and lambda the clipped ratio statistic,
-    each scored for the whole batch in one call; inf when exactly one of them
-    is zero for some target."""
-    r_log = posterior_engine(bn, counts).log_ratios(ys)
-    lam_log = atk.lrt_clipped_score(attribute_marginals(bn), counts, ys, clip)
+    each scored for the batch of one release in one call; inf when exactly
+    one of them is zero for some target.  Raises ImpossibleEvidenceError
+    when the release is impossible under bn."""
+    r_log = atk.score(atk.BAYES, bn, None, [counts], ys[None])[0]
+    lam_log = atk.lrt_clipped_score(attribute_marginals(bn), [counts], ys[None], clip)[0]
     r_zero = r_log == -math.inf
     if np.any(r_zero != (lam_log == -math.inf)):
         return math.inf
@@ -926,17 +915,14 @@ def verify_oracle_agreement(seed: int = 20250810) -> SuiteResult:
             for c in itertools.product(range(n + 1), repeat=bn.d):
                 counts = ReleasedCounts(c, n)
                 cases += len(targets)
-                try:
-                    engine = posterior_engine(bn, counts)
-                except ImpossibleEvidenceError:
-                    engine = None
+                engine = posterior_engine(bn, [counts])
                 try:
                     oracle = [brute_force_posterior(bn, counts, y) for y in targets]
                 except ImpossibleEvidenceError:
                     oracle = None
-                if (engine is None) != (oracle is None):
+                if bool(engine.impossible) != (oracle is None):
                     worst = math.inf
-                if engine is None or oracle is None:
+                if engine.impossible or oracle is None:
                     continue
                 for y, bf in zip(targets, oracle):
                     dp = math.exp(engine.result(y))
@@ -991,8 +977,8 @@ def law_ratio_deviation(
     law = output_marginal_law(bn)
     worst = 0.0
     for _ in range(releases):
-        engine = PosteriorEngine(law, dataset_counts(bn, project(bn, sample(bn, n, rng))))
-        total = math.fsum(law.probs * np.exp(engine.log_ratios(law.vectors)))
+        engine = PosteriorEngine(law, [dataset_counts(bn, project(bn, sample(bn, n, rng)))])
+        total = math.fsum(law.probs * np.exp(engine.log_ratios(law.vectors[None])[0]))
         worst = max(worst, abs(total - 1.0))
     return worst
 

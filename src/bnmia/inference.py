@@ -7,12 +7,13 @@ The evidence is the released integer count vector c = n * mean.  The odds are
 computed exactly from the population's output law by iterated convolution
 into a table of feasible partial-sum vectors and their log probabilities,
 pruning any partial sum that exceeds the released counts in some
-coordinate.  The releases of a batch share one table: each release's partial
-sums are keyed under its own index, pruned against its own counts and
-convolved with its own law (one law for all, or one per release), so every
-release gets the bits it would get alone.  A brute-force enumeration
-over full network instances provides an independent oracle for the same
-quantity.
+coordinate.  Scoring takes a batch: a sequence of R releases of one size n
+and (R, T, d) targets, one release being the batch of one.  The releases of
+a batch share one table: each release's partial sums are keyed under its own
+index, pruned against its own counts and convolved with its own law (one
+law for all, or one per release), so every release gets the bits it would
+get alone.  A brute-force enumeration over full network instances, one
+release at a time, provides an independent oracle for the same quantity.
 """
 from __future__ import annotations
 
@@ -145,31 +146,23 @@ def _rows(targets, d: int) -> np.ndarray:
     return t
 
 
-def _stack(counts) -> tuple[np.ndarray, int]:
-    """The (R, d) counts and the common size n of a sequence of R releases,
-    or of one ReleasedCounts (R = 1)."""
-    releases = [counts] if isinstance(counts, ReleasedCounts) else list(counts)
+def _stack(releases) -> tuple[np.ndarray, int]:
+    """The (R, d) counts and the common size n of a sequence of R releases."""
     sizes = {r.n for r in releases}
     if len(sizes) != 1:
         raise ValueError("a batch needs at least one release, all of one size n")
     return np.array([r.counts for r in releases], dtype=np.int64), sizes.pop()
 
 
-def _stacked_targets(targets, counts, d: int) -> np.ndarray:
-    """(R, T, d) targets: the (T, d) rows of one ReleasedCounts, or a
-    batch's (R, T, d) array."""
-    if isinstance(counts, ReleasedCounts):
-        return _rows(targets, d)[None]
+def _stacked_targets(targets, releases: int, d: int) -> np.ndarray:
+    """A batch's targets as an (R, T, d) int array, one row of targets per
+    release."""
     t = np.asarray(targets, dtype=np.int64)
-    if t.ndim != 3 or t.shape[0] != len(counts) or t.shape[2] != d:
+    if t.ndim != 3 or t.shape[2] != d:
+        raise ValueError("target has the wrong dimension")
+    if t.shape[0] != releases:
         raise ValueError("a batch's targets must be a (releases, targets, d) array")
     return t
-
-
-def _unstack(out: np.ndarray, counts) -> np.ndarray:
-    """A batch result as the caller passed the releases: its one row for a
-    single ReleasedCounts."""
-    return out[0] if isinstance(counts, ReleasedCounts) else out
 
 
 # Byte budget of one dense (outcomes x live partial sums) block in a
@@ -366,9 +359,9 @@ def _grouped_logsumexp(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, 
 
 
 class PosteriorEngine:
-    """Posterior odds for many targets against one released count vector, or
-    against each release of a batch of releases of one size n, under one law
-    for every release or one law per release.
+    """Posterior odds for many targets against each release of a batch: a
+    sequence of releases of one size n (one release is the batch of one),
+    under one law for every release or one law per release.
 
     Builds one (n-1)-fold convolution table for all the releases
     (`sum_log_table` on their stacked counts); each target then costs a table
@@ -376,22 +369,18 @@ class PosteriorEngine:
     with its law, evaluated at its counts c_r: one lookup of every pair
     (r, c_r - v), over the outcomes v <= c_r of every release's law at once,
     whose unreachable entries are dropped before each release's log-sum.
-    Evidence impossible under the law raises ImpossibleEvidenceError for a
-    single release; in a batch, that release's denominator is -inf, its
-    index is in `impossible`, and its targets score -inf.  Nothing caches
-    engines: the caller holds one per release or batch for as long as it
-    scores them.
+    A release whose evidence is impossible under its law never raises here:
+    its denominator is -inf, its index is in `impossible`, its targets score
+    -inf in `log_ratios`, and `result` raises ImpossibleEvidenceError for
+    it.  Nothing caches engines: the caller holds one per batch for as long
+    as it scores it.
     """
 
     def __init__(self, law, counts):
-        if not isinstance(counts, ReleasedCounts):
-            counts = tuple(counts)
         c, n = _stack(counts)
         laws = [law] if isinstance(law, SupportDistribution) else _per_release(law, len(c))
         if any(each.d != c.shape[1] for each in laws):
             raise ValueError("released counts have the wrong dimension")
-        self.law = law
-        self.counts = counts
         self._c = c
         self._table = sum_log_table(law, n - 1, c)
         rel, out = self._table.fitting_outcomes()
@@ -416,15 +405,12 @@ class PosteriorEngine:
         ])
         # The releases whose counts have probability zero under the law.
         self.impossible = tuple(np.flatnonzero(self.log_denominators == LOG_ZERO).tolist())
-        if isinstance(counts, ReleasedCounts) and self.impossible:
-            raise ImpossibleEvidenceError(_IMPOSSIBLE)
 
     def log_ratios(self, targets) -> np.ndarray:
-        """log R for each target, in one table lookup: one per row of a
-        (targets, d) array for a single release, a (releases, targets) array
-        for a batch's (releases, targets, d) array.  -inf where the target
-        cannot be in the dataset, and on the rows of impossible releases."""
-        t = _stacked_targets(targets, self.counts, self._c.shape[1])
+        """log R of a batch's (releases, targets, d) targets as a (releases,
+        targets) array, in one table lookup.  -inf where the target cannot
+        be in the dataset, and on the rows of impossible releases."""
+        t = _stacked_targets(targets, len(self._c), self._c.shape[1])
         size, per, d = t.shape
         log_num = self._table.log_prob(
             (self._c[:, None, :] - t).reshape(-1, d), np.repeat(np.arange(size), per)
@@ -434,11 +420,12 @@ class PosteriorEngine:
         out = log_num - den[:, None]
         if self.impossible:
             out[list(self.impossible)] = LOG_ZERO
-        return _unstack(out, self.counts)
+        return out
 
     def result(self, y: EncodedVector, release: int = 0) -> float:
         """log R of one target against one release of the engine; -inf when
-        the target cannot be in the dataset."""
+        the target cannot be in the dataset.  Raises ImpossibleEvidenceError
+        when the release is impossible evidence."""
         log_den = float(self.log_denominators[release])
         if log_den == LOG_ZERO:
             raise ImpossibleEvidenceError(_IMPOSSIBLE)
@@ -447,10 +434,10 @@ class PosteriorEngine:
 
 
 def posterior_engine(bn, counts) -> PosteriorEngine:
-    """A new engine for one release, or a batch of releases of one size,
-    under bn: one network (or law) for every release, or a sequence of one
-    network or law per release.  The caller holds it while it scores their
-    targets; nothing is kept between calls."""
+    """A new engine for a batch of releases of one size under bn: one
+    network (or law) for every release, or a sequence of one network or law
+    per release.  The caller holds it while it scores their targets; nothing
+    is kept between calls."""
     if isinstance(bn, (BayesianNetwork, SupportDistribution)):
         return PosteriorEngine(_law(bn), counts)
     return PosteriorEngine([_law(each) for each in bn], counts)

@@ -5,9 +5,9 @@ weakest learns structure too.  Structure learning here is a maximum-weight
 spanning tree over pairwise empirical mutual information, which is
 deterministic and adequate at this scale at the cost of tree-shaped output.
 The proxy is one (m, nodes) array of state indices, and every fit counts from
-its columns.  The fits also take a stack of R proxies, counting the cells of
-all of them in one `np.bincount` (or `np.add.at`) per table, with each
-proxy's numbers as it would get alone; `mle_fit` is the one-proxy case.
+its columns.  The fits take a stack of R proxies, counting the cells of all of
+them in one `np.bincount` (or `np.add.at`) per table, with each proxy's
+numbers as it would get alone; one proxy is the stack of one.
 """
 from __future__ import annotations
 
@@ -97,24 +97,6 @@ class ProxyDataset:
         return out.getvalue()
 
 
-def mle_fit(
-    structure: BayesianNetwork, proxy: ProxyDataset, alpha: float = 0.0
-) -> BayesianNetwork:
-    """Refit every CPT of one proxy's network: `cpt_tables` of its
-    `tally_cells`, turned into CPT dicts."""
-    if proxy.data.ndim != 2:
-        raise ValueError("mle_fit fits one proxy; tally_cells counts a stack")
-    tables = cpt_tables(tally_cells(structure, proxy), alpha)
-    nodes = tuple(
-        NodeSpec(node.name, node.states, node.parents, dict(zip(
-            itertools.product(*map(range, table.shape[1:-1])),
-            map(tuple, table.reshape(-1, node.cardinality).tolist()),
-        )))
-        for node, table in zip(structure.nodes, tables)
-    )
-    return BayesianNetwork(nodes, structure.output_nodes, structure.encoding)
-
-
 def tally_cells(structure: BayesianNetwork, proxy: ProxyDataset) -> list[np.ndarray]:
     """Each structure node's (parents..., node) cell counts in every proxy of
     a stack, in structure order: (R, *parent cards, k) int arrays, each from
@@ -189,17 +171,6 @@ def _mutual_informations(proxy: ProxyDataset, alpha: float) -> list[list[float]]
                             mi += p * math.log(p / (p_u * p_v))
                 mis[i] = mi
     return out
-
-
-def chow_liu_fit(
-    proxy: ProxyDataset,
-    alpha: float = 0.0,
-    output_nodes: Sequence[str] | None = None,
-    encoding: str = ONE_HOT,
-) -> BayesianNetwork:
-    """Learn a tree-shaped network from one proxy: its `chow_liu_structures`
-    tree with CPTs refit by mle_fit."""
-    return mle_fit(chow_liu_structures(proxy, alpha, output_nodes, encoding)[0], proxy, alpha)
 
 
 def chow_liu_structures(

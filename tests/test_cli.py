@@ -1,15 +1,25 @@
 import math
+import re
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 from reference import reference_sample
 
+import bnmia
 from bnmia import inference
 from bnmia.attacks import score
 from bnmia.cli import main
 from bnmia.model import ReleasedCounts, attribute_marginals
 from bnmia.populations import load_benchmark
+
+
+def test_readme_library_list_is_the_package_api():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    listed = section[section.index("\n- "):]
+    assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(bnmia.__all__)
 
 
 def data_path(tmp_path, name):
@@ -108,6 +118,24 @@ class TestAttack:
         assert code == 1
         assert capsys.readouterr().err == "error: unknown attack 'nope'\n"
 
+    def test_readme_example_prints_the_pinned_scores(self, capsys):
+        for line in ("lrt 8.15394143503", "inner_product 0.5261585", "bayes 2.30094680016",
+                     "lrt_clipped:1-5 1.52765650794", "lrt_clipped_auto 4.59552945927",
+                     "lrt_clipped_flip 9.69415787843"):
+            code = main([
+                "attack", "--network", "cancer", "--counts", "2,2,1,3,1,3,2,2,3,1",
+                "--n", "4", "--target", "1,0,1,0,1,0,1,0,1,0", "--attack", line.split()[0],
+            ])
+            assert (code, capsys.readouterr().out) == (0, line + "\n")
+
+    def test_impossible_release_is_data_error(self, capsys):
+        # X3 copies X2 in half:3, so counts with c2 != c3 have probability zero.
+        code = main(["attack", "--network", "half:3", "--counts", "0,1,0", "--n", "1",
+                     "--target", "0,0,1", "--attack", "bayes"])
+        assert (code, capsys.readouterr().err) == (
+            2, "error: impossible evidence: released counts have probability zero under BN\n"
+        )
+
     def test_clipped_attack_takes_the_eval_grammar(self, capsys):
         code = main([
             "attack", "--network", "cancer", "--counts", "2,2,1,3,1,3,2,2,3,1",
@@ -118,9 +146,9 @@ class TestAttack:
         bn = load_benchmark("cancer")
         expected = score(
             "lrt_clipped:1-5", bn, attribute_marginals(bn),
-            ReleasedCounts((2, 2, 1, 3, 1, 3, 2, 2, 3, 1), 4), [[1, 0, 1, 0, 1, 0, 1, 0, 1, 0]],
+            [ReleasedCounts((2, 2, 1, 3, 1, 3, 2, 2, 3, 1), 4)], [[[1, 0, 1, 0, 1, 0, 1, 0, 1, 0]]],
         )
-        assert (kind, value) == ("lrt_clipped:1-5", f"{expected[0]:.12g}")
+        assert (kind, value) == ("lrt_clipped:1-5", f"{expected[0, 0]:.12g}")
 
     @pytest.mark.parametrize(
         "network, counts, n, target, attack",
@@ -270,6 +298,13 @@ class TestErrors:
         code = main(["sample", "--network", str(tmp_path / "x.bif"), "--n", "2"])
         assert code == 2
         assert "No such file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sample", "eval"])
+    def test_unwritable_output_is_data_error(self, tmp_path, capsys, command):
+        code = main([command, "--network", "cancer", "--n", "2", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and "Is a directory" in err
+        assert len(err.splitlines()) == 1
 
     def test_malformed_file_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.bif"

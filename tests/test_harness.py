@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from reference import (
-    TrialScores, batch_trials, reference_auc, reference_roc_points, reference_trial
+    TrialScores, batch_trials, one_row_auc, reference_auc, reference_roc_points, reference_trial
 )
 
 from bnmia import attacks, harness
 from bnmia.attacks import ClipRange
 from bnmia.harness import (
     ExperimentConfig,
-    auc_rows,
     bench_posterior,
     resolve_population,
     run_batch,
@@ -30,11 +29,6 @@ from bnmia.model import (
 from bnmia.populations import LEFT, RIGHT, make_half_repeated, make_product
 
 SCORE_GRID = [-math.inf, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0, math.inf]
-
-
-def one_row_auc(scores_in, scores_out) -> float:
-    """`auc_rows` on one row: the AUC eval reports for one trial."""
-    return float(auc_rows([scores_in], [scores_out])[0])
 
 
 class TestRocAndAuc:
@@ -548,9 +542,9 @@ class TestBatches:
             for name in config.attacks:
                 flagged = 0
                 try:
-                    scores = attacks.score(name, bn, mu, release, targets[t])
+                    scores = attacks.score(name, bn, mu, [release], targets[t : t + 1])[0]
                 except ImpossibleEvidenceError as err:
-                    scores, flagged = err.scores, 6
+                    scores, flagged = err.scores[0], 6
                 expected = TrialScores(scores[:3].tolist(), scores[3:].tolist(), flagged)
                 assert got[t][name] == expected.sorted()
         assert got[1]["bayes"].scores_in + got[1]["bayes"].scores_out == [-math.inf] * 6

@@ -7,12 +7,12 @@ import weakref
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
-from reference import reference_sum_log_table
+from reference import mle_fit, reference_sum_log_table
 from strategies import small_networks
 
 from bnmia import inference, model
 from bnmia.harness import _theta_in, law_ratio_deviation
-from bnmia.learning import ProxyDataset, mle_fit
+from bnmia.learning import ProxyDataset
 from bnmia.inference import (
     ImpossibleEvidenceError,
     PosteriorEngine,
@@ -45,8 +45,8 @@ def count_prob(law, k: int, target) -> float:
 
 
 def odds(bn, counts, y) -> float:
-    """The posterior odds R of one target, from a new engine."""
-    return math.exp(posterior_engine(bn, counts).result(y))
+    """The posterior odds R of one target, from a new one-release engine."""
+    return math.exp(posterior_engine(bn, [counts]).result(y))
 
 
 class TestSumCountProb:
@@ -302,15 +302,12 @@ class TestStackedLaws:
         ratios = engine.log_ratios(np.array([targets] * len(releases)))
         impossible = []
         for r, release in enumerate(releases):
-            try:
-                alone = PosteriorEngine(each[r], release)
-            except ImpossibleEvidenceError:
+            alone = PosteriorEngine(each[r], [release])
+            if alone.impossible:
                 impossible.append(r)
-                assert engine.log_denominators[r] == -np.inf
                 assert np.all(ratios[r] == -np.inf)
-                continue
             assert engine.log_denominators[r] == alone.log_denominators[0]
-            assert ratios[r].tobytes() == alone.log_ratios(targets).tobytes()
+            assert ratios[r].tobytes() == alone.log_ratios(targets[None]).tobytes()
         assert engine.impossible == tuple(impossible)
         return engine
 
@@ -369,21 +366,18 @@ class TestPosteriorRatio:
 
     def test_infeasible_target_gives_zero(self):
         bn = make_product((0.5,))
-        log_ratio = posterior_engine(bn, ReleasedCounts((0,), 2)).result((1,))
+        log_ratio = posterior_engine(bn, [ReleasedCounts((0,), 2)]).result((1,))
         assert log_ratio == float("-inf")
         assert math.exp(log_ratio) == 0.0
-
-    def test_copy_violation_is_impossible_evidence(self):
-        bn = make_half_repeated(3, (0.5, 0.5))
-        with pytest.raises(ImpossibleEvidenceError, match="impossible evidence"):
-            posterior_engine(bn, ReleasedCounts((1, 1, 2), 3))
 
     def test_counts_past_a_sure_state_are_impossible_evidence(self):
         # The live table empties before the last convolution step.
         sure = model.NodeSpec("A", ("0", "1"), (), {(): (0.0, 1.0)})
         law = output_marginal_law(model.BayesianNetwork((sure,), ("A",), model.ONE_HOT))
+        engine = PosteriorEngine(law, [ReleasedCounts((3, 1), 3)])
+        assert engine.impossible == (0,)
         with pytest.raises(ImpossibleEvidenceError):
-            PosteriorEngine(law, ReleasedCounts((3, 1), 3))
+            engine.result((1, 0))
 
     def test_one_impossible_release_in_a_batch(self):
         # X3 copies X2, so counts with c3 != c2 are impossible evidence.
@@ -396,13 +390,12 @@ class TestPosteriorRatio:
         ratios = engine.log_ratios(targets)
         assert np.all(ratios[1] == -np.inf)
         for r in (0, 2):
-            alone = PosteriorEngine(law, batch[r])
+            alone = PosteriorEngine(law, [batch[r]])
             assert engine.log_denominators[r] == alone.log_denominators[0]
-            assert np.array_equal(ratios[r], alone.log_ratios(targets[r]))
-        with pytest.raises(ImpossibleEvidenceError):
+            assert np.array_equal(ratios[r], alone.log_ratios(targets[r : r + 1])[0])
+        with pytest.raises(ImpossibleEvidenceError, match="impossible evidence"):
             engine.result((0, 1, 1), release=1)
-        with pytest.raises(ImpossibleEvidenceError):
-            PosteriorEngine(law, batch[1])
+        assert PosteriorEngine(law, [batch[1]]).impossible == (0,)
 
     def test_single_record_dataset(self):
         bn = make_product((0.3, 0.6))
@@ -418,8 +411,8 @@ class TestPosteriorRatio:
     def test_posterior_engine_retains_nothing(self):
         bn = make_product((0.3, 0.6))
         counts = ReleasedCounts((1, 1), 2)
-        first = posterior_engine(bn, counts)
-        assert posterior_engine(bn, counts) is not first
+        first = posterior_engine(bn, [counts])
+        assert posterior_engine(bn, [counts]) is not first
         ref = weakref.ref(first)
         del first
         gc.collect()
@@ -429,9 +422,9 @@ class TestPosteriorRatio:
         bn = make_product((0.3, 0.6, 0.45))
         counts = ReleasedCounts((2, 1, 3), 4)
         law = output_marginal_law(bn)
-        engine = PosteriorEngine(law, counts)
+        engine = PosteriorEngine(law, [counts])
         for y in itertools.product((0, 1), repeat=3):
-            assert engine.result(y) == posterior_engine(bn, counts).result(y)
+            assert engine.result(y) == posterior_engine(bn, [counts]).result(y)
 
 
 @pytest.mark.parametrize("name", BUNDLED_BENCHMARKS)
@@ -484,7 +477,7 @@ class TestProductEquivalence:
             mu = attribute_marginals(bn)
             for c in itertools.product(range(n + 1), repeat=d):
                 counts = ReleasedCounts(c, n)
-                engine = posterior_engine(bn, counts)
+                engine = posterior_engine(bn, [counts])
                 for y in itertools.product((0, 1), repeat=d):
                     lam = closed_form_product_ratio(mu, counts, y)
                     r = math.exp(engine.result(y))
@@ -506,7 +499,7 @@ class TestHalfRepeatedEquivalence:
                 for free in itertools.product(range(n + 1), repeat=m):
                     c = free + (free[m - 1],) * (d - m)
                     counts = ReleasedCounts(c, n)
-                    engine = posterior_engine(bn, counts)
+                    engine = posterior_engine(bn, [counts])
                     for y_free in itertools.product((0, 1), repeat=m):
                         y = y_free + (y_free[m - 1],) * (d - m)
                         lam = closed_form_product_ratio(
@@ -529,7 +522,7 @@ class TestBruteForceOracle:
             bn = make_product(p)
             for c in itertools.product(range(n + 1), repeat=d):
                 counts = ReleasedCounts(c, n)
-                engine = posterior_engine(bn, counts)
+                engine = posterior_engine(bn, [counts])
                 for y in itertools.product((0, 1), repeat=d):
                     bf = brute_force_posterior(bn, counts, y)
                     dp = math.exp(engine.result(y))
@@ -581,14 +574,16 @@ class TestEngineMatchesOracleOnRandomNetworks:
             ReleasedCounts(tuple(int(c) for c in rng.integers(0, n + 1, size=bn.d)), n),
         ]
         for counts in releases:
+            engine = PosteriorEngine(law, [counts])
             try:
                 oracle = [brute_force_posterior(bn, counts, y) for y in targets]
             except ImpossibleEvidenceError:
+                assert engine.impossible == (0,)
                 with pytest.raises(ImpossibleEvidenceError):
-                    PosteriorEngine(law, counts)
+                    engine.result(targets[0])
                 continue
-            engine = PosteriorEngine(law, counts)
-            batch = engine.log_ratios(targets).tolist()
+            assert engine.impossible == ()
+            batch = engine.log_ratios([targets])[0].tolist()
             for y, log_r, bf in zip(targets, batch, oracle):
                 # the per-target result, then the batch path that eval scores with
                 for ratio in (math.exp(engine.result(y)), math.exp(log_r)):
