@@ -89,11 +89,23 @@ def _cmd_eval(args) -> int:
         seed=args.seed,
         workers=args.workers,
     )
-    result = harness.run_experiment(config)
     out = Path(args.out)
-    out.write_text(result.rows_csv(), encoding="utf-8")
     summary_path = out.with_name(out.stem + ".summary" + out.suffix)
-    summary_path.write_text(result.summary_csv(), encoding="utf-8")
+    # Both outputs are opened before the experiment runs, so a path that
+    # cannot be written fails at once; a run that fails removes them.
+    opened = []
+    try:
+        with out.open("w", encoding="utf-8") as rows_file:
+            opened.append(out)
+            with summary_path.open("w", encoding="utf-8") as summary_file:
+                opened.append(summary_path)
+                result = harness.run_experiment(config)
+                rows_file.write(result.rows_csv())
+                summary_file.write(result.summary_csv())
+    except BaseException:
+        for path in opened:
+            path.unlink()
+        raise
     for row in result.summary:
         flagged = result.impossible_evidence.get(row.attack, 0)
         extra = f"  [impossible evidence on {flagged} scores]" if flagged else ""
@@ -106,11 +118,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    suites = harness.verify_equivalences(
+    from . import suites  # only verify and bench load the suites
+
+    results = suites.verify_equivalences(
         product_populations=args.populations, identity_samples=args.samples, seed=args.seed
     )
     failed = False
-    for s in suites:
+    for s in results:
         status = "PASS" if s.passed else ("FAIL (known gap)" if s.advisory else "FAIL")
         print(
             f"{status:16s} {s.name}: max deviation {s.max_deviation:.3e} "
@@ -123,7 +137,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    rows = harness.bench_posterior(
+    from . import suites
+
+    rows = suites.bench_posterior(
         args.networks,
         n=args.n,
         datasets=args.datasets,

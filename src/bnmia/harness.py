@@ -1,42 +1,34 @@
-"""Experiment orchestration: trials, threat models, AUC by rank, timing, and
-the numerical equivalence suites.
+"""Experiment orchestration: trials, threat models and AUC by rank.  The
+equivalence suites and the posterior timing live in `suites`.
 
 A trial samples one private dataset, releases its counts, draws in/out
 targets, and scores every configured attack.  Per-trial randomness comes from
 streams keyed by (master seed, trial index, purpose), so adding attacks or
 reordering work never perturbs the sampled data.  An experiment gives each
 worker a share of its trials.  A share is drawn in chunks of at most
-`_BATCH_RECORDS` drawn records, one ancestral pass and one encoding per
-chunk, and each chunk is reduced at once to its trials' distinct target
-rows.  Those rows are scored in groups of trials whose padded row stack fits
-in `_GROUP_BYTES`: one scoring call per attack for the whole group, against
-one attacker per trial or one shared by all (under the weak and weakest
-threats the attackers are fitted to proxies drawn in one pass per
-`_BATCH_RECORDS` proxy records), and one rank pass.  The outputs are those
-of trials run one by one.
+`_BATCH_RECORDS` drawn records, one ancestral pass per chunk, and each chunk
+is reduced at once to its trials' distinct target rows with their in- and
+out-counts (`_distinct_rows`), which alone are encoded.  Those rows are
+scored in groups of trials whose padded row stack fits in `_GROUP_BYTES`
+(`_packed`): one scoring call per attack for the whole group, against one
+attacker per trial or one shared by all, and one rank pass.  Under the weak
+and weakest threats the attackers are fitted to proxies drawn the same way,
+each chunk reduced to distinct full records with counts and the chunks
+packed into fit groups under the same budgets.  The outputs are those of
+trials run one by one.
 """
 from __future__ import annotations
 
 import csv
 import io
-import itertools
-import math
-import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import attacks as atk
-from .inference import (
-    ImpossibleEvidenceError,
-    PosteriorEngine,
-    brute_force_posterior,
-    closed_form_product_ratio,
-    posterior_engine,
-    sum_log_table,
-)
+from .inference import ImpossibleEvidenceError
 from .learning import (
     ProxyDataset, chow_liu_structures, cpt_tables, empirical_marginals, tally_cells
 )
@@ -45,27 +37,13 @@ from .model import (
     ReleasedCounts,
     SupportDistribution,
     attribute_marginals,
-    dataset_counts,
     draw_records,
     encode,
     output_laws,
-    output_marginal_law,
+    output_marginal_law,  # unused here; the benchmark's tests trace this binding
     project,
-    sample,
 )
-from .populations import (
-    BUNDLED_BENCHMARKS,
-    LEFT,
-    RIGHT,
-    is_toy,
-    load_benchmark,
-    make_half_repeated,
-    make_lr_repeated,
-    make_lr_side,
-    make_product,
-    midpoint,
-    resolve_network,
-)
+from .populations import is_toy, resolve_network
 
 STRONG = "strong"
 WEAK = "weak"
@@ -139,9 +117,20 @@ class BatchScores:
 
 
 def _stream(seed: int, trial: int, purpose: str) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, trial, _STREAM_TAGS[purpose]])
-    )
+    """The generator `np.random.default_rng` makes from the entropy list
+    [seed mod 2^64, trial, purpose tag], seeded from the list's uint32
+    words as SeedSequence reads them (each int's 32-bit words, low first;
+    [0] for 0): given the words, SeedSequence skips a slow conversion."""
+    if trial < 0:
+        raise ValueError("trial indices are nonnegative")
+    words = []
+    for n in (seed & 0xFFFFFFFFFFFFFFFF, trial, _STREAM_TAGS[purpose]):
+        words.append(n & 0xFFFFFFFF)
+        while n >> 32:
+            n >>= 32
+            words.append(n & 0xFFFFFFFF)
+    entropy = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    return np.random.Generator(np.random.PCG64(entropy))
 
 
 def resolve_population(config: ExperimentConfig, rng: np.random.Generator) -> BayesianNetwork:
@@ -165,43 +154,50 @@ def _attackers(
     otherwise one law and one marginal row per trial, fitted to the trial's
     proxy sample.  The proxies are drawn in one `draw_records` pass per at
     most `_BATCH_RECORDS` proxy records (at least one trial), each trial's m
-    uniforms from its own proxy stream.  A chunk's trials are grouped by
-    structure (node order and parents: the population's under the weak
-    threat, each proxy's Chow-Liu tree under the weakest), and only each
-    group's cell counts are kept; each structure's CPTs are then fitted, and
-    its laws eliminated, once for the whole group.  A law shares the
-    previous trial's outcome vectors when they are equal."""
+    uniforms from its own proxy stream, and each chunk is reduced at once to
+    its trials' distinct full records with their counts (`_distinct_rows`).
+    The reduced chunks are packed into fit groups by the scoring budget
+    (`_packed`), and each fit group is fitted once from its weighted rows:
+    its marginals, its trials' structures (the population's under the weak
+    threat, each proxy's Chow-Liu tree under the weakest), and per structure
+    its trials' cell counts, CPTs and laws.  A law shares the previous
+    trial's outcome vectors when they are equal."""
     if config.threat == STRONG:
         if all(bn is nets[0] for bn in nets):
             return nets[0], attribute_marginals(nets[0])
         return nets, np.array([attribute_marginals(bn) for bn in nets])
     m, bn = config.m, nets[0]
     names, states = bn.node_names, {node.name: node.states for node in bn.nodes}
+    radix = [node.cardinality for node in bn.nodes]
     chunk = max(1, _BATCH_RECORDS // m)
-    groups, mus = {}, []
-    for lo in range(0, len(trials), chunk):
-        hi = min(lo + chunk, len(trials))
-        u = np.stack([
-            _stream(config.seed, i, "proxy").random((m, len(names))) for i in trials[lo:hi]
-        ])
-        proxies = ProxyDataset(names, states, _draw(nets[lo:hi], u))
+
+    def reduced():
+        for lo in range(0, len(trials), chunk):
+            hi = min(lo + chunk, len(trials))
+            u = np.empty((hi - lo, m, len(names)))
+            for t, i in enumerate(trials[lo:hi]):
+                _stream(config.seed, i, "proxy").random(out=u[t])
+            drawn = _draw(nets[lo:hi], u)
+            rows, counts = _distinct_rows(drawn, radix, [np.ones(drawn.shape[:2], dtype=np.int64)])
+            yield rows, *counts
+
+    laws, mus = [], []
+    for rows, counts in _packed(reduced()):
+        proxies = ProxyDataset(names, states, rows, counts)
         mus.append(empirical_marginals(proxies, bn.output_nodes, bn.encoding))
-        structures = [bn] * (hi - lo) if config.threat == WEAK else chow_liu_structures(
+        structures = [bn] * len(rows) if config.threat == WEAK else chow_liu_structures(
             proxies, PROXY_SMOOTHING, bn.output_nodes, bn.encoding
         )
-        rows: dict[tuple, list[int]] = {}
-        for r, structure in enumerate(structures):
-            rows.setdefault(tuple((v.name, v.parents) for v in structure.nodes), []).append(r)
-        for key, picked in rows.items():
-            structure, index, tallies = groups.setdefault(key, (structures[picked[0]], [], []))
-            index += [lo + r for r in picked]
-            group = ProxyDataset(names, states, proxies.data[picked])
-            tallies.append(tally_cells(structure, group))
-    laws = [None] * len(trials)
-    for structure, index, tallies in groups.values():
-        tables = cpt_tables([np.concatenate(t) for t in zip(*tallies)], PROXY_SMOOTHING)
-        for t, law in zip(index, output_laws(structure, tables)):
-            laws[t] = law
+        by_structure: dict[tuple, list[int]] = {}
+        for r, graph in enumerate(structures):
+            by_structure.setdefault(tuple((v.name, v.parents) for v in graph.nodes), []).append(r)
+        fitted = [None] * len(rows)
+        for picked in by_structure.values():
+            graph = structures[picked[0]]
+            tallies = tally_cells(graph, ProxyDataset(names, states, rows[picked], counts[picked]))
+            for r, law in zip(picked, output_laws(graph, cpt_tables(tallies, PROXY_SMOOTHING))):
+                fitted[r] = law
+        laws += fitted
     for t in range(1, len(laws)):
         if np.array_equal(laws[t - 1].vectors, laws[t].vectors):
             laws[t] = SupportDistribution(laws[t - 1].vectors, laws[t].probs)
@@ -221,7 +217,7 @@ def _score_group(
     from nets[t]: one `attacks.score` call per attack for all their
     releases, their attackers (`_attackers`) and the (trials, slots, d)
     distinct target rows with their (trials, slots) in- and
-    out-multiplicities (`_weighted_rows`).  Scoring is elementwise, so every
+    out-multiplicities (`_draw_chunk`).  Scoring is elementwise, so every
     target's score is that of its row.  A trial whose release is impossible
     evidence under its attacker's network has that attack flagged and
     scored -inf.  One `weighted_auc_rows` pass then counts every attack's
@@ -238,48 +234,65 @@ def _score_group(
     return BatchScores(scores, ins, outs, impossible, weighted_auc_rows(scores, ins, outs))
 
 
-def _weighted_rows(
-    config: ExperimentConfig, targets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each trial's distinct rows of its (trials, targets, d) encoded
-    targets, the in-targets first (`_distinct_targets`), and the (trials,
-    slots) counts of its in- and of its out-targets equal to each row."""
-    rows, slot = _distinct_targets(targets)
-    size = rows.shape[1]
-    slot += np.arange(len(targets))[:, None] * size
-    k_in = config.targets_in
-    ins, outs = (
-        np.bincount(part.ravel(), minlength=len(targets) * size).reshape(-1, size)
-        for part in (slot[:, :k_in], slot[:, k_in:])
-    )
-    return rows, ins, outs
+def _distinct_rows(
+    states: np.ndarray, radix: Sequence[int], weights: Sequence[np.ndarray]
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Each trial's distinct rows of a (trials, records, columns) state array
+    whose column j takes radix[j] values, with the summed weights of the
+    records equal to each row: a (trials, width, columns) array, a trial's
+    rows in its leading slots and its other slots padding that repeats its
+    first row; and for each (trials, records) integer weight array the
+    (trials, width) sums, 0 on padding.  A record that weighs 0 in every
+    array counts as the trial's first record that does not, so its row
+    takes no slot of its own; every trial needs such a record.
 
-
-def _distinct_targets(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each trial's distinct rows of a (trials, targets, d) bit array: a
-    (trials, distinct, d) array, a trial's rows in its first slots and its
-    other slots padded with its first target; and the (trials, targets) slot
-    of each target's row.  Rows are compared as words of up to 63 bits,
-    sorted within each trial, so the rows may be of any width."""
-    trials, k, d = targets.shape
-    words = np.stack([
-        targets[:, :, lo : lo + 63] @ (1 << np.arange(min(63, d - lo)))
-        for lo in range(0, max(d, 1), 63)
-    ], axis=2)
-    if words.shape[2] == 1:
-        order = np.argsort(words[:, :, 0], axis=1)
-    else:  # lexsort's last key is the primary one
-        order = np.lexsort(words.transpose(2, 0, 1)[::-1], axis=1)
+    A row is keyed in mixed radix, as one word or, when the radices'
+    product passes 2^63, as several words of at most 63 bits, and each
+    trial's keys are sorted on their own: one `argsort` for one word, a
+    `lexsort` otherwise.  So the rows may be of any width, and no key packs
+    the trial with the row."""
+    trials, k, columns = states.shape
+    words, lo = [], 0
+    while lo < columns or not words:
+        strides, size, hi = [], 1, lo
+        while hi < columns and size * int(radix[hi]) <= 1 << 63:
+            strides.append(size)
+            size *= int(radix[hi])
+            hi += 1
+        words.append(states[:, :, lo:hi] @ np.array(strides, dtype=np.int64))
+        lo = hi
     each = np.arange(trials)[:, None]
-    ranked = words[each, order]
+    total = sum(weights)
+    source = None
+    if not total.all():
+        source = np.where(total > 0, np.arange(k), np.argmax(total > 0, axis=1)[:, None])
+        words = [word[each, source] for word in words]
     new = np.ones((trials, k), dtype=bool)
-    np.any(ranked[:, 1:] != ranked[:, :-1], axis=2, out=new[:, 1:])
-    ranked_slot = np.cumsum(new, axis=1) - 1
-    slot = np.empty_like(ranked_slot)
-    slot[each, order] = ranked_slot
-    first = np.zeros((trials, int(ranked_slot[:, -1].max()) + 1), dtype=np.int64)
-    first[np.nonzero(new)[0], ranked_slot[new]] = order[new]
-    return targets[each, first], slot
+    if len(words) == 1:
+        order = np.argsort(words[0], axis=1)
+        ranked = words[0][each, order]
+        np.not_equal(ranked[:, 1:], ranked[:, :-1], out=new[:, 1:])
+    else:  # lexsort's last key is the primary one
+        order = np.lexsort(words[::-1], axis=1)
+        ranked = np.stack(words, axis=2)[each, order]
+        np.any(ranked[:, 1:] != ranked[:, :-1], axis=2, out=new[:, 1:])
+    # Runs of equal keys in the (trials * records) ranked order, one per
+    # distinct row; each trial's first record starts one.
+    starts = np.flatnonzero(new)
+    trial = starts // k
+    size = np.bincount(trial, minlength=trials)
+    width = int(size.max())
+    slot = np.arange(len(starts)) - (np.cumsum(size) - size)[trial]
+    first = np.zeros((trials, width), dtype=np.int64)
+    first[trial, slot] = order.ravel()[starts]
+    first = np.where(np.arange(width) < size[:, None], first, first[:, :1])
+    if source is not None:
+        first = source[each, first]
+    sums = []
+    for w in weights:
+        sums.append(np.zeros((trials, width), dtype=np.int64))
+        sums[-1][trial, slot] = np.add.reduceat(w[each, order].ravel(), starts)
+    return states[each, first], tuple(sums)
 
 
 def _draw(nets: Sequence[BayesianNetwork], u: np.ndarray) -> np.ndarray:
@@ -293,26 +306,35 @@ def _draw(nets: Sequence[BayesianNetwork], u: np.ndarray) -> np.ndarray:
 def _draw_chunk(
     config: ExperimentConfig, trials: Sequence[int], nets: Sequence[BayesianNetwork]
 ) -> tuple[list[ReleasedCounts], np.ndarray, np.ndarray, np.ndarray]:
-    """Draw a chunk of trials in one pass from their trials' networks, with
-    one `project` + `encode`, and reduce it to what scoring needs: each
-    trial's release, the column sums of its n records, and its distinct
-    target rows with their multiplicities (`_weighted_rows`), its targets
-    being its picked records followed by its fresh ones."""
+    """Draw a chunk of trials in one pass from their trials' networks, and
+    reduce it to what scoring needs: each trial's release, and its distinct
+    target rows with their (trials, slots) in- and out-counts.  A trial's n
+    dataset records count as in-targets as often as they are picked, its
+    fresh records once each as out-targets; the records are reduced on their
+    output states (`_distinct_rows`), and only the distinct rows and the
+    dataset records are encoded, in one `encode` call."""
     n, k_out = config.n, config.targets_out
     bn = nets[0]
     nodes = len(bn.nodes)
     u = np.empty((len(trials), n + k_out, nodes))
     picks = np.empty((len(trials), config.targets_in), dtype=np.int64)
     for t, i in enumerate(trials):
-        u[t, :n] = _stream(config.seed, i, "dataset").random((n, nodes))
+        _stream(config.seed, i, "dataset").random(out=u[t, :n])
         picks[t] = _stream(config.seed, i, "targets_in").integers(0, n, size=config.targets_in)
-        u[t, n:] = _stream(config.seed, i, "targets_out").random((k_out, nodes))
-    states = _draw(nets, u).reshape(-1, nodes)
-    bits = encode(bn, project(bn, states)).reshape(len(trials), n + k_out, bn.d)
-    releases = [ReleasedCounts(tuple(c), n) for c in bits[:, :n].sum(axis=1).tolist()]
-    fresh = np.broadcast_to(np.arange(n, n + k_out), (len(trials), k_out))
-    targets = bits[np.arange(len(trials))[:, None], np.concatenate([picks, fresh], axis=1)]
-    return releases, *_weighted_rows(config, targets)
+        _stream(config.seed, i, "targets_out").random(out=u[t, n:])
+    outputs = project(bn, _draw(nets, u).reshape(-1, nodes)).reshape(len(trials), n + k_out, -1)
+    ins = np.zeros(outputs.shape[:2], dtype=np.int64)
+    picks += n * np.arange(len(trials))[:, None]
+    ins[:, :n] = np.bincount(picks.ravel(), minlength=len(trials) * n).reshape(-1, n)
+    outs = np.zeros_like(ins)
+    outs[:, n:] = 1
+    radix = [bn.node(v).cardinality for v in bn.output_nodes]
+    rows, (ins, outs) = _distinct_rows(outputs, radix, [ins, outs])
+    data = outputs[:, :n].reshape(-1, outputs.shape[2])
+    bits = encode(bn, np.concatenate([data, rows.reshape(-1, rows.shape[2])]))
+    sums = bits[: len(data)].reshape(len(trials), n, -1).sum(axis=1)
+    releases = [ReleasedCounts(tuple(c), n) for c in sums.tolist()]
+    return releases, bits[len(data) :].reshape(*rows.shape[:2], -1), ins, outs
 
 
 def _slots(a: np.ndarray, width: int, axis: int = 1, weights: bool = False) -> np.ndarray:
@@ -328,52 +350,63 @@ def _slots(a: np.ndarray, width: int, axis: int = 1, weights: bool = False) -> n
     return out
 
 
+def _packed(chunks: Iterable[tuple]):
+    """The trials of drawn chunks collected into groups, each yielded as
+    soon as it closes.  A chunk is a tuple of parts with the trials first:
+    per-trial sequences, one (trials, slots, columns) row array and
+    (trials, slots) weight arrays, a trial's used slots being its leading
+    ones of nonzero weight; a group is the same tuple, its trials padded to
+    its widest (`_slots`).  A group collects trials across chunks, and
+    closes only when one more trial would take its padded rows, at their
+    own bytes an entry, past `_GROUP_BYTES`; it always holds at least one
+    trial."""
+    pieces = []  # the open group's slices of chunks
+    size = width = 0  # the open group's trials and slots
+
+    def joined(parts):
+        if isinstance(parts[0], np.ndarray):
+            return np.concatenate([_slots(p, width, weights=p.ndim == 2) for p in parts])
+        return [x for p in parts for x in p]
+
+    for chunk in chunks:
+        arrays = [p for p in chunk if isinstance(p, np.ndarray)]
+        slot_bytes = next(a.itemsize * a.shape[2] for a in arrays if a.ndim == 3)
+        lo = 0
+        for t, used in enumerate(np.count_nonzero(sum(a for a in arrays if a.ndim == 2), axis=1)):
+            if size and (size + 1) * max(width, used) * slot_bytes > _GROUP_BYTES:
+                pieces.append([p[lo:t] for p in chunk])
+                yield tuple(map(joined, zip(*pieces)))
+                pieces, size, width, lo = [], 0, 0, t
+            size, width = size + 1, max(width, int(used))
+        pieces.append([p[lo:] for p in chunk])
+    yield tuple(map(joined, zip(*pieces)))
+
+
 def _groups(config: ExperimentConfig, trials: Sequence[int], shared: BayesianNetwork | None):
     """The scoring groups of a share of trials, each yielded as soon as it
     closes, as `_score_group`'s arguments after config: its trials, their
     networks and releases, and its (trials, slots, d) distinct target rows
-    with their in- and out-multiplicities, each trial padded to the group's
-    widest.
+    with their in- and out-counts, each trial padded to the group's widest.
 
     Trials are drawn in chunks of at most `_BATCH_RECORDS` records (n +
     targets_out a trial, at least one trial), and each chunk is reduced to
     its distinct rows at once (`_draw_chunk`).  A toy population's networks
     are resolved chunk by chunk, each from its trial's population stream,
-    so only the chunk's and the open group's are held.  A group collects
-    trials across chunks, and closes only when one more trial would take its
-    padded row stack, at 8 bytes an entry as scoring holds it, past
-    `_GROUP_BYTES`; it always holds at least one trial."""
+    so only the chunk's and the open group's are held.  The chunks are
+    packed into groups by `_GROUP_BYTES` (`_packed`)."""
     chunk = max(1, _BATCH_RECORDS // (config.n + config.targets_out))
-    pieces = []  # the open group's slices of drawn chunks
-    size = width = 0  # the open group's trials and slots
 
-    def closed():
-        ids, nets, releases = ([x for piece in pieces for x in piece[p]] for p in range(3))
-        rows = np.concatenate([_slots(piece[3], width) for piece in pieces])
-        ins, outs = (
-            np.concatenate([_slots(piece[p], width, weights=True) for piece in pieces])
-            for p in (4, 5)
-        )
-        return ids, nets, releases, rows, ins, outs
+    def drawn():
+        for lo in range(0, len(trials), chunk):
+            ids = trials[lo : lo + chunk]
+            nets = [
+                shared if shared is not None
+                else resolve_population(config, _stream(config.seed, i, "population"))
+                for i in ids
+            ]
+            yield (ids, nets, *_draw_chunk(config, ids, nets))
 
-    for lo in range(0, len(trials), chunk):
-        ids = trials[lo : lo + chunk]
-        nets = [
-            shared if shared is not None
-            else resolve_population(config, _stream(config.seed, i, "population"))
-            for i in ids
-        ]
-        drawn = (ids, nets, *_draw_chunk(config, ids, nets))
-        slot_bytes = 8 * nets[0].d
-        cut = 0
-        for t, used in enumerate(np.count_nonzero(drawn[4] + drawn[5], axis=1).tolist()):
-            if size and (size + 1) * max(width, used) * slot_bytes > _GROUP_BYTES:
-                pieces.append([part[cut:t] for part in drawn])
-                yield closed()
-                pieces, size, width, cut = [], 0, 0, t
-            size, width = size + 1, max(width, used)
-        pieces.append([part[cut:] for part in drawn])
-    yield closed()
+    yield from _packed(drawn())
 
 
 def _joined(groups: Sequence[BatchScores]) -> BatchScores:
@@ -519,12 +552,13 @@ class ExperimentResult:
         return out.getvalue()
 
 
-# Records (n + targets_out per trial) that one draw chunk of trials may hold;
-# a chunk always holds at least one trial.  Chunks bound the drawn records
-# alive at once: each chunk is reduced to its distinct target rows before the
-# next one is drawn.
+# Records (n + targets_out per trial, or m proxy records) that one draw chunk
+# of trials may hold; a chunk always holds at least one trial.  Chunks bound
+# the drawn records alive at once: each chunk is reduced to its distinct rows
+# before the next one is drawn.
 _BATCH_RECORDS = 1024
 # Byte budget of one scoring group's padded (trials, distinct rows, d) target
+# stack, and of one fit group's padded (trials, distinct rows, nodes) proxy
 # stack, at 8 bytes an entry: a group closes when one more trial would take
 # it past this, and always holds at least one trial.  40 trials of 40
 # distinct targets fit at d up to 40.
@@ -583,432 +617,3 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         for name, vals in per_attack.items()
     ]
     return ExperimentResult(config, rows, summary, flags)
-
-
-# ---------------------------------------------------------------------------
-# Timing
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BenchRow:
-    population: str
-    num_nodes: int
-    param_dim: int        # encoded dimension of all nodes
-    num_output_nodes: int
-    output_dim: int       # encoded dimension of the released attributes (d)
-    mean_seconds: float
-    calls: int
-
-
-def bench_posterior(
-    populations: Sequence[str],
-    n: int = 4,
-    datasets: int = 20,
-    targets: int = 40,
-    seed: int = 0,
-) -> list[BenchRow]:
-    """Mean wall-clock seconds per posterior computation.
-
-    Each call pays the full convolution for its released counts (no reuse
-    across targets); the population's output law is computed once up front,
-    like a compiled model.
-    """
-    if datasets < 1 or targets < 1:
-        raise ValueError("datasets and targets must be at least 1")
-    rows = []
-    for name in populations:
-        config = ExperimentConfig(population=name, n=n, seed=seed)
-        bn = resolve_population(config, _stream(seed, 0, "population"))
-        law = output_marginal_law(bn)
-        full_dim = sum(
-            node.cardinality if bn.encoding == "one-hot" else 1 for node in bn.nodes
-        )
-        elapsed = 0.0
-        calls = 0
-        for i in range(datasets):
-            data = project(bn, sample(bn, n, _stream(seed, i, "dataset")))
-            counts = dataset_counts(bn, data)
-            out_rng = _stream(seed, i, "targets_out")
-            half = targets // 2
-            picks = out_rng.integers(0, n, size=targets - half)
-            ys = encode(bn, np.concatenate([data[picks], project(bn, sample(bn, half, out_rng))]))
-            for y in ys:
-                start = time.perf_counter()
-                engine = PosteriorEngine(law, [counts])
-                engine.result(y)
-                elapsed += time.perf_counter() - start
-                calls += 1
-        rows.append(
-            BenchRow(
-                name, len(bn.nodes), full_dim, len(bn.output_nodes), bn.d,
-                elapsed / calls, calls,
-            )
-        )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Numerical equivalence suites
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    max_deviation: float
-    tolerance: float
-    passed: bool
-    cases: int
-    seconds: float
-    note: str = ""
-    advisory: bool = False
-
-
-def _product_net_deviation(p: np.ndarray, n: int, rng: np.random.Generator):
-    """Max relative gap between the exact posterior odds and the marginal
-    closed form, over every count vector and every target; plus spot checks
-    through the public one-call surface."""
-    d = len(p)
-    bn = make_product(tuple(p))
-    law = output_marginal_law(bn)
-    shape = (n + 1,) * d
-    grid_counts = np.indices(shape).reshape(d, -1).T
-    t_prev = sum_log_table(law, n - 1, (n,) * d).log_prob(grid_counts).reshape(shape)
-    t_n = sum_log_table(law, n, (n,) * d).log_prob(grid_counts).reshape(shape)
-    assert np.all(np.isfinite(t_n)), "every count vector is feasible for interior p"
-
-    grid = np.arange(n + 1) / n
-    worst = 0.0
-    cases = 0
-    for y in itertools.product((0, 1), repeat=d):
-        shift_src = tuple(slice(0, n + 1 - b) for b in y)
-        shift_dst = tuple(slice(b, n + 1) for b in y)
-        log_num = np.full(shape, float("-inf"))
-        log_num[shift_dst] = t_prev[shift_src]
-        ratio = np.exp(log_num - t_n)
-        lam = np.ones(shape)
-        for j, b in enumerate(y):
-            fac = grid / p[j] if b else (1.0 - grid) / (1.0 - p[j])
-            lam = lam * fac.reshape((1,) * j + (n + 1,) + (1,) * (d - j - 1))
-        pos = lam > 0.0
-        dev = np.abs(ratio[pos] - lam[pos]) / lam[pos]
-        worst = max(worst, float(dev.max()) if dev.size else 0.0)
-        if not np.all(ratio[~pos] == 0.0):
-            worst = math.inf
-        cases += lam.size
-
-    for _ in range(10):
-        c = tuple(int(x) for x in rng.integers(0, n + 1, size=d))
-        y = tuple(int(x) for x in rng.integers(0, 2, size=d))
-        counts = ReleasedCounts(c, n)
-        lam = closed_form_product_ratio(p, counts, y)
-        r = math.exp(posterior_engine(bn, [counts]).result(y))
-        if lam == 0.0:
-            if r != 0.0:
-                worst = math.inf
-        else:
-            worst = max(worst, abs(r - lam) / lam)
-    return worst, cases
-
-
-def verify_product_equivalence(
-    populations: int = 200, seed: int = 20250810
-) -> SuiteResult:
-    """Posterior odds == marginal ratio statistic on product populations."""
-    rng = np.random.default_rng(seed)
-    start = time.perf_counter()
-    worst = 0.0
-    cases = 0
-    for _ in range(populations):
-        d = int(rng.integers(1, 7))
-        n = int(rng.integers(1, 6))
-        p = rng.uniform(0.2, 0.8, size=d)
-        dev, count = _product_net_deviation(p, n, rng)
-        worst = max(worst, dev)
-        cases += count
-    return SuiteResult(
-        "product_marginal_ratio_equivalence",
-        worst, 1e-9, worst <= 1e-9, cases, time.perf_counter() - start,
-    )
-
-
-def _tied_vectors(d: int, side: str, top: int):
-    """Every vector over 0..top whose repeated block copies its source: on the
-    right side coordinates m+1..d copy coordinate m, on the left side
-    coordinates 1..m-1 copy coordinate m (1-based, m = midpoint(d))."""
-    m = midpoint(d)
-    if side == RIGHT:
-        for free in itertools.product(range(top + 1), repeat=m):
-            yield free + (free[m - 1],) * (d - m)
-    else:
-        for free in itertools.product(range(top + 1), repeat=d - m + 1):
-            yield (free[0],) * (m - 1) + free
-
-
-def _clipped_gap(
-    bn: BayesianNetwork, counts: ReleasedCounts, ys: np.ndarray, clip: atk.ClipRange
-) -> float:
-    """Largest |R / lambda - 1| over the targets ys of one release, where R is
-    the exact posterior odds under bn and lambda the clipped ratio statistic,
-    each scored for the batch of one release in one call; inf when exactly
-    one of them is zero for some target.  Raises ImpossibleEvidenceError
-    when the release is impossible under bn."""
-    r_log = atk.score(atk.BAYES, bn, None, [counts], ys[None])[0]
-    lam_log = atk.lrt_clipped_score(attribute_marginals(bn), [counts], ys[None], clip)[0]
-    r_zero = r_log == -math.inf
-    if np.any(r_zero != (lam_log == -math.inf)):
-        return math.inf
-    gaps = (r_log[~r_zero] - lam_log[~r_zero]).tolist()
-    return max((abs(math.expm1(g)) for g in gaps), default=0.0)
-
-
-def verify_half_repeated_equivalence(seed: int = 20250810) -> SuiteResult:
-    """Posterior odds == the ratio statistic clipped to the independent block,
-    on half-repeated populations."""
-    rng = np.random.default_rng(seed)
-    start = time.perf_counter()
-    worst = 0.0
-    cases = 0
-    for d in range(2, 8):
-        bn = make_half_repeated(d, tuple(rng.uniform(0.2, 0.8, size=midpoint(d))))
-        clip = atk.half_clip_range(d)
-        ys = np.array(list(_tied_vectors(d, RIGHT, 1)))
-        for n in range(1, 5):
-            for c in _tied_vectors(d, RIGHT, n):
-                worst = max(worst, _clipped_gap(bn, ReleasedCounts(c, n), ys, clip))
-                cases += len(ys)
-    return SuiteResult(
-        "half_repeated_clipped_equivalence",
-        worst, 1e-9, worst <= 1e-9, cases, time.perf_counter() - start,
-    )
-
-
-def verify_lr_pure_side_equivalence(seed: int = 20250810) -> SuiteResult:
-    """Posterior odds == the side-clipped ratio statistic when the population
-    itself is a single fixed side (no hidden coin).  This is the substance of
-    the side-clipping equivalence."""
-    rng = np.random.default_rng(seed)
-    start = time.perf_counter()
-    worst = 0.0
-    cases = 0
-    for d in (4, 6):
-        m = midpoint(d)
-        for side in (RIGHT, LEFT):
-            size = m if side == RIGHT else d - m + 2
-            bn = make_lr_side(d, tuple(rng.uniform(0.2, 0.8, size=size)), side)
-            clip = atk.side_clip_range(d, side)
-            ys = np.array(list(_tied_vectors(d, side, 1)))
-            for n in range(1, 5):
-                for c in _tied_vectors(d, side, n):
-                    worst = max(worst, _clipped_gap(bn, ReleasedCounts(c, n), ys, clip))
-                    cases += len(ys)
-    return SuiteResult(
-        "lr_pure_side_equivalence",
-        worst, 1e-9, worst <= 1e-9, cases, time.perf_counter() - start,
-    )
-
-
-def verify_lr_single_side_counts(seed: int = 20250810) -> SuiteResult:
-    """Posterior odds vs the side-clipped statistic on the hidden-coin mixture
-    population, restricted to counts consistent with exactly one side.
-
-    This equality does NOT hold: datasets mixing records of both sides
-    contribute to the evidence probability, so the exact posterior departs
-    from the single-side closed form.  Kept as an advisory suite documenting
-    the measured gap; see notes/decisions.md in the repository root.
-    """
-    rng = np.random.default_rng(seed)
-    start = time.perf_counter()
-    worst = 0.0
-    cases = 0
-    for d in (4, 6):
-        m = midpoint(d)
-        p_right = tuple(rng.uniform(0.2, 0.8, size=m))
-        p_left = tuple(rng.uniform(0.2, 0.8, size=d - m + 2))
-        bn = make_lr_repeated(d, p_right, p_left)
-        for n in (2, 3):
-            for side in (RIGHT, LEFT):
-                clip = atk.side_clip_range(d, side)
-                ys = np.array(list(_tied_vectors(d, side, 1)))
-                for c in _tied_vectors(d, side, n):
-                    counts = ReleasedCounts(c, n)
-                    if atk.choose_side(counts, d) != side:
-                        continue  # ambiguous or the other side
-                    try:
-                        worst = max(worst, _clipped_gap(bn, counts, ys, clip))
-                    except ImpossibleEvidenceError:
-                        continue
-                    cases += len(ys)
-    return SuiteResult(
-        "lr_single_side_counts_vs_mixture_posterior",
-        worst, 1e-9, worst <= 1e-9, cases, time.perf_counter() - start,
-        note="known model-semantics gap: mixed-side datasets contribute to the "
-        "evidence, so no tolerance this tight can hold",
-        advisory=True,
-    )
-
-
-def verify_binomial_identities(samples: int = 1000, seed: int = 20250810) -> SuiteResult:
-    """The per-coordinate closed forms k/(n mu) and (n-k)/(n (1-mu)) against
-    the explicit binomial pmf ratio."""
-    rng = np.random.default_rng(seed)
-    start = time.perf_counter()
-    worst = 0.0
-    for _ in range(samples):
-        n = int(rng.integers(1, 13))
-        mu = float(rng.uniform(0.05, 0.95))
-
-        def pmf(nn: int, kk: int) -> float:
-            return math.comb(nn, kk) * mu**kk * (1 - mu) ** (nn - kk)
-
-        k = int(rng.integers(1, n + 1))  # set-bit branch needs k >= 1
-        lhs = pmf(n - 1, k - 1) / pmf(n, k)
-        rhs = k / (n * mu)
-        worst = max(worst, abs(lhs - rhs) / rhs)
-        k = int(rng.integers(0, n))  # unset-bit branch needs k <= n-1
-        lhs = pmf(n - 1, k) / pmf(n, k)
-        rhs = (n - k) / (n * (1 - mu))
-        worst = max(worst, abs(lhs - rhs) / rhs)
-    return SuiteResult(
-        "binomial_ratio_identities",
-        worst, 1e-12, worst <= 1e-12, 2 * samples, time.perf_counter() - start,
-    )
-
-
-def _theta_in(ratio: float) -> float:
-    """The membership posterior under a fair-coin prior, R / (1 + R); 1.0
-    for infinite odds."""
-    return 1.0 if math.isinf(ratio) else ratio / (1.0 + ratio)
-
-
-def verify_oracle_agreement(seed: int = 20250810) -> SuiteResult:
-    """Convolution posterior vs brute-force enumeration over full network
-    instances, exhaustively over all feasible counts and targets.
-
-    Deviation is the larger of the absolute gap in the membership posterior
-    (bounded in [0, 1]) and the relative gap in the odds ratio; a raw
-    absolute gap on the ratio itself would drop below one float64 ulp as
-    soon as the odds exceed ~4, so it cannot distinguish agreement from
-    rounding.  Zero ratios must agree exactly.
-    """
-    from .populations import make_cancer
-
-    rng = np.random.default_rng(seed)
-    start = time.perf_counter()
-    worst = 0.0
-    cases = 0
-
-    nets: list[BayesianNetwork] = []
-    for _ in range(3):
-        d = int(rng.integers(1, 4))
-        nets.append(make_product(tuple(rng.uniform(0.2, 0.8, size=d))))
-    nets.append(make_half_repeated(3, tuple(rng.uniform(0.2, 0.8, size=2))))
-    nets.append(make_cancer().with_outputs(("Xray", "Dyspnoea"), "raw-binary"))
-    nets.append(
-        make_cancer().with_outputs(("Cancer", "Xray", "Dyspnoea"), "raw-binary")
-    )
-
-    for bn in nets:
-        targets = list(itertools.product((0, 1), repeat=bn.d))
-        for n in (1, 2, 3):
-            if bn.joint_state_count**n > 200_000:
-                continue
-            for c in itertools.product(range(n + 1), repeat=bn.d):
-                counts = ReleasedCounts(c, n)
-                cases += len(targets)
-                engine = posterior_engine(bn, [counts])
-                try:
-                    oracle = [brute_force_posterior(bn, counts, y) for y in targets]
-                except ImpossibleEvidenceError:
-                    oracle = None
-                if bool(engine.impossible) != (oracle is None):
-                    worst = math.inf
-                if engine.impossible or oracle is None:
-                    continue
-                for y, bf in zip(targets, oracle):
-                    dp = math.exp(engine.result(y))
-                    if (dp == 0.0) != (bf == 0.0):
-                        worst = math.inf
-                        continue
-                    dev = abs(_theta_in(dp) - _theta_in(bf))
-                    if bf > 0.0:
-                        dev = max(dev, abs(dp - bf) / bf)
-                    worst = max(worst, dev)
-    return SuiteResult(
-        "oracle_agreement",
-        worst, 1e-12, worst <= 1e-12, cases, time.perf_counter() - start,
-    )
-
-
-def verify_count_normalization(seed: int = 20250810) -> SuiteResult:
-    """Count distributions sum to 1 over all count vectors, small instances."""
-    rng = np.random.default_rng(seed)
-    start = time.perf_counter()
-    worst = 0.0
-    cases = 0
-    nets = [
-        make_product(tuple(rng.uniform(0.2, 0.8, size=2))),
-        make_product(tuple(rng.uniform(0.2, 0.8, size=3))),
-        make_half_repeated(5, tuple(rng.uniform(0.2, 0.8, size=3))),
-    ]
-    for bn in nets:
-        law = output_marginal_law(bn)
-        for n in (1, 2, 3):
-            total = math.fsum(
-                math.exp(sum_log_table(law, n, c).log_prob([c])[0])
-                for c in itertools.product(range(n + 1), repeat=bn.d)
-            )
-            worst = max(worst, abs(total - 1.0))
-            cases += 1
-    return SuiteResult(
-        "count_distribution_normalization",
-        worst, 1e-9, worst <= 1e-9, cases, time.perf_counter() - start,
-    )
-
-
-def law_ratio_deviation(
-    bn: BayesianNetwork, n: int, releases: int, rng: np.random.Generator
-) -> float:
-    """Max |sum_y law(y) R(y) - 1| over releases of n sampled records.
-
-    Summed against the law, the numerator of R gives its denominator, so the
-    sum is 1 for any feasible release: a check without the oracle, at sizes
-    the oracle cannot reach.
-    """
-    law = output_marginal_law(bn)
-    worst = 0.0
-    for _ in range(releases):
-        engine = PosteriorEngine(law, [dataset_counts(bn, project(bn, sample(bn, n, rng)))])
-        total = math.fsum(law.probs * np.exp(engine.log_ratios(law.vectors[None])[0]))
-        worst = max(worst, abs(total - 1.0))
-    return worst
-
-
-def verify_law_ratio_normalization(seed: int = 20250810) -> SuiteResult:
-    """sum_y law(y) R(y) = 1 on three releases of every bundled network, n = 4."""
-    rng = np.random.default_rng(seed)
-    start = time.perf_counter()
-    worst = max(
-        law_ratio_deviation(load_benchmark(name), 4, 3, rng) for name in BUNDLED_BENCHMARKS
-    )
-    return SuiteResult(
-        "law_weighted_ratio_normalization",
-        worst, 1e-12, worst <= 1e-12, 3 * len(BUNDLED_BENCHMARKS), time.perf_counter() - start,
-    )
-
-
-def verify_equivalences(
-    product_populations: int = 200,
-    identity_samples: int = 1000,
-    seed: int = 20250810,
-) -> list[SuiteResult]:
-    """Run every numerical suite; failures are report entries, not exceptions."""
-    return [
-        verify_product_equivalence(product_populations, seed),
-        verify_half_repeated_equivalence(seed),
-        verify_lr_pure_side_equivalence(seed),
-        verify_lr_single_side_counts(seed),
-        verify_binomial_identities(identity_samples, seed),
-        verify_oracle_agreement(seed),
-        verify_count_normalization(seed),
-        verify_law_ratio_normalization(seed),
-    ]

@@ -4,10 +4,12 @@ The weak attacker knows the graph and learns the tables from the proxy; the
 weakest learns structure too.  Structure learning here is a maximum-weight
 spanning tree over pairwise empirical mutual information, which is
 deterministic and adequate at this scale at the cost of tree-shaped output.
-The proxy is one (m, nodes) array of state indices, and every fit counts from
-its columns.  The fits take a stack of R proxies, counting the cells of all of
-them in one `np.bincount` (or `np.add.at`) per table, with each proxy's
-numbers as it would get alone; one proxy is the stack of one.
+The proxy is one (rows, nodes) array of state indices with a count per row
+(one per record by default), and every fit counts from its columns, each row
+as often as its count says.  The fits take a stack of R proxies, counting the
+cells of all of them in one weighted `np.bincount` per table, with each
+proxy's integers as it would get alone from its records one by one; one proxy
+is the stack of one.
 """
 from __future__ import annotations
 
@@ -26,30 +28,48 @@ from .model import BayesianNetwork, NodeSpec, ONE_HOT, RAW_BINARY, sample
 @dataclass(frozen=True)
 class ProxyDataset:
     """m full records over a known node schema (names and state labels),
-    stored as an (m, nodes) int array of state indices, column i for nodes[i]
-    (or R proxies as an (R, m, nodes) stack).  `from_csv` and `to_csv`
-    convert one proxy to and from CSV text."""
+    stored as a (rows, nodes) int array of state indices, column i for
+    nodes[i], and the number of records each row stands for (`counts`, one
+    per row by default); or R proxies of m records each as an (R, rows,
+    nodes) stack with (R, rows) counts.  `from_csv` and `to_csv` convert one
+    proxy to and from CSV text."""
 
     nodes: tuple[str, ...]
     states: dict[str, tuple[str, ...]]
     data: np.ndarray
+    counts: np.ndarray | None = None
 
     @property
     def m(self) -> int:
-        return self.data.shape[-2]
+        """The records of each proxy: its rows' total count."""
+        return int(self.weights[0].sum())
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.int64)
         if data.ndim not in (2, 3) or data.shape[-1] != len(self.nodes):
             raise ValueError("proxy data must have one column per node")
-        if data.shape[-2] < 1:
+        counts = np.ones(data.shape[:-1], dtype=np.int64) if self.counts is None else (
+            np.asarray(self.counts, dtype=np.int64)
+        )
+        if counts.shape != data.shape[:-1] or (counts < 0).any():
+            raise ValueError("proxy counts must be one nonnegative count per row")
+        totals = counts.sum(axis=-1)
+        if data.shape[-2] < 1 or (totals < 1).any():
             raise ValueError("proxy dataset must contain at least one record")
+        if (totals != totals.flat[0]).any():
+            raise ValueError("the proxies of a stack must hold the same number of records")
         object.__setattr__(self, "data", data)
+        object.__setattr__(self, "counts", counts)
 
     @property
     def stack(self) -> np.ndarray:
-        """The records as an (R, m, nodes) array; R = 1 for one proxy."""
+        """The rows as an (R, rows, nodes) array; R = 1 for one proxy."""
         return self.data.reshape(-1, *self.data.shape[-2:])
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The rows' counts as an (R, rows) array; R = 1 for one proxy."""
+        return self.counts.reshape(-1, self.counts.shape[-1])
 
     @classmethod
     def from_network_samples(
@@ -92,7 +112,7 @@ class ProxyDataset:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(self.nodes)
         labels = [self.states[n] for n in self.nodes]
-        for row in self.data.tolist():
+        for row in np.repeat(self.data, self.counts, axis=0).tolist():
             writer.writerow([states[s] for states, s in zip(labels, row)])
         return out.getvalue()
 
@@ -100,14 +120,16 @@ class ProxyDataset:
 def tally_cells(structure: BayesianNetwork, proxy: ProxyDataset) -> list[np.ndarray]:
     """Each structure node's (parents..., node) cell counts in every proxy of
     a stack, in structure order: (R, *parent cards, k) int arrays, each from
-    one `np.bincount` over the cells indexed (proxy, parents..., node)."""
-    stack, tables = proxy.stack, []
+    one `np.bincount` over the cells indexed (proxy, parents..., node),
+    weighted by the rows' counts."""
+    stack, weights, tables = proxy.stack, proxy.weights.ravel().astype(float), []
     for node in structure.nodes:
         names = node.parents + (node.name,)
         shape = (len(stack), *(structure.node(v).cardinality for v in names))
         columns = (stack[..., proxy.nodes.index(v)] for v in names)
         flat = np.ravel_multi_index((np.arange(len(stack))[:, None], *columns), shape)
-        tables.append(np.bincount(flat.ravel(), minlength=math.prod(shape)).reshape(shape))
+        counts = np.bincount(flat.ravel(), weights, math.prod(shape))
+        tables.append(counts.astype(np.int64).reshape(shape))
     return tables
 
 
@@ -132,12 +154,15 @@ def _mutual_informations(proxy: ProxyDataset, alpha: float) -> list[list[float]]
     `itertools.combinations` order, in each proxy of a stack, from
     alpha-smoothed cell counts.
 
-    All proxies' and pairs' (ku, kv) tables are tallied in one `np.add.at`
-    over one flat array: one 1.0 added per record, in record order, the same
-    sums for any alpha.  The tables of one shape lie next to each other and
-    are normalized and summed as one (R, pairs, ku, kv) block, with the
-    per-table sums of a lone table.  A pair's terms are then added in
-    Python floats, cell by cell."""
+    All proxies' and pairs' (ku, kv) cell counts come from one weighted
+    `np.bincount` over one flat array.  A cell counted c times holds
+    cumsum([alpha, 1, 1, ...])[c]: alpha plus one 1.0 per record, added in
+    turn, the sum a record-by-record tally makes (alpha + c can differ in
+    the last bit).  The tables of one shape lie next to each other and are
+    normalized and summed as one (R, pairs, ku, kv) block, with the
+    per-table sums of a lone table.  A pair's terms p log(p / (pu pv)) take
+    `math.log` and are added cell by cell, in row-major order, by one
+    sequential `np.cumsum`."""
     cards = [len(proxy.states[v]) for v in proxy.nodes]
     data = proxy.stack
     pairs = list(itertools.combinations(range(len(cards)), 2))
@@ -150,27 +175,32 @@ def _mutual_informations(proxy: ProxyDataset, alpha: float) -> list[list[float]]
     kv = np.array(cards, dtype=np.int64)[b]
     sizes = np.array(cards, dtype=np.int64)[a] * kv
     proxies, width = len(data), int(sizes.sum())
-    cells = data[:, :, a] * kv + data[:, :, b] + (np.cumsum(sizes) - sizes)
+    # Built in place: a 40-proxy fit group's (proxies, rows, pairs) cells
+    # are the largest arrays of a fit.
+    cells = data[:, :, a]
+    cells *= kv
+    cells += data[:, :, b]
+    cells += np.cumsum(sizes) - sizes
     cells += width * np.arange(proxies)[:, None, None]
-    tally = np.full((proxies, width), alpha, dtype=float)
-    np.add.at(tally.ravel(), cells.transpose(0, 2, 1).ravel(), 1.0)
-    out = [[0.0] * len(pairs) for _ in range(proxies)]
+    weights = np.repeat(proxy.weights.ravel().astype(float), len(pairs))
+    counts = np.bincount(cells.ravel(), weights, proxies * width).astype(np.int64)
+    del cells, weights
+    tally = np.cumsum(np.r_[alpha, np.ones(proxy.m)])[counts].reshape(proxies, width)
+    out = np.empty((proxies, len(pairs)))
     lo = 0
     for (ku, kv), group in groups.items():
         joint = tally[:, lo : lo + len(group) * ku * kv].reshape(proxies, len(group), ku, kv)
         lo += len(group) * ku * kv
         joint /= joint.reshape(proxies, len(group), -1).sum(axis=2)[:, :, None, None]
-        # Lists are made one proxy at a time: a whole stack's at once
-        # raised the peak RSS of a 40-proxy chunk by 0.4 MiB.
-        for mis, tables, pus, pvs in zip(out, joint, joint.sum(axis=3), joint.sum(axis=2)):
-            for i, table, pu, pv in zip(group, tables.tolist(), pus.tolist(), pvs.tolist()):
-                mi = 0.0
-                for p_u, row in zip(pu, table):
-                    for p_v, p in zip(pv, row):
-                        if p > 0.0 and p_u > 0.0 and p_v > 0.0:
-                            mi += p * math.log(p / (p_u * p_v))
-                mis[i] = mi
-    return out
+        pu = np.broadcast_to(joint.sum(axis=3)[..., :, None], joint.shape)
+        pv = np.broadcast_to(joint.sum(axis=2)[..., None, :], joint.shape)
+        live = (joint > 0.0) & (pu > 0.0) & (pv > 0.0)
+        p = joint[live]
+        logs = np.fromiter(map(math.log, (p / (pu[live] * pv[live])).tolist()), float, len(p))
+        terms = np.zeros(joint.shape)
+        terms[live] = p * logs
+        out[:, group] = np.cumsum(terms.reshape(proxies, len(group), -1), axis=2)[:, :, -1]
+    return out.tolist()
 
 
 def chow_liu_structures(
@@ -179,23 +209,28 @@ def chow_liu_structures(
 ) -> list[BayesianNetwork]:
     """The tree learned from each proxy of a stack, as a network with empty
     CPTs: maximum-weight spanning tree on pairwise mutual information
-    (alpha-smoothed cell counts), rooted at the first node."""
+    (alpha-smoothed cell counts), rooted at the first node.  Edges are tried
+    by decreasing mutual information, ties broken on lexicographic edge
+    name: one `np.lexsort` for the whole stack."""
     if proxy.m < 2:
         raise ValueError("structure learning needs at least two records")
     outputs = tuple(output_nodes) if output_nodes is not None else proxy.nodes
+    edges = [tuple(sorted(pair)) for pair in itertools.combinations(proxy.nodes, 2)]
+    rank = np.empty(len(edges), dtype=np.int64)
+    rank[sorted(range(len(edges)), key=edges.__getitem__)] = np.arange(len(edges))
+    mis = np.array(_mutual_informations(proxy, alpha)).reshape(len(proxy.stack), len(edges))
     trees = []
-    for mis in _mutual_informations(proxy, alpha):
-        parents = _tree(proxy.nodes, mis)
+    for order in np.lexsort((np.broadcast_to(rank, mis.shape), -mis), axis=1).tolist():
+        parents = _tree(proxy.nodes, [edges[i] for i in order])
         nodes = tuple(NodeSpec(v, proxy.states[v], parents[v], {}) for v in parents)
         trees.append(BayesianNetwork(nodes, outputs, encoding))
     return trees
 
 
-def _tree(names: Sequence[str], mis: Sequence[float]) -> dict[str, tuple[str, ...]]:
-    """Each node's parents in the maximum-weight spanning tree on the pairwise
-    mutual informations mis (in `itertools.combinations` order), rooted at
-    names[0], in breadth-first order.  Ties break on lexicographic edge name."""
-    edges = sorted((-mi, *sorted(pair)) for mi, pair in zip(mis, itertools.combinations(names, 2)))
+def _tree(names: Sequence[str], edges: Sequence[tuple[str, str]]) -> dict[str, tuple[str, ...]]:
+    """Each node's parents in the spanning tree that takes each (u, v) edge
+    in turn unless it closes a cycle (Kruskal's rule), rooted at names[0],
+    in breadth-first order."""
     parent_of = {name: name for name in names}
 
     def find(x: str) -> str:
@@ -206,7 +241,7 @@ def _tree(names: Sequence[str], mis: Sequence[float]) -> dict[str, tuple[str, ..
 
     chosen: dict[str, set[str]] = {name: set() for name in names}
     picked = 0
-    for _, u, v in edges:
+    for u, v in edges:
         ru, rv = find(u), find(v)
         if ru != rv:
             parent_of[ru] = rv
@@ -235,7 +270,7 @@ def empirical_marginals(
     """Per-attribute frequencies in the proxy, clamped away from 0 and 1 so
     ratio attacks stay defined: the clamp is [1/(2m), 1 - 1/(2m)].  The
     output nodes' states in every proxy of a stack are counted with one
-    `np.bincount`, in one-hot layout; raw-binary keeps the count of state 1.
+    weighted `np.bincount`, in one-hot layout; raw-binary keeps the count of state 1.
     A stack of R proxies gives an (R, d) array."""
     cards = np.array([len(proxy.states[name]) for name in output_nodes], dtype=np.int64)
     if encoding == RAW_BINARY and (cards != 2).any():
@@ -245,7 +280,9 @@ def empirical_marginals(
     width = int(cards.sum())
     cells = stack[:, :, [proxy.nodes.index(v) for v in output_nodes]] + np.cumsum(cards) - cards
     cells += width * np.arange(len(stack))[:, None, None]
-    counts = np.bincount(cells.ravel(), minlength=len(stack) * width).reshape(len(stack), width)
+    weights = np.repeat(proxy.weights.ravel().astype(float), len(output_nodes))
+    counts = np.bincount(cells.ravel(), weights, len(stack) * width)
+    counts = counts.astype(np.int64).reshape(len(stack), width)
     freq = (counts[:, 1::2] if encoding == RAW_BINARY else counts) / proxy.m
     lo = 1.0 / (2 * proxy.m)
     return np.clip(freq, lo, 1.0 - lo).reshape(*proxy.data.shape[:-2], freq.shape[1])

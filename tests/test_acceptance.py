@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from reference import joint_prob, one_row_auc, reference_roc_points
 
-from bnmia import harness
+from bnmia import harness, suites
 from bnmia.formats import parse_bif_subset, parse_sexpr
 from bnmia.harness import ExperimentConfig, run_experiment
 from bnmia.inference import PosteriorEngine
@@ -66,7 +66,7 @@ def table_experiments():
 class TestCriterion1ProductEquivalence:
     def test_posterior_matches_marginal_ratio_on_products(self):
         start = time.perf_counter()
-        suite = harness.verify_product_equivalence(populations=200, seed=SUITE_SEED)
+        suite = suites.verify_product_equivalence(populations=200, seed=SUITE_SEED)
         elapsed = time.perf_counter() - start
         ok = suite.passed and elapsed < 60.0
         _report(
@@ -82,8 +82,8 @@ class TestCriterion1ProductEquivalence:
 class TestCriterion2ClippedEquivalence:
     def test_half_repeated_equivalence(self):
         start = time.perf_counter()
-        suite = harness.verify_half_repeated_equivalence(seed=SUITE_SEED)
-        side = harness.verify_lr_pure_side_equivalence(seed=SUITE_SEED)
+        suite = suites.verify_half_repeated_equivalence(seed=SUITE_SEED)
+        side = suites.verify_lr_pure_side_equivalence(seed=SUITE_SEED)
         elapsed = time.perf_counter() - start
         ok = suite.passed and side.passed and elapsed < 120.0
         _report(
@@ -107,7 +107,7 @@ class TestCriterion2ClippedEquivalence:
     )
     def test_lr_hidden_coin_single_side_counts(self):
         start = time.perf_counter()
-        suite = harness.verify_lr_single_side_counts(seed=SUITE_SEED)
+        suite = suites.verify_lr_single_side_counts(seed=SUITE_SEED)
         elapsed = time.perf_counter() - start
         _report(
             "2 (l/r hidden-coin, single-side-consistent counts)",
@@ -123,7 +123,7 @@ class TestCriterion2ClippedEquivalence:
 
 class TestCriterion3OracleEquivalence:
     def test_convolution_matches_brute_force(self):
-        suite = harness.verify_oracle_agreement(seed=SUITE_SEED)
+        suite = suites.verify_oracle_agreement(seed=SUITE_SEED)
         _report(
             "3",
             suite.passed,
@@ -136,7 +136,7 @@ class TestCriterion3OracleEquivalence:
 
 class TestCriterion4BinomialIdentities:
     def test_closed_forms_match_pmf_ratio(self):
-        suite = harness.verify_binomial_identities(samples=1000, seed=SUITE_SEED)
+        suite = suites.verify_binomial_identities(samples=1000, seed=SUITE_SEED)
         _report(
             "4",
             suite.passed,

@@ -8,7 +8,7 @@ import pytest
 from reference import reference_sample
 
 import bnmia
-from bnmia import inference
+from bnmia import harness, inference
 from bnmia.attacks import score
 from bnmia.cli import main
 from bnmia.model import ReleasedCounts, attribute_marginals
@@ -305,6 +305,22 @@ class TestErrors:
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("error: ") and "Is a directory" in err
         assert len(err.splitlines()) == 1
+
+    def test_unwritable_eval_output_fails_before_the_experiment(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        def refuse(config):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(harness, "run_experiment", refuse)
+        code = main(["eval", "--network", "sachs", "--n", "4", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and "Is a directory" in err
+        # An unwritable summary path removes the rows file opened before it.
+        out = tmp_path / "results.csv"
+        (tmp_path / "results.summary.csv").mkdir()
+        code = main(["eval", "--network", "sachs", "--n", "4", "--out", str(out)])
+        assert code == 2 and "Is a directory" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_file_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.bif"

@@ -7,11 +7,10 @@ from reference import (
     TrialScores, batch_trials, one_row_auc, reference_auc, reference_roc_points, reference_trial
 )
 
-from bnmia import attacks, harness
+from bnmia import attacks, harness, suites
 from bnmia.attacks import ClipRange
 from bnmia.harness import (
     ExperimentConfig,
-    bench_posterior,
     resolve_population,
     run_batch,
     run_experiment,
@@ -24,7 +23,11 @@ from bnmia.model import (
     NodeSpec,
     ReleasedCounts,
     attribute_marginals,
+    dataset_counts,
+    encode,
     output_marginal_law,
+    project,
+    sample,
 )
 from bnmia.populations import LEFT, RIGHT, make_half_repeated, make_product
 
@@ -200,6 +203,20 @@ def run_one(config: ExperimentConfig, trial_index: int):
     return batch_trials(config, batch)[0]
 
 
+class TestStreams:
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5, -3])
+    @pytest.mark.parametrize("trial", [0, 39, 2**32, 2**70 + 1])
+    def test_stream_is_the_list_seeded_generator(self, seed, trial):
+        for purpose, tag in harness._STREAM_TAGS.items():
+            entropy = np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, trial, tag])
+            expected = np.random.default_rng(entropy).random(5)
+            assert harness._stream(seed, trial, purpose).random(5).tobytes() == expected.tobytes()
+
+    def test_negative_trial_is_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            harness._stream(0, -1, "dataset")
+
+
 class TestRunTrial:
     def test_deterministic(self):
         config = ExperimentConfig(
@@ -305,13 +322,13 @@ BATCH_CASES = [
         id="asia-weakest-m400",
     ),
     # Proxies that learn five distinct trees in 8 trials, drawn in chunks of
-    # five trials; three trees are learned once in each chunk, so their
-    # stacked fits span chunks.
+    # five trials; three trees are learned once in each chunk, and the one
+    # fit group spans both chunks.
     pytest.param(
         ExperimentConfig("asia", 4, trials=8, seed=12, threat="weakest", m=200),
         id="asia-weakest-m200",
     ),
-    # One trial to a proxy chunk: the batch's one stacked fit spans chunks.
+    # One trial to a proxy chunk: the batch's one fit group spans chunks.
     pytest.param(
         ExperimentConfig("asia", 4, trials=3, seed=13, threat="weak", m=600),
         id="asia-weak-m600",
@@ -329,17 +346,79 @@ def target_stacks(draw):
     return pool[np.arange(trials)[:, None], rng.integers(0, pool.shape[1], (trials, k))]
 
 
+@st.composite
+def weighted_state_stacks(draw):
+    """A (trials, records, columns) state array, each trial's records drawn
+    from a few rows of its own, columns of 2 to 9 states (up to 70 of them,
+    so keys of several words), its radices, and two (trials, records) weight
+    arrays with zeros, each trial holding a record of nonzero weight."""
+    trials, k, columns = draw(st.integers(1, 5)), draw(st.integers(1, 30)), draw(st.integers(0, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    radix = rng.integers(2, 10, columns)
+    pool = rng.integers(0, radix, (trials, draw(st.integers(1, 8)), columns))
+    states = pool[np.arange(trials)[:, None], rng.integers(0, pool.shape[1], (trials, k))]
+    weights = rng.integers(0, 3, (2, trials, k)) * (rng.random((2, trials, k)) < 0.6)
+    weights[1, :, 0] += 1
+    return states, radix.tolist(), weights
+
+
+def expanded(rows, counts, t) -> dict[bytes, tuple[int, ...]]:
+    """Trial t's used slots as row bytes -> its counts, checking that they
+    lead, hold distinct rows and are followed by padding that repeats the
+    first row at weight 0."""
+    weight = sum(c[t] for c in counts)
+    used = int(np.count_nonzero(weight))
+    assert (weight[:used] > 0).all() and (weight[used:] == 0).all()
+    assert (rows[t, used:] == rows[t, 0]).all()
+    got = {rows[t, j].tobytes(): tuple(int(c[t, j]) for c in counts) for j in range(used)}
+    assert len(got) == used
+    return got
+
+
+def recounted(states, weights, t) -> dict[bytes, tuple[int, ...]]:
+    """Trial t's distinct rows with nonzero summed weight, row bytes ->
+    summed weights, counted record by record."""
+    sums: dict[bytes, list[int]] = {}
+    for j, row in enumerate(states[t]):
+        each = sums.setdefault(row.tobytes(), [0] * len(weights))
+        for w, weight in enumerate(weights):
+            each[w] += int(weight[t, j])
+    return {key: tuple(each) for key, each in sums.items() if any(each)}
+
+
+def weighted_rows(config, targets):
+    """A (trials, targets, d) bit array's distinct rows with their in- and
+    out-counts, the first targets_in targets of each trial being its
+    in-targets, as `_draw_chunk` returns them."""
+    is_in = np.broadcast_to(np.arange(targets.shape[1]) < config.targets_in, targets.shape[:2])
+    rows, (ins, outs) = harness._distinct_rows(
+        targets, [2] * targets.shape[2], [is_in.astype(np.int64), (~is_in).astype(np.int64)]
+    )
+    return rows, ins, outs
+
+
 class TestDistinctTargets:
+    """`_distinct_rows` keys rows on their states in mixed radix, in words of
+    up to 63 bits."""
+
     @given(target_stacks())
     @settings(max_examples=200, deadline=None)
     def test_each_target_has_its_row_and_rows_are_distinct(self, targets):
-        rows, slot = harness._distinct_targets(targets)
-        assert np.array_equal(rows[np.arange(len(targets))[:, None], slot], targets)
+        ones = np.ones(targets.shape[:2], dtype=np.int64)
+        rows, counts = harness._distinct_rows(targets, [2] * targets.shape[2], [ones])
+        assert rows.shape[0] == len(targets) and rows.shape[2] == targets.shape[2]
         for t in range(len(targets)):
-            used = int(slot[t].max()) + 1
-            assert sorted(set(slot[t].tolist())) == list(range(used))
-            assert len({row.tobytes() for row in rows[t, :used]}) == used
-            assert (rows[t, used:] == targets[t, 0]).all()  # padding
+            assert expanded(rows, counts, t) == recounted(targets, [ones], t)
+
+    @given(weighted_state_stacks())
+    @settings(max_examples=200, deadline=None)
+    def test_weights_are_summed_and_weightless_rows_take_no_slot(self, case):
+        states, radix, weights = case
+        rows, counts = harness._distinct_rows(states, radix, list(weights))
+        widths = [len(recounted(states, weights, t)) for t in range(len(states))]
+        assert rows.shape[1] == max(widths)
+        for t in range(len(states)):
+            assert expanded(rows, counts, t) == recounted(states, weights, t)
 
 
 def wide_network() -> BayesianNetwork:
@@ -488,12 +567,12 @@ class TestBatches:
         releases = [ReleasedCounts(c, 3) for c in ((1, 1, 1), (1, 1, 2), (2, 0, 0))]
         targets = np.array([[(0, 1, 1), (1, 0, 0), (1, 1, 1), (0, 0, 0)]] * 3)
         got = batch_trials(config, harness._score_group(
-            config, [0, 1, 2], [bn] * 3, releases, *harness._weighted_rows(config, targets)
+            config, [0, 1, 2], [bn] * 3, releases, *weighted_rows(config, targets)
         ))
         for t in range(3):
             one = slice(t, t + 1)
             alone = batch_trials(config, harness._score_group(
-                config, [t], [bn], releases[one], *harness._weighted_rows(config, targets[one])
+                config, [t], [bn], releases[one], *weighted_rows(config, targets[one])
             ))[0]
             for name in config.attacks:
                 flagged = 4 if (t, name) == (1, "bayes") else 0
@@ -532,7 +611,7 @@ class TestBatches:
         rows = np.array([(0, 1, 1), (1, 0, 0), (1, 1, 1), (0, 0, 0)])
         targets = rows[[[0, 1, 0, 1, 1, 0], [2, 2, 2, 3, 3, 2], [3, 0, 3, 3, 0, 1]]]
         batch = harness._score_group(
-            config, [0, 1, 2], [bn] * 3, releases, *harness._weighted_rows(config, targets)
+            config, [0, 1, 2], [bn] * 3, releases, *weighted_rows(config, targets)
         )
         assert ((batch.ins + batch.outs) > 0).sum(axis=1).tolist() == [2, 2, 3]
         assert batch.impossible.tolist() == [[False] * 3, [False] * 3, [False, True, False]]
@@ -577,6 +656,76 @@ class TestBatches:
         result = run_experiment(config)
         assert len(parses) == 1
         assert len(result.rows) == 5 * len(config.attacks)
+
+
+def reference_targets(config, trial_index: int):
+    """One trial drawn record by record, as `reference_trial` draws it: its
+    release, its (targets, d) encoded targets (the picked records, then the
+    fresh ones) and its (n, d) encoded dataset records."""
+    def stream(purpose):
+        return harness._stream(config.seed, trial_index, purpose)
+
+    bn = resolve_population(config, stream("population"))
+    data = project(bn, sample(bn, config.n, stream("dataset")))
+    picks = stream("targets_in").integers(0, config.n, size=config.targets_in)
+    fresh = project(bn, sample(bn, config.targets_out, stream("targets_out")))
+    targets = encode(bn, np.concatenate([data[picks], fresh]))
+    return dataset_counts(bn, data), targets, encode(bn, data)
+
+
+def assert_chunk_is_the_reference(config, nets) -> int:
+    """`_draw_chunk` on trials 0.. of config against each trial drawn record
+    by record: the same release, and distinct rows that expand by their in-
+    and out-counts to its targets.  Returns how many trials drew a dataset
+    record that is neither picked nor equal to a target."""
+    releases, rows, ins, outs = harness._draw_chunk(config, range(len(nets)), nets)
+    is_in = np.arange(config.targets_in + config.targets_out) < config.targets_in
+    unpicked = 0
+    for t in range(len(nets)):
+        release, targets, data = reference_targets(config, t)
+        assert releases[t] == release
+        assert expanded(rows, (ins, outs), t) == recounted(
+            targets[None], [is_in[None].astype(int), (~is_in)[None].astype(int)], 0
+        )
+        unpicked += not {row.tobytes() for row in data} <= {row.tobytes() for row in targets}
+    return unpicked
+
+
+class TestReducedDraws:
+    """Draws reduced to weighted distinct rows expand to the records drawn
+    one by one."""
+
+    def test_unpicked_records_take_no_slot(self):
+        # One in-target among four records: three are never picked, and
+        # their rows are dropped unless a target shares them.
+        config = ExperimentConfig("asia", 4, trials=6, targets_in=1, targets_out=3, seed=14)
+        shared = harness._shared_population(config)
+        assert assert_chunk_is_the_reference(config, [shared] * config.trials) > 0
+        batch = run_batch(config, range(config.trials), shared)
+        for t, scores in enumerate(batch_trials(config, batch)):
+            expected = reference_trial(config, t)
+            assert scores == {name: each.sorted() for name, each in expected.items()}
+
+    def test_target_states_past_63_bits(self):
+        # 70 released binary nodes: a target key takes two words.
+        config = ExperimentConfig("product:70", 4, trials=3, targets_in=5, targets_out=5, seed=15)
+        nets = [
+            resolve_population(config, harness._stream(config.seed, i, "population"))
+            for i in range(config.trials)
+        ]
+        assert_chunk_is_the_reference(config, nets)
+
+    @pytest.mark.parametrize("threat", ["weak", "weakest"])
+    def test_proxy_states_past_63_bits(self, threat):
+        # A proxy row holds all 70 nodes, so its key takes two words.
+        config = ExperimentConfig(
+            "product:70", 4, output_nodes=("X1", "X2", "X3"), trials=3, seed=16,
+            threat=threat, m=12,
+        )
+        batch = run_batch(config, range(config.trials), None)
+        for t, scores in enumerate(batch_trials(config, batch)):
+            expected = reference_trial(config, t)
+            assert scores == {name: each.sorted() for name, each in expected.items()}
 
 
 class TestRunExperiment:
@@ -707,7 +856,7 @@ class TestThreatModelOrdering:
 
 class TestBench:
     def test_rows_schema(self):
-        rows = bench_posterior(["product:4"], n=2, datasets=2, targets=4, seed=0)
+        rows = suites.bench_posterior(["product:4"], n=2, datasets=2, targets=4, seed=0)
         row = rows[0]
         assert row.population == "product:4"
         assert row.num_nodes == 4 and row.output_dim == 4
@@ -717,10 +866,10 @@ class TestBench:
 
 class TestClippedSuites:
     def test_tied_vectors(self):
-        assert list(harness._tied_vectors(4, LEFT, 1)) == [
+        assert list(suites._tied_vectors(4, LEFT, 1)) == [
             (0, 0, 0, 0), (0, 0, 0, 1), (1, 1, 1, 0), (1, 1, 1, 1)
         ]
-        right = list(harness._tied_vectors(4, RIGHT, 2))
+        right = list(suites._tied_vectors(4, RIGHT, 2))
         assert len(right) == 27 and right[:2] == [(0, 0, 0, 0), (0, 0, 1, 1)]
         assert all(v[3] == v[2] for v in right)
 
@@ -728,16 +877,16 @@ class TestClippedSuites:
         bn = make_product((0.3, 0.6))
         ys = np.array([(0, 0), (0, 1), (1, 0), (1, 1)])
         counts = ReleasedCounts((0, 1), 1)  # only (0, 1) can be the record
-        assert harness._clipped_gap(bn, counts, ys, ClipRange(1, 2)) <= 1e-15
+        assert suites._clipped_gap(bn, counts, ys, ClipRange(1, 2)) <= 1e-15
 
     def test_gap_is_inf_when_exactly_one_odds_is_zero(self):
         bn = make_product((0.3, 0.6))
         ys = np.array([(0, 0), (0, 1)])
         counts = ReleasedCounts((0, 1), 1)
-        assert harness._clipped_gap(bn, counts, ys, ClipRange(1, 1)) == math.inf
+        assert suites._clipped_gap(bn, counts, ys, ClipRange(1, 1)) == math.inf
 
     def test_advisory_suite_is_pinned(self):
-        suite = harness.verify_lr_single_side_counts()
+        suite = suites.verify_lr_single_side_counts()
         assert suite.advisory and not suite.passed
         assert suite.cases == 6_264
 
@@ -745,7 +894,7 @@ class TestClippedSuites:
         def refuse(*args):
             raise ImpossibleEvidenceError("refused")
 
-        monkeypatch.setattr(harness, "brute_force_posterior", refuse)
-        suite = harness.verify_oracle_agreement()
+        monkeypatch.setattr(suites, "brute_force_posterior", refuse)
+        suite = suites.verify_oracle_agreement()
         assert suite.max_deviation == math.inf and not suite.passed
         assert suite.cases == 1_950

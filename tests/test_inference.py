@@ -11,7 +11,7 @@ from reference import mle_fit, reference_sum_log_table
 from strategies import small_networks
 
 from bnmia import inference, model
-from bnmia.harness import _theta_in, law_ratio_deviation
+from bnmia.suites import _theta_in, law_ratio_deviation
 from bnmia.learning import ProxyDataset
 from bnmia.inference import (
     ImpossibleEvidenceError,

@@ -226,6 +226,20 @@ class TestProxyCsv:
         with pytest.raises(ValueError, match="one column per node"):
             ProxyDataset(("A", "B"), {"A": ("0", "1"), "B": ("0", "1")}, np.zeros((3, 1)))
 
+    def test_counts_weigh_rows(self):
+        states = {"A": ("no", "yes")}
+        proxy = ProxyDataset(("A",), states, np.array([[1], [0]]), np.array([2, 1]))
+        assert proxy.m == 3
+        assert proxy.to_csv() == "A\nyes\nyes\nno\n"
+        with pytest.raises(ValueError, match="one nonnegative count per row"):
+            ProxyDataset(("A",), states, np.array([[1], [0]]), np.array([2]))
+        with pytest.raises(ValueError, match="one nonnegative count per row"):
+            ProxyDataset(("A",), states, np.array([[1], [0]]), np.array([2, -1]))
+        with pytest.raises(ValueError, match="at least one record"):
+            ProxyDataset(("A",), states, np.array([[1], [0]]), np.array([0, 0]))
+        with pytest.raises(ValueError, match="same number of records"):
+            ProxyDataset(("A",), states, np.zeros((2, 2, 1)), np.array([[1, 1], [2, 1]]))
+
 
 # Dict-tally references: the per-record loops the array fits replaced.
 
@@ -298,6 +312,45 @@ class TestArrayFitsMatchDictTallies:
                     assert list(node.cpt.items()) == list(expected[node.name].items())
         mu = empirical_marginals(proxy, bn.output_nodes, bn.encoding)
         assert mu.tobytes() == reference_marginals(bn, records).tobytes()
+
+
+class TestWeightedFits:
+    """Fits from each proxy's distinct rows and their counts, as eval reduces
+    its proxies, equal the fits on the records themselves, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(small_networks(), small_networks(max_nodes=4, max_parents=1, max_states=9)),
+        st.integers(1, 4),
+        st.integers(1, 40),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_distinct_rows_with_counts_equal_the_records(self, bn, stack, m, seed):
+        from bnmia.harness import _distinct_rows
+
+        cards = [node.cardinality for node in bn.nodes]
+        data = model.sample(bn, stack * m, np.random.default_rng(seed)).reshape(stack, m, -1)
+        rows, (counts,) = _distinct_rows(data, cards, [np.ones(data.shape[:2], dtype=np.int64)])
+        states = {node.name: node.states for node in bn.nodes}
+        records = ProxyDataset(bn.node_names, states, data)
+        weighted = ProxyDataset(bn.node_names, states, rows, counts)
+        assert weighted.m == records.m == m
+        for got, expected in zip(tally_cells(bn, weighted), tally_cells(bn, records)):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        for alpha in (0.0, 0.3, 1.0):
+            got = learning._mutual_informations(weighted, alpha)
+            assert got == learning._mutual_informations(records, alpha)
+            if m >= 2:
+                trees = [
+                    chow_liu_structures(proxy, alpha, bn.output_nodes, bn.encoding)
+                    for proxy in (weighted, records)
+                ]
+                assert [[(v.name, v.parents) for v in tree.nodes] for tree in trees[0]] == [
+                    [(v.name, v.parents) for v in tree.nodes] for tree in trees[1]
+                ]
+        assert empirical_marginals(weighted, bn.output_nodes, bn.encoding).tobytes() == (
+            empirical_marginals(records, bn.output_nodes, bn.encoding).tobytes()
+        )
 
 
 def brute_force_law(bn) -> dict[tuple[int, ...], float]:
