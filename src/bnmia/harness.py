@@ -5,17 +5,18 @@ A trial samples one private dataset, releases its counts, draws in/out
 targets, and scores every configured attack.  Per-trial randomness comes from
 streams keyed by (master seed, trial index, purpose), so adding attacks or
 reordering work never perturbs the sampled data.  An experiment gives each
-worker a share of its trials.  A share is drawn in chunks of at most
-`_BATCH_RECORDS` drawn records, one ancestral pass per chunk, and each chunk
+worker a share of its trials.  A share is drawn in chunks of trials whose
+uniforms fit in `_GROUP_BYTES`, one ancestral pass per chunk, and each chunk
 is reduced at once to its trials' distinct target rows with their in- and
 out-counts (`_distinct_rows`), which alone are encoded.  Those rows are
-scored in groups of trials whose padded row stack fits in `_GROUP_BYTES`
+scored in groups of trials whose padded row stack fits in the same budget
 (`_packed`): one scoring call per attack for the whole group, against one
 attacker per trial or one shared by all, and one rank pass.  Under the weak
 and weakest threats the attackers are fitted to proxies drawn the same way,
 each chunk reduced to distinct full records with counts and the chunks
-packed into fit groups under the same budgets.  The outputs are those of
-trials run one by one.
+packed into fit groups.  The weakest threat's trees of a network that
+releases every node are fitted as one stack (`tree_tables`, `tree_laws`).
+The outputs are those of trials run one by one.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ import numpy as np
 from . import attacks as atk
 from .inference import ImpossibleEvidenceError
 from .learning import (
-    ProxyDataset, chow_liu_structures, cpt_tables, empirical_marginals, tally_cells
+    ProxyDataset, chow_liu_structures, cpt_tables, empirical_marginals, tally_cells, tree_tables
 )
 from .model import (
     BayesianNetwork,
@@ -42,6 +43,7 @@ from .model import (
     output_laws,
     output_marginal_law,  # unused here; the benchmark's tests trace this binding
     project,
+    tree_laws,
 )
 from .populations import is_toy, resolve_network
 
@@ -152,16 +154,19 @@ def _attackers(
     model: its network (or law) and its marginals.  Under the strong threat
     the trials' population networks, one for all when they share one;
     otherwise one law and one marginal row per trial, fitted to the trial's
-    proxy sample.  The proxies are drawn in one `draw_records` pass per at
-    most `_BATCH_RECORDS` proxy records (at least one trial), each trial's m
-    uniforms from its own proxy stream, and each chunk is reduced at once to
-    its trials' distinct full records with their counts (`_distinct_rows`).
-    The reduced chunks are packed into fit groups by the scoring budget
-    (`_packed`), and each fit group is fitted once from its weighted rows:
-    its marginals, its trials' structures (the population's under the weak
-    threat, each proxy's Chow-Liu tree under the weakest), and per structure
-    its trials' cell counts, CPTs and laws.  A law shares the previous
-    trial's outcome vectors when they are equal."""
+    proxy sample.  The proxies are drawn in one `draw_records` pass per draw
+    chunk (`_chunk_size` of m records a trial), each trial's m uniforms from
+    its own proxy stream, and each chunk is reduced at once to its trials'
+    distinct full records with their counts (`_distinct_rows`).  The reduced
+    chunks are packed into fit groups (`_packed`), and each fit group is
+    fitted once from its weighted rows: its marginals, its trials'
+    structures (the population's under the weak threat, each proxy's
+    Chow-Liu tree under the weakest), and per structure its trials' cell
+    counts, CPTs and laws.  When the network releases every node, the
+    weakest threat's trees need no elimination and are fitted as one stack
+    instead (`tree_tables`, `tree_laws`), in slices whose (trees, outcomes)
+    tables fit in `_GROUP_BYTES`.  A law shares the previous trial's
+    outcome vectors when they are equal."""
     if config.threat == STRONG:
         if all(bn is nets[0] for bn in nets):
             return nets[0], attribute_marginals(nets[0])
@@ -169,7 +174,7 @@ def _attackers(
     m, bn = config.m, nets[0]
     names, states = bn.node_names, {node.name: node.states for node in bn.nodes}
     radix = [node.cardinality for node in bn.nodes]
-    chunk = max(1, _BATCH_RECORDS // m)
+    chunk = _chunk_size(m, bn)
 
     def reduced():
         for lo in range(0, len(trials), chunk):
@@ -177,10 +182,13 @@ def _attackers(
             u = np.empty((hi - lo, m, len(names)))
             for t, i in enumerate(trials[lo:hi]):
                 _stream(config.seed, i, "proxy").random(out=u[t])
-            drawn = _draw(nets[lo:hi], u)
-            rows, counts = _distinct_rows(drawn, radix, [np.ones(drawn.shape[:2], dtype=np.int64)])
+            ones = np.ones(u.shape[:2], dtype=np.int64)
+            rows, counts = _distinct_rows(_draw(nets[lo:hi], u), radix, [ones])
+            del u  # drawn with the next chunk's, it would double the chunk's peak
             yield rows, *counts
 
+    stacked = config.threat == WEAKEST and set(bn.output_nodes) == set(names)
+    step = max(1, _GROUP_BYTES // (8 * bn.joint_state_count))
     laws, mus = [], []
     for rows, counts in _packed(reduced()):
         proxies = ProxyDataset(names, states, rows, counts)
@@ -188,6 +196,12 @@ def _attackers(
         structures = [bn] * len(rows) if config.threat == WEAK else chow_liu_structures(
             proxies, PROXY_SMOOTHING, bn.output_nodes, bn.encoding
         )
+        if stacked:
+            for lo in range(0, len(rows), step):
+                trees, part = structures[lo : lo + step], slice(lo, lo + step)
+                proxy = ProxyDataset(names, states, rows[part], counts[part])
+                laws += tree_laws(trees, names, tree_tables(trees, proxy, PROXY_SMOOTHING))
+            continue
         by_structure: dict[tuple, list[int]] = {}
         for r, graph in enumerate(structures):
             by_structure.setdefault(tuple((v.name, v.parents) for v in graph.nodes), []).append(r)
@@ -322,7 +336,10 @@ def _draw_chunk(
         _stream(config.seed, i, "dataset").random(out=u[t, :n])
         picks[t] = _stream(config.seed, i, "targets_in").integers(0, n, size=config.targets_in)
         _stream(config.seed, i, "targets_out").random(out=u[t, n:])
-    outputs = project(bn, _draw(nets, u).reshape(-1, nodes)).reshape(len(trials), n + k_out, -1)
+    states = _draw(nets, u)
+    del u  # a chunk's uniforms, states and output states are alive two at a time
+    outputs = project(bn, states.reshape(-1, nodes)).reshape(len(trials), n + k_out, -1)
+    del states
     ins = np.zeros(outputs.shape[:2], dtype=np.int64)
     picks += n * np.arange(len(trials))[:, None]
     ins[:, :n] = np.bincount(picks.ravel(), minlength=len(trials) * n).reshape(-1, n)
@@ -388,23 +405,25 @@ def _groups(config: ExperimentConfig, trials: Sequence[int], shared: BayesianNet
     networks and releases, and its (trials, slots, d) distinct target rows
     with their in- and out-counts, each trial padded to the group's widest.
 
-    Trials are drawn in chunks of at most `_BATCH_RECORDS` records (n +
-    targets_out a trial, at least one trial), and each chunk is reduced to
-    its distinct rows at once (`_draw_chunk`).  A toy population's networks
-    are resolved chunk by chunk, each from its trial's population stream,
-    so only the chunk's and the open group's are held.  The chunks are
-    packed into groups by `_GROUP_BYTES` (`_packed`)."""
-    chunk = max(1, _BATCH_RECORDS // (config.n + config.targets_out))
+    Trials are drawn in chunks (`_chunk_size` of n + targets_out records a
+    trial), and each chunk is reduced to its distinct rows at once
+    (`_draw_chunk`).  A toy population's networks are resolved trial by
+    trial as their chunk fills, each from its trial's population stream, so
+    only the chunk's and the open group's are held.  The chunks are packed
+    into groups by `_GROUP_BYTES` (`_packed`)."""
+    def network(i: int) -> BayesianNetwork:
+        if shared is not None:
+            return shared
+        return resolve_population(config, _stream(config.seed, i, "population"))
 
     def drawn():
-        for lo in range(0, len(trials), chunk):
-            ids = trials[lo : lo + chunk]
-            nets = [
-                shared if shared is not None
-                else resolve_population(config, _stream(config.seed, i, "population"))
-                for i in ids
-            ]
-            yield (ids, nets, *_draw_chunk(config, ids, nets))
+        lo = 0
+        while lo < len(trials):
+            nets = [network(trials[lo])]
+            hi = min(len(trials), lo + _chunk_size(config.n + config.targets_out, nets[0]))
+            nets += map(network, trials[lo + 1 : hi])
+            yield (trials[lo:hi], nets, *_draw_chunk(config, trials[lo:hi], nets))
+            lo = hi
 
     yield from _packed(drawn())
 
@@ -435,7 +454,7 @@ def run_batch(
     picked as in-targets, its targets_out stream the uniforms of its fresh
     out-targets.  `shared` is the network every trial uses; when it is None
     (toy populations) each trial resolves its own from its population stream.
-    The trials are drawn in chunks of bounded records and scored in groups
+    The trials are drawn in chunks of bounded uniforms and scored in groups
     of bounded distinct rows (`_groups`).  Each group is scored and ranked
     together (`_score_group`), under every threat and population: one call
     per attack, against one attacker for all the group's trials (the strong
@@ -552,17 +571,21 @@ class ExperimentResult:
         return out.getvalue()
 
 
-# Records (n + targets_out per trial, or m proxy records) that one draw chunk
-# of trials may hold; a chunk always holds at least one trial.  Chunks bound
-# the drawn records alive at once: each chunk is reduced to its distinct rows
-# before the next one is drawn.
-_BATCH_RECORDS = 1024
-# Byte budget of one scoring group's padded (trials, distinct rows, d) target
-# stack, and of one fit group's padded (trials, distinct rows, nodes) proxy
-# stack, at 8 bytes an entry: a group closes when one more trial would take
-# it past this, and always holds at least one trial.  40 trials of 40
-# distinct targets fit at d up to 40.
+# Byte budget of one draw chunk's (trials, records, nodes) float64 uniforms,
+# of one scoring group's padded (trials, distinct rows, d) target stack, of
+# one fit group's padded (trials, distinct rows, nodes) proxy stack, at 8
+# bytes an entry, and of one slice of stacked tree laws: a chunk, group or
+# slice closes when one more trial would take it past this, and always holds
+# at least one trial.  40 trials of 40 distinct targets fit at d up to 40.
 _GROUP_BYTES = 512 * 1024
+
+
+def _chunk_size(records: int, bn: BayesianNetwork) -> int:
+    """The trials of a draw chunk of `records` records a trial from networks
+    of bn's structure: as many as their uniforms fit in `_GROUP_BYTES`, and
+    at least one.  Each chunk is reduced to its distinct rows before the
+    next one is drawn."""
+    return max(1, _GROUP_BYTES // (8 * records * len(bn.nodes)))
 
 
 def _batches(config: ExperimentConfig) -> list[range]:

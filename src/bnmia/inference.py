@@ -59,14 +59,6 @@ class ImpossibleEvidenceError(ValueError):
         self.scores = scores
 
 
-def _logsumexp(values) -> float:
-    values = [v for v in values if v != LOG_ZERO]
-    if not values:
-        return LOG_ZERO
-    m = max(values)
-    return m + math.log(math.fsum(math.exp(v - m) for v in values))
-
-
 class _Part(NamedTuple):
     """Releases first .. first + size - 1 of a stack, packed with common
     strides taken from their elementwise-max cap `top` (unsigned); `span`
@@ -396,13 +388,21 @@ class PosteriorEngine:
         del vectors
         lps = self._table.log_prob(pairs, rel)
         del pairs
+        # A release's denominator is the log-sum-exp of its terms lp + log p:
+        # its largest term m plus the log of the fsum of exp(term - m), with
+        # math.log and math.exp (np.log and np.exp need not give the same
+        # bits); -inf for a release with no term.
         hit = np.flatnonzero(lps != LOG_ZERO)
-        lps, probs = lps[hit].tolist(), probs[hit].tolist()
-        bounds = np.searchsorted(rel[hit], np.arange(len(c) + 1)).tolist()
-        self.log_denominators = np.array([
-            _logsumexp(lp + math.log(p) for lp, p in zip(lps[lo:hi], probs[lo:hi]))
-            for lo, hi in zip(bounds, bounds[1:])
-        ])
+        terms = lps[hit] + np.fromiter(map(math.log, probs[hit].tolist()), float, len(hit))
+        bounds = np.searchsorted(rel[hit], np.arange(len(c) + 1))
+        live = np.flatnonzero(np.diff(bounds))
+        top = np.full(len(c), LOG_ZERO)
+        if len(live):
+            top[live] = np.maximum.reduceat(terms, bounds[live])
+        shifted = list(map(math.exp, (terms - np.repeat(top, np.diff(bounds))).tolist()))
+        self.log_denominators = top
+        for r, lo, hi in zip(live.tolist(), bounds[live].tolist(), bounds[live + 1].tolist()):
+            top[r] += math.log(math.fsum(shifted[lo:hi]))
         # The releases whose counts have probability zero under the law.
         self.impossible = tuple(np.flatnonzero(self.log_denominators == LOG_ZERO).tolist())
 

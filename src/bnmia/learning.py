@@ -149,6 +149,41 @@ def cpt_tables(tallies: Sequence[np.ndarray], alpha: float) -> list[np.ndarray]:
     return tables
 
 
+def tree_tables(
+    trees: Sequence[BayesianNetwork], proxy: ProxyDataset, alpha: float
+) -> np.ndarray:
+    """The CPTs of R trees, tree r fitted to proxy r of a stack with
+    smoothing alpha, as one (R, nodes, K, K) array padded to the widest
+    cardinality K: [r, i, a, s] is P(proxy.nodes[i] = s | its parent in
+    trees[r] = a), a = 0 for a root (`model.tree_laws`).  The cells of all
+    trees take one weighted `np.bincount`, and each row is (count + alpha)
+    / (row total + alpha * k), k the node's own cardinality, or 1/k where
+    that total is 0: `tally_cells` and `cpt_tables` on each tree alone."""
+    if alpha < 0:
+        raise ValueError("smoothing must be nonnegative")
+    stack = proxy.stack
+    proxies, rows, nodes = stack.shape
+    cards = np.array([len(proxy.states[v]) for v in proxy.nodes])
+    width = int(cards.max())
+    index = {v: i for i, v in enumerate(proxy.nodes)}
+    parents = np.array([
+        [index[tree.node(v).parents[0]] if tree.node(v).parents else nodes for v in proxy.nodes]
+        for tree in trees
+    ])
+    # A root's parent is an extra column of zeros.
+    padded = np.concatenate([stack, np.zeros((proxies, rows, 1), dtype=np.int64)], axis=2)
+    cells = np.take_along_axis(padded, parents[:, None, :], axis=2)
+    cells += np.arange(proxies * nodes).reshape(proxies, 1, nodes) * width
+    cells *= width
+    cells += stack
+    weights = np.repeat(proxy.weights.ravel().astype(float), nodes)
+    counts = np.bincount(cells.ravel(), weights, proxies * nodes * width * width)
+    counts = counts.astype(np.int64).reshape(proxies, nodes, width, width)
+    k = cards[:, None, None]
+    total = counts.sum(axis=-1, keepdims=True) + alpha * k
+    return np.divide(counts + alpha, total, out=np.full(counts.shape, 1.0 / k), where=total != 0)
+
+
 def _mutual_informations(proxy: ProxyDataset, alpha: float) -> list[list[float]]:
     """The empirical mutual information of every node pair, in
     `itertools.combinations` order, in each proxy of a stack, from

@@ -286,8 +286,46 @@ def output_laws(
         factors = [f for f in factors if v not in f[0]]
         factors.append((tuple(u for u in scope if u != v), table.sum(axis=scope.index(v) + 1)))
     scope, table = _product(factors, card, stack)
-    table = np.transpose(table, [0] + [scope.index(v) + 1 for v in outputs])
+    return _laws(structure, np.transpose(table, [0] + [scope.index(v) + 1 for v in outputs]))
 
+
+def tree_laws(
+    trees: Sequence[BayesianNetwork], nodes: Sequence[str], tables: np.ndarray
+) -> list[SupportDistribution]:
+    """The exact output laws of R trees over the same nodes, every node
+    released, from a padded (R, nodes, K, K) CPT stack: tables[r, i, a, s]
+    is P(nodes[i] = s | its parent in trees[r] = a), a = 0 for a root.
+
+    With nothing to eliminate, `_product` multiplies 1.0 by one factor a
+    node in the tree's own order.  So does this, over the grid of output
+    states (checked against `STATE_GUARD` first), one (R, outcomes) product
+    a node: each law is `output_laws` of its tree alone, bit for bit."""
+    outputs = trees[0].output_nodes
+    shape = tuple(trees[0].node(v).cardinality for v in outputs)
+    _check_size(outputs, dict(zip(outputs, shape)))
+    # Row j holds output j's state at each grid point, and an extra last
+    # row of zeros the state of a root's parent.
+    grid = np.indices(shape, dtype=np.min_scalar_type(max(shape))).reshape(len(shape), -1)
+    grid = np.vstack([grid, np.zeros_like(grid[:1])])
+    row = {v: j for j, v in enumerate(outputs)}
+    index = {v: i for i, v in enumerate(nodes)}
+    first = np.arange(len(trees))[:, None] * len(nodes)
+    k = tables.shape[-1]
+    entries, table = tables.reshape(-1), np.ones((len(trees), grid.shape[1]))
+    for step in range(len(nodes)):
+        at = [tree.nodes[step] for tree in trees]
+        v = np.array([index[node.name] for node in at])[:, None]
+        above = grid[[row[node.parents[0]] if node.parents else len(outputs) for node in at]]
+        table *= entries[((first + v) * k + above) * k + grid[[row[node.name] for node in at]]]
+    return _laws(trees[0], table.reshape(len(trees), *shape))
+
+
+def _laws(structure: BayesianNetwork, table: np.ndarray) -> list[SupportDistribution]:
+    """The laws of an (R, *output cards) stack of output tables, axes in
+    output order: the outcomes positive in any network are encoded once and
+    sorted by vector; each law keeps its positive ones, and laws positive
+    everywhere share one vectors array.  Raises ValueError when a law does
+    not normalize within 1e-9."""
     shape, table = table.shape[1:], table.reshape(len(table), -1)
     union = (table > 0.0).any(axis=0)
     vectors = encode(structure, np.argwhere(union.reshape(shape)))

@@ -20,6 +20,7 @@ from bnmia.inference import ImpossibleEvidenceError
 from bnmia.model import (
     BayesianNetwork,
     InvalidNetworkError,
+    ModelSizeError,
     NodeSpec,
     ReleasedCounts,
     attribute_marginals,
@@ -312,23 +313,31 @@ BATCH_CASES = [
     pytest.param(ExperimentConfig("survey", 4, trials=12, seed=8), id="survey"),
     pytest.param(ExperimentConfig("sachs:leaf-root", 4, trials=14, seed=9), id="sachs:leaf-root"),
     # Fitted attackers, one law per trial: hidden ancestors and ternary nodes,
-    # and proxies of 400 records, two trials to a draw chunk by default.
+    # and proxies of 400 records.
     pytest.param(
         ExperimentConfig("sachs:leaf-root", 4, trials=4, seed=10, threat="weak", m=30),
         id="sachs:leaf-root-weak",
+    ),
+    # Learned trees with unreleased nodes: fitted per structure and
+    # eliminated, where trees of networks that release every node (asia,
+    # cancer) are fitted as one stack.
+    pytest.param(
+        ExperimentConfig("sachs:leaf-root", 4, trials=4, seed=17, threat="weakest", m=50),
+        id="sachs:leaf-root-weakest",
     ),
     pytest.param(
         ExperimentConfig("asia", 4, trials=5, seed=11, threat="weakest", m=400),
         id="asia-weakest-m400",
     ),
-    # Proxies that learn five distinct trees in 8 trials, drawn in chunks of
-    # five trials; three trees are learned once in each chunk, and the one
-    # fit group spans both chunks.
+    # Proxies that learn five distinct trees in 8 trials, some of them more
+    # than once, all fitted in one stack.
     pytest.param(
         ExperimentConfig("asia", 4, trials=8, seed=12, threat="weakest", m=200),
         id="asia-weakest-m200",
     ),
-    # One trial to a proxy chunk: the batch's one fit group spans chunks.
+    # Proxies of 600 records: one trial to a proxy chunk under a 16 KiB
+    # budget, whose fit group then spans chunks
+    # (`test_one_trial_proxy_chunks_meet_in_a_fit_group`).
     pytest.param(
         ExperimentConfig("asia", 4, trials=3, seed=13, threat="weak", m=600),
         id="asia-weak-m600",
@@ -459,49 +468,86 @@ def record_chunks_and_groups(monkeypatch) -> tuple[list[int], list[int]]:
     return chunks, groups
 
 
+def assert_batch_is_the_reference(config, batch) -> None:
+    """Every trial of a batch of trials 0.. scores as `reference_trial`
+    scores it alone."""
+    got = batch_trials(config, batch)
+    assert len(got) == config.trials
+    for i, scores in enumerate(got):
+        reference = reference_trial(config, i)
+        assert set(scores) == set(reference) == set(config.attacks)
+        for name in config.attacks:
+            assert scores[name] == reference[name].sorted()
+
+
 class TestBatches:
     """Trials drawn in chunks and scored in groups score exactly as trials
     drawn one by one, for any chunk and group size."""
 
-    @pytest.mark.parametrize("records", ["one-trial", "all-trials", "default"])
+    @pytest.mark.parametrize("budget", ["one-trial", "all-trials", "default"])
     @pytest.mark.parametrize("config", BATCH_CASES)
-    def test_batched_trials_equal_the_reference(self, monkeypatch, config, records):
-        # Each draw budget is crossed with the scoring budget's extremes (one
-        # trial a group, every trial in one group) and its default.
-        if records != "default":
-            limit = 1 if records == "one-trial" else config.trials * (config.n + config.targets_out)
-            monkeypatch.setattr(harness, "_BATCH_RECORDS", limit)
+    def test_batched_trials_equal_the_reference(self, monkeypatch, config, budget):
+        # One budget bounds the draw chunks, the scoring and fit groups and
+        # the slices of stacked trees: at its extremes each holds one trial,
+        # or every trial.
+        group_bytes = {"one-trial": 1, "all-trials": 1 << 62, "default": harness._GROUP_BYTES}
+        monkeypatch.setattr(harness, "_GROUP_BYTES", group_bytes[budget])
         chunks, groups = record_chunks_and_groups(monkeypatch)
-        shared = harness._shared_population(config)
-        expected = [reference_trial(config, i) for i in range(config.trials)]
-        budgets = {"one-trial": 1, "all-trials": 1 << 62, "default": harness._GROUP_BYTES}
-        for budget, group_bytes in budgets.items():
-            monkeypatch.setattr(harness, "_GROUP_BYTES", group_bytes)
-            chunks.clear()
-            groups.clear()
-            batch = run_batch(config, range(config.trials), shared)
-            assert np.array_equal(batch.aucs, weighted_auc_rows(batch.scores, batch.ins, batch.outs))
-            got = batch_trials(config, batch)
-            if records != "default":
-                assert chunks == ([1] * config.trials if records == "one-trial" else [config.trials])
-            if budget != "default":
-                assert groups == ([1] * config.trials if budget == "one-trial" else [config.trials])
-            assert len(got) == config.trials
-            for scores, reference in zip(got, expected):
-                assert set(scores) == set(reference) == set(config.attacks)
-                for name in config.attacks:
-                    assert scores[name] == reference[name].sorted()
+        batch = run_batch(config, range(config.trials), harness._shared_population(config))
+        assert np.array_equal(batch.aucs, weighted_auc_rows(batch.scores, batch.ins, batch.outs))
+        if budget != "default":
+            assert chunks == groups == (
+                [1] * config.trials if budget == "one-trial" else [config.trials]
+            )
+        assert_batch_is_the_reference(config, batch)
+
+    def test_one_trial_chunks_meet_in_a_group(self, monkeypatch):
+        # Each trial's 304 records of 11 nodes take 26,752 bytes of uniforms,
+        # past the budget, but its at most 48 distinct rows of d = 12 take
+        # 4,608 bytes: trials drawn alone are scored three to a group.
+        config = ExperimentConfig("sachs:leaves", 4, trials=4, seed=6, targets_out=300)
+        monkeypatch.setattr(harness, "_GROUP_BYTES", 16 * 1024)
+        chunks, groups = record_chunks_and_groups(monkeypatch)
+        batch = run_batch(config, range(config.trials), harness._shared_population(config))
+        assert chunks == [1] * 4 and groups == [3, 1]
+        assert_batch_is_the_reference(config, batch)
+
+    def test_one_trial_proxy_chunks_meet_in_a_fit_group(self, monkeypatch):
+        # A proxy of 600 asia records takes 38,400 bytes of uniforms, past the
+        # budget, but its at most 40 distinct rows of 8 nodes 2,560 bytes:
+        # the three trials' proxies are drawn one by one and fitted together.
+        config = ExperimentConfig("asia", 4, trials=3, seed=13, threat="weak", m=600)
+        monkeypatch.setattr(harness, "_GROUP_BYTES", 16 * 1024)
+        draws, fits = [], []
+        draw, marginals = harness._draw, harness.empirical_marginals
+
+        def drawn(nets, u):
+            draws.append(u.shape[:2])
+            return draw(nets, u)
+
+        def fitted(proxy, *args):
+            fits.append(len(proxy.stack))
+            return marginals(proxy, *args)
+
+        monkeypatch.setattr(harness, "_draw", drawn)
+        monkeypatch.setattr(harness, "empirical_marginals", fitted)
+        batch = run_batch(config, range(config.trials), harness._shared_population(config))
+        assert draws == [(3, 24)] + [(1, 600)] * 3 and fits == [3]
+        assert_batch_is_the_reference(config, batch)
 
     @pytest.mark.parametrize(
         "n, targets_out, trials, workers, sizes",
         [
-            # (worker shares, draw chunks of each share, scoring groups of each share)
+            # (worker shares, draw chunks of each share, scoring groups of each
+            # share); cancer has 5 nodes, so a record takes 40 bytes of uniforms.
             (4, 20, 40, 1, ([40], [[40]], [[40]])),  # 24 records a trial: one chunk
-            (4, 500, 5, 1, ([5], [[2, 2, 1]], [[5]])),  # 504 records a trial: two a chunk
+            (4, 500, 5, 1, ([5], [[5]], [[5]])),  # 504 records a trial: 26 a chunk
             (4, 20, 40, 2, ([20, 20], [[20], [20]], [[20], [20]])),  # one share per worker
             (4, 20, 3, 4, ([1, 1, 1], [[1], [1], [1]], [[1], [1], [1]])),
-            # A trial over the record limit is drawn alone, but scored with the others.
-            (4, 2000, 3, 1, ([3], [[1, 1, 1]], [[3]])),
+            (4, 2000, 3, 1, ([3], [[3]], [[3]])),  # 2,004 records a trial: six a chunk
+            (4, 5000, 5, 1, ([5], [[2, 2, 1]], [[5]])),  # 5,004 records: two a chunk
+            # A trial over the draw budget is drawn alone, but scored with the others.
+            (4, 13200, 3, 1, ([3], [[1, 1, 1]], [[3]])),
         ],
     )
     def test_batch_sizes(self, monkeypatch, n, targets_out, trials, workers, sizes):
@@ -520,9 +566,19 @@ class TestBatches:
         got = ([len(r) for r in ranges], [c for c, _ in per_share], [g for _, g in per_share])
         assert got == sizes
 
+    @pytest.mark.parametrize("population, chunks", [("cancer", [6]), ("sachs:leaves", [2, 2, 2])])
+    def test_chunks_count_each_networks_nodes(self, monkeypatch, population, chunks):
+        # 2,004 records a trial: 80,160 bytes of uniforms on cancer's 5
+        # nodes, 176,352 on the 11 nodes of sachs.
+        config = ExperimentConfig(population, 4, trials=6, targets_out=2000)
+        drawn, _ = record_chunks_and_groups(monkeypatch)
+        run_batch(config, range(config.trials), harness._shared_population(config))
+        assert drawn == chunks
+
     def test_one_engine_per_experiment(self, monkeypatch):
-        # 500 + 500 targets draw two trials a chunk, but the 40 trials'
-        # distinct rows are scored as one group: one engine for all releases.
+        # 500 + 500 targets of cancer's 5 nodes draw 26 trials a chunk, but
+        # the 40 trials' distinct rows are scored as one group: one engine
+        # for all releases.
         from bnmia.inference import PosteriorEngine
 
         built = []
@@ -537,13 +593,14 @@ class TestBatches:
         chunks, groups = record_chunks_and_groups(monkeypatch)
         run_experiment(config)
         assert len(built) == 1
-        assert chunks == [2] * 20 and groups == [40]
+        assert chunks == [26, 14] and groups == [40]
 
     def test_toy_networks_are_resolved_chunk_by_chunk(self, monkeypatch):
         # Each toy network caches its output law, so a share resolves its
         # trials' networks only as their chunk is drawn.
         config = ExperimentConfig("product:3", 2, trials=5, targets_in=3, targets_out=3)
-        monkeypatch.setattr(harness, "_BATCH_RECORDS", 2 * (config.n + config.targets_out))
+        # Two trials' (5 records, 3 nodes) uniforms a chunk.
+        monkeypatch.setattr(harness, "_GROUP_BYTES", 2 * 8 * (config.n + config.targets_out) * 3)
         events = []
         resolve, draw_chunk = harness.resolve_population, harness._draw_chunk
 
@@ -770,7 +827,7 @@ class TestRunExperiment:
         # A bundled network whose trials are drawn in three chunks, two
         # trials a chunk, and shared three and two between two workers.
         config = ExperimentConfig(
-            population="cancer", n=4, trials=5, targets_in=4, targets_out=500, seed=13
+            population="cancer", n=4, trials=5, targets_in=4, targets_out=5000, seed=13
         )
         assert [len(r) for r in harness._batches(replace(config, workers=2))] == [3, 2]
         chunks, _ = record_chunks_and_groups(monkeypatch)
@@ -787,6 +844,13 @@ class TestRunExperiment:
         )
         result = run_experiment(config)
         assert len(result.summary) == 2
+
+    def test_weakest_tree_past_the_guard_raises(self):
+        # product:30 releases all 30 nodes, so each learned tree's law is
+        # over 2^30 outcomes, past STATE_GUARD, before any grid is built.
+        config = ExperimentConfig("product:30", 4, trials=2, threat="weakest", m=10)
+        with pytest.raises(ModelSizeError, match="30 nodes would have 1073741824 entries"):
+            run_batch(config, range(config.trials), None)
 
     def test_weakest_threat_runs(self):
         config = ExperimentConfig(

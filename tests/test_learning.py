@@ -14,6 +14,7 @@ from bnmia.learning import (
     cpt_tables,
     empirical_marginals,
     tally_cells,
+    tree_tables,
 )
 from bnmia.model import (
     BayesianNetwork,
@@ -21,6 +22,7 @@ from bnmia.model import (
     attribute_marginals,
     output_laws,
     output_marginal_law,
+    tree_laws,
     validate,
 )
 from bnmia.populations import make_cancer, make_product
@@ -448,5 +450,69 @@ class TestStackedFits:
         laws = assert_stack_fits_each_proxy(bn, data, alpha)
         if alpha == 0.0:
             assert len({tuple(map(tuple, law.vectors.tolist())) for law in laws}) == 3
+        else:
+            assert all(law.vectors is laws[0].vectors for law in laws)
+
+
+def assert_stacked_trees_fit_each_tree(bn, data, alpha):
+    """The trees learned from an (R, m, nodes) proxy stack, fitted as one
+    stack, against each tree's `tally_cells` -> `cpt_tables` ->
+    `output_laws` on its own proxy: vectors and probs byte for byte.
+    Returns the stacked laws."""
+    states = {node.name: node.states for node in bn.nodes}
+    stack = ProxyDataset(bn.node_names, states, data)
+    trees = chow_liu_structures(stack, alpha, bn.output_nodes, bn.encoding)
+    laws = tree_laws(trees, bn.node_names, tree_tables(trees, stack, alpha))
+    assert len(laws) == len(data)
+    for r, (tree, law) in enumerate(zip(trees, laws)):
+        proxy = ProxyDataset(bn.node_names, states, data[r])
+        alone, = output_laws(tree, cpt_tables(tally_cells(tree, proxy), alpha))
+        assert law.vectors.tobytes() == alone.vectors.tobytes()
+        assert law.vectors.shape == alone.vectors.shape
+        assert law.probs.tobytes() == alone.probs.tobytes()
+    return laws
+
+
+class TestStackedTrees:
+    """Learned trees of a network that releases every node, fitted as one
+    stack (`tree_tables`, `tree_laws`), give each tree's own laws bit for
+    bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(small_networks(), small_networks(max_nodes=4, max_parents=1, max_states=9)),
+        st.integers(1, 4),
+        st.integers(2, 12),
+        st.sampled_from((0.0, 0.3, 1.0)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_random_stacks(self, bn, stack, m, alpha, seed):
+        # Every node released, in a random order; states drawn uniformly,
+        # so at alpha = 0 unseen rows leave laws of partial support.
+        rng = np.random.default_rng(seed)
+        binary = all(node.cardinality == 2 for node in bn.nodes)
+        bn = bn.with_outputs(
+            [bn.node_names[i] for i in rng.permutation(len(bn.nodes))],
+            bn.encoding if binary else model.ONE_HOT,
+        )
+        cards = [node.cardinality for node in bn.nodes]
+        data = np.stack([rng.integers(0, k, size=(stack, m)) for k in cards], axis=2)
+        assert_stacked_trees_fit_each_tree(bn, data, alpha)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+    def test_partial_supports_and_a_nine_state_node(self, alpha):
+        h = NodeSpec("H", tuple(f"h{i}" for i in range(9)), (), {(): tuple([1 / 9] * 9)})
+        a = NodeSpec("A", ("0", "1"), ("H",), {(i,): (0.5, 0.5) for i in range(9)})
+        b = NodeSpec("B", ("0", "1", "2"), ("A",), {(j,): (0.2, 0.3, 0.5) for j in range(2)})
+        bn = BayesianNetwork((h, a, b), ("B", "H", "A"), model.ONE_HOT)
+        data = np.array([
+            [[0, 0, 0], [0, 1, 2], [8, 1, 1], [8, 0, 2]],
+            [[3, 1, 0], [3, 1, 0], [5, 0, 1], [5, 1, 2]],
+            [[2, 0, 2], [7, 1, 1], [7, 0, 0], [4, 0, 1]],
+        ])
+        laws = assert_stacked_trees_fit_each_tree(bn, data, alpha)
+        if alpha == 0.0:
+            assert all(len(law) < 9 * 2 * 3 for law in laws)
+            assert len({law.vectors.tobytes() for law in laws}) == 3
         else:
             assert all(law.vectors is laws[0].vectors for law in laws)
