@@ -35,7 +35,6 @@ from .model import (
 )
 from .populations import (
     load_benchmark,
-    make_cancer,
     make_half_repeated,
     make_lr_repeated,
     make_lr_side,
@@ -67,7 +66,6 @@ __all__ = [
     "load_benchmark",
     "lrt_clipped_score",
     "lrt_score",
-    "make_cancer",
     "make_half_repeated",
     "make_lr_repeated",
     "make_lr_side",

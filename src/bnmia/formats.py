@@ -3,7 +3,8 @@
 Both parsers are bit-exact: probabilities are read as decimal text into
 binary floats and never renormalized, so parse -> emit -> parse is a fixed
 point.  Rows whose printed sum strays from 1 by more than 1e-12 are rejected.
-Every rejection carries a line/column position.  `load_document` reads
+Both nest their tokens with one bracket reader, and every rejection carries a
+line/column position.  `load_document` reads
 either, telling them apart by the text, never by the file name.
 """
 from __future__ import annotations
@@ -64,69 +65,87 @@ def _tokenize(text: str, punct: str) -> list[_Token]:
 
 
 # ---------------------------------------------------------------------------
-# S-expression dialect
+# Bracket reader, shared by both dialects
 # ---------------------------------------------------------------------------
 
-def _parse_forms(tokens: list[_Token]) -> list:
-    """Nested lists of tokens; quote marks are transparent."""
-    pos = 0
-
-    def parse_one():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise NetworkFormatError("unexpected end of input", *_tail_pos(tokens))
-        tok = tokens[pos]
-        if tok.text == "'":
-            pos += 1
-            return parse_one()
-        if tok.text == "(":
-            pos += 1
-            items = []
-            while True:
-                if pos >= len(tokens):
-                    raise NetworkFormatError("unbalanced parentheses", tok.line, tok.col)
-                if tokens[pos].text == ")":
-                    pos += 1
-                    return items
-                items.append(parse_one())
-        if tok.text == ")":
-            raise NetworkFormatError("unbalanced parentheses", tok.line, tok.col)
-        pos += 1
-        return tok
-
-    forms = []
-    while pos < len(tokens):
-        forms.append(parse_one())
-    return forms
+# Each dialect's bracket pairs, opening -> closing.
+_SEXPR_BRACKETS = {"(": ")"}
+_BIF_BRACKETS = {"{": "}", "(": ")", "[": "]"}
 
 
-def _tail_pos(tokens: list[_Token]) -> tuple[int, int]:
-    if tokens:
-        return tokens[-1].line, tokens[-1].col
-    return 1, 1
+class _Form(list):
+    """A bracketed form: the items between a pair of brackets, with the
+    opening bracket's text and position."""
+
+    __slots__ = ("text", "line", "col")
+
+    def __init__(self, opening: _Token):
+        super().__init__()
+        self.text, self.line, self.col = opening.text, opening.line, opening.col
 
 
-def _form_pos(form) -> tuple[int, int]:
-    while isinstance(form, list):
-        if not form:
-            return 1, 1
-        form = form[0]
-    return form.line, form.col
+def _parse_forms(tokens: list[_Token], brackets: dict[str, str]) -> list:
+    """Nest tokens into forms at each pair of `brackets` (opening -> closing),
+    on an explicit stack; returns the top-level items."""
+    closing = set(brackets.values())
+    stack = [_Form(_Token("", 1, 1))]
+    for tok in tokens:
+        if tok.text in brackets:
+            form = _Form(tok)
+            stack[-1].append(form)
+            stack.append(form)
+        elif tok.text not in closing:
+            stack[-1].append(tok)
+        elif len(stack) == 1:
+            raise NetworkFormatError(f"{_unbalanced(tok)}: unexpected {tok.text!r}", *_pos(tok))
+        elif brackets[stack[-1].text] == tok.text:
+            stack.pop()
+        else:
+            break  # a closing bracket of another kind: the open form is never closed
+    if len(stack) > 1:
+        form = stack[-1]
+        message = f"{_unbalanced(form)}: {form.text!r} is never closed"
+        raise NetworkFormatError(message, *_pos(form))
+    return stack[0]
+
+
+def _unbalanced(bracket) -> str:
+    return "unbalanced parentheses" if bracket.text in "()" else "unbalanced brackets"
+
+
+def _pos(item) -> tuple[int, int]:
+    """The position of a token, or of a form's opening bracket."""
+    return item.line, item.col
 
 
 def _number(tok) -> float:
     if isinstance(tok, list):
-        raise NetworkFormatError("expected a number, found a list", *_form_pos(tok))
+        raise NetworkFormatError("expected a number, found a list", *_pos(tok))
     try:
         return float(tok.text)
     except ValueError:
-        raise NetworkFormatError(f"expected a number, found {tok.text!r}", tok.line, tok.col)
+        raise NetworkFormatError(f"expected a number, found {tok.text!r}", *_pos(tok))
 
 
 def _atom(tok, what: str) -> str:
     if isinstance(tok, list):
-        raise NetworkFormatError(f"expected {what}, found a list", *_form_pos(tok))
+        raise NetworkFormatError(f"expected {what}, found a list", *_pos(tok))
     return tok.text
+
+
+def _words(form: _Form, what: str, separators: str = ",") -> list[str]:
+    """The words of a bracketed list, without its separators."""
+    return [_atom(t, what) for t in form if t.text not in separators]
+
+
+def _state_count(form: _Form) -> int:
+    """The integer written between a pair of brackets."""
+    count = " ".join(t.text for t in form)
+    try:
+        return int(count)
+    except ValueError:
+        at = form[0] if form else form
+        raise NetworkFormatError(f"expected a state count, found {count!r}", *_pos(at))
 
 
 def _check_row(row: tuple[float, ...], k: int, name: str, line: int, col: int) -> None:
@@ -165,6 +184,10 @@ def _toposort(nodes: list[NodeSpec]) -> tuple[NodeSpec, ...]:
     return tuple(ordered)
 
 
+# ---------------------------------------------------------------------------
+# S-expression dialect
+# ---------------------------------------------------------------------------
+
 def parse_sexpr(text: str) -> BayesianNetwork:
     """Parse the parenthesized network dialect.
 
@@ -174,16 +197,17 @@ def parse_sexpr(text: str) -> BayesianNetwork:
     single `(table p1 ... pK)` for root nodes or one `((ps1 ... psm) p1 ... pK)`
     row per parent state combination.
     """
-    forms = _parse_forms(_tokenize(text, "()'"))
+    tokens = [tok for tok in _tokenize(text, "()'") if tok.text != "'"]
+    forms = _parse_forms(tokens, _SEXPR_BRACKETS)
     if len(forms) != 1 or not isinstance(forms[0], list):
-        raise NetworkFormatError("expected one top-level list of clauses", *_tail_pos([]))
+        raise NetworkFormatError("expected one top-level list of clauses", 1, 1)
     top = forms[0]
-    if top and not isinstance(top[0], list) and top[0].text == "define":
+    if top and top[0].text == "define":
         if len(top) < 3:
-            raise NetworkFormatError("define form needs a name and a body", *_form_pos(top))
+            raise NetworkFormatError("define form needs a name and a body", *_pos(top))
         clauses = top[-1]
         if not isinstance(clauses, list):
-            raise NetworkFormatError("define body must be a list of clauses", *_form_pos(top))
+            raise NetworkFormatError("define body must be a list of clauses", *_pos(top))
     else:
         clauses = top
 
@@ -193,7 +217,7 @@ def parse_sexpr(text: str) -> BayesianNetwork:
 
     for clause in clauses:
         if not isinstance(clause, list) or not clause:
-            raise NetworkFormatError("expected a clause list", *_form_pos(clause))
+            raise NetworkFormatError("expected a clause list", *_pos(clause))
         head = _atom(clause[0], "a clause head")
         line, col = clause[0].line, clause[0].col
         if head == "variable":
@@ -207,13 +231,12 @@ def parse_sexpr(text: str) -> BayesianNetwork:
                 or _atom(typ[0], "type") != "type"
                 or _atom(typ[1], "discrete") != "discrete"
                 or not isinstance(typ[2], list)
-                or len(typ[2]) != 1
                 or not isinstance(typ[3], list)
             ):
                 raise NetworkFormatError(
                     f"variable {name}: expected (type discrete (K) (s1 ... sK))", line, col
                 )
-            k = int(_number(typ[2][0]))
+            k = _state_count(typ[2])
             labels = tuple(_atom(t, "a state label") for t in typ[3])
             if len(labels) != k:
                 raise NetworkFormatError(
@@ -239,7 +262,6 @@ def parse_sexpr(text: str) -> BayesianNetwork:
                 and len(body) == 1
                 and isinstance(body[0], list)
                 and body[0]
-                and not isinstance(body[0][0], list)
                 and body[0][0].text == "table"
             ):
                 rows[()] = tuple(_number(t) for t in body[0][1:])
@@ -252,18 +274,18 @@ def parse_sexpr(text: str) -> BayesianNetwork:
                     ):
                         raise NetworkFormatError(
                             f"probability {child}: expected ((parent states) p1 ... pK) rows",
-                            *_form_pos(row_form),
+                            *_pos(row_form),
                         )
                     key = tuple(_atom(t, "a parent state") for t in row_form[0])
                     if len(key) != len(parents):
                         raise NetworkFormatError(
                             f"probability {child}: row key {key} does not match "
                             f"{len(parents)} parents",
-                            *_form_pos(row_form),
+                            *_pos(row_form),
                         )
                     if key in rows:
                         raise NetworkFormatError(
-                            f"probability {child}: duplicate row for {key}", *_form_pos(row_form)
+                            f"probability {child}: duplicate row for {key}", *_pos(row_form)
                         )
                     rows[key] = tuple(_number(t) for t in row_form[1:])
             tables[child] = (parents, rows, (line, col))
@@ -359,207 +381,127 @@ def emit_sexpr(bn: BayesianNetwork) -> str:
 # BIF subset
 # ---------------------------------------------------------------------------
 
-class _BifReader:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self, what: str = "a token") -> _Token:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else _Token("", 1, 1)
-            raise NetworkFormatError(f"unexpected end of input, expected {what}",
-                                     last.line, last.col)
-        self.pos += 1
-        return tok
-
-    def expect(self, text: str) -> _Token:
-        tok = self.next(repr(text))
-        if tok.text != text:
-            raise NetworkFormatError(
-                f"expected {text!r}, found {tok.text!r}", tok.line, tok.col
-            )
-        return tok
-
-    def skip_property(self) -> None:
-        # `property` runs to the closing semicolon.
-        while True:
-            tok = self.next("';' ending a property")
-            if tok.text == ";":
-                return
-
-
 def parse_bif_subset(text: str) -> BayesianNetwork:
     """Parse the discrete BIF dialect used by the common benchmark files.
 
-    Supports `network`, `variable` with `type discrete`, and `probability`
-    blocks with either a `table` row or one parenthesized row per parent
-    state combination.  `property` lines are ignored; continuous variables
-    are rejected.
+    A document is a sequence of `KEYWORD NAME? { block }` units whose
+    statements end at ';'.  Supports `network`, `variable` with `type
+    discrete`, and `probability` blocks with either a `table` row or one
+    parenthesized row per parent state combination.  `property` statements
+    are ignored; continuous variables are rejected.
     """
-    reader = _BifReader(_tokenize(text, "{}()[]|,;"))
+    items = _parse_forms(_tokenize(text, "{}()[]|,;"), _BIF_BRACKETS)
     states: dict[str, tuple[str, ...]] = {}
     decl_order: list[str] = []
     tables: dict[str, tuple[tuple[str, ...], dict, tuple[int, int]]] = {}
 
-    while True:
-        tok = reader.peek()
-        if tok is None:
-            break
-        if tok.text == "network":
-            reader.next()
-            while reader.peek() is not None and reader.peek().text != "{":
-                reader.next()
-            reader.expect("{")
-            depth = 1
-            while depth:
-                t = reader.next("'}'")
-                depth += t.text == "{"
-                depth -= t.text == "}"
-        elif tok.text == "variable":
-            reader.next()
-            name_tok = reader.next("a variable name")
+    i = 0
+    while i < len(items):
+        head = items[i]
+        if head.text not in ("network", "variable", "probability"):
+            raise NetworkFormatError(f"unknown block {head.text!r}", *_pos(head))
+        end = next((j for j in range(i + 1, len(items)) if items[j].text == "{"), None)
+        if end is None:
+            raise NetworkFormatError(f"expected a '{{' block after {head.text!r}", *_pos(head))
+        args, block, i = items[i + 1:end], items[end], end + 1
+        if head.text == "variable":
+            if len(args) != 1 or isinstance(args[0], list):
+                raise NetworkFormatError("expected 'variable NAME {'", *_pos(head))
+            name_tok = args[0]
             name = name_tok.text
-            reader.expect("{")
             labels: tuple[str, ...] | None = None
-            while True:
-                t = reader.next("'}' ending the variable block")
-                if t.text == "}":
-                    break
-                if t.text == "property":
-                    reader.skip_property()
-                    continue
-                if t.text != "type":
+            for stmt in _statements(block, "variable block"):
+                if stmt[0].text == "type":
+                    labels = _bif_states(stmt, name_tok)
+                elif stmt[0].text != "property":
                     raise NetworkFormatError(
-                        f"unexpected {t.text!r} in variable block", t.line, t.col
+                        f"unexpected {stmt[0].text!r} in variable block", *_pos(stmt[0])
                     )
-                kind = reader.next("a variable type")
-                if kind.text != "discrete":
-                    raise NetworkFormatError("unsupported: continuous", kind.line, kind.col)
-                reader.expect("[")
-                k_tok = reader.next("a state count")
-                try:
-                    k = int(k_tok.text)
-                except ValueError:
-                    raise NetworkFormatError(
-                        f"expected a state count, found {k_tok.text!r}", k_tok.line, k_tok.col
-                    )
-                reader.expect("]")
-                reader.expect("{")
-                names: list[str] = []
-                while True:
-                    t2 = reader.next("a state label")
-                    if t2.text == "}":
-                        break
-                    if t2.text == ",":
-                        continue
-                    names.append(t2.text)
-                reader.expect(";")
-                if len(names) != k:
-                    raise NetworkFormatError(
-                        f"variable {name}: declared {k} states but listed {len(names)}",
-                        name_tok.line, name_tok.col,
-                    )
-                labels = tuple(names)
             if labels is None:
-                raise NetworkFormatError(
-                    f"variable {name}: missing type declaration", name_tok.line, name_tok.col
-                )
+                raise NetworkFormatError(f"variable {name}: missing type declaration",
+                                         *_pos(name_tok))
             if name in states:
-                raise NetworkFormatError(
-                    f"variable {name} declared twice", name_tok.line, name_tok.col
-                )
+                raise NetworkFormatError(f"variable {name} declared twice", *_pos(name_tok))
             states[name] = labels
             decl_order.append(name)
-        elif tok.text == "probability":
-            reader.next()
-            open_tok = reader.expect("(")
-            family: list[str] = []
-            saw_bar = False
-            while True:
-                t = reader.next("')' ending the family")
-                if t.text == ")":
-                    break
-                if t.text in {",", "|"}:
-                    saw_bar = saw_bar or t.text == "|"
-                    continue
-                family.append(t.text)
-            if not family:
-                raise NetworkFormatError("empty probability family", open_tok.line, open_tok.col)
-            child, parents = family[0], tuple(family[1:])
-            if parents and not saw_bar:
+        elif head.text == "probability":
+            if len(args) != 1 or args[0].text != "(":
+                raise NetworkFormatError("expected 'probability ( CHILD | PARENTS ) {'",
+                                         *_pos(head))
+            family = args[0]
+            names = _words(family, "a node name", ",|")
+            if not names:
+                raise NetworkFormatError("empty probability family", *_pos(family))
+            child, parents = names[0], tuple(names[1:])
+            if parents and all(t.text != "|" for t in family):
                 raise NetworkFormatError(
-                    f"probability ({child} ...): parents must follow '|'",
-                    open_tok.line, open_tok.col,
+                    f"probability ({child} ...): parents must follow '|'", *_pos(family)
                 )
-            reader.expect("{")
             rows: dict[tuple[str, ...], tuple[float, ...]] = {}
-            while True:
-                t = reader.peek()
-                if t is None:
-                    raise NetworkFormatError(
-                        "unexpected end of input in probability block",
-                        open_tok.line, open_tok.col,
-                    )
-                if t.text == "}":
-                    reader.next()
-                    break
-                if t.text == "property":
-                    reader.next()
-                    reader.skip_property()
-                    continue
-                if t.text == "table":
-                    reader.next()
-                    rows[()] = tuple(_read_bif_numbers(reader))
-                    continue
-                if t.text == "(":
-                    reader.next()
-                    key: list[str] = []
-                    while True:
-                        t2 = reader.next("')' ending a row key")
-                        if t2.text == ")":
-                            break
-                        if t2.text == ",":
-                            continue
-                        key.append(t2.text)
-                    if tuple(key) in rows:
+            for stmt in _statements(block, "probability block"):
+                first = stmt[0]
+                if first.text == "table":
+                    rows[()] = _bif_numbers(stmt[1:])
+                elif first.text == "(":
+                    key = tuple(_words(first, "a parent state"))
+                    if key in rows:
                         raise NetworkFormatError(
-                            f"probability {child}: duplicate row for {tuple(key)}",
-                            t.line, t.col,
+                            f"probability {child}: duplicate row for {key}", *_pos(first)
                         )
-                    rows[tuple(key)] = tuple(_read_bif_numbers(reader))
-                    continue
-                raise NetworkFormatError(
-                    f"unexpected {t.text!r} in probability block", t.line, t.col
-                )
+                    rows[key] = _bif_numbers(stmt[1:])
+                elif first.text != "property":
+                    raise NetworkFormatError(
+                        f"unexpected {first.text!r} in probability block", *_pos(first)
+                    )
             if child in tables:
-                raise NetworkFormatError(
-                    f"duplicate probability block for {child}", open_tok.line, open_tok.col
-                )
-            tables[child] = (parents, rows, (open_tok.line, open_tok.col))
-        else:
-            raise NetworkFormatError(f"unknown block {tok.text!r}", tok.line, tok.col)
+                raise NetworkFormatError(f"duplicate probability block for {child}", *_pos(family))
+            tables[child] = (parents, rows, _pos(family))
 
     return _assemble(states, decl_order, tables)
 
 
-def _read_bif_numbers(reader: _BifReader) -> list[float]:
-    values: list[float] = []
-    while True:
-        tok = reader.next("a probability or ';'")
-        if tok.text == ";":
-            return values
-        if tok.text == ",":
-            continue
-        try:
-            values.append(float(tok.text))
-        except ValueError:
-            raise NetworkFormatError(
-                f"expected a number, found {tok.text!r}", tok.line, tok.col
-            )
+def _statements(block: _Form, where: str) -> list[list]:
+    """A block's items split into statements at ';' tokens."""
+    statements: list[list] = [[]]
+    for item in block:
+        if item.text != ";":
+            statements[-1].append(item)
+        elif statements[-1]:
+            statements.append([])
+        else:
+            raise NetworkFormatError(f"unexpected ';' in {where}", *_pos(item))
+    if statements[-1]:
+        raise NetworkFormatError("expected ';' ending this statement", *_pos(statements[-1][0]))
+    return statements[:-1]
+
+
+def _bif_states(stmt: list, name: _Token) -> tuple[str, ...]:
+    """The state labels of a `type discrete [ K ] { s1, ..., sK }` statement."""
+    kind = stmt[1] if len(stmt) > 1 else stmt[0]
+    if kind.text != "discrete":
+        raise NetworkFormatError("unsupported: continuous", *_pos(kind))
+    if len(stmt) < 4 or stmt[2].text != "[" or stmt[3].text != "{":
+        raise NetworkFormatError(
+            f"variable {name.text}: expected type discrete [ K ] {{ s1, ..., sK }}", *_pos(stmt[0])
+        )
+    if len(stmt) > 4:
+        raise NetworkFormatError(f"expected ';' before {stmt[4].text!r}", *_pos(stmt[4]))
+    k = _state_count(stmt[2])
+    labels = tuple(_words(stmt[3], "a state label"))
+    if len(labels) != k:
+        raise NetworkFormatError(
+            f"variable {name.text}: declared {k} states but listed {len(labels)}", *_pos(name)
+        )
+    return labels
+
+
+def _bif_numbers(items: list) -> tuple[float, ...]:
+    """The probabilities of a row, separated by ','; a bracket among them
+    means the row's ';' is missing."""
+    for item in items:
+        if isinstance(item, list):
+            raise NetworkFormatError(f"expected ';' before {item.text!r}", *_pos(item))
+    return tuple(_number(t) for t in items if t.text != ",")
 
 
 def emit_bif(bn: BayesianNetwork) -> str:

@@ -1,4 +1,5 @@
-"""Constructors for the synthetic populations and the cancer example network.
+"""Constructors for the synthetic populations, and the loader of the bundled
+benchmark networks.
 
 The toy populations (independent product, half-repeated, left/right-repeated)
 use raw-binary encoding, so the attribute dimension equals the node count.
@@ -147,40 +148,6 @@ def make_lr_repeated(
         )
     names = tuple(f"X{j + 1}" for j in range(d))
     return BayesianNetwork(tuple(nodes), names, RAW_BINARY)
-
-
-def make_cancer() -> BayesianNetwork:
-    """The five-node cancer network, with all nodes released one-hot (d = 10)."""
-    nodes = (
-        NodeSpec("Pollution", ("low", "high"), (), {(): (0.9, 0.1)}),
-        NodeSpec("Smoker", ("True", "False"), (), {(): (0.3, 0.7)}),
-        NodeSpec(
-            "Cancer",
-            ("True", "False"),
-            ("Pollution", "Smoker"),
-            {
-                # (Pollution, Smoker) -> (True, False)
-                (0, 0): (0.03, 0.97),   # low, True
-                (0, 1): (0.001, 0.999), # low, False
-                (1, 0): (0.05, 0.95),   # high, True
-                (1, 1): (0.02, 0.98),   # high, False
-            },
-        ),
-        NodeSpec(
-            "Xray",
-            ("positive", "negative"),
-            ("Cancer",),
-            {(0,): (0.9, 0.1), (1,): (0.2, 0.8)},
-        ),
-        NodeSpec(
-            "Dyspnoea",
-            ("True", "False"),
-            ("Cancer",),
-            {(0,): (0.65, 0.35), (1,): (0.3, 0.7)},
-        ),
-    )
-    names = tuple(n.name for n in nodes)
-    return BayesianNetwork(nodes, names, ONE_HOT)
 
 
 # Output node selections for the sachs benchmark, named by where they sit in

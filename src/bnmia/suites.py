@@ -354,8 +354,6 @@ def verify_oracle_agreement(seed: int = 20250810) -> SuiteResult:
     soon as the odds exceed ~4, so it cannot distinguish agreement from
     rounding.  Zero ratios must agree exactly.
     """
-    from .populations import make_cancer
-
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     worst = 0.0
@@ -366,10 +364,9 @@ def verify_oracle_agreement(seed: int = 20250810) -> SuiteResult:
         d = int(rng.integers(1, 4))
         nets.append(make_product(tuple(rng.uniform(0.2, 0.8, size=d))))
     nets.append(make_half_repeated(3, tuple(rng.uniform(0.2, 0.8, size=2))))
-    nets.append(make_cancer().with_outputs(("Xray", "Dyspnoea"), "raw-binary"))
-    nets.append(
-        make_cancer().with_outputs(("Cancer", "Xray", "Dyspnoea"), "raw-binary")
-    )
+    cancer = load_benchmark("cancer")
+    nets.append(cancer.with_outputs(("Xray", "Dyspnoea"), "raw-binary"))
+    nets.append(cancer.with_outputs(("Cancer", "Xray", "Dyspnoea"), "raw-binary"))
 
     for bn in nets:
         targets = list(itertools.product((0, 1), repeat=bn.d))

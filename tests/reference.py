@@ -2,8 +2,9 @@
 the one-record ancestral sampler, the dict encoder, the one-proxy fits, the
 one-trial draw and score with its own attacker, the pairwise AUC and the
 per-outcome convolution step they replaced; the swept ROC curve, whose area
-the rank-count AUC must equal; a batch result read trial by trial; and two
-dict-record helpers, the chain-rule joint probability and a proxy's records."""
+the rank-count AUC must equal; a batch result read trial by trial; two
+dict-record helpers, the chain-rule joint probability and a proxy's records;
+and the cancer network built by hand, independent of the format parsers."""
 from __future__ import annotations
 
 import itertools
@@ -15,6 +16,40 @@ from bnmia.harness import weighted_auc_rows
 from bnmia.learning import chow_liu_structures, cpt_tables, tally_cells
 from bnmia.model import ONE_HOT, RAW_BINARY, BayesianNetwork, NodeSpec
 from bnmia.model import dataset_counts, encode, project, sample
+
+
+def make_cancer() -> BayesianNetwork:
+    """The five-node cancer network, with all nodes released one-hot (d = 10)."""
+    nodes = (
+        NodeSpec("Pollution", ("low", "high"), (), {(): (0.9, 0.1)}),
+        NodeSpec("Smoker", ("True", "False"), (), {(): (0.3, 0.7)}),
+        NodeSpec(
+            "Cancer",
+            ("True", "False"),
+            ("Pollution", "Smoker"),
+            {
+                # (Pollution, Smoker) -> (True, False)
+                (0, 0): (0.03, 0.97),   # low, True
+                (0, 1): (0.001, 0.999), # low, False
+                (1, 0): (0.05, 0.95),   # high, True
+                (1, 1): (0.02, 0.98),   # high, False
+            },
+        ),
+        NodeSpec(
+            "Xray",
+            ("positive", "negative"),
+            ("Cancer",),
+            {(0,): (0.9, 0.1), (1,): (0.2, 0.8)},
+        ),
+        NodeSpec(
+            "Dyspnoea",
+            ("True", "False"),
+            ("Cancer",),
+            {(0,): (0.65, 0.35), (1,): (0.3, 0.7)},
+        ),
+    )
+    names = tuple(n.name for n in nodes)
+    return BayesianNetwork(nodes, names, ONE_HOT)
 
 
 def reference_sample(bn, rng: np.random.Generator) -> dict[str, int]:

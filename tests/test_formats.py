@@ -4,8 +4,8 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from reference import joint_prob
+from hypothesis import given, settings, strategies as st
+from reference import joint_prob, make_cancer
 from strategies import small_networks
 
 from bnmia import formats, model
@@ -18,7 +18,7 @@ from bnmia.formats import (
     parse_sexpr,
 )
 from bnmia.model import validate
-from bnmia.populations import make_cancer, make_product
+from bnmia.populations import make_product
 
 
 def data_text(name: str) -> str:
@@ -159,6 +159,13 @@ class TestParseBif:
         )
         assert bn.node("A").cpt[()] == (0.2, 0.8)
 
+    def test_a_lone_quote_is_a_word(self):
+        bn = parse_bif_subset(
+            "variable A { type discrete [ 2 ] { ', no }; }\n"
+            "probability ( A ) { table 0.2, 0.8; }\n"
+        )
+        assert bn.node("A").states == ("'", "no")
+
     def test_malformed_block_has_position(self):
         try:
             parse_bif_subset("variable A {\n  type discrete [ 2 ] { yes, no };\n}\nnonsense")
@@ -173,9 +180,12 @@ class TestParseBif:
         assert validate(bn) == []
 
     def test_emit_bif_round_trip(self):
-        bn = parse_bif_subset(data_text("asia.bif"))
-        again = parse_bif_subset(emit_bif(bn))
-        assert again.nodes == bn.nodes
+        for name in ("asia.bif", "cancer.bif", "earthquake.bif", "survey.bif", "sachs.bif"):
+            bn = parse_bif_subset(data_text(name))
+            once = emit_bif(bn)
+            again = parse_bif_subset(once)
+            assert again.nodes == bn.nodes, name
+            assert emit_bif(again) == once, name
 
 
 class TestLoadDocument:
@@ -234,7 +244,7 @@ class TestFuzzSafety:
         ],
     )
     def test_sexpr_rejects_with_position(self, text):
-        with pytest.raises((NetworkFormatError, ValueError)):
+        with pytest.raises(NetworkFormatError):
             parse_sexpr(text)
 
     @pytest.mark.parametrize(
@@ -252,3 +262,66 @@ class TestFuzzSafety:
     def test_bif_rejects_with_position(self, text):
         with pytest.raises(NetworkFormatError):
             parse_bif_subset(text)
+
+
+VARIABLE_A = "variable A {\n  type discrete [ 2 ] { yes, no };\n}\n"
+
+# The dialect, a malformed document, the start of its message, and the line
+# and column the fault is reported at.
+MALFORMED = [
+    ("bif", VARIABLE_A[:-2], "unbalanced brackets: '{'", 1, 12),
+    ("bif", VARIABLE_A.replace("2 ]", "2"), "unbalanced brackets: '['", 2, 17),
+    ("bif", VARIABLE_A + "probability ( A {\n  table 0.2, 0.8;\n}\n",
+     "unbalanced parentheses: '('", 4, 13),
+    ("bif", VARIABLE_A + "}\n", "unbalanced brackets: unexpected '}'", 4, 1),
+    ("bif", VARIABLE_A + "probability ( A ) {\n  table 0.2, 0.8\n}\n",
+     "expected ';' ending this statement", 5, 3),
+    ("bif", VARIABLE_A + "probability ( A | B ) {\n  (yes) 0.2, 0.8\n  (no) 0.5, 0.5;\n}\n",
+     "expected ';' before '('", 6, 3),
+    ("bif", "variable A {\n  type discrete [ 2 ] { yes, no } property x;\n}\n",
+     "expected ';' before 'property'", 2, 35),
+    ("bif", VARIABLE_A + "potential ( A ) { }\n", "unknown block 'potential'", 4, 1),
+    ("bif", "network unknown {\n  property ( x;\n}\n", "unbalanced parentheses: '('", 2, 12),
+    ("sexpr", "((variable A (type discrete (inf) (f t))))", "expected a state count, found 'inf'", 1, 30),
+    ("sexpr", "((variable A (type discrete (2.5) (f t))))", "expected a state count, found '2.5'", 1, 30),
+    ("sexpr", "((variable A (type discrete (2) (f t)))\n (probability (A) (table 0.5 0.5)",
+     "unbalanced parentheses: '('", 2, 2),
+    ("sexpr", "((variable A (type discrete (2) (f t))))\n (probability (A) (table 0.5 0.5)))",
+     "unbalanced parentheses: unexpected ')'", 2, 35),
+]
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("dialect, text, message, line, col", MALFORMED)
+    def test_rejected_at_the_fault(self, dialect, text, message, line, col):
+        parse = parse_bif_subset if dialect == "bif" else parse_sexpr
+        with pytest.raises(NetworkFormatError) as info:
+            parse(text)
+        assert str(info.value).startswith(message)
+        assert str(info.value).endswith(f"(line {line}, column {col})")
+        assert (info.value.line, info.value.col) == (line, col)
+
+    BIF_WORDS = [
+        "network", "variable", "probability", "type", "discrete", "continuous", "table",
+        "property", "{", "}", "[", "]", "(", ")", "|", ",", ";", "'", "A", "B", "2", "0.5", "yes",
+    ]
+    SEXPR_WORDS = [
+        "define", "variable", "probability", "type", "discrete", "table", "(", ")", "'", "A", "B",
+        "2", "0.5", "f", "t",
+    ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(BIF_WORDS), max_size=40), st.sampled_from([" ", "\n"]))
+    def test_bif_token_soup_raises_only_format_errors(self, words, sep):
+        try:
+            parse_bif_subset(sep.join(words))
+        except NetworkFormatError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(SEXPR_WORDS), max_size=40), st.sampled_from([" ", "\n"]))
+    def test_sexpr_token_soup_raises_only_format_errors(self, words, sep):
+        try:
+            parse_sexpr(sep.join(words))
+        except NetworkFormatError:
+            pass

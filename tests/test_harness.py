@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from reference import (
-    TrialScores, batch_trials, one_row_auc, reference_auc, reference_roc_points, reference_trial
+    TrialScores,
+    batch_trials,
+    make_cancer,
+    one_row_auc,
+    reference_auc,
+    reference_roc_points,
+    reference_trial,
 )
 
 from bnmia import attacks, harness, suites
@@ -189,7 +195,6 @@ class TestResolvePopulation:
 
     def test_file_path(self, tmp_path):
         from bnmia.formats import emit_sexpr
-        from bnmia.populations import make_cancer
 
         path = tmp_path / "net.sexp"
         path.write_text(emit_sexpr(make_cancer()), encoding="utf-8")

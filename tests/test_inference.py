@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
-from reference import mle_fit, reference_sum_log_table
+from reference import make_cancer, mle_fit, reference_sum_log_table
 from strategies import small_networks
 
 from bnmia import inference, model
@@ -32,7 +32,6 @@ from bnmia.model import (
 from bnmia.populations import (
     BUNDLED_BENCHMARKS,
     load_benchmark,
-    make_cancer,
     make_half_repeated,
     make_product,
 )

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference import chow_liu_fit, joint_prob, mle_fit, proxy_records, reference_encode, states_of
+from reference import (
+    chow_liu_fit, joint_prob, make_cancer, mle_fit, proxy_records, reference_encode, states_of
+)
 from strategies import small_networks
 
 from bnmia import learning, model
@@ -25,7 +27,7 @@ from bnmia.model import (
     tree_laws,
     validate,
 )
-from bnmia.populations import make_cancer, make_product
+from bnmia.populations import make_product
 
 
 def single_root_proxy(values, states=("0", "1")):

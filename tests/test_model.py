@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from reference import joint_prob, reference_encode, reference_sample, states_of
+from reference import joint_prob, make_cancer, reference_encode, reference_sample, states_of
 from strategies import small_networks
 
 from bnmia import model
@@ -26,7 +26,6 @@ from bnmia.populations import (
     BUNDLED_BENCHMARKS,
     SACHS_OUTPUT_SETS,
     load_benchmark,
-    make_cancer,
     make_half_repeated,
     make_product,
     resolve_network,

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from reference import joint_prob
+from reference import joint_prob, make_cancer
 
 from bnmia import model
 from bnmia.model import attribute_marginals, output_marginal_law, sample, validate
@@ -9,7 +9,6 @@ from bnmia.populations import (
     RIGHT,
     is_toy,
     load_benchmark,
-    make_cancer,
     make_half_repeated,
     make_lr_repeated,
     make_lr_side,
