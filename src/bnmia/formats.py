@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .model import BayesianNetwork, NodeSpec, ROW_SUM_TOL
+from .model import BayesianNetwork, NodeSpec, ROW_SUM_TOL, _toposort
 
 
 class NetworkFormatError(ValueError):
@@ -139,13 +139,12 @@ def _words(form: _Form, what: str, separators: str = ",") -> list[str]:
 
 
 def _state_count(form: _Form) -> int:
-    """The integer written between a pair of brackets."""
+    """The ASCII decimal integer written between a pair of brackets."""
     count = " ".join(t.text for t in form)
-    try:
+    if count.isascii() and count.isdigit():
         return int(count)
-    except ValueError:
-        at = form[0] if form else form
-        raise NetworkFormatError(f"expected a state count, found {count!r}", *_pos(at))
+    at = form[0] if form else form
+    raise NetworkFormatError(f"expected a state count, found {count!r}", *_pos(at))
 
 
 def _check_row(row: tuple[float, ...], k: int, name: str, line: int, col: int) -> None:
@@ -157,31 +156,6 @@ def _check_row(row: tuple[float, ...], k: int, name: str, line: int, col: int) -
         raise NetworkFormatError(f"CPT row for {name} has entries outside [0, 1]", line, col)
     if abs(math.fsum(row) - 1.0) > ROW_SUM_TOL:
         raise NetworkFormatError(f"CPT row for {name} does not sum to 1", line, col)
-
-
-def _toposort(nodes: list[NodeSpec]) -> tuple[NodeSpec, ...]:
-    """Stable topological order (declaration order among ready nodes)."""
-    by_name = {n.name: n for n in nodes}
-    placed: set[str] = set()
-    ordered: list[NodeSpec] = []
-    pending = list(nodes)
-    while pending:
-        progressed = False
-        remaining = []
-        for node in pending:
-            if all(p in placed or p not in by_name for p in node.parents):
-                ordered.append(node)
-                placed.add(node.name)
-                progressed = True
-            else:
-                remaining.append(node)
-        if not progressed:
-            # Cycle or dangling reference; keep declaration order and let
-            # validate() report the real fault.
-            ordered.extend(remaining)
-            break
-        pending = remaining
-    return tuple(ordered)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +310,8 @@ def _assemble(
             raise NetworkFormatError(
                 f"probability clause for undeclared node {name}", line, col
             )
-    return BayesianNetwork(_toposort(nodes), (), "one-hot")
+    placed, cyclic = _toposort(nodes)
+    return BayesianNetwork(tuple(placed + cyclic), (), "one-hot")
 
 
 def _key_text(combo: tuple[str, ...]) -> str:

@@ -14,14 +14,15 @@ scored in groups of trials whose padded row stack fits in the same budget
 attacker per trial or one shared by all, and one rank pass.  Under the weak
 and weakest threats the attackers are fitted to proxies drawn the same way,
 each chunk reduced to distinct full records with counts and the chunks
-packed into fit groups.  The weakest threat's trees of a network that
-releases every node are fitted as one stack (`tree_tables`, `tree_laws`).
-The outputs are those of trials run one by one.
+packed into fit groups; every attacker's network is fitted on one path
+(`tally_cells`, `cpt_tables`, `output_laws`).  The outputs are those of
+trials run one by one.
 """
 from __future__ import annotations
 
 import csv
 import io
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -31,9 +32,10 @@ import numpy as np
 from . import attacks as atk
 from .inference import ImpossibleEvidenceError
 from .learning import (
-    ProxyDataset, chow_liu_structures, cpt_tables, empirical_marginals, tally_cells, tree_tables
+    ProxyDataset, chow_liu_structures, cpt_tables, empirical_marginals, tally_cells
 )
 from .model import (
+    STATE_GUARD,
     BayesianNetwork,
     ReleasedCounts,
     SupportDistribution,
@@ -43,7 +45,6 @@ from .model import (
     output_laws,
     output_marginal_law,  # unused here; the benchmark's tests trace this binding
     project,
-    tree_laws,
 )
 from .populations import is_toy, resolve_network
 
@@ -159,14 +160,14 @@ def _attackers(
     its own proxy stream, and each chunk is reduced at once to its trials'
     distinct full records with their counts (`_distinct_rows`).  The reduced
     chunks are packed into fit groups (`_packed`), and each fit group is
-    fitted once from its weighted rows: its marginals, its trials'
+    fitted once from its weighted rows: its marginals, and, only when
+    `bayes` is among the attacks (no other attack reads them), its trials'
     structures (the population's under the weak threat, each proxy's
-    Chow-Liu tree under the weakest), and per structure its trials' cell
-    counts, CPTs and laws.  When the network releases every node, the
-    weakest threat's trees need no elimination and are fitted as one stack
-    instead (`tree_tables`, `tree_laws`), in slices whose (trees, outcomes)
-    tables fit in `_GROUP_BYTES`.  A law shares the previous trial's
-    outcome vectors when they are equal."""
+    Chow-Liu tree under the weakest) and laws.  The laws are fitted in
+    slices whose (trials, output states) tables hold at most `STATE_GUARD`
+    entries, the guard on one law's factors, each slice on the one path:
+    `tally_cells`, `cpt_tables` and `output_laws`.  A law shares the
+    previous trial's outcome vectors when they are equal."""
     if config.threat == STRONG:
         if all(bn is nets[0] for bn in nets):
             return nets[0], attribute_marginals(nets[0])
@@ -187,31 +188,21 @@ def _attackers(
             del u  # drawn with the next chunk's, it would double the chunk's peak
             yield rows, *counts
 
-    stacked = config.threat == WEAKEST and set(bn.output_nodes) == set(names)
-    step = max(1, _GROUP_BYTES // (8 * bn.joint_state_count))
+    step = max(1, STATE_GUARD // math.prod(bn.node(v).cardinality for v in bn.output_nodes))
     laws, mus = [], []
     for rows, counts in _packed(reduced()):
         proxies = ProxyDataset(names, states, rows, counts)
         mus.append(empirical_marginals(proxies, bn.output_nodes, bn.encoding))
+        if atk.BAYES not in config.attacks:
+            continue
         structures = [bn] * len(rows) if config.threat == WEAK else chow_liu_structures(
             proxies, PROXY_SMOOTHING, bn.output_nodes, bn.encoding
         )
-        if stacked:
-            for lo in range(0, len(rows), step):
-                trees, part = structures[lo : lo + step], slice(lo, lo + step)
-                proxy = ProxyDataset(names, states, rows[part], counts[part])
-                laws += tree_laws(trees, names, tree_tables(trees, proxy, PROXY_SMOOTHING))
-            continue
-        by_structure: dict[tuple, list[int]] = {}
-        for r, graph in enumerate(structures):
-            by_structure.setdefault(tuple((v.name, v.parents) for v in graph.nodes), []).append(r)
-        fitted = [None] * len(rows)
-        for picked in by_structure.values():
-            graph = structures[picked[0]]
-            tallies = tally_cells(graph, ProxyDataset(names, states, rows[picked], counts[picked]))
-            for r, law in zip(picked, output_laws(graph, cpt_tables(tallies, PROXY_SMOOTHING))):
-                fitted[r] = law
-        laws += fitted
+        for lo in range(0, len(rows), step):
+            part = slice(lo, lo + step)
+            proxy = ProxyDataset(names, states, rows[part], counts[part])
+            tables = cpt_tables(tally_cells(structures[part], proxy), PROXY_SMOOTHING)
+            laws += output_laws(structures[part], tables)
     for t in range(1, len(laws)):
         if np.array_equal(laws[t - 1].vectors, laws[t].vectors):
             laws[t] = SupportDistribution(laws[t - 1].vectors, laws[t].probs)
@@ -572,11 +563,11 @@ class ExperimentResult:
 
 
 # Byte budget of one draw chunk's (trials, records, nodes) float64 uniforms,
-# of one scoring group's padded (trials, distinct rows, d) target stack, of
-# one fit group's padded (trials, distinct rows, nodes) proxy stack, at 8
-# bytes an entry, and of one slice of stacked tree laws: a chunk, group or
-# slice closes when one more trial would take it past this, and always holds
-# at least one trial.  40 trials of 40 distinct targets fit at d up to 40.
+# of one scoring group's padded (trials, distinct rows, d) target stack and
+# of one fit group's padded (trials, distinct rows, nodes) proxy stack, at 8
+# bytes an entry: a chunk or group closes when one more trial would take it
+# past this, and always holds at least one trial.  40 trials of 40 distinct
+# targets fit at d up to 40.
 _GROUP_BYTES = 512 * 1024
 
 

@@ -117,18 +117,34 @@ class ProxyDataset:
         return out.getvalue()
 
 
-def tally_cells(structure: BayesianNetwork, proxy: ProxyDataset) -> list[np.ndarray]:
-    """Each structure node's (parents..., node) cell counts in every proxy of
-    a stack, in structure order: (R, *parent cards, k) int arrays, each from
-    one `np.bincount` over the cells indexed (proxy, parents..., node),
-    weighted by the rows' counts."""
-    stack, weights, tables = proxy.stack, proxy.weights.ravel().astype(float), []
-    for node in structure.nodes:
-        names = node.parents + (node.name,)
-        shape = (len(stack), *(structure.node(v).cardinality for v in names))
-        columns = (stack[..., proxy.nodes.index(v)] for v in names)
-        flat = np.ravel_multi_index((np.arange(len(stack))[:, None], *columns), shape)
-        counts = np.bincount(flat.ravel(), weights, math.prod(shape))
+def tally_cells(structures: Sequence[BayesianNetwork], proxy: ProxyDataset) -> list[np.ndarray]:
+    """The cell counts of R structures over the proxy's nodes, structure r
+    in proxy r of a stack: one (R, rows, k) int array per node, in
+    structures[0] order.  Row j of proxy r is the j-th combination of the
+    node's parents in structures[r], in C order, padded to the largest
+    structure's count; padding rows count nothing.  Each node's cells take
+    one `np.bincount` weighted by the rows' counts, and the row index
+    arithmetic is done once per distinct parent family."""
+    stack, weights = proxy.stack, proxy.weights.ravel().astype(float)
+    column = {v: stack[:, :, i] for i, v in enumerate(proxy.nodes)}
+    card = {v: len(states) for v, states in proxy.states.items()}
+    networks: dict[BayesianNetwork, int] = {}
+    network = np.array([networks.setdefault(bn, len(networks)) for bn in structures])
+    proxies, tables = np.arange(len(stack)), []
+    for node in structures[0].nodes:
+        families: dict[tuple[str, ...], int] = {}
+        family = [families.setdefault(bn.node(node.name).parents, len(families)) for bn in networks]
+        index = np.empty((len(families), *stack.shape[:2]), dtype=np.int64)
+        for at, parents in zip(index, families):
+            row = 0
+            for p in parents:
+                row = row * card[p] + column[p]
+            at[...] = row
+        cells = index[np.array(family)[network], proxies] if len(index) > 1 else index[0]
+        rows = max(math.prod(card[p] for p in parents) for parents in families)
+        shape = (len(stack), rows, card[node.name])
+        cells = np.ravel_multi_index((proxies[:, None], cells, column[node.name]), shape)
+        counts = np.bincount(cells.ravel(), weights, math.prod(shape))
         tables.append(counts.astype(np.int64).reshape(shape))
     return tables
 
@@ -147,41 +163,6 @@ def cpt_tables(tallies: Sequence[np.ndarray], alpha: float) -> list[np.ndarray]:
         table = np.full(counts.shape, 1.0 / k)
         tables.append(np.divide(counts + alpha, total, out=table, where=total != 0))
     return tables
-
-
-def tree_tables(
-    trees: Sequence[BayesianNetwork], proxy: ProxyDataset, alpha: float
-) -> np.ndarray:
-    """The CPTs of R trees, tree r fitted to proxy r of a stack with
-    smoothing alpha, as one (R, nodes, K, K) array padded to the widest
-    cardinality K: [r, i, a, s] is P(proxy.nodes[i] = s | its parent in
-    trees[r] = a), a = 0 for a root (`model.tree_laws`).  The cells of all
-    trees take one weighted `np.bincount`, and each row is (count + alpha)
-    / (row total + alpha * k), k the node's own cardinality, or 1/k where
-    that total is 0: `tally_cells` and `cpt_tables` on each tree alone."""
-    if alpha < 0:
-        raise ValueError("smoothing must be nonnegative")
-    stack = proxy.stack
-    proxies, rows, nodes = stack.shape
-    cards = np.array([len(proxy.states[v]) for v in proxy.nodes])
-    width = int(cards.max())
-    index = {v: i for i, v in enumerate(proxy.nodes)}
-    parents = np.array([
-        [index[tree.node(v).parents[0]] if tree.node(v).parents else nodes for v in proxy.nodes]
-        for tree in trees
-    ])
-    # A root's parent is an extra column of zeros.
-    padded = np.concatenate([stack, np.zeros((proxies, rows, 1), dtype=np.int64)], axis=2)
-    cells = np.take_along_axis(padded, parents[:, None, :], axis=2)
-    cells += np.arange(proxies * nodes).reshape(proxies, 1, nodes) * width
-    cells *= width
-    cells += stack
-    weights = np.repeat(proxy.weights.ravel().astype(float), nodes)
-    counts = np.bincount(cells.ravel(), weights, proxies * nodes * width * width)
-    counts = counts.astype(np.int64).reshape(proxies, nodes, width, width)
-    k = cards[:, None, None]
-    total = counts.sum(axis=-1, keepdims=True) + alpha * k
-    return np.divide(counts + alpha, total, out=np.full(counts.shape, 1.0 / k), where=total != 0)
 
 
 def _mutual_informations(proxy: ProxyDataset, alpha: float) -> list[list[float]]:
@@ -246,7 +227,8 @@ def chow_liu_structures(
     CPTs: maximum-weight spanning tree on pairwise mutual information
     (alpha-smoothed cell counts), rooted at the first node.  Edges are tried
     by decreasing mutual information, ties broken on lexicographic edge
-    name: one `np.lexsort` for the whole stack."""
+    name: one `np.lexsort` for the whole stack.  Proxies that learn the same
+    tree share one network."""
     if proxy.m < 2:
         raise ValueError("structure learning needs at least two records")
     outputs = tuple(output_nodes) if output_nodes is not None else proxy.nodes
@@ -254,11 +236,14 @@ def chow_liu_structures(
     rank = np.empty(len(edges), dtype=np.int64)
     rank[sorted(range(len(edges)), key=edges.__getitem__)] = np.arange(len(edges))
     mis = np.array(_mutual_informations(proxy, alpha)).reshape(len(proxy.stack), len(edges))
-    trees = []
+    trees, learned = [], {}
     for order in np.lexsort((np.broadcast_to(rank, mis.shape), -mis), axis=1).tolist():
         parents = _tree(proxy.nodes, [edges[i] for i in order])
-        nodes = tuple(NodeSpec(v, proxy.states[v], parents[v], {}) for v in parents)
-        trees.append(BayesianNetwork(nodes, outputs, encoding))
+        key = tuple(parents.items())
+        if key not in learned:
+            nodes = tuple(NodeSpec(v, proxy.states[v], parents[v], {}) for v in parents)
+            learned[key] = BayesianNetwork(nodes, outputs, encoding)
+        trees.append(learned[key])
     return trees
 
 

@@ -196,7 +196,7 @@ def validate(bn: BayesianNetwork) -> list[str]:
             if abs(math.fsum(row) - 1.0) > ROW_SUM_TOL:
                 problems.append(f"node {node.name}: row {combo} sum != 1")
 
-    if _has_cycle(bn):
+    if _toposort(bn.nodes)[1]:
         problems.append("cycle: the parent graph is not acyclic")
 
     out_seen: set[str] = set()
@@ -213,66 +213,141 @@ def validate(bn: BayesianNetwork) -> list[str]:
     return problems
 
 
-def _has_cycle(bn: BayesianNetwork) -> bool:
-    declared = {n.name for n in bn.nodes}
-    edges = {n.name: [p for p in n.parents if p in declared] for n in bn.nodes}
-    state: dict[str, int] = {}  # 0 visiting, 1 done
-
-    def visit(v: str) -> bool:
-        if state.get(v) == 1:
-            return False
-        if state.get(v) == 0:
-            return True
-        state[v] = 0
-        if any(visit(p) for p in edges[v]):
-            return True
-        state[v] = 1
-        return False
-
-    return any(visit(v) for v in edges)
+def _toposort(nodes: Sequence[NodeSpec]) -> tuple[list[NodeSpec], list[NodeSpec]]:
+    """The nodes in stable topological order (declaration order among ready
+    nodes; a parent that is not declared counts as placed), and, in
+    declaration order, those the walk cannot place: the nodes on a cycle or
+    below one."""
+    declared = {n.name for n in nodes}
+    placed: set[str] = set()
+    ordered: list[NodeSpec] = []
+    pending = list(nodes)
+    while pending:
+        remaining = []
+        for node in pending:
+            if all(p in placed or p not in declared for p in node.parents):
+                ordered.append(node)
+                placed.add(node.name)
+            else:
+                remaining.append(node)
+        if len(remaining) == len(pending):
+            break
+        pending = remaining
+    return ordered, pending
 
 
 def output_marginal_law(bn: BayesianNetwork) -> SupportDistribution:
-    """Exact law of the encoded output vector, by variable elimination: the
-    one-network case of `output_laws`, on the network's own CPTs.  Cached on
-    the network instance."""
+    """Exact law of the encoded output vector: the one-network case of
+    `output_laws`, on the network's own CPTs.  Cached on the network
+    instance."""
     if bn._law is None:
-        bn._law, = output_laws(bn, [_cpt_table(bn, node)[None] for node in bn.nodes])
+        bn._law, = output_laws([bn], [_cpt_table(bn, node) for node in bn.nodes])
     return bn._law
 
 
 def output_laws(
-    structure: BayesianNetwork, tables: Sequence[np.ndarray]
+    structures: Sequence[BayesianNetwork], tables: Sequence[np.ndarray]
 ) -> list[SupportDistribution]:
-    """The exact output laws of R networks of one structure, by variable
-    elimination with the networks as a leading axis: tables[i] stacks the R
-    CPTs of structure.nodes[i] as an (R, *parent cards, k) array.
+    """The exact output laws of R networks over the same nodes and outputs,
+    network r of structure structures[r]: tables[i] stacks the R CPTs of
+    structures[0].nodes[i], reshaped to (R, rows, k), where row j of network
+    r is the j-th combination of the node's parents in structures[r], in C
+    order (`learning.tally_cells`).
 
     Only the outputs and their ancestors are kept: every other node is a
-    barren descendant whose CPT sums to 1.  The hidden ancestors are summed
-    out one at a time, next the one whose resulting factor is smallest (ties
-    broken by topological position), and the rest is multiplied into one
-    table over the outputs.  The plan depends on the structure alone, so each
-    law is that of its network alone, bit for bit.  The outcomes positive in
-    any network are encoded once and sorted by vector; each law keeps its
-    positive ones, and laws positive everywhere share one vectors array.
-    Raises ModelSizeError when one network's factor, the output table
-    included, would exceed `STATE_GUARD` entries; the stack holds R of each.
+    barren descendant whose CPT sums to 1.  Networks of several structures
+    that keep no hidden node take the grid product (`_grid_product`);
+    otherwise each structure's networks are eliminated together
+    (`_eliminate`, one einsum chain when nothing is hidden: for a single
+    structure, faster than the grid's gathers).  Each law is that of its
+    network alone, bit for bit, and the laws end in one `_laws`.  Raises
+    ModelSizeError when one network's factor, the output table included,
+    would exceed `STATE_GUARD` entries; the stack holds R of each.
     """
-    stack = len(tables[0])
-    outputs = tuple(dict.fromkeys(structure.output_nodes))
-    kept = set(outputs)
-    for node in reversed(structure.nodes):
-        if node.name in kept:
-            kept.update(node.parents)
-    position = {name: i for i, name in enumerate(structure.node_names)}
-    card = {name: structure.node(name).cardinality for name in kept}
+    bn, stack = structures[0], len(structures)
+    outputs = tuple(dict.fromkeys(bn.output_nodes))
+    card = {node.name: node.cardinality for node in bn.nodes}
     _check_size(outputs, card)
+    tables = {v: t.reshape(stack, -1, card[v]) for v, t in zip(card, tables)}
+    nets = {net: tuple((v.name, v.parents) for v in net.nodes) for net in dict.fromkeys(structures)}
+    keys: dict[tuple, int] = {}
+    group = np.array([keys.setdefault(nets[net], len(keys)) for net in structures])
+    hidden = any(set(parents) - set(outputs) for key in keys for v, parents in key if v in outputs)
+    if len(keys) > 1 and not hidden:
+        return _laws(bn, _grid_product(list(keys), group, tables, outputs, card))
+    table = np.empty((stack, *(card[v] for v in outputs)))
+    for g, key in enumerate(keys):
+        picked = group == g
+        table[picked] = _eliminate(key, {v: t[picked] for v, t in tables.items()}, outputs, card)
+    return _laws(bn, table)
 
-    factors = [
-        (node.parents + (node.name,), table)
-        for node, table in zip(structure.nodes, tables) if node.name in kept
-    ]
+
+def _grid_product(
+    keys: list[tuple], group: np.ndarray, tables: dict[str, np.ndarray],
+    outputs: tuple[str, ...], card: dict[str, int],
+) -> np.ndarray:
+    """The (R, *output cards) output tables of networks whose outputs have
+    no hidden ancestor, network r of the structure whose (node, parents)
+    sequence is keys[group[r]].  `_product` would multiply 1.0 by one
+    factor a kept node in the structure's own order; so does this, over the
+    grid of output states, one (R, outcomes) product a step.
+
+    A (node, parents) family's entry at a grid point is its table's start
+    plus sum_j grid[axes[j]] * strides[j] (the parents' C-order row times
+    k, plus the node's state).  A step computes that for each family some
+    network takes there, then gathers each network's entries from its own
+    row of the tables.  The grid takes the smallest unsigned type that
+    holds its states."""
+    stack, shape = len(group), tuple(card[v] for v in outputs)
+    grid = np.indices(shape, np.min_scalar_type(max(shape, default=1)))
+    grid = grid.reshape(len(shape), math.prod(shape))
+    axis = {v: j for j, v in enumerate(outputs)}
+    families: dict[tuple, int] = {}
+    steps = np.array(
+        [[families.setdefault(f, len(families)) for f in key if f[0] in axis] for key in keys],
+        dtype=np.intp,
+    ).reshape(len(keys), len(outputs))
+    width = 1 + max((len(parents) for _, parents in families), default=0)
+    axes, strides = np.zeros((2, len(families), width), dtype=np.int64)
+    start = dict(zip(tables, np.cumsum([0] + [t[0].size for t in tables.values()]).tolist()))
+    first = np.array([start[v] for v, _ in families], dtype=np.int64)
+    for f, (v, parents) in enumerate(families):
+        stride = 1
+        for j, u in reversed(list(enumerate(parents + (v,)))):
+            axes[f, j], strides[f, j], stride = axis[u], stride, stride * card[u]
+    entries = np.concatenate([t.reshape(stack, -1) for t in tables.values()], axis=1)
+    networks = np.arange(stack)[:, None] * entries.shape[1]
+    table = np.ones((stack, grid.shape[1]))
+    for at in steps.T:
+        used, which = np.unique(at, return_inverse=True)
+        cells = first[used, None] + grid[axes[used, 0]] * strides[used, 0, None]
+        for j in range(1, width):
+            cells += grid[axes[used, j]] * strides[used, j, None]
+        table *= entries.ravel()[cells[which[group]] + networks]
+    return table.reshape(stack, *shape)
+
+
+def _eliminate(
+    key: tuple, tables: dict[str, np.ndarray], outputs: tuple[str, ...], card: dict[str, int]
+) -> np.ndarray:
+    """The (R, *output cards) output tables of R networks of one structure,
+    its (node, parents) sequence `key`, by variable elimination with the
+    networks as a leading axis.  The hidden ancestors are summed out one at
+    a time, next the one whose resulting factor is smallest (ties broken by
+    topological position), and the rest is multiplied into one table over
+    the outputs.  The plan depends on the structure alone."""
+    kept = set(outputs)
+    for v, parents in reversed(key):
+        if v in kept:
+            kept.update(parents)
+    position = {v: i for i, (v, _) in enumerate(key)}
+    stack = len(tables[key[0][0]])
+    factors = []
+    for v, parents in key:
+        if v in kept:
+            cards = [card[u] for u in parents + (v,)]
+            rows = tables[v][:, : math.prod(cards[:-1])]
+            factors.append((parents + (v,), rows.reshape(stack, *cards)))
 
     def resulting(h: str) -> int:
         scope = set().union(*(s for s, _ in factors if h in s)) - {h}
@@ -286,38 +361,7 @@ def output_laws(
         factors = [f for f in factors if v not in f[0]]
         factors.append((tuple(u for u in scope if u != v), table.sum(axis=scope.index(v) + 1)))
     scope, table = _product(factors, card, stack)
-    return _laws(structure, np.transpose(table, [0] + [scope.index(v) + 1 for v in outputs]))
-
-
-def tree_laws(
-    trees: Sequence[BayesianNetwork], nodes: Sequence[str], tables: np.ndarray
-) -> list[SupportDistribution]:
-    """The exact output laws of R trees over the same nodes, every node
-    released, from a padded (R, nodes, K, K) CPT stack: tables[r, i, a, s]
-    is P(nodes[i] = s | its parent in trees[r] = a), a = 0 for a root.
-
-    With nothing to eliminate, `_product` multiplies 1.0 by one factor a
-    node in the tree's own order.  So does this, over the grid of output
-    states (checked against `STATE_GUARD` first), one (R, outcomes) product
-    a node: each law is `output_laws` of its tree alone, bit for bit."""
-    outputs = trees[0].output_nodes
-    shape = tuple(trees[0].node(v).cardinality for v in outputs)
-    _check_size(outputs, dict(zip(outputs, shape)))
-    # Row j holds output j's state at each grid point, and an extra last
-    # row of zeros the state of a root's parent.
-    grid = np.indices(shape, dtype=np.min_scalar_type(max(shape))).reshape(len(shape), -1)
-    grid = np.vstack([grid, np.zeros_like(grid[:1])])
-    row = {v: j for j, v in enumerate(outputs)}
-    index = {v: i for i, v in enumerate(nodes)}
-    first = np.arange(len(trees))[:, None] * len(nodes)
-    k = tables.shape[-1]
-    entries, table = tables.reshape(-1), np.ones((len(trees), grid.shape[1]))
-    for step in range(len(nodes)):
-        at = [tree.nodes[step] for tree in trees]
-        v = np.array([index[node.name] for node in at])[:, None]
-        above = grid[[row[node.parents[0]] if node.parents else len(outputs) for node in at]]
-        table *= entries[((first + v) * k + above) * k + grid[[row[node.name] for node in at]]]
-    return _laws(trees[0], table.reshape(len(trees), *shape))
+    return np.transpose(table, [0] + [scope.index(v) + 1 for v in outputs])
 
 
 def _laws(structure: BayesianNetwork, table: np.ndarray) -> list[SupportDistribution]:

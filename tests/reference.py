@@ -76,11 +76,11 @@ def reference_encode(bn, rec: dict[str, int]) -> tuple[int, ...]:
 def mle_fit(structure, proxy, alpha: float = 0.0):
     """Refit every CPT of one proxy's network: `cpt_tables` of its
     `tally_cells`, turned into CPT dicts."""
-    tables = cpt_tables(tally_cells(structure, proxy), alpha)
+    tables = cpt_tables(tally_cells([structure], proxy), alpha)
     nodes = tuple(
         NodeSpec(node.name, node.states, node.parents, dict(zip(
-            itertools.product(*map(range, table.shape[1:-1])),
-            map(tuple, table.reshape(-1, node.cardinality).tolist()),
+            itertools.product(*(range(structure.node(p).cardinality) for p in node.parents)),
+            map(tuple, table[0].tolist()),
         )))
         for node, table in zip(structure.nodes, tables)
     )

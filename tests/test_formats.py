@@ -288,6 +288,16 @@ MALFORMED = [
      "unbalanced parentheses: '('", 2, 2),
     ("sexpr", "((variable A (type discrete (2) (f t))))\n (probability (A) (table 0.5 0.5)))",
      "unbalanced parentheses: unexpected ')'", 2, 35),
+] + [
+    # A state count is ASCII digits only, not any integer literal Python reads.
+    case
+    for count in ("2_0", "+2", "\u0662")
+    for case in (
+        ("bif", VARIABLE_A.replace("[ 2 ]", f"[ {count} ]"),
+         f"expected a state count, found {count!r}", 2, 19),
+        ("sexpr", f"((variable A (type discrete ({count}) (f t))))",
+         f"expected a state count, found {count!r}", 1, 30),
+    )
 ]
 
 

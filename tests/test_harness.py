@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -821,8 +822,6 @@ class TestRunExperiment:
             assert row.mean_auc > 0.55
 
     def test_workers_match_serial(self, monkeypatch):
-        from dataclasses import replace
-
         config = ExperimentConfig(
             population="product:4", n=3, trials=4, targets_in=4, targets_out=4, seed=13
         )
@@ -856,6 +855,30 @@ class TestRunExperiment:
         config = ExperimentConfig("product:30", 4, trials=2, threat="weakest", m=10)
         with pytest.raises(ModelSizeError, match="30 nodes would have 1073741824 entries"):
             run_batch(config, range(config.trials), None)
+
+    @pytest.mark.parametrize("threat", ["weak", "weakest"])
+    def test_marginal_attacks_fit_no_network(self, monkeypatch, threat):
+        # The marginals come from the proxy, so without bayes no structure
+        # or law is fitted, and product:24, whose law would have 2^24
+        # outcomes, runs under the weak threats.
+        def unread(*args):
+            raise AssertionError("a law no attack reads was fitted")
+
+        monkeypatch.setattr(harness, "chow_liu_structures", unread)
+        monkeypatch.setattr(harness, "output_laws", unread)
+        config = ExperimentConfig(
+            "product:24", 4, trials=2, threat=threat, m=20, attacks=("lrt", "inner_product")
+        )
+        assert len(run_experiment(config).rows) == 4
+
+    @pytest.mark.parametrize("threat", ["weak", "weakest"])
+    def test_marginal_rows_do_not_depend_on_bayes(self, threat):
+        marginal = ("lrt", "inner_product")
+        config = ExperimentConfig("asia", 4, trials=8, threat=threat, m=100, attacks=marginal)
+        alone = run_experiment(config)
+        full = run_experiment(replace(config, attacks=marginal + ("bayes",)))
+        assert alone.rows == [row for row in full.rows if row.attack != "bayes"]
+        assert alone.summary == [row for row in full.summary if row.attack != "bayes"]
 
     def test_weakest_threat_runs(self):
         config = ExperimentConfig(

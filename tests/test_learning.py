@@ -16,7 +16,6 @@ from bnmia.learning import (
     cpt_tables,
     empirical_marginals,
     tally_cells,
-    tree_tables,
 )
 from bnmia.model import (
     BayesianNetwork,
@@ -24,7 +23,6 @@ from bnmia.model import (
     attribute_marginals,
     output_laws,
     output_marginal_law,
-    tree_laws,
     validate,
 )
 from bnmia.populations import make_product
@@ -339,7 +337,10 @@ class TestWeightedFits:
         records = ProxyDataset(bn.node_names, states, data)
         weighted = ProxyDataset(bn.node_names, states, rows, counts)
         assert weighted.m == records.m == m
-        for got, expected in zip(tally_cells(bn, weighted), tally_cells(bn, records)):
+        structures = [bn] * stack
+        for got, expected in zip(
+            tally_cells(structures, weighted), tally_cells(structures, records)
+        ):
             assert got.dtype == expected.dtype and np.array_equal(got, expected)
         for alpha in (0.0, 0.3, 1.0):
             got = learning._mutual_informations(weighted, alpha)
@@ -373,7 +374,8 @@ def assert_stack_fits_each_proxy(bn, data, alpha):
     1e-12 of the brute-force law of that proxy's fitted network."""
     states = {node.name: node.states for node in bn.nodes}
     stack = ProxyDataset(bn.node_names, states, data)
-    laws = output_laws(bn, cpt_tables(tally_cells(bn, stack), alpha))
+    structures = [bn] * len(data)
+    laws = output_laws(structures, cpt_tables(tally_cells(structures, stack), alpha))
     trees = []
     if data.shape[1] > 1:
         trees = chow_liu_structures(stack, alpha, bn.output_nodes, bn.encoding)
@@ -447,7 +449,7 @@ class TestStackedFits:
             [[2, 0, 2], [7, 1, 1], [7, 0, 0], [4, 0, 1]],
         ])
         states = {node.name: node.states for node in bn.nodes}
-        counts = tally_cells(bn, ProxyDataset(bn.node_names, states, data))
+        counts = tally_cells([bn] * 3, ProxyDataset(bn.node_names, states, data))
         assert (counts[1].sum(axis=-1) == 0).any()  # some (proxy, H) rows of A unseen
         laws = assert_stack_fits_each_proxy(bn, data, alpha)
         if alpha == 0.0:
@@ -456,29 +458,98 @@ class TestStackedFits:
             assert all(law.vectors is laws[0].vectors for law in laws)
 
 
+def released_whole(bn, rng):
+    """bn releasing every node, in a random order; one-hot unless every node
+    is binary."""
+    binary = all(node.cardinality == 2 for node in bn.nodes)
+    return bn.with_outputs(
+        [bn.node_names[i] for i in rng.permutation(len(bn.nodes))],
+        bn.encoding if binary else model.ONE_HOT,
+    )
+
+
+def assert_law_is(law, expected):
+    """law holds exactly the outcomes and probabilities of a dict law,
+    sorted by vector: probabilities equal byte for byte."""
+    vectors = sorted(expected)
+    assert law.vectors.tolist() == [list(vec) for vec in vectors]
+    assert law.probs.tobytes() == np.array([expected[vec] for vec in vectors]).tobytes()
+
+
 def assert_stacked_trees_fit_each_tree(bn, data, alpha):
-    """The trees learned from an (R, m, nodes) proxy stack, fitted as one
-    stack, against each tree's `tally_cells` -> `cpt_tables` ->
-    `output_laws` on its own proxy: vectors and probs byte for byte.
-    Returns the stacked laws."""
+    """The trees learned from an (R, m, nodes) proxy stack, counted and
+    fitted as one stack, against each tree fitted alone to its own proxy:
+    each tree's cells in its own rows with the padding rows empty, and its
+    law equal to the law of its fitted network alone, vectors and probs
+    byte for byte, and, when every node is released, to the chain rule in
+    the tree's own node order.  Returns the trees and the stacked laws."""
     states = {node.name: node.states for node in bn.nodes}
     stack = ProxyDataset(bn.node_names, states, data)
     trees = chow_liu_structures(stack, alpha, bn.output_nodes, bn.encoding)
-    laws = tree_laws(trees, bn.node_names, tree_tables(trees, stack, alpha))
+    tallies = tally_cells(trees, stack)
+    laws = output_laws(trees, cpt_tables(tallies, alpha))
     assert len(laws) == len(data)
     for r, (tree, law) in enumerate(zip(trees, laws)):
         proxy = ProxyDataset(bn.node_names, states, data[r])
-        alone, = output_laws(tree, cpt_tables(tally_cells(tree, proxy), alpha))
+        order = [tree.node_names.index(v) for v in trees[0].node_names]
+        alone = tally_cells([tree], proxy)
+        for counts, own in zip(tallies, (alone[i] for i in order)):
+            rows = own.shape[1]
+            assert np.array_equal(counts[r, :rows], own[0]) and not counts[r, rows:].any()
+        fitted = mle_fit(tree, proxy, alpha)
+        alone = output_marginal_law(fitted)
         assert law.vectors.tobytes() == alone.vectors.tobytes()
         assert law.vectors.shape == alone.vectors.shape
         assert law.probs.tobytes() == alone.probs.tobytes()
-    return laws
+        if set(tree.output_nodes) == set(tree.node_names):
+            assert_law_is(law, brute_force_law(fitted))
+    return trees, laws
+
+
+class TestGridProduct:
+    """A stack of several structures that release every node takes the
+    grid product; each network alone takes elimination.  Both must equal,
+    byte for byte, the chain rule at each grid point in the network's own
+    node order (`brute_force_law`, which adds each product once to 0.0):
+    the IEEE operations of eliminating nothing."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        small_networks(max_nodes=5, max_parents=3, max_states=3),
+        st.integers(2, 5),
+        st.integers(1, 12),
+        st.sampled_from((0.0, 0.3, 1.0)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_multi_parent_networks_released_whole(self, bn, stack, m, alpha, seed):
+        # Every other proxy is fitted to the same nodes with no edges,
+        # listed in reverse order.
+        rng = np.random.default_rng(seed)
+        bn = released_whole(bn, rng)
+        assert_law_is(output_marginal_law(bn), brute_force_law(bn))
+        edgeless = BayesianNetwork(
+            tuple(NodeSpec(v.name, v.states) for v in reversed(bn.nodes)),
+            bn.output_nodes, bn.encoding,
+        )
+        structures = [(bn, edgeless)[r % 2] for r in range(stack)]
+        cards = [node.cardinality for node in bn.nodes]
+        data = np.stack([rng.integers(0, k, size=(stack, m)) for k in cards], axis=2)
+        states = {node.name: node.states for node in bn.nodes}
+        proxies = ProxyDataset(bn.node_names, states, data)
+        laws = output_laws(structures, cpt_tables(tally_cells(structures, proxies), alpha))
+        for structure, law, proxy in zip(structures, laws, data):
+            fitted = mle_fit(structure, ProxyDataset(bn.node_names, states, proxy), alpha)
+            alone = output_marginal_law(fitted)
+            assert law.vectors.tobytes() == alone.vectors.tobytes()
+            assert law.probs.tobytes() == alone.probs.tobytes()
+            assert_law_is(law, brute_force_law(fitted))
 
 
 class TestStackedTrees:
-    """Learned trees of a network that releases every node, fitted as one
-    stack (`tree_tables`, `tree_laws`), give each tree's own laws bit for
-    bit."""
+    """Learned trees counted and fitted as one stack (`tally_cells`,
+    `cpt_tables`, `output_laws` on all of them) give each tree's own cells
+    and laws bit for bit, on the grid product when every node is released
+    and by elimination per structure when some are not."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -486,20 +557,45 @@ class TestStackedTrees:
         st.integers(1, 4),
         st.integers(2, 12),
         st.sampled_from((0.0, 0.3, 1.0)),
+        st.booleans(),
         st.integers(0, 2**32 - 1),
     )
-    def test_random_stacks(self, bn, stack, m, alpha, seed):
-        # Every node released, in a random order; states drawn uniformly,
-        # so at alpha = 0 unseen rows leave laws of partial support.
+    def test_random_stacks(self, bn, stack, m, alpha, whole, seed):
+        # States drawn uniformly, so at alpha = 0 unseen rows leave laws of
+        # partial support; with whole, every node released in a random order.
         rng = np.random.default_rng(seed)
-        binary = all(node.cardinality == 2 for node in bn.nodes)
-        bn = bn.with_outputs(
-            [bn.node_names[i] for i in rng.permutation(len(bn.nodes))],
-            bn.encoding if binary else model.ONE_HOT,
-        )
+        if whole:
+            bn = released_whole(bn, rng)
         cards = [node.cardinality for node in bn.nodes]
         data = np.stack([rng.integers(0, k, size=(stack, m)) for k in cards], axis=2)
         assert_stacked_trees_fit_each_tree(bn, data, alpha)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_differing_trees_with_hidden_nodes(self, alpha):
+        # Every tree is rooted at B, which is not released, so each law sums
+        # B out.  B drives A, C and D in the first and third proxies and
+        # nothing in the second, whose tree differs.
+        rng = np.random.default_rng(3)
+
+        def noisy(x):
+            return np.where(rng.random(200) < 0.9, x, rng.integers(0, 2, 200))
+
+        b, a = rng.integers(0, 3, 200), rng.integers(0, 2, 200)
+        fan = np.stack([b, noisy(b % 2), noisy(b % 2), noisy(b % 2)], axis=1)
+        pair = np.stack([rng.integers(0, 3, 200), a, noisy(a), rng.integers(0, 2, 200)], axis=1)
+        nodes = tuple(NodeSpec(v, ("0", "1", "2")[: 3 if v == "B" else 2]) for v in "BACD")
+        bn = BayesianNetwork(nodes, ("C", "A"), model.ONE_HOT)
+        data = np.stack([fan, pair, fan])
+        trees, laws = assert_stacked_trees_fit_each_tree(bn, data, alpha)
+        keys = [tuple((v.name, v.parents) for v in tree.nodes) for tree in trees]
+        assert keys[0] == keys[2] != keys[1]
+        states = {node.name: node.states for node in nodes}
+        for tree, law, proxy in zip(trees, laws, data):
+            fitted = mle_fit(tree, ProxyDataset(bn.node_names, states, proxy), alpha)
+            expected = brute_force_law(fitted)
+            assert sorted(expected) == list(map(tuple, law.vectors.tolist()))
+            for vec, p in zip(map(tuple, law.vectors.tolist()), law.probs.tolist()):
+                assert abs(p - expected[vec]) <= 1e-12 * expected[vec]
 
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
     def test_partial_supports_and_a_nine_state_node(self, alpha):
@@ -512,7 +608,7 @@ class TestStackedTrees:
             [[3, 1, 0], [3, 1, 0], [5, 0, 1], [5, 1, 2]],
             [[2, 0, 2], [7, 1, 1], [7, 0, 0], [4, 0, 1]],
         ])
-        laws = assert_stacked_trees_fit_each_tree(bn, data, alpha)
+        _, laws = assert_stacked_trees_fit_each_tree(bn, data, alpha)
         if alpha == 0.0:
             assert all(len(law) < 9 * 2 * 3 for law in laws)
             assert len({law.vectors.tobytes() for law in laws}) == 3
