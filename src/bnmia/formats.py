@@ -10,8 +10,8 @@ either, telling them apart by the text, never by the file name.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .model import BayesianNetwork, NodeSpec, ROW_SUM_TOL, _toposort
 
@@ -25,8 +25,7 @@ class NetworkFormatError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     text: str
     line: int
     col: int

@@ -165,6 +165,9 @@ _BLOCK_BYTES = 256 * 1024
 # convolution step: the step takes as many consecutive releases at a time as
 # fit in it, and at least one.
 _RANGE_BYTES = 2 * 1024
+# The most candidate sums one range of a convolution step may gather (16
+# bytes each, key and log probability: 512 MiB); past it, ModelSizeError.
+_CANDIDATE_BUDGET = 2**25
 
 
 def _key_bits(top: np.ndarray, size: int) -> float:
@@ -188,13 +191,15 @@ def sum_log_table(law, k: int, caps) -> CountTable:
     keeps one row for all.  Each step walks a part's live keys in
     release-aligned ranges sized to a fixed budget (`_RANGE_BYTES`, at least
     one release a range), and each range's law outcomes in contiguous blocks
-    sized to another (`_BLOCK_BYTES`): per block, one matrix product marks the live partial sums with room under
-    their release's cap for every set bit of each outcome, and one boolean
-    gather takes the candidate sums outcome by outcome.  A range's candidates
-    are grouped before the next range starts.  So no step materializes a
-    whole (outcomes x live) matrix, and every (release, partial sum) group
-    sees the same candidates in the same order as in a table of its release
-    alone, whatever the budgets; results are bitwise deterministic.
+    sized to another (`_BLOCK_BYTES`): per block, one matrix product marks
+    the live partial sums with room under their release's cap for every set
+    bit of each outcome, and one boolean gather takes the candidate sums
+    outcome by outcome.  A range's candidates are grouped before the next
+    range starts.  So no step materializes a whole (outcomes x live) matrix,
+    and every (release, partial sum) group sees the same candidates in the
+    same order as in a table of its release alone, whatever the budgets;
+    results are bitwise deterministic.  A range that gathers more than
+    `_CANDIDATE_BUDGET` candidates raises ModelSizeError.
     """
     caps = np.atleast_2d(np.asarray(caps, dtype=np.int64))
     if (caps < 0).any():
@@ -321,14 +326,23 @@ def _range_candidates(live, logp, cap_keys, moduli, offsets, logp_out, bits, rel
     sum's cap (given as cap_j * stride_j, one row per live key or one for
     all), outcome by outcome, walking the outcomes in blocks of
     `_BLOCK_BYTES`.  An outcome's log probability is logp_out[outcome], or,
-    with rel, logp_out[outcome, rel[i]] for live key i."""
+    with rel, logp_out[outcome, rel[i]] for live key i.  Raises
+    ModelSizeError once the range has gathered more than `_CANDIDATE_BUDGET`
+    candidates, so at most one block past the budget is ever held."""
     at_cap = (live[:, None] % moduli[None, :] >= cap_keys).astype(np.float32)
     rows = max(1, _BLOCK_BYTES // (8 * len(live)))
     chunks_k, chunks_p = [], []
+    gathered = 0
     for lo in range(0, len(offsets), rows):
         blk = slice(lo, lo + rows)
         fits = bits[blk] @ at_cap.T == 0  # no set bit of the outcome is at its cap
         chunks_k.append((offsets[blk, None] + live[None, :])[fits])
+        gathered += len(chunks_k[-1])
+        if gathered > _CANDIDATE_BUDGET:
+            raise ModelSizeError(
+                f"a convolution step would gather more than {_CANDIDATE_BUDGET} "
+                "candidate sums in one range (the candidate budget)"
+            )
         out_p = logp_out[blk, None] if rel is None else logp_out[blk][:, rel]
         chunks_p.append((out_p + logp[None, :])[fits])
     del at_cap

@@ -322,6 +322,16 @@ class TestErrors:
         assert code == 2 and "Is a directory" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_convolution_past_its_budget_is_data_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(inference, "_CANDIDATE_BUDGET", 8)
+        out = tmp_path / "results.csv"
+        code = main(["eval", "--network", "cancer", "--n", "4", "--trials", "2",
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and "candidate budget" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_malformed_file_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.bif"
         bad.write_text("variable A { type discrete [ 2 ] { a }; }", encoding="utf-8")

@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import replace
 
@@ -37,7 +38,9 @@ from bnmia.model import (
     project,
     sample,
 )
-from bnmia.populations import LEFT, RIGHT, make_half_repeated, make_product
+from bnmia.populations import (
+    LEFT, RIGHT, make_half_repeated, make_lr_side, make_product, midpoint
+)
 
 SCORE_GRID = [-math.inf, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0, math.inf]
 
@@ -956,6 +959,28 @@ class TestBench:
         assert row.calls == 8
 
 
+class TestSuiteRunner:
+    def test_a_check_at_inf_fails_its_suite(self):
+        run = suites._suite("checks", 1e-9)(lambda: iter([(0.0, 2), (math.inf, 3), (1e-12, 1)]))
+        suite = run()
+        assert suite.max_deviation == math.inf and not suite.passed
+        assert (suite.name, suite.tolerance, suite.cases) == ("checks", 1e-9, 6)
+        assert not suite.advisory and suite.seconds >= 0.0
+
+    def test_an_advisory_failure_stays_advisory(self):
+        run = suites._suite("gap", 1e-9, note="known", advisory=True)(lambda: iter([(1.0, 4)]))
+        suite = run()
+        assert (suite.passed, suite.advisory, suite.note, suite.cases) == (False, True, "known", 4)
+
+    def test_suites_keep_their_signatures(self):
+        assert list(inspect.signature(suites.verify_product_equivalence).parameters) == [
+            "populations", "seed"
+        ]
+        assert suites.verify_binomial_identities.__name__ == "verify_binomial_identities"
+        suite = suites.verify_binomial_identities(samples=5, seed=1)
+        assert (suite.name, suite.cases) == ("binomial_ratio_identities", 10)
+
+
 class TestClippedSuites:
     def test_tied_vectors(self):
         assert list(suites._tied_vectors(4, LEFT, 1)) == [
@@ -969,13 +994,50 @@ class TestClippedSuites:
         bn = make_product((0.3, 0.6))
         ys = np.array([(0, 0), (0, 1), (1, 0), (1, 1)])
         counts = ReleasedCounts((0, 1), 1)  # only (0, 1) can be the record
-        assert suites._clipped_gap(bn, counts, ys, ClipRange(1, 2)) <= 1e-15
+        gap, cases = suites._clipped_gap(bn, [counts], ys, ClipRange(1, 2))
+        assert gap <= 1e-15 and cases == 4
 
     def test_gap_is_inf_when_exactly_one_odds_is_zero(self):
         bn = make_product((0.3, 0.6))
         ys = np.array([(0, 0), (0, 1)])
         counts = ReleasedCounts((0, 1), 1)
-        assert suites._clipped_gap(bn, counts, ys, ClipRange(1, 1)) == math.inf
+        assert suites._clipped_gap(bn, [counts], ys, ClipRange(1, 1)) == (math.inf, 2)
+
+    @pytest.mark.parametrize(
+        "kind, d, side", [("half", 5, RIGHT), ("lr", 6, RIGHT), ("lr", 6, LEFT)]
+    )
+    def test_batch_gap_is_the_largest_release_gap(self, kind, d, side):
+        # Each release of a batch gets the bits it gets alone, so the batch's
+        # gap is the largest one-release gap, float for float.
+        rng = np.random.default_rng(3)
+        if kind == "half":
+            bn = make_half_repeated(d, tuple(rng.uniform(0.2, 0.8, size=midpoint(d))))
+            clip = attacks.half_clip_range(d)
+        else:
+            size = midpoint(d) if side == RIGHT else d - midpoint(d) + 2
+            bn = make_lr_side(d, tuple(rng.uniform(0.2, 0.8, size=size)), side)
+            clip = attacks.side_clip_range(d, side)
+        ys = np.array(list(suites._tied_vectors(d, side, 1)))
+        for n in (2, 3):
+            releases = [ReleasedCounts(c, n) for c in suites._tied_vectors(d, side, n)]
+            alone = [suites._clipped_gap(bn, [counts], ys, clip) for counts in releases]
+            assert suites._clipped_gap(bn, releases, ys, clip) == (
+                max(gap for gap, _ in alone), len(releases) * len(ys)
+            )
+            assert all(cases == len(ys) for _, cases in alone)
+            assert 0.0 < max(gap for gap, _ in alone) <= 1e-9
+
+    def test_batch_skips_an_impossible_release(self):
+        # half:3's third attribute copies its second, so (0, 1, 0) is impossible.
+        bn = make_half_repeated(3, (0.3, 0.6))
+        ys = np.array([(0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 1)])
+        clip = attacks.half_clip_range(3)
+        possible = [ReleasedCounts((1, 1, 1), 2), ReleasedCounts((0, 2, 2), 2)]
+        impossible = ReleasedCounts((0, 1, 0), 2)
+        assert suites._clipped_gap(bn, [impossible], ys, clip) == (0.0, 0)
+        alone = max(suites._clipped_gap(bn, [counts], ys, clip)[0] for counts in possible)
+        batch = [possible[0], impossible, possible[1]]
+        assert suites._clipped_gap(bn, batch, ys, clip) == (alone, 2 * len(ys))
 
     def test_advisory_suite_is_pinned(self):
         suite = suites.verify_lr_single_side_counts()

@@ -11,6 +11,7 @@ from reference import make_cancer, mle_fit, reference_sum_log_table
 from strategies import small_networks
 
 from bnmia import inference, model
+from bnmia.harness import ExperimentConfig, run_experiment
 from bnmia.suites import _theta_in, law_ratio_deviation
 from bnmia.learning import ProxyDataset
 from bnmia.inference import (
@@ -209,6 +210,49 @@ class TestBlockedStepMatchesReference:
         assert table.parts[0].keys.dtype == object and len(table) == 18
         assert_matches_reference(law, 5, cap)
         assert_matches_reference(law, 6, (5,) * 68 + (2, 5))
+
+
+class TestCandidateBudget:
+    """A convolution range that gathers more than `_CANDIDATE_BUDGET`
+    candidates raises ModelSizeError; one that gathers exactly that many
+    builds the same table as without the guard."""
+
+    def largest_range(self, monkeypatch, law, k, caps) -> int:
+        gathered = []
+        real = inference._range_candidates
+
+        def counted(*args):
+            out = real(*args)
+            gathered.append(len(out[0]))
+            return out
+
+        monkeypatch.setattr(inference, "_range_candidates", counted)
+        sum_log_table(law, k, caps)
+        monkeypatch.setattr(inference, "_range_candidates", real)
+        return max(gathered)
+
+    def test_budget_bounds_a_range(self, monkeypatch):
+        law = output_marginal_law(load_benchmark("asia"))
+        caps = released(load_benchmark("asia"), 6, np.random.default_rng(2))
+        expected = sum_log_table(law, 5, caps)
+        largest = self.largest_range(monkeypatch, law, 5, caps)
+        monkeypatch.setattr(inference, "_CANDIDATE_BUDGET", largest)
+        table = sum_log_table(law, 5, caps)
+        assert [part.keys.tobytes() for part in table.parts] == [
+            part.keys.tobytes() for part in expected.parts
+        ]
+        assert [part.log_probs.tobytes() for part in table.parts] == [
+            part.log_probs.tobytes() for part in expected.parts
+        ]
+        monkeypatch.setattr(inference, "_CANDIDATE_BUDGET", largest - 1)
+        with pytest.raises(model.ModelSizeError, match="candidate budget"):
+            sum_log_table(law, 5, caps)
+
+    def test_budget_stops_an_experiment(self, monkeypatch):
+        monkeypatch.setattr(inference, "_CANDIDATE_BUDGET", 8)
+        config = ExperimentConfig("cancer", 4, trials=2, seed=0, attacks=("bayes",))
+        with pytest.raises(model.ModelSizeError, match="more than 8 candidate sums"):
+            run_experiment(config)
 
 
 class TestStackedTable:

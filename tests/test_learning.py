@@ -20,12 +20,10 @@ from bnmia.learning import (
 from bnmia.model import (
     BayesianNetwork,
     NodeSpec,
-    attribute_marginals,
     output_laws,
     output_marginal_law,
     validate,
 )
-from bnmia.populations import make_product
 
 
 def single_root_proxy(values, states=("0", "1")):
