@@ -377,12 +377,15 @@ def _laws(structure: BayesianNetwork, table: np.ndarray) -> list[SupportDistribu
     # no outputs (d = 0) there is one outcome and nothing to sort.
     order = np.lexsort(vectors.T[::-1]) if vectors.shape[1] else slice(None)
     vectors = vectors[order]
-    table = table[:, np.flatnonzero(union)[order]]
+    table = np.ascontiguousarray(table[:, np.flatnonzero(union)[order]])
     laws = []
-    for probs in table:
-        total = math.fsum(probs)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"output law does not normalize: total probability {total!r}")
+    # A float sum of the row is off by far less than 1e-12, so only a row
+    # within 1e-12 of the threshold, or past it, needs the exact fsum.
+    for probs, total in zip(table, table.sum(axis=1)):
+        if abs(total - 1.0) > 1e-9 - 1e-12:
+            total = math.fsum(probs)
+            if abs(total - 1.0) > 1e-9:
+                raise ValueError(f"output law does not normalize: total probability {total!r}")
         keep = probs > 0.0
         if keep.all():
             laws.append(SupportDistribution(vectors, probs))
@@ -466,24 +469,26 @@ def draw_records(
     the sum of the row rounds below 1 (and the last column, always 1, is
     never counted).  A record's
     states depend only on its own network and uniforms, never on the rest of
-    the batch.
+    the batch.  The states are held node by node in the narrowest unsigned
+    type that fits every cardinality; row indices are int64.
     """
     samplers = [_sampler(bn) for bn in bns]
     if any(len(nodes) != u.shape[1] for nodes in samplers):
         raise ValueError("need one uniform per node of every network")
-    states = np.zeros(u.shape, dtype=np.int64)
+    widest = max((cum.shape[1] for nodes in samplers for _, _, cum in nodes), default=1)
+    states = np.zeros(u.shape[::-1], dtype=np.min_scalar_type(widest))
     for i, layer in enumerate(zip(*samplers)):
         parents, strides, cum = layer[0]
-        rows = states[:, parents] @ strides
+        rows = strides @ states[parents]  # int64 strides: no narrow product wraps
         if len(layer) > 1:
             if any(p != parents or c.shape != cum.shape for p, _, c in layer):
                 raise ValueError("networks drawn together must share their structure")
             rows += slot * len(cum)
             cum = np.concatenate([c for _, _, c in layer])
-        column = states[:, i]
+        column, uniforms = states[i], u[:, i]
         for entries in cum.T[:-1]:
-            column += entries[rows] <= u[:, i]
-    return states
+            column += entries[rows] <= uniforms
+    return np.ascontiguousarray(states.T, dtype=np.int64)
 
 
 def _sampler(bn: BayesianNetwork) -> list[tuple[list[int], np.ndarray, np.ndarray]]:

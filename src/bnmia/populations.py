@@ -7,6 +7,7 @@ Benchmark networks shipped as data files use one-hot encoding.
 """
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -41,27 +42,64 @@ def midpoint(d: int) -> int:
     return d // 2 + 1
 
 
+def _copy_layout(d: int, side: str) -> tuple[int, ...]:
+    """The source (0-based) of each of the d attributes on one side of the
+    repeated populations; an attribute that is its own source is an
+    independent Bernoulli root, one parameter each, and the others copy
+    their source.  With m = midpoint(d): on the right side X_{m+1}..X_d
+    copy X_m, on the left side X_2..X_{m-1} copy X_1."""
+    if d < 1:
+        raise ValueError(f"d must be positive, got {d}")
+    m = midpoint(d)
+    if side == RIGHT:
+        return tuple(min(j, m - 1) for j in range(d))
+    if side == LEFT:
+        return tuple(0 if j < m - 1 else j for j in range(d))
+    raise ValueError(f"side must be {LEFT!r} or {RIGHT!r}")
+
+
+def _layout_nodes(layout: Sequence[int], p: Sequence[float]) -> list[NodeSpec]:
+    """Attribute X_{j+1} of a layout as a node: a root drawn with the next
+    parameter of p, or an exact copy of its source."""
+    params = iter(p)
+    return [
+        _bern_root(f"X{j + 1}", next(params)) if s == j else _copy_node(f"X{j + 1}", f"X{s + 1}")
+        for j, s in enumerate(layout)
+    ]
+
+
+def _mix(coin: str, sides: Sequence[NodeSpec]) -> NodeSpec:
+    """The node whose table, given the coin's state c, is sides[c]'s table:
+    its parents are the coin, then every side's parents once, in order."""
+    extra = tuple(dict.fromkeys(q for node in sides for q in node.parents))
+    cpt = {}
+    # Toy attributes are binary, so each extra parent takes the states 0, 1.
+    for combo in itertools.product(range(len(sides)), *[(0, 1)] * len(extra)):
+        node = sides[combo[0]]
+        cpt[combo] = node.cpt[tuple(combo[1 + extra.index(q)] for q in node.parents)]
+    return NodeSpec(sides[0].name, sides[0].states, (coin, *extra), cpt)
+
+
+def _toy(d: int, nodes: Sequence[NodeSpec]) -> BayesianNetwork:
+    return BayesianNetwork(tuple(nodes), tuple(f"X{j + 1}" for j in range(d)), RAW_BINARY)
+
+
 def make_product(p: Sequence[float]) -> BayesianNetwork:
     """d independent Bernoulli attributes; the marginals equal p exactly."""
     if len(p) == 0:
         raise ValueError("p must be nonempty")
     _check_open_unit(p)
-    nodes = tuple(_bern_root(f"X{j + 1}", q) for j, q in enumerate(p))
-    names = tuple(n.name for n in nodes)
-    return BayesianNetwork(nodes, names, RAW_BINARY)
+    return _toy(len(p), _layout_nodes(range(len(p)), p))
 
 
 def make_half_repeated(d: int, p: Sequence[float]) -> BayesianNetwork:
-    """First floor(d/2)+1 attributes independent, the rest copies of the pivot."""
+    """First floor(d/2)+1 attributes independent, the rest copies of the pivot:
+    the right side's layout."""
     m = midpoint(d)
     if len(p) != m:
         raise ValueError(f"need {m} parameters for d={d}, got {len(p)}")
     _check_open_unit(p)
-    nodes = [_bern_root(f"X{j + 1}", q) for j, q in enumerate(p)]
-    for j in range(m, d):
-        nodes.append(_copy_node(f"X{j + 1}", f"X{m}"))
-    names = tuple(f"X{j + 1}" for j in range(d))
-    return BayesianNetwork(tuple(nodes), names, RAW_BINARY)
+    return _toy(d, _layout_nodes(_copy_layout(d, RIGHT), p))
 
 
 def make_lr_side(d: int, p: Sequence[float], side: str) -> BayesianNetwork:
@@ -73,26 +111,11 @@ def make_lr_side(d: int, p: Sequence[float], side: str) -> BayesianNetwork:
     """
     if d % 2 != 0:
         raise ValueError("d must be even")
-    m = midpoint(d)
     _check_open_unit(p)
-    if side == RIGHT:
-        if len(p) != m:
-            raise ValueError(f"need {m} parameters for side=right, got {len(p)}")
-        nodes = [_bern_root(f"X{j + 1}", q) for j, q in enumerate(p)]
-        for j in range(m, d):
-            nodes.append(_copy_node(f"X{j + 1}", f"X{m}"))
-    elif side == LEFT:
-        if len(p) != d - m + 2:
-            raise ValueError(f"need {d - m + 2} parameters for side=left, got {len(p)}")
-        nodes = [_bern_root("X1", p[0])]
-        for j in range(1, m - 1):
-            nodes.append(_copy_node(f"X{j + 1}", "X1"))
-        for j, q in zip(range(m - 1, d), p[1:]):
-            nodes.append(_bern_root(f"X{j + 1}", q))
-    else:
-        raise ValueError(f"side must be {LEFT!r} or {RIGHT!r}")
-    names = tuple(f"X{j + 1}" for j in range(d))
-    return BayesianNetwork(tuple(nodes), names, RAW_BINARY)
+    layout = _copy_layout(d, side)
+    if len(p) != len(set(layout)):
+        raise ValueError(f"need {len(set(layout))} parameters for side={side}, got {len(p)}")
+    return _toy(d, _layout_nodes(layout, p))
 
 
 def make_lr_repeated(
@@ -102,52 +125,22 @@ def make_lr_repeated(
 
     Each sampled record carries its own coin.  With side=right, X_1..X_mid are
     independent and X_{mid+1}..X_d copy X_mid; with side=left, X_1..X_{mid-1}
-    all copy one Bernoulli source and X_mid..X_d are independent.  The coin is
-    hidden: the output nodes are X_1..X_d only.
+    all copy one Bernoulli source and X_mid..X_d are independent.  Each
+    attribute's table, given the coin, is its table in `make_lr_side` of that
+    side.  The coin is hidden: the output nodes are X_1..X_d only.
     """
     if d % 2 != 0:
         raise ValueError("d must be even")
-    m = midpoint(d)
-    if len(p_right) != m:
-        raise ValueError(f"need {m} right-side parameters, got {len(p_right)}")
-    if len(p_left) != d - m + 2:
-        raise ValueError(f"need {d - m + 2} left-side parameters, got {len(p_left)}")
+    layouts = {side: _copy_layout(d, side) for side in (RIGHT, LEFT)}
+    for side, p in ((RIGHT, p_right), (LEFT, p_left)):
+        roots = len(set(layouts[side]))
+        if len(p) != roots:
+            raise ValueError(f"need {roots} {side}-side parameters, got {len(p)}")
     _check_open_unit(p_right)
     _check_open_unit(p_left)
-
     coin = NodeSpec("side", (RIGHT, LEFT), (), {(): (0.5, 0.5)})
-    nodes = [coin]
-
-    def mix_root(name: str, p_r: float, p_l: float) -> NodeSpec:
-        return NodeSpec(
-            name, ("0", "1"), ("side",), {(0,): (1.0 - p_r, p_r), (1,): (1.0 - p_l, p_l)}
-        )
-
-    def mix_copy_or_root(name: str, copy_of: str, copy_when: int, p_other: float) -> NodeSpec:
-        # Copies `copy_of` when the coin shows `copy_when`, else independent.
-        rows = {}
-        for c in (0, 1):
-            for s in (0, 1):
-                if c == copy_when:
-                    rows[(c, s)] = (1.0, 0.0) if s == 0 else (0.0, 1.0)
-                else:
-                    rows[(c, s)] = (1.0 - p_other, p_other)
-        return NodeSpec(name, ("0", "1"), ("side", copy_of), rows)
-
-    # X1: right -> Bern(p_right[0]); left -> the source of the repeated block.
-    nodes.append(mix_root("X1", p_right[0], p_left[0]))
-    # X2..X_{mid-1}: right -> independent; left -> copies of X1.
-    for j in range(1, m - 1):
-        nodes.append(mix_copy_or_root(f"X{j + 1}", "X1", copy_when=1, p_other=p_right[j]))
-    # X_mid: independent on both sides.
-    nodes.append(mix_root(f"X{m}", p_right[m - 1], p_left[1]))
-    # X_{mid+1}..X_d: right -> copies of X_mid; left -> independent.
-    for j in range(m, d):
-        nodes.append(
-            mix_copy_or_root(f"X{j + 1}", f"X{m}", copy_when=0, p_other=p_left[j - m + 2])
-        )
-    names = tuple(f"X{j + 1}" for j in range(d))
-    return BayesianNetwork(tuple(nodes), names, RAW_BINARY)
+    sides = zip(_layout_nodes(layouts[RIGHT], p_right), _layout_nodes(layouts[LEFT], p_left))
+    return _toy(d, [coin] + [_mix(coin.name, pair) for pair in sides])
 
 
 # Output node selections for the sachs benchmark, named by where they sit in

@@ -43,6 +43,7 @@ from .populations import (
     BUNDLED_BENCHMARKS,
     LEFT,
     RIGHT,
+    _copy_layout,
     load_benchmark,
     make_half_repeated,
     make_lr_repeated,
@@ -211,16 +212,14 @@ def verify_product_equivalence(populations: int = 200, seed: int = 20250810):
 
 
 def _tied_vectors(d: int, side: str, top: int):
-    """Every vector over 0..top whose repeated block copies its source: on the
-    right side coordinates m+1..d copy coordinate m, on the left side
-    coordinates 1..m-1 copy coordinate m (1-based, m = midpoint(d))."""
-    m = midpoint(d)
-    if side == RIGHT:
-        for free in itertools.product(range(top + 1), repeat=m):
-            yield free + (free[m - 1],) * (d - m)
-    else:
-        for free in itertools.product(range(top + 1), repeat=d - m + 1):
-            yield (free[0],) * (m - 1) + free
+    """Every vector over 0..top that is constant on each copy block of the
+    side's copy layout: the roots' values run over the product in order, and
+    each copy repeats its source's."""
+    layout = _copy_layout(d, side)
+    roots = sorted(set(layout))
+    for free in itertools.product(range(top + 1), repeat=len(roots)):
+        value = dict(zip(roots, free))
+        yield tuple(value[s] for s in layout)
 
 
 def _clipped_gap(

@@ -260,3 +260,72 @@ def reference_sum_log_table(law, k: int, cap) -> tuple[np.ndarray, np.ndarray]:
             chunks_p.append(logp[mask] + logp_out[i])
         keys, logp = _grouped_logsumexp(np.concatenate(chunks_k), np.concatenate(chunks_p))
     return keys, logp
+
+
+def _bern_root(name: str, p: float) -> NodeSpec:
+    return NodeSpec(name, ("0", "1"), (), {(): (1.0 - p, p)})
+
+
+def _copy_node(name: str, parent: str) -> NodeSpec:
+    return NodeSpec(name, ("0", "1"), (parent,), {(0,): (1.0, 0.0), (1,): (0.0, 1.0)})
+
+
+def _raw(d: int, nodes) -> BayesianNetwork:
+    return BayesianNetwork(tuple(nodes), tuple(f"X{j + 1}" for j in range(d)), RAW_BINARY)
+
+
+def reference_product(p) -> BayesianNetwork:
+    """d independent Bernoulli attributes, written out node by node."""
+    return _raw(len(p), [_bern_root(f"X{j + 1}", q) for j, q in enumerate(p)])
+
+
+def reference_half_repeated(d: int, p) -> BayesianNetwork:
+    """X_1..X_m independent, X_{m+1}..X_d copies of X_m (m = d // 2 + 1)."""
+    m = d // 2 + 1
+    nodes = [_bern_root(f"X{j + 1}", q) for j, q in enumerate(p)]
+    nodes += [_copy_node(f"X{j + 1}", f"X{m}") for j in range(m, d)]
+    return _raw(d, nodes)
+
+
+def reference_lr_side(d: int, p, side: str) -> BayesianNetwork:
+    """The right side is the half-repeated population; the left side draws
+    X_1 with X_2..X_{m-1} copies of it, and X_m..X_d independent."""
+    if side == "right":
+        return reference_half_repeated(d, p)
+    m = d // 2 + 1
+    nodes = [_bern_root("X1", p[0])]
+    nodes += [_copy_node(f"X{j + 1}", "X1") for j in range(1, m - 1)]
+    nodes += [_bern_root(f"X{j + 1}", q) for j, q in zip(range(m - 1, d), p[1:])]
+    return _raw(d, nodes)
+
+
+def reference_lr_repeated(d: int, p_right, p_left) -> BayesianNetwork:
+    """The hidden-coin mixture with each attribute's table given the coin
+    written out by hand: coin 0 is the right side, coin 1 the left."""
+    m = d // 2 + 1
+
+    def mix_root(name, p_r, p_l):
+        return NodeSpec(
+            name, ("0", "1"), ("side",), {(0,): (1.0 - p_r, p_r), (1,): (1.0 - p_l, p_l)}
+        )
+
+    def mix_copy_or_root(name, copy_of, copy_when, p_other):
+        rows = {}
+        for c in (0, 1):
+            for s in (0, 1):
+                if c == copy_when:
+                    rows[(c, s)] = (1.0, 0.0) if s == 0 else (0.0, 1.0)
+                else:
+                    rows[(c, s)] = (1.0 - p_other, p_other)
+        return NodeSpec(name, ("0", "1"), ("side", copy_of), rows)
+
+    nodes = [NodeSpec("side", ("right", "left"), (), {(): (0.5, 0.5)})]
+    nodes.append(mix_root("X1", p_right[0], p_left[0]))
+    for j in range(1, m - 1):
+        nodes.append(mix_copy_or_root(f"X{j + 1}", "X1", copy_when=1, p_other=p_right[j]))
+    nodes.append(mix_root(f"X{m}", p_right[m - 1], p_left[1]))
+    for j in range(m, d):
+        nodes.append(
+            mix_copy_or_root(f"X{j + 1}", f"X{m}", copy_when=0, p_other=p_left[j - m + 2])
+        )
+    return _raw(d, nodes)

@@ -95,7 +95,7 @@ class TestCriterion2ClippedEquivalence:
         )
         assert suite.max_deviation <= 1e-9
         assert side.max_deviation <= 1e-9
-        assert (suite.cases, side.cases) == (35_312, 19_448)
+        assert (suite.cases, side.cases) == (35_312, 34_880)
         assert elapsed < 120.0
 
     @pytest.mark.xfail(
@@ -116,7 +116,7 @@ class TestCriterion2ClippedEquivalence:
             f"in {elapsed:.1f}s (tolerance 1e-9)",
             expected_failure=True,
         )
-        assert suite.cases == 6_264
+        assert suite.cases == 11_040
         assert elapsed < 120.0
         assert suite.max_deviation <= 1e-9
 

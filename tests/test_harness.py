@@ -39,7 +39,7 @@ from bnmia.model import (
     sample,
 )
 from bnmia.populations import (
-    LEFT, RIGHT, make_half_repeated, make_lr_side, make_product, midpoint
+    LEFT, RIGHT, _copy_layout, make_half_repeated, make_lr_side, make_product, midpoint
 )
 
 SCORE_GRID = [-math.inf, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0, math.inf]
@@ -983,12 +983,50 @@ class TestSuiteRunner:
 
 class TestClippedSuites:
     def test_tied_vectors(self):
+        # Left side at d = 4: X2 copies X1, while X3 and X4 are free.
         assert list(suites._tied_vectors(4, LEFT, 1)) == [
-            (0, 0, 0, 0), (0, 0, 0, 1), (1, 1, 1, 0), (1, 1, 1, 1)
+            (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 1, 1),
+            (1, 1, 0, 0), (1, 1, 0, 1), (1, 1, 1, 0), (1, 1, 1, 1),
         ]
         right = list(suites._tied_vectors(4, RIGHT, 2))
         assert len(right) == 27 and right[:2] == [(0, 0, 0, 0), (0, 0, 1, 1)]
         assert all(v[3] == v[2] for v in right)
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_tied_vectors_are_the_support(self, d):
+        # The suites' targets are every outcome the side's network can release.
+        rng = np.random.default_rng(d)
+        nets = [(RIGHT, make_half_repeated(d, tuple(rng.uniform(0.2, 0.8, size=midpoint(d)))))]
+        if d % 2 == 0:
+            for side in (RIGHT, LEFT):
+                size = midpoint(d) if side == RIGHT else d - midpoint(d) + 2
+                nets.append((side, make_lr_side(d, tuple(rng.uniform(0.2, 0.8, size=size)), side)))
+        for side, bn in nets:
+            tied = sorted(suites._tied_vectors(d, side, 1))
+            assert tied == [tuple(v) for v in output_marginal_law(bn).vectors.tolist()]
+
+    @staticmethod
+    def _copy_block(d, side):
+        # The attributes that share one source: the repeated block of a side.
+        layout = _copy_layout(d, side)
+        return {j for j, s in enumerate(layout) if layout.count(s) > 1}
+
+    @pytest.mark.parametrize("d", (4, 6, 8, 10))
+    def test_choose_side_reads_a_tied_release(self, d):
+        for side in (RIGHT, LEFT):
+            block = self._copy_block(d, side)
+            for n in (1, 2, 3):
+                for c in suites._tied_vectors(d, side, n):
+                    free = {c[j] for j in range(d) if j not in block}
+                    expected = side if len(free) > 1 else attacks.AMBIGUOUS
+                    assert attacks.choose_side(ReleasedCounts(c, n), d) == expected
+
+    @pytest.mark.parametrize("d", (4, 6, 8, 10, 12))
+    def test_side_clip_holds_one_coordinate_of_the_block(self, d):
+        for side in (RIGHT, LEFT):
+            block = self._copy_block(d, side)
+            kept = set(attacks.side_clip_range(d, side).indices(d))
+            assert len(kept & block) == 1 and kept | block == set(range(d))
 
     def test_gap_skips_rows_where_both_odds_are_zero(self):
         bn = make_product((0.3, 0.6))
@@ -1042,7 +1080,7 @@ class TestClippedSuites:
     def test_advisory_suite_is_pinned(self):
         suite = suites.verify_lr_single_side_counts()
         assert suite.advisory and not suite.passed
-        assert suite.cases == 6_264
+        assert suite.cases == 11_040
 
     def test_oracle_mismatch_on_impossible_evidence_is_reported(self, monkeypatch):
         def refuse(*args):

@@ -202,6 +202,15 @@ class TestOutputLaw:
         assert law.vectors.shape == (1, 0) and law.d == 0
         assert law.probs.tolist() == [1.0]
 
+    def test_stacked_laws_normalize_and_hold_contiguous_rows(self):
+        bn = make_product((0.5, 0.5))
+        flat = np.full((2, 2), 0.25)
+        laws = model._laws(bn, np.stack([flat, flat * (1 + 5e-10), flat]))
+        assert [law.probs.flags.c_contiguous for law in laws] == [True] * 3
+        past = flat + 1e-9  # total 1 + 4e-9, reported as its exact sum
+        with pytest.raises(ValueError, match=f"total probability {math.fsum(past.ravel())!r}$"):
+            model._laws(bn, np.stack([flat, past]))
+
     def test_guard(self, monkeypatch):
         monkeypatch.setattr(model, "STATE_GUARD", 100)
         with pytest.raises(model.ModelSizeError, match="too large"):
@@ -377,6 +386,28 @@ class TestDrawRecords:
         for j, net in enumerate(nets):
             expected = sample(net, sizes[j], np.random.default_rng(seeds[j]))
             assert got[slot == j].tolist() == expected.tolist()
+
+    def test_wide_rows_and_states_match_reference(self):
+        # D's CPT row index runs to 342 through three 7-state parents, and E
+        # has 300 states: both pass what one unsigned byte holds.
+        rng = np.random.default_rng(11)
+
+        def node(name, k, parents=(), combos=((),)):
+            rows = {c: tuple(rng.dirichlet(np.ones(k))) for c in combos}
+            return NodeSpec(name, tuple(f"s{j}" for j in range(k)), parents, rows)
+
+        roots = [node(name, 7) for name in "ABC"]
+        wide_row = node("D", 3, ("A", "B", "C"), itertools.product(range(7), repeat=3))
+        wide_state = node("E", 300, ("D",), [(j,) for j in range(3)])
+        # Without E every state fits a byte; with it, no state does.
+        for nodes in ((*roots, wide_row), (*roots, wide_row, wide_state)):
+            bn = BayesianNetwork(nodes, ("D",), model.ONE_HOT)
+            assert validate(bn) == []
+            expected = assert_sampler_matches_reference(bn, m=2000)
+            assert {rec["D"] for rec in expected} == {0, 1, 2}
+            got = draw_records([bn], np.zeros(5, dtype=np.int64), rng.random((5, len(nodes))))
+            assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert max(rec["E"] for rec in expected) > 255
 
     def test_structures_must_match(self):
         rng = np.random.default_rng(0)

@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
-from reference import joint_prob, make_cancer
+from reference import (
+    joint_prob,
+    make_cancer,
+    reference_half_repeated,
+    reference_lr_repeated,
+    reference_lr_side,
+    reference_product,
+)
 
 from bnmia import model
 from bnmia.model import attribute_marginals, output_marginal_law, sample, validate
@@ -127,11 +134,70 @@ class TestLrRepeated:
         with pytest.raises(ValueError, match="even"):
             make_lr_repeated(5, (0.5,) * 3, (0.5,) * 3)
 
+    @pytest.mark.parametrize("d", (0, -2))
+    def test_no_attributes_rejected(self, d):
+        # Every parameter count matches at d = -2, so only the size check
+        # stands between it and a network of the coin alone.
+        with pytest.raises(ValueError, match="positive"):
+            make_lr_repeated(d, (0.5,) * midpoint(d), (0.5,) * (d - midpoint(d) + 2))
+        with pytest.raises(ValueError, match="positive"):
+            make_lr_side(d, (0.5,) * midpoint(d), RIGHT)
+        with pytest.raises(ValueError, match="positive"):
+            make_half_repeated(d, (0.5,) * midpoint(d))
+        with pytest.raises(ValueError, match="positive"):
+            resolve_network(f"lr:{d}", np.random.default_rng(0))
+
     def test_parameter_counts(self):
         with pytest.raises(ValueError, match="right-side"):
             make_lr_repeated(4, (0.5,), (0.5, 0.5, 0.5))
         with pytest.raises(ValueError, match="left-side"):
             make_lr_repeated(4, (0.5, 0.5, 0.5), (0.5,))
+
+
+class TestCopyLayout:
+    """Every toy constructor builds the nodes the hand-written ones build,
+    and the hidden-coin mixture is the two sides half and half."""
+
+    @staticmethod
+    def assert_same_network(got, expected):
+        assert (got.output_nodes, got.encoding) == (expected.output_nodes, expected.encoding)
+        assert got.nodes == expected.nodes
+        for node, ref in zip(got.nodes, expected.nodes):
+            assert list(node.cpt.items()) == list(ref.cpt.items())  # row order too
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_product_and_half_equal_the_reference(self, d):
+        rng = np.random.default_rng(100 + d)
+        p = tuple(rng.uniform(0.2, 0.8, size=d))
+        self.assert_same_network(make_product(p), reference_product(p))
+        p = tuple(rng.uniform(0.2, 0.8, size=midpoint(d)))
+        self.assert_same_network(make_half_repeated(d, p), reference_half_repeated(d, p))
+
+    @pytest.mark.parametrize("d", range(2, 13, 2))
+    def test_lr_equal_the_reference(self, d):
+        rng = np.random.default_rng(200 + d)
+        p_r = tuple(rng.uniform(0.2, 0.8, size=midpoint(d)))
+        p_l = tuple(rng.uniform(0.2, 0.8, size=d - midpoint(d) + 2))
+        self.assert_same_network(make_lr_side(d, p_r, RIGHT), reference_lr_side(d, p_r, RIGHT))
+        self.assert_same_network(make_lr_side(d, p_l, LEFT), reference_lr_side(d, p_l, LEFT))
+        self.assert_same_network(
+            make_lr_repeated(d, p_r, p_l), reference_lr_repeated(d, p_r, p_l)
+        )
+
+    @pytest.mark.parametrize("d", range(2, 13, 2))
+    def test_lr_law_is_half_of_each_side(self, d):
+        rng = np.random.default_rng(300 + d)
+        p_r = tuple(rng.uniform(0.2, 0.8, size=midpoint(d)))
+        p_l = tuple(rng.uniform(0.2, 0.8, size=d - midpoint(d) + 2))
+        expected = {}
+        for bn in (make_lr_side(d, p_r, RIGHT), make_lr_side(d, p_l, LEFT)):
+            law = output_marginal_law(bn)
+            for vec, prob in zip(map(tuple, law.vectors.tolist()), law.probs):
+                expected[vec] = expected.get(vec, 0.0) + 0.5 * prob
+        mix = output_marginal_law(make_lr_repeated(d, p_r, p_l))
+        assert [tuple(v) for v in mix.vectors.tolist()] == sorted(expected)
+        probs = [expected[v] for v in sorted(expected)]
+        np.testing.assert_allclose(mix.probs, probs, rtol=0, atol=1e-15)
 
 
 class TestCancer:
