@@ -24,7 +24,7 @@ import csv
 import io
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -538,28 +538,24 @@ class ExperimentResult:
         raise KeyError(attack)
 
     def rows_csv(self) -> str:
-        out = io.StringIO()
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["population", "d", "n", "threat", "m", "attack", "trial", "auc"])
-        for r in self.rows:
-            w.writerow(
-                [r.population, r.d, r.n, r.threat, "" if r.m is None else r.m,
-                 r.attack, r.trial, f"{r.auc:.6f}"]
-            )
-        return out.getvalue()
+        return _table_csv(TrialRow, self.rows)
 
     def summary_csv(self) -> str:
-        out = io.StringIO()
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(
-            ["population", "d", "n", "threat", "m", "attack", "mean_auc", "std_auc", "trials"]
-        )
-        for r in self.summary:
-            w.writerow(
-                [r.population, r.d, r.n, r.threat, "" if r.m is None else r.m,
-                 r.attack, f"{r.mean_auc:.6f}", f"{r.std_auc:.6f}", r.trials]
-            )
-        return out.getvalue()
+        return _table_csv(SummaryRow, self.summary)
+
+
+def _table_csv(row_type: type, rows: Iterable) -> str:
+    """The rows of a row dataclass under its field names, one line each: a
+    float to 6 decimals, and None (the strong threat's m) as an empty cell,
+    as the csv module writes it."""
+    names = [f.name for f in fields(row_type)]
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(names)
+    for r in rows:
+        values = (getattr(r, name) for name in names)
+        w.writerow([f"{v:.6f}" if isinstance(v, float) else v for v in values])
+    return out.getvalue()
 
 
 # Byte budget of one draw chunk's (trials, records, nodes) float64 uniforms,

@@ -291,12 +291,10 @@ def _part_table(law, k: int, caps: np.ndarray, first: int) -> _Part:
                 if not shared:  # each live key's column: its release in the range
                     lp_out = lp_out[:, lo_r:hi_r]
                     rel = np.repeat(np.arange(hi_r - lo_r), np.diff(bounds[lo_r : hi_r + 1]))
-                cand_k, cand_p = _range_candidates(
+                grouped = _grouped_logsumexp(*_range_candidates(
                     keys[lo:hi], logp[lo:hi], cap, moduli,
                     offsets[outcomes], lp_out, bits[outcomes], rel,
-                )
-                grouped = _grouped_logsumexp(cand_k, cand_p)
-                del cand_k, cand_p  # only one range's candidates are alive at a time
+                ))  # only one range's candidates are alive at a time
                 out_k.append(grouped[0])
                 out_p.append(grouped[1])
             lo_r = hi_r
@@ -324,11 +322,13 @@ def _joined(chunks: list, empty: np.ndarray) -> np.ndarray:
 def _range_candidates(live, logp, cap_keys, moduli, offsets, logp_out, bits, rel=None):
     """Every (outcome, live partial sum) sum with room under the partial
     sum's cap (given as cap_j * stride_j, one row per live key or one for
-    all), outcome by outcome, walking the outcomes in blocks of
-    `_BLOCK_BYTES`.  An outcome's log probability is logp_out[outcome], or,
-    with rel, logp_out[outcome, rel[i]] for live key i.  Raises
-    ModelSizeError once the range has gathered more than `_CANDIDATE_BUDGET`
-    candidates, so at most one block past the budget is ever held."""
+    all), gathered outcome by outcome, walking the outcomes in blocks of
+    `_BLOCK_BYTES`, and returned stably sorted by key.  An outcome's log
+    probability is logp_out[outcome], or, with rel, logp_out[outcome, rel[i]]
+    for live key i.  Raises ModelSizeError once the range has gathered more
+    than `_CANDIDATE_BUDGET` candidates, so at most one block past the budget
+    is ever held.  The blocks are dropped once joined and the unsorted
+    arrays once sorted: N candidates peak near 32N bytes."""
     at_cap = (live[:, None] % moduli[None, :] >= cap_keys).astype(np.float32)
     rows = max(1, _BLOCK_BYTES // (8 * len(live)))
     chunks_k, chunks_p = [], []
@@ -346,22 +346,23 @@ def _range_candidates(live, logp, cap_keys, moduli, offsets, logp_out, bits, rel
         out_p = logp_out[blk, None] if rel is None else logp_out[blk][:, rel]
         chunks_p.append((out_p + logp[None, :])[fits])
     del at_cap
-    return _joined(chunks_k, live[:0]), _joined(chunks_p, logp[:0])
+    keys, vals = _joined(chunks_k, live[:0]), _joined(chunks_p, logp[:0])
+    del chunks_k, chunks_p
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    return keys, vals[order]
 
 
 def _grouped_logsumexp(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys of sorted keys, each with the log-sum-exp of its
+    run's vals in run order; vals is shifted and exponentiated in place."""
     if not len(keys):
         return keys, vals  # no partial sum stays under the cap
-    order = np.argsort(keys, kind="stable")
-    k = keys[order]
-    v = vals[order]
-    del order  # v is then shifted and exponentiated in place: fewer candidate-sized arrays alive
-    new_group = np.concatenate(([True], k[1:] != k[:-1]))
-    starts = np.flatnonzero(new_group)
-    m = np.maximum.reduceat(v, starts)
-    v -= m[np.cumsum(new_group) - 1]
-    sums = np.add.reduceat(np.exp(v, out=v), starts)
-    return k[starts], m + np.log(sums)
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    m = np.maximum.reduceat(vals, starts)
+    vals -= np.repeat(m, np.diff(starts, append=len(keys)))
+    sums = np.add.reduceat(np.exp(vals, out=vals), starts)
+    return keys[starts], m + np.log(sums)
 
 
 class PosteriorEngine:

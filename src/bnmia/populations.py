@@ -58,6 +58,12 @@ def _copy_layout(d: int, side: str) -> tuple[int, ...]:
     raise ValueError(f"side must be {LEFT!r} or {RIGHT!r}")
 
 
+def _side_params(d: int, side: str, rng) -> tuple[float, ...]:
+    """One side's Bernoulli parameters, drawn from rng within
+    TOY_PARAM_RANGE, one per root of its copy layout."""
+    return tuple(rng.uniform(*TOY_PARAM_RANGE, size=len(set(_copy_layout(d, side)))))
+
+
 def _layout_nodes(layout: Sequence[int], p: Sequence[float]) -> list[NodeSpec]:
     """Attribute X_{j+1} of a layout as a node: a root drawn with the next
     parameter of p, or an exact copy of its source."""
@@ -95,11 +101,11 @@ def make_product(p: Sequence[float]) -> BayesianNetwork:
 def make_half_repeated(d: int, p: Sequence[float]) -> BayesianNetwork:
     """First floor(d/2)+1 attributes independent, the rest copies of the pivot:
     the right side's layout."""
-    m = midpoint(d)
-    if len(p) != m:
-        raise ValueError(f"need {m} parameters for d={d}, got {len(p)}")
+    layout = _copy_layout(d, RIGHT)
+    if len(p) != len(set(layout)):
+        raise ValueError(f"need {len(set(layout))} parameters for d={d}, got {len(p)}")
     _check_open_unit(p)
-    return _toy(d, _layout_nodes(_copy_layout(d, RIGHT), p))
+    return _toy(d, _layout_nodes(layout, p))
 
 
 def make_lr_side(d: int, p: Sequence[float], side: str) -> BayesianNetwork:
@@ -198,29 +204,25 @@ def resolve_network(
 ) -> BayesianNetwork:
     """The network a population name or file path denotes, validated.
 
-    Toy names (`is_toy`) draw fresh Bernoulli parameters from rng; no other
-    name reads it.  A name with a path separator or a file suffix is a file,
+    Toy names (`is_toy`) draw fresh Bernoulli parameters from rng within
+    TOY_PARAM_RANGE, one per root: product:<d> draws d, half:<d> its right
+    side's, and lr:<d> its right side's and then its left side's; no other
+    name reads rng.  A name with a path separator or a file suffix is a file,
     read by `formats.load_document`, whose text decides the format, and
     releases every node one-hot.  Any other name is a bundled benchmark, even
     when a file of that name exists in the working directory.
     output_nodes and encoding then override the released outputs.  Raises
     InvalidNetworkError on any problem `validate` reports.
     """
-    lo, hi = TOY_PARAM_RANGE
     if is_toy(name):
         kind, _, arg = name.partition(":")
         d = int(arg)
         if kind == "product":
-            bn = make_product(tuple(rng.uniform(lo, hi, size=d)))
+            bn = make_product(tuple(rng.uniform(*TOY_PARAM_RANGE, size=d)))
         elif kind == "half":
-            bn = make_half_repeated(d, tuple(rng.uniform(lo, hi, size=midpoint(d))))
-        else:
-            m = midpoint(d)
-            bn = make_lr_repeated(
-                d,
-                tuple(rng.uniform(lo, hi, size=m)),
-                tuple(rng.uniform(lo, hi, size=d - m + 2)),
-            )
+            bn = make_half_repeated(d, _side_params(d, RIGHT, rng))
+        else:  # the right side's parameters are drawn before the left's
+            bn = make_lr_repeated(d, _side_params(d, RIGHT, rng), _side_params(d, LEFT, rng))
     elif Path(name).name != name or Path(name).suffix:
         bn = formats.load_document(name)
         bn = bn.with_outputs(bn.node_names, ONE_HOT)

@@ -44,12 +44,10 @@ from .populations import (
     LEFT,
     RIGHT,
     _copy_layout,
+    _side_params,
     load_benchmark,
-    make_half_repeated,
-    make_lr_repeated,
     make_lr_side,
-    make_product,
-    midpoint,
+    resolve_network,
 )
 
 
@@ -153,13 +151,13 @@ def _suite(name: str, tolerance: float, note: str = "", advisory: bool = False):
     return wrap
 
 
-def _product_net_checks(p: np.ndarray, n: int, rng: np.random.Generator):
+def _product_net_checks(bn: BayesianNetwork, n: int, rng: np.random.Generator):
     """The relative gap between the exact posterior odds and the marginal
-    closed form, one check per target over every count vector; then ten spot
-    checks through the public surface, scored as one batch, that add no
-    cases."""
+    closed form on a product population, one check per target over every
+    count vector; then ten spot checks through the public surface, scored as
+    one batch, that add no cases."""
+    p = np.array([node.cpt[()][1] for node in bn.nodes])  # each root's P(X_j = 1)
     d = len(p)
-    bn = make_product(tuple(p))
     law = output_marginal_law(bn)
     shape = (n + 1,) * d
     grid_counts = np.indices(shape).reshape(d, -1).T
@@ -207,8 +205,7 @@ def verify_product_equivalence(populations: int = 200, seed: int = 20250810):
     for _ in range(populations):
         d = int(rng.integers(1, 7))
         n = int(rng.integers(1, 6))
-        p = rng.uniform(0.2, 0.8, size=d)
-        yield from _product_net_checks(p, n, rng)
+        yield from _product_net_checks(resolve_network(f"product:{d}", rng), n, rng)
 
 
 def _tied_vectors(d: int, side: str, top: int):
@@ -260,7 +257,7 @@ def verify_half_repeated_equivalence(seed: int = 20250810):
     on half-repeated populations."""
     rng = np.random.default_rng(seed)
     for d in range(2, 8):
-        bn = make_half_repeated(d, tuple(rng.uniform(0.2, 0.8, size=midpoint(d))))
+        bn = resolve_network(f"half:{d}", rng)
         clip = atk.half_clip_range(d)
         ys = np.array(list(_tied_vectors(d, RIGHT, 1)))
         for n in range(1, 5):
@@ -274,10 +271,8 @@ def verify_lr_pure_side_equivalence(seed: int = 20250810):
     the side-clipping equivalence."""
     rng = np.random.default_rng(seed)
     for d in (4, 6):
-        m = midpoint(d)
         for side in (RIGHT, LEFT):
-            size = m if side == RIGHT else d - m + 2
-            bn = make_lr_side(d, tuple(rng.uniform(0.2, 0.8, size=size)), side)
+            bn = make_lr_side(d, _side_params(d, side, rng), side)
             clip = atk.side_clip_range(d, side)
             ys = np.array(list(_tied_vectors(d, side, 1)))
             for n in range(1, 5):
@@ -301,10 +296,7 @@ def verify_lr_single_side_counts(seed: int = 20250810):
     """
     rng = np.random.default_rng(seed)
     for d in (4, 6):
-        m = midpoint(d)
-        p_right = tuple(rng.uniform(0.2, 0.8, size=m))
-        p_left = tuple(rng.uniform(0.2, 0.8, size=d - m + 2))
-        bn = make_lr_repeated(d, p_right, p_left)
+        bn = resolve_network(f"lr:{d}", rng)
         for n in (2, 3):
             for side in (RIGHT, LEFT):
                 # only the counts that read as this side, not ambiguous or the other
@@ -357,11 +349,8 @@ def verify_oracle_agreement(seed: int = 20250810):
     rounding.  Zero ratios must agree exactly.
     """
     rng = np.random.default_rng(seed)
-    nets: list[BayesianNetwork] = []
-    for _ in range(3):
-        d = int(rng.integers(1, 4))
-        nets.append(make_product(tuple(rng.uniform(0.2, 0.8, size=d))))
-    nets.append(make_half_repeated(3, tuple(rng.uniform(0.2, 0.8, size=2))))
+    nets = [resolve_network(f"product:{int(rng.integers(1, 4))}", rng) for _ in range(3)]
+    nets.append(resolve_network("half:3", rng))
     cancer = load_benchmark("cancer")
     nets.append(cancer.with_outputs(("Xray", "Dyspnoea"), "raw-binary"))
     nets.append(cancer.with_outputs(("Cancer", "Xray", "Dyspnoea"), "raw-binary"))
@@ -398,12 +387,7 @@ def verify_count_normalization(seed: int = 20250810):
     """Count distributions sum to 1 over all count vectors, small instances;
     one stacked table holds every count vector of a network and a size."""
     rng = np.random.default_rng(seed)
-    nets = [
-        make_product(tuple(rng.uniform(0.2, 0.8, size=2))),
-        make_product(tuple(rng.uniform(0.2, 0.8, size=3))),
-        make_half_repeated(5, tuple(rng.uniform(0.2, 0.8, size=3))),
-    ]
-    for bn in nets:
+    for bn in [resolve_network(name, rng) for name in ("product:2", "product:3", "half:5")]:
         law = output_marginal_law(bn)
         for n in (1, 2, 3):
             caps = np.array(list(itertools.product(range(n + 1), repeat=bn.d)))

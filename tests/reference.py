@@ -258,7 +258,9 @@ def reference_sum_log_table(law, k: int, cap) -> tuple[np.ndarray, np.ndarray]:
             mask = room[:, set_bits[i]].all(axis=1)
             chunks_k.append(keys[mask] + offsets[i])
             chunks_p.append(logp[mask] + logp_out[i])
-        keys, logp = _grouped_logsumexp(np.concatenate(chunks_k), np.concatenate(chunks_p))
+        keys, logp = np.concatenate(chunks_k), np.concatenate(chunks_p)
+        order = np.argsort(keys, kind="stable")
+        keys, logp = _grouped_logsumexp(keys[order], logp[order])
     return keys, logp
 
 

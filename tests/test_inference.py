@@ -248,6 +248,23 @@ class TestCandidateBudget:
         with pytest.raises(model.ModelSizeError, match="candidate budget"):
             sum_log_table(law, 5, caps)
 
+    def test_gathering_and_grouping_peak_follows_the_candidates(self, monkeypatch):
+        # product:8 capped at 3, three steps: the largest range gathers
+        # 1,679,616 candidates of 16 bytes each, and the step peaks at 2.0
+        # times their bytes.  Holding the unsorted candidates beside their
+        # sorted copies while grouping peaks at 3.1 times.
+        law = output_marginal_law(make_product((0.5,) * 8))
+        caps = (3,) * 8
+        largest = self.largest_range(monkeypatch, law, 3, caps)
+        tracemalloc.start()
+        try:
+            sum_log_table(law, 3, caps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert largest == 1_679_616
+        assert peak < 2.5 * 16 * largest
+
     def test_budget_stops_an_experiment(self, monkeypatch):
         monkeypatch.setattr(inference, "_CANDIDATE_BUDGET", 8)
         config = ExperimentConfig("cancer", 4, trials=2, seed=0, attacks=("bayes",))

@@ -14,6 +14,7 @@ from bnmia.model import attribute_marginals, output_marginal_law, sample, valida
 from bnmia.populations import (
     LEFT,
     RIGHT,
+    TOY_PARAM_RANGE,
     is_toy,
     load_benchmark,
     make_half_repeated,
@@ -182,6 +183,30 @@ class TestCopyLayout:
         self.assert_same_network(make_lr_side(d, p_l, LEFT), reference_lr_side(d, p_l, LEFT))
         self.assert_same_network(
             make_lr_repeated(d, p_r, p_l), reference_lr_repeated(d, p_r, p_l)
+        )
+
+    @staticmethod
+    def assert_resolver_draws(name, build, sizes):
+        # The resolver draws from TOY_PARAM_RANGE with these sizes in this
+        # order and nothing more: every seeded toy CSV and suite reads them.
+        rng, expected = np.random.default_rng(7), np.random.default_rng(7)
+        got = resolve_network(name, rng)
+        drawn = [tuple(expected.uniform(*TOY_PARAM_RANGE, size=size)) for size in sizes]
+        TestCopyLayout.assert_same_network(got, build(*drawn))
+        assert rng.random() == expected.random()
+
+    @pytest.mark.parametrize("d", range(1, 25))
+    def test_resolver_draws_product_and_half(self, d):
+        self.assert_resolver_draws(f"product:{d}", make_product, [d])
+        self.assert_resolver_draws(
+            f"half:{d}", lambda p: make_half_repeated(d, p), [midpoint(d)]
+        )
+
+    @pytest.mark.parametrize("d", range(2, 25, 2))
+    def test_resolver_draws_lr_right_before_left(self, d):
+        self.assert_resolver_draws(
+            f"lr:{d}", lambda p_r, p_l: make_lr_repeated(d, p_r, p_l),
+            [midpoint(d), d - midpoint(d) + 2],
         )
 
     @pytest.mark.parametrize("d", range(2, 13, 2))
