@@ -10,8 +10,8 @@ pruning any partial sum that exceeds the released counts in some
 coordinate.  Scoring takes a batch: a sequence of R releases of one size n
 and (R, T, d) targets, one release being the batch of one.  The releases of
 a batch share one table: each release's partial sums are keyed under its own
-index, pruned against its own counts and convolved with its own law (one
-law for all, or one per release), so every release gets the bits it would
+index, pruned against its own counts and convolved with its own law (each
+distinct law object logged once), so every release gets the bits it would
 get alone.  A brute-force enumeration over full network instances, one
 release at a time, provides an independent oracle for the same quantity.
 """
@@ -20,6 +20,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 from weakref import WeakKeyDictionary
@@ -108,9 +109,12 @@ class CountTable:
     def log_prob(self, targets, releases=0) -> np.ndarray:
         """log P for each row of targets in the table of its release (one
         index for every row, or one per row); -inf where a target is
-        unreachable, negative, or outside that release's cap."""
+        unreachable, negative, or outside that release's cap.  Raises
+        ValueError for a release index outside [0, R)."""
         t = _rows(targets, self.caps.shape[1])
         r = np.asarray(releases, dtype=np.int64)
+        if ((r < 0) | (r >= len(self.caps))).any():
+            raise ValueError("release index outside the table's releases")
         out = np.full(len(t), LOG_ZERO)
         for part in self.parts:
             # Digits up to the part's top cap cannot carry into the next one,
@@ -118,8 +122,7 @@ class CountTable:
             # As unsigned, a negative entry is huge: one comparison checks
             # 0 <= t <= top.
             inside = ~(t.view(np.uint64) > part.top).any(axis=1)
-            if len(self.parts) > 1:
-                inside &= (r >= part.first) & (r < part.first + part.size)
+            inside &= (r >= part.first) & (r < part.first + part.size)
             rows = np.flatnonzero(inside)
             packed = (t @ part.strides)[rows]
             if part.size > 1:
@@ -166,7 +169,8 @@ _BLOCK_BYTES = 256 * 1024
 # fit in it, and at least one.
 _RANGE_BYTES = 2 * 1024
 # The most candidate sums one range of a convolution step may gather (16
-# bytes each, key and log probability: 512 MiB); past it, ModelSizeError.
+# bytes each, key and log probability: 512 MiB; as many as fit in those bytes
+# for object keys); past it, ModelSizeError.
 _CANDIDATE_BUDGET = 2**25
 
 
@@ -184,28 +188,27 @@ def sum_log_table(law, k: int, caps) -> CountTable:
 
     Convolution states are pruned against their release's cap coordinatewise,
     which is sound for any query target <= that cap.  Consecutive releases
-    share a part (`CountTable`) while their laws have the same outcome
-    vectors and the part's keys fit in 62 bits; a single release past 62
-    bits gets Python-int keys (an object array).  Each candidate sum takes
-    its outcome's log probability from its own release's law; a shared law
-    keeps one row for all.  Each step walks a part's live keys in
-    release-aligned ranges sized to a fixed budget (`_RANGE_BYTES`, at least
-    one release a range), and each range's law outcomes in contiguous blocks
-    sized to another (`_BLOCK_BYTES`): per block, one matrix product marks
-    the live partial sums with room under their release's cap for every set
-    bit of each outcome, and one boolean gather takes the candidate sums
+    share a part (`CountTable`) while their laws have the same outcome vectors
+    and the part's keys fit in 62 bits; a single release past 62 bits gets
+    Python-int keys (an object array).  A part logs each distinct law object
+    once, as one column, and each candidate sum takes its outcome's log
+    probability from its release's column.  Each step walks a part's live keys
+    in release-aligned ranges sized to a fixed budget (`_RANGE_BYTES`, at
+    least one release a range), and each range's law outcomes in contiguous
+    blocks sized to another (`_BLOCK_BYTES`): per block, one matrix product
+    marks the live partial sums with room under their release's cap for every
+    set bit of each outcome, and one boolean gather takes the candidate sums
     outcome by outcome.  A range's candidates are grouped before the next
     range starts.  So no step materializes a whole (outcomes x live) matrix,
     and every (release, partial sum) group sees the same candidates in the
     same order as in a table of its release alone, whatever the budgets;
-    results are bitwise deterministic.  A range that gathers more than
-    `_CANDIDATE_BUDGET` candidates raises ModelSizeError.
+    results are bitwise deterministic.  A range that gathers more candidates
+    than `_CANDIDATE_BUDGET` allows raises ModelSizeError.
     """
     caps = np.atleast_2d(np.asarray(caps, dtype=np.int64))
     if (caps < 0).any():
         raise ValueError("caps must be nonnegative")
-    shared = isinstance(law, SupportDistribution)
-    laws = [law] * len(caps) if shared else _per_release(law, len(caps))
+    laws = _per_release(law, len(caps))
     parts, first = [], 0
     while first < len(caps):
         top, stop = caps[first], first + 1
@@ -214,14 +217,14 @@ def sum_log_table(law, k: int, caps) -> CountTable:
             if _key_bits(grown, stop + 1 - first) > 62:
                 break
             top, stop = grown, stop + 1
-        part_law = law if shared else laws[first:stop]
-        parts.append(_part_table(part_law, k, caps[first:stop], first))
+        parts.append(_part_table(laws[first:stop], k, caps[first:stop], first))
         first = stop
     return CountTable(caps, tuple(parts))
 
 
-def _per_release(laws, releases: int) -> list[SupportDistribution]:
-    laws = list(laws)
+def _per_release(law, releases: int) -> list[SupportDistribution]:
+    """One law per release: [law] * releases for one SupportDistribution."""
+    laws = [law] * releases if isinstance(law, SupportDistribution) else list(law)
     if len(laws) != releases:
         raise ValueError("a batch needs one law for all its releases or one per release")
     return laws
@@ -231,12 +234,10 @@ def _same_outcomes(a: SupportDistribution, b: SupportDistribution) -> bool:
     return a.vectors is b.vectors or np.array_equal(a.vectors, b.vectors)
 
 
-def _part_table(law, k: int, caps: np.ndarray, first: int) -> _Part:
+def _part_table(laws: list, k: int, caps: np.ndarray, first: int) -> _Part:
     """The k-fold table of the part whose (size, d) caps are releases first
-    .. first + size - 1 of the stack, under one law or one per release of
-    the part, all with the same outcome vectors (see `sum_log_table`)."""
-    shared = isinstance(law, SupportDistribution)
-    vectors = law.vectors if shared else law[0].vectors
+    .. first + size - 1 of the stack, under one law per release, all with
+    the same outcome vectors (see `sum_log_table`)."""
     size, d = caps.shape
     top = caps.max(axis=0)
     unsigned_top = top.astype(np.uint64)
@@ -256,26 +257,23 @@ def _part_table(law, k: int, caps: np.ndarray, first: int) -> _Part:
     logp = np.zeros(size, dtype=float)
     # The outcomes under some release's cap, in law order; a range walks
     # only those under the caps of its own releases.
-    fits = _fits(vectors, caps)
+    fits = _fits(laws[0].vectors, caps)
     keep = np.flatnonzero(fits.any(axis=1))
     fit = fits[keep]
     del fits
-    if k > 0 and not len(keep):
-        return _Part(first, size, keep, fit.T, unsigned_top, strides, span, keys[:0], logp[:0])
-    vecs = vectors[keep]
-    # One log per law, as for its release alone: (outcomes,) shared, or
-    # (outcomes, releases) with one column per release.
-    if shared:
-        logp_out = np.log(law.probs[keep])
-    else:
-        logp_out = np.stack([np.log(each.probs[keep]) for each in law], axis=1)
+    vecs = laws[0].vectors[keep]
+    # One log column per distinct law object, as for its releases alone:
+    # (outcomes, columns), column[r] being release r's.
+    distinct: dict = {}  # id of a law object -> (its column, the law)
+    column = np.array([distinct.setdefault(id(each), (len(distinct), each))[0] for each in laws])
+    logp_out = np.stack([np.log(each.probs[keep]) for _, each in distinct.values()], axis=1)
     offsets = vecs @ strides
     bits = vecs.astype(np.float32)  # 0/1 entries: the products below count set bits exactly
     budget = max(1, _RANGE_BYTES // 8)
 
     for _ in range(k):
         # release r's live keys are keys[bounds[r]:bounds[r + 1]]
-        bounds = [0] if size == 1 else np.searchsorted(keys, starts).tolist()
+        bounds = np.searchsorted(keys, starts).tolist()
         bounds.append(len(keys))
         out_k, out_p = [], []
         lo_r = 0
@@ -283,17 +281,16 @@ def _part_table(law, k: int, caps: np.ndarray, first: int) -> _Part:
             hi_r = max(lo_r + 1, bisect.bisect_right(bounds, bounds[lo_r] + budget) - 1)
             lo, hi = bounds[lo_r], bounds[hi_r]
             if hi > lo:
-                cap = cap_keys[lo_r] if hi_r - lo_r == 1 else np.repeat(
-                    cap_keys[lo_r:hi_r], np.diff(bounds[lo_r : hi_r + 1]), axis=0
-                )
-                outcomes = slice(None) if size == 1 else fit[:, lo_r:hi_r].any(axis=1)
-                lp_out, rel = logp_out[outcomes], None
-                if not shared:  # each live key's column: its release in the range
-                    lp_out = lp_out[:, lo_r:hi_r]
-                    rel = np.repeat(np.arange(hi_r - lo_r), np.diff(bounds[lo_r : hi_r + 1]))
+                counts = np.diff(bounds[lo_r : hi_r + 1])  # live keys of each release
+                # Each live key's column; one entry when they all read the
+                # same column, which then broadcasts over the live keys.
+                rel = np.repeat(column[lo_r:hi_r], counts)
+                if (rel == rel[0]).all():
+                    rel = rel[:1]
+                outcomes = fit[:, lo_r:hi_r].any(axis=1)
                 grouped = _grouped_logsumexp(*_range_candidates(
-                    keys[lo:hi], logp[lo:hi], cap, moduli,
-                    offsets[outcomes], lp_out, bits[outcomes], rel,
+                    keys[lo:hi], logp[lo:hi], cap_keys[lo_r:hi_r], counts, moduli,
+                    offsets[outcomes], logp_out[outcomes], bits[outcomes], rel,
                 ))  # only one range's candidates are alive at a time
                 out_k.append(grouped[0])
                 out_p.append(grouped[1])
@@ -319,18 +316,23 @@ def _joined(chunks: list, empty: np.ndarray) -> np.ndarray:
     return np.concatenate(chunks) if chunks else empty
 
 
-def _range_candidates(live, logp, cap_keys, moduli, offsets, logp_out, bits, rel=None):
-    """Every (outcome, live partial sum) sum with room under the partial
-    sum's cap (given as cap_j * stride_j, one row per live key or one for
-    all), gathered outcome by outcome, walking the outcomes in blocks of
-    `_BLOCK_BYTES`, and returned stably sorted by key.  An outcome's log
-    probability is logp_out[outcome], or, with rel, logp_out[outcome, rel[i]]
-    for live key i.  Raises ModelSizeError once the range has gathered more
-    than `_CANDIDATE_BUDGET` candidates, so at most one block past the budget
-    is ever held.  The blocks are dropped once joined and the unsorted
-    arrays once sorted: N candidates peak near 32N bytes."""
-    at_cap = (live[:, None] % moduli[None, :] >= cap_keys).astype(np.float32)
+def _range_candidates(live, logp, cap_keys, counts, moduli, offsets, logp_out, bits, rel):
+    """Every (outcome, live partial sum) sum with room under the partial sum's
+    cap (given as cap_j * stride_j, one row per release of the range, whose
+    live keys number counts), gathered outcome by outcome, walking the
+    outcomes in blocks of `_BLOCK_BYTES`, and returned stably sorted by key.
+    An outcome's log probability for live key i is logp_out[outcome, rel[i]],
+    or logp_out[outcome, rel[0]] for every live key when rel has one entry.
+    Raises ModelSizeError, naming the limit, once the range has gathered more
+    candidates than `_CANDIDATE_BUDGET`'s bytes hold, so at most one block
+    past it is ever held.  The blocks are dropped once joined and the unsorted
+    arrays once sorted: N int64-key candidates peak near 32N bytes."""
+    at_cap = live[:, None] % moduli[None, :] >= np.repeat(cap_keys, counts, axis=0)
+    at_cap = at_cap.astype(np.float32)
     rows = max(1, _BLOCK_BYTES // (8 * len(live)))
+    # An object key's candidate also holds a Python int past 64 bits.
+    extra = sys.getsizeof(2**64) if live.dtype == object else 0
+    limit = _CANDIDATE_BUDGET * 16 // (16 + extra)
     chunks_k, chunks_p = [], []
     gathered = 0
     for lo in range(0, len(offsets), rows):
@@ -338,13 +340,12 @@ def _range_candidates(live, logp, cap_keys, moduli, offsets, logp_out, bits, rel
         fits = bits[blk] @ at_cap.T == 0  # no set bit of the outcome is at its cap
         chunks_k.append((offsets[blk, None] + live[None, :])[fits])
         gathered += len(chunks_k[-1])
-        if gathered > _CANDIDATE_BUDGET:
+        if gathered > limit:
             raise ModelSizeError(
-                f"a convolution step would gather more than {_CANDIDATE_BUDGET} "
+                f"a convolution step would gather more than {limit} "
                 "candidate sums in one range (the candidate budget)"
             )
-        out_p = logp_out[blk, None] if rel is None else logp_out[blk][:, rel]
-        chunks_p.append((out_p + logp[None, :])[fits])
+        chunks_p.append((logp_out[blk][:, rel] + logp[None, :])[fits])
     del at_cap
     keys, vals = _joined(chunks_k, live[:0]), _joined(chunks_p, logp[:0])
     del chunks_k, chunks_p
@@ -385,22 +386,19 @@ class PosteriorEngine:
 
     def __init__(self, law, counts):
         c, n = _stack(counts)
-        laws = [law] if isinstance(law, SupportDistribution) else _per_release(law, len(c))
+        laws = _per_release(law, len(c))
         if any(each.d != c.shape[1] for each in laws):
             raise ValueError("released counts have the wrong dimension")
         self._c = c
-        self._table = sum_log_table(law, n - 1, c)
+        self._table = sum_log_table(laws, n - 1, c)
         rel, out = self._table.fitting_outcomes()
-        if len(laws) == 1:
-            vectors, probs = laws[0].vectors[out], laws[0].probs[out]
-        else:  # rel is ascending: each release's outcomes from its own law
-            spans = np.searchsorted(rel, np.arange(len(c) + 1)).tolist()
-            picks = [(each, out[lo:hi]) for each, lo, hi in zip(laws, spans, spans[1:])]
-            vectors = _joined([each.vectors[o] for each, o in picks], None)
-            probs = _joined([each.probs[o] for each, o in picks], None)
-        pairs = c[rel]
-        pairs -= vectors
-        del vectors
+        # rel is ascending: release r's pairs are spans[r] .. spans[r + 1] - 1,
+        # its outcomes taken from its own law.
+        spans = np.searchsorted(rel, np.arange(len(c) + 1)).tolist()
+        pairs, probs = c[rel], np.empty(len(out))
+        for each, lo, hi in zip(laws, spans, spans[1:]):
+            pairs[lo:hi] -= each.vectors[out[lo:hi]]
+            probs[lo:hi] = each.probs[out[lo:hi]]
         lps = self._table.log_prob(pairs, rel)
         del pairs
         # A release's denominator is the log-sum-exp of its terms lp + log p:

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import attacks as atk
-from .harness import ExperimentConfig, _stream, resolve_population
+from .harness import _stream
 from .inference import (
     ImpossibleEvidenceError,
     PosteriorEngine,
@@ -45,7 +45,6 @@ from .populations import (
     RIGHT,
     _copy_layout,
     _side_params,
-    load_benchmark,
     make_lr_side,
     resolve_network,
 )
@@ -79,12 +78,13 @@ def bench_posterior(
     across targets); the population's output law is computed once up front,
     like a compiled model.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if datasets < 1 or targets < 1:
         raise ValueError("datasets and targets must be at least 1")
     rows = []
     for name in populations:
-        config = ExperimentConfig(population=name, n=n, seed=seed)
-        bn = resolve_population(config, _stream(seed, 0, "population"))
+        bn = resolve_network(name, _stream(seed, 0, "population"))
         law = output_marginal_law(bn)
         full_dim = sum(
             node.cardinality if bn.encoding == "one-hot" else 1 for node in bn.nodes
@@ -351,7 +351,7 @@ def verify_oracle_agreement(seed: int = 20250810):
     rng = np.random.default_rng(seed)
     nets = [resolve_network(f"product:{int(rng.integers(1, 4))}", rng) for _ in range(3)]
     nets.append(resolve_network("half:3", rng))
-    cancer = load_benchmark("cancer")
+    cancer = resolve_network("cancer", None)
     nets.append(cancer.with_outputs(("Xray", "Dyspnoea"), "raw-binary"))
     nets.append(cancer.with_outputs(("Cancer", "Xray", "Dyspnoea"), "raw-binary"))
 
@@ -418,7 +418,7 @@ def verify_law_ratio_normalization(seed: int = 20250810):
     """sum_y law(y) R(y) = 1 on three releases of every bundled network, n = 4."""
     rng = np.random.default_rng(seed)
     for name in BUNDLED_BENCHMARKS:
-        yield law_ratio_deviation(load_benchmark(name), 4, 3, rng), 3
+        yield law_ratio_deviation(resolve_network(name, None), 4, 3, rng), 3
 
 
 def verify_equivalences(

@@ -288,6 +288,11 @@ class TestVerifyAndBench:
         assert code == 1
         assert capsys.readouterr().err == "error: datasets and targets must be at least 1\n"
 
+    def test_bench_needs_a_record(self, capsys):
+        code = main(["bench", "--networks", "product:3", "--n", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: n must be at least 1\n"
+
 
 class TestErrors:
     def test_unknown_network_is_data_error(self, capsys):

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import sys
 import tracemalloc
 import weakref
 
@@ -265,6 +266,27 @@ class TestCandidateBudget:
         assert largest == 1_679_616
         assert peak < 2.5 * 16 * largest
 
+    def test_object_keys_stop_at_the_scaled_limit(self, monkeypatch):
+        # d = 70 needs object keys, whose candidates each hold a Python int
+        # as well: the budget that lets the largest range's candidates
+        # through as int64 keys stops them as object keys, naming the scaled
+        # limit, and the smallest budget whose scaled limit reaches them
+        # builds the same table.
+        law, caps = copy_chain_law(70), (5,) * 69 + (2,)
+        expected = sum_log_table(law, 5, caps)
+        largest = self.largest_range(monkeypatch, law, 5, caps)
+        per = 16 + sys.getsizeof(2**64)
+        monkeypatch.setattr(inference, "_CANDIDATE_BUDGET", largest)
+        limit = largest * 16 // per
+        message = rf"more than {limit} candidate sums in one range \(the candidate budget\)$"
+        with pytest.raises(model.ModelSizeError, match=message):
+            sum_log_table(law, 5, caps)
+        monkeypatch.setattr(inference, "_CANDIDATE_BUDGET", -(-largest * per // 16))
+        (part,) = sum_log_table(law, 5, caps).parts
+        assert part.keys.dtype == object
+        assert part.keys.tolist() == expected.parts[0].keys.tolist()
+        assert part.log_probs.tobytes() == expected.parts[0].log_probs.tobytes()
+
     def test_budget_stops_an_experiment(self, monkeypatch):
         monkeypatch.setattr(inference, "_CANDIDATE_BUDGET", 8)
         config = ExperimentConfig("cancer", 4, trials=2, seed=0, attacks=("bayes",))
@@ -333,6 +355,15 @@ class TestStackedTable:
             assert np.array_equal(table.log_prob(targets, r), alone.log_prob(targets))
         assert len(sum_log_table(law, 3, caps[1])) == 0
 
+    @pytest.mark.parametrize("releases", [1, 3], ids=["one-release", "stacked"])
+    def test_release_index_outside_the_stack(self, releases):
+        law = output_marginal_law(make_product((0.3, 0.6)))
+        table = sum_log_table(law, 1, [(1, 1)] * releases)
+        assert table.log_prob([(1, 0)], releases - 1)[0] == pytest.approx(math.log(0.3 * 0.4))
+        for bad in (releases, 7, -1, [0, releases]):
+            with pytest.raises(ValueError, match="release index outside"):
+                table.log_prob([(1, 0), (0, 1)], bad)
+
 
 def fitted_laws(bn, count: int, m: int, alpha: float, rng) -> list:
     """The output laws of `count` networks refit to proxies of m records."""
@@ -352,7 +383,24 @@ class TestStackedLaws:
     """One engine over a stack of per-release laws against one engine per
     release: the same denominators and log ratios, bit for bit, whether the
     laws' supports differ (so the stack splits into parts), a release in
-    the middle is impossible evidence, or one law is passed for all."""
+    the middle is impossible evidence, one law object is passed for several
+    releases, or one law is passed for all."""
+
+    def log_columns(self, monkeypatch, laws, releases) -> tuple[set, set]:
+        """The log columns and the lengths of `rel` that building an engine
+        over laws and releases passes to `_range_candidates`."""
+        columns, rels = set(), set()
+        real = inference._range_candidates
+
+        def recorded(*args):
+            columns.add(args[6].shape[1])
+            rels.add(len(args[8]))
+            return real(*args)
+
+        monkeypatch.setattr(inference, "_range_candidates", recorded)
+        PosteriorEngine(laws, releases)
+        monkeypatch.setattr(inference, "_range_candidates", real)
+        return columns, rels
 
     def assert_equals_one_engine_per_release(self, laws, releases, rng):
         engine = PosteriorEngine(laws, releases)
@@ -397,12 +445,29 @@ class TestStackedLaws:
         assert engine.impossible == (2,)
         assert len(engine._table.parts) == 1
 
-    def test_shared_law_passed_once(self):
+    @pytest.mark.parametrize("budget", [1, 10**12], ids=["release-per-range", "one-range"])
+    def test_repeated_law_objects(self, monkeypatch, budget):
+        # Smoothed fits share their support, so the stack [A, B, A, A, C] is
+        # one part that logs each of its three law objects once.
+        monkeypatch.setattr(inference, "_RANGE_BYTES", budget)
+        rng = np.random.default_rng(13)
+        a, b, c = fitted_laws(make_cancer(), 3, 20, 1.0, rng)
+        laws = [a, b, a, a, c]
+        releases = [drawn_release(law, 3, rng) for law in laws]
+        engine = self.assert_equals_one_engine_per_release(laws, releases, rng)
+        assert len(engine._table.parts) == 1
+        # One range over all five releases reads a column per live key.
+        columns, rels = self.log_columns(monkeypatch, laws, releases)
+        assert columns == {3} and (max(rels) > 1) == (budget > 1)
+
+    def test_shared_law_passed_once(self, monkeypatch):
         rng = np.random.default_rng(12)
         bn = load_benchmark("asia")
         law = output_marginal_law(bn)
         releases = [drawn_release(law, 4, rng) for _ in range(6)]
         once = self.assert_equals_one_engine_per_release(law, releases, rng)
+        # [law] * R holds one log column, read through a one-entry rel.
+        assert self.log_columns(monkeypatch, [law] * len(releases), releases) == ({1}, {1})
         per_release = PosteriorEngine([law] * len(releases), releases)
         assert per_release.log_denominators.tobytes() == once.log_denominators.tobytes()
         targets = np.array([law.vectors[:40]] * len(releases))
