@@ -23,9 +23,9 @@ from .model import ReleasedCounts
 from .inference import (
     _IMPOSSIBLE,
     ImpossibleEvidenceError,
+    PosteriorEngine,
     _stack,
     _stacked_targets,
-    posterior_engine,
 )
 from .populations import LEFT, RIGHT, midpoint
 
@@ -176,9 +176,9 @@ def score(name: str, attacker, mu, counts, targets) -> np.ndarray:
     """The (releases, targets) scores of attack `name` for a sequence of
     releases of one size and their (releases, targets, d) targets.  The
     marginal tests read the marginals mu (one length-d vector, or a
-    (releases, d) array of one per release), bayes the attacker's network or
-    law (one for every release, or a sequence of one per release).  Evidence
-    impossible under it is a model mismatch rather than a score:
+    (releases, d) array of one per release), bayes the output law (one
+    SupportDistribution for all releases, or a sequence of one per release).
+    Evidence impossible under it is a model mismatch rather than a score:
     ImpossibleEvidenceError names the impossible releases (`releases`) and
     carries the batch's scores (`scores`), -inf on their rows."""
     clip = parse_attack(name)
@@ -186,7 +186,7 @@ def score(name: str, attacker, mu, counts, targets) -> np.ndarray:
     ys = _stacked_targets(targets, len(c), c.shape[1])
     impossible = ()
     if name == BAYES:
-        engine = posterior_engine(attacker, counts)
+        engine = PosteriorEngine(attacker, counts)
         out = engine.log_ratios(ys)
         impossible = engine.impossible
     elif name == LRT:

@@ -18,7 +18,9 @@ from . import harness
 from .formats import NetworkFormatError
 from .inference import ImpossibleEvidenceError
 from .learning import ProxyDataset
-from .model import InvalidNetworkError, ModelSizeError, ReleasedCounts, attribute_marginals
+from .model import (
+    InvalidNetworkError, ModelSizeError, ReleasedCounts, attribute_marginals, output_marginal_law
+)
 from .populations import resolve_network
 
 USAGE_ERROR = 1
@@ -67,7 +69,8 @@ def _cmd_attack(args) -> int:
         counts = ReleasedCounts(counts_vec, args.n)
     except ValueError as err:
         raise DataError(str(err)) from None
-    value = float(atk.score(args.attack, bn, attribute_marginals(bn), [counts], [[y]])[0, 0])
+    law = output_marginal_law(bn)
+    value = float(atk.score(args.attack, law, attribute_marginals(law), [counts], [[y]])[0, 0])
     print(f"{args.attack} {value:.12g}")
     if args.threshold is not None:
         print(atk.decide(value, args.threshold))

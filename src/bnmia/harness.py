@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import attacks as atk
-from .inference import ImpossibleEvidenceError
+from .inference import ImpossibleEvidenceError, _same_outcomes
 from .learning import (
     ProxyDataset, chow_liu_structures, cpt_tables, empirical_marginals, tally_cells
 )
@@ -43,7 +43,7 @@ from .model import (
     draw_records,
     encode,
     output_laws,
-    output_marginal_law,  # unused here; the benchmark's tests trace this binding
+    output_marginal_law,
     project,
 )
 from .populations import is_toy, resolve_network
@@ -152,26 +152,28 @@ def _attackers(
     config: ExperimentConfig, trials: Sequence[int], nets: Sequence[BayesianNetwork]
 ):
     """The attacker of each trial of a group under the configured threat
-    model: its network (or law) and its marginals.  Under the strong threat
-    the trials' population networks, one for all when they share one;
-    otherwise one law and one marginal row per trial, fitted to the trial's
-    proxy sample.  The proxies are drawn in one `draw_records` pass per draw
-    chunk (`_chunk_size` of m records a trial), each trial's m uniforms from
-    its own proxy stream, and each chunk is reduced at once to its trials'
-    distinct full records with their counts (`_distinct_rows`).  The reduced
-    chunks are packed into fit groups (`_packed`), and each fit group is
-    fitted once from its weighted rows: its marginals, and, only when
-    `bayes` is among the attacks (no other attack reads them), its trials'
-    structures (the population's under the weak threat, each proxy's
-    Chow-Liu tree under the weakest) and laws.  The laws are fitted in
-    slices whose (trials, output states) tables hold at most `STATE_GUARD`
-    entries, the guard on one law's factors, each slice on the one path:
-    `tally_cells`, `cpt_tables` and `output_laws`.  A law shares the
-    previous trial's outcome vectors when they are equal."""
+    model: its output law and its marginals.  Under the strong threat the law
+    of each distinct population network, built once: one for all trials when
+    they share a network, else one per trial, each toy trial resolving its
+    own.  Under the weak and weakest threats one law and one marginal row per
+    trial, fitted to the trial's proxy sample.  The proxies are drawn in one
+    `draw_records` pass per draw chunk (`_chunk_size` of m records a trial),
+    each trial's m uniforms from its own proxy stream, and each chunk is
+    reduced at once to its trials' distinct full records with their counts
+    (`_distinct_rows`).  The reduced chunks are packed into fit groups
+    (`_packed`), and each fit group is fitted once from its weighted rows: its
+    marginals, and, only when `bayes` is among the attacks (no other attack
+    reads them), its trials' structures (the population's under the weak
+    threat, each proxy's Chow-Liu tree under the weakest) and laws.  The laws
+    are fitted in slices whose (trials, output states) tables hold at most
+    `STATE_GUARD` entries, the guard on one law's factors, each slice on the
+    one path: `tally_cells`, `cpt_tables` and `output_laws`.  Under every
+    threat, consecutive laws with equal outcomes share one array (`_sharing`)."""
     if config.threat == STRONG:
-        if all(bn is nets[0] for bn in nets):
-            return nets[0], attribute_marginals(nets[0])
-        return nets, np.array([attribute_marginals(bn) for bn in nets])
+        laws = _sharing(map(output_marginal_law, dict.fromkeys(nets)))
+        if len(laws) == 1:
+            return laws[0], attribute_marginals(laws[0])
+        return laws, np.array([attribute_marginals(law) for law in laws])
     m, bn = config.m, nets[0]
     names, states = bn.node_names, {node.name: node.states for node in bn.nodes}
     radix = [node.cardinality for node in bn.nodes]
@@ -203,10 +205,18 @@ def _attackers(
             proxy = ProxyDataset(names, states, rows[part], counts[part])
             tables = cpt_tables(tally_cells(structures[part], proxy), PROXY_SMOOTHING)
             laws += output_laws(structures[part], tables)
-    for t in range(1, len(laws)):
-        if np.array_equal(laws[t - 1].vectors, laws[t].vectors):
-            laws[t] = SupportDistribution(laws[t - 1].vectors, laws[t].probs)
-    return laws, np.concatenate(mus)
+    return _sharing(laws), np.concatenate(mus)
+
+
+def _sharing(laws: Iterable[SupportDistribution]) -> list[SupportDistribution]:
+    """The laws in order, taken one at a time, each sharing the previous
+    one's outcome vectors when they are equal."""
+    out = []
+    for law in laws:
+        if out and _same_outcomes(out[-1], law):
+            law = SupportDistribution(out[-1].vectors, law.probs)
+        out.append(law)
+    return out
 
 
 def _score_group(
@@ -224,7 +234,7 @@ def _score_group(
     distinct target rows with their (trials, slots) in- and
     out-multiplicities (`_draw_chunk`).  Scoring is elementwise, so every
     target's score is that of its row.  A trial whose release is impossible
-    evidence under its attacker's network has that attack flagged and
+    evidence under its attacker's law has that attack flagged and
     scored -inf.  One `weighted_auc_rows` pass then counts every attack's
     AUCs for the group."""
     attacker, mu = _attackers(config, trials, nets)
@@ -450,7 +460,7 @@ def run_batch(
     together (`_score_group`), under every threat and population: one call
     per attack, against one attacker for all the group's trials (the strong
     threat on a shared network) or one per trial (fitted to the trial's
-    proxy, or a toy population's own network), once per distinct target row
+    proxy, or a toy population's own law), once per distinct target row
     of each trial.  Every score is that of the trial scored alone, bit for
     bit, so a trial's scores still do not depend on the chunk or group it
     ran in.

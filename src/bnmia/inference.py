@@ -36,7 +36,6 @@ from .model import (
     SupportDistribution,
     encode,
     enumerate_full_records,
-    output_marginal_law,
 )
 
 LOG_ZERO = float("-inf")
@@ -168,10 +167,20 @@ _BLOCK_BYTES = 256 * 1024
 # convolution step: the step takes as many consecutive releases at a time as
 # fit in it, and at least one.
 _RANGE_BYTES = 2 * 1024
-# The most candidate sums one range of a convolution step may gather (16
-# bytes each, key and log probability: 512 MiB; as many as fit in those bytes
-# for object keys); past it, ModelSizeError.
+# The most candidate sums one range of a convolution step may gather, and
+# live partial sums one step may keep (16 bytes each, key and log probability:
+# 512 MiB; fewer for object keys, see `_charge`); past it, ModelSizeError.
 _CANDIDATE_BUDGET = 2**25
+
+
+def _charge(count: int, key_dtype, act: str) -> None:
+    """Raise ModelSizeError, naming the limit where `act` has {}, when a step
+    holds more sums than `_CANDIDATE_BUDGET`'s bytes hold: 16 bytes a sum,
+    key and log probability, and a Python int past 64 bits for object keys."""
+    extra = sys.getsizeof(2**64) if key_dtype == object else 0
+    limit = _CANDIDATE_BUDGET * 16 // (16 + extra)
+    if count > limit:
+        raise ModelSizeError(f"a convolution step would {act.format(limit)} (the candidate budget)")
 
 
 def _key_bits(top: np.ndarray, size: int) -> float:
@@ -202,8 +211,8 @@ def sum_log_table(law, k: int, caps) -> CountTable:
     range starts.  So no step materializes a whole (outcomes x live) matrix,
     and every (release, partial sum) group sees the same candidates in the
     same order as in a table of its release alone, whatever the budgets;
-    results are bitwise deterministic.  A range that gathers more candidates
-    than `_CANDIDATE_BUDGET` allows raises ModelSizeError.
+    results are bitwise deterministic.  A range that gathers, or a step that
+    keeps, more sums than `_CANDIDATE_BUDGET` allows raises ModelSizeError.
     """
     caps = np.atleast_2d(np.asarray(caps, dtype=np.int64))
     if (caps < 0).any():
@@ -296,6 +305,7 @@ def _part_table(laws: list, k: int, caps: np.ndarray, first: int) -> _Part:
                 out_p.append(grouped[1])
             lo_r = hi_r
         keys, logp = _joined(out_k, keys[:0]), _joined(out_p, logp[:0])
+        _charge(len(keys), key_dtype, "keep more than {} live partial sums")
     return _Part(first, size, keep, fit.T, unsigned_top, strides, span, keys, logp)
 
 
@@ -330,9 +340,6 @@ def _range_candidates(live, logp, cap_keys, counts, moduli, offsets, logp_out, b
     at_cap = live[:, None] % moduli[None, :] >= np.repeat(cap_keys, counts, axis=0)
     at_cap = at_cap.astype(np.float32)
     rows = max(1, _BLOCK_BYTES // (8 * len(live)))
-    # An object key's candidate also holds a Python int past 64 bits.
-    extra = sys.getsizeof(2**64) if live.dtype == object else 0
-    limit = _CANDIDATE_BUDGET * 16 // (16 + extra)
     chunks_k, chunks_p = [], []
     gathered = 0
     for lo in range(0, len(offsets), rows):
@@ -340,11 +347,7 @@ def _range_candidates(live, logp, cap_keys, counts, moduli, offsets, logp_out, b
         fits = bits[blk] @ at_cap.T == 0  # no set bit of the outcome is at its cap
         chunks_k.append((offsets[blk, None] + live[None, :])[fits])
         gathered += len(chunks_k[-1])
-        if gathered > limit:
-            raise ModelSizeError(
-                f"a convolution step would gather more than {limit} "
-                "candidate sums in one range (the candidate budget)"
-            )
+        _charge(gathered, live.dtype, "gather more than {} candidate sums in one range")
         chunks_p.append((logp_out[blk][:, rel] + logp[None, :])[fits])
     del at_cap
     keys, vals = _joined(chunks_k, live[:0]), _joined(chunks_p, logp[:0])
@@ -444,20 +447,6 @@ class PosteriorEngine:
             raise ImpossibleEvidenceError(_IMPOSSIBLE)
         target = self._c[release] - _rows([y], self._c.shape[1])
         return float(self._table.log_prob(target, release)[0]) - log_den
-
-
-def posterior_engine(bn, counts) -> PosteriorEngine:
-    """A new engine for a batch of releases of one size under bn: one
-    network (or law) for every release, or a sequence of one network or law
-    per release.  The caller holds it while it scores their targets; nothing
-    is kept between calls."""
-    if isinstance(bn, (BayesianNetwork, SupportDistribution)):
-        return PosteriorEngine(_law(bn), counts)
-    return PosteriorEngine([_law(each) for each in bn], counts)
-
-
-def _law(bn) -> SupportDistribution:
-    return bn if isinstance(bn, SupportDistribution) else output_marginal_law(bn)
 
 
 def closed_form_product_ratio(mu, counts: ReleasedCounts, y: EncodedVector) -> float:

@@ -69,7 +69,7 @@ class BayesianNetwork:
     `output_nodes` names the nodes whose values make up the released records;
     `encoding` controls how those values become bit vectors.  Instances are
     immutable by convention after construction and safe to share across
-    workers; derived quantities are cached lazily.
+    workers; the sampler and codec are cached lazily, but never the law.
     """
 
     nodes: tuple[NodeSpec, ...]
@@ -80,7 +80,6 @@ class BayesianNetwork:
         self.nodes = tuple(self.nodes)
         self.output_nodes = tuple(self.output_nodes)
         self._by_name = {n.name: n for n in self.nodes}
-        self._law = None
         self._sampler = None
         self._codec = None
 
@@ -238,11 +237,9 @@ def _toposort(nodes: Sequence[NodeSpec]) -> tuple[list[NodeSpec], list[NodeSpec]
 
 def output_marginal_law(bn: BayesianNetwork) -> SupportDistribution:
     """Exact law of the encoded output vector: the one-network case of
-    `output_laws`, on the network's own CPTs.  Cached on the network
-    instance."""
-    if bn._law is None:
-        bn._law, = output_laws([bn], [_cpt_table(bn, node) for node in bn.nodes])
-    return bn._law
+    `output_laws`, on the network's own CPTs.  Built afresh on every call:
+    a caller that needs the law twice keeps it."""
+    return output_laws([bn], [_cpt_table(bn, node) for node in bn.nodes])[0]
 
 
 def output_laws(
@@ -435,9 +432,8 @@ def _product(factors: Sequence[Factor], card: dict[str, int], stack: int) -> Fac
     return scope, table
 
 
-def attribute_marginals(bn: BayesianNetwork) -> np.ndarray:
-    """Per-attribute probability of bit 1 under the output law."""
-    law = output_marginal_law(bn)
+def attribute_marginals(law: SupportDistribution) -> np.ndarray:
+    """Per-attribute probability of bit 1 under an output law."""
     return law.probs @ law.vectors
 
 

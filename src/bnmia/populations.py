@@ -173,8 +173,8 @@ def load_benchmark(name: str) -> BayesianNetwork:
 
     Plain names (cancer, earthquake, asia, survey, sachs) release every node;
     "sachs:<set>" picks one of SACHS_OUTPUT_SETS.  Cached per name, so the
-    returned instance (and its lazily computed law) is shared; treat it as
-    immutable.
+    returned instance is shared; treat it as immutable.  It holds no output
+    law: `output_marginal_law` builds one for the caller to keep.
     """
     base, _, variant = name.partition(":")
     path = resources.files("bnmia.data").joinpath(f"{base}.bif")

@@ -26,12 +26,12 @@ from .inference import (
     PosteriorEngine,
     brute_force_posterior,
     closed_form_product_ratio,
-    posterior_engine,
     sum_log_table,
 )
 from .model import (
     BayesianNetwork,
     ReleasedCounts,
+    SupportDistribution,
     attribute_marginals,
     dataset_counts,
     encode,
@@ -189,7 +189,7 @@ def _product_net_checks(bn: BayesianNetwork, n: int, rng: np.random.Generator):
         for _ in range(10)
     ]
     releases = [ReleasedCounts(c, n) for c, _ in spots]
-    log_r = posterior_engine(bn, releases).log_ratios([[y] for _, y in spots])[:, 0]
+    log_r = PosteriorEngine(law, releases).log_ratios([[y] for _, y in spots])[:, 0]
     for counts, (_, y), r in zip(releases, spots, map(math.exp, log_r.tolist())):
         lam = closed_form_product_ratio(p, counts, y)
         if lam == 0.0:
@@ -220,25 +220,25 @@ def _tied_vectors(d: int, side: str, top: int):
 
 
 def _clipped_gap(
-    bn: BayesianNetwork,
+    law: SupportDistribution,
     releases: Sequence[ReleasedCounts],
     ys: np.ndarray,
     clip: atk.ClipRange,
 ) -> tuple[float, int]:
     """Largest |R / lambda - 1| over the targets ys of every release of a
-    batch of one size, where R is the exact posterior odds under bn and
+    batch of one size, where R is the exact posterior odds under law and
     lambda the clipped ratio statistic, each scored for the whole batch in
     one call; inf when exactly one of them is zero for some target.  Also
     the number of (release, target) pairs compared: a release impossible
-    under bn is skipped, its rows neither compared nor counted."""
+    under law is skipped, its rows neither compared nor counted."""
     targets = np.broadcast_to(ys, (len(releases), *ys.shape))
     possible = np.ones(len(releases), dtype=bool)
     try:
-        r_log = atk.score(atk.BAYES, bn, None, releases, targets)
+        r_log = atk.score(atk.BAYES, law, None, releases, targets)
     except ImpossibleEvidenceError as err:
         r_log = err.scores
         possible[list(err.releases)] = False
-    lam_log = atk.lrt_clipped_score(attribute_marginals(bn), releases, targets, clip)
+    lam_log = atk.lrt_clipped_score(attribute_marginals(law), releases, targets, clip)
     r_log, lam_log = r_log[possible], lam_log[possible]
     r_zero = r_log == -math.inf
     if np.any(r_zero != (lam_log == -math.inf)):
@@ -257,11 +257,11 @@ def verify_half_repeated_equivalence(seed: int = 20250810):
     on half-repeated populations."""
     rng = np.random.default_rng(seed)
     for d in range(2, 8):
-        bn = resolve_network(f"half:{d}", rng)
+        law = output_marginal_law(resolve_network(f"half:{d}", rng))
         clip = atk.half_clip_range(d)
         ys = np.array(list(_tied_vectors(d, RIGHT, 1)))
         for n in range(1, 5):
-            yield _clipped_gap(bn, _tied_releases(d, RIGHT, n), ys, clip)
+            yield _clipped_gap(law, _tied_releases(d, RIGHT, n), ys, clip)
 
 
 @_suite("lr_pure_side_equivalence", 1e-9)
@@ -272,11 +272,11 @@ def verify_lr_pure_side_equivalence(seed: int = 20250810):
     rng = np.random.default_rng(seed)
     for d in (4, 6):
         for side in (RIGHT, LEFT):
-            bn = make_lr_side(d, _side_params(d, side, rng), side)
+            law = output_marginal_law(make_lr_side(d, _side_params(d, side, rng), side))
             clip = atk.side_clip_range(d, side)
             ys = np.array(list(_tied_vectors(d, side, 1)))
             for n in range(1, 5):
-                yield _clipped_gap(bn, _tied_releases(d, side, n), ys, clip)
+                yield _clipped_gap(law, _tied_releases(d, side, n), ys, clip)
 
 
 @_suite(
@@ -296,7 +296,7 @@ def verify_lr_single_side_counts(seed: int = 20250810):
     """
     rng = np.random.default_rng(seed)
     for d in (4, 6):
-        bn = resolve_network(f"lr:{d}", rng)
+        law = output_marginal_law(resolve_network(f"lr:{d}", rng))
         for n in (2, 3):
             for side in (RIGHT, LEFT):
                 # only the counts that read as this side, not ambiguous or the other
@@ -305,7 +305,7 @@ def verify_lr_single_side_counts(seed: int = 20250810):
                     if atk.choose_side(counts, d) == side
                 ]
                 ys = np.array(list(_tied_vectors(d, side, 1)))
-                yield _clipped_gap(bn, releases, ys, atk.side_clip_range(d, side))
+                yield _clipped_gap(law, releases, ys, atk.side_clip_range(d, side))
 
 
 @_suite("binomial_ratio_identities", 1e-12)
@@ -356,12 +356,13 @@ def verify_oracle_agreement(seed: int = 20250810):
     nets.append(cancer.with_outputs(("Cancer", "Xray", "Dyspnoea"), "raw-binary"))
 
     for bn in nets:
+        law = output_marginal_law(bn)
         targets = list(itertools.product((0, 1), repeat=bn.d))
         for n in (1, 2, 3):
             if bn.joint_state_count**n > 200_000:
                 continue
             releases = [ReleasedCounts(c, n) for c in itertools.product(range(n + 1), repeat=bn.d)]
-            engine = posterior_engine(bn, releases)
+            engine = PosteriorEngine(law, releases)
             batch = np.broadcast_to(targets, (len(releases), len(targets), bn.d))
             log_r = engine.log_ratios(batch).tolist()
             for r, counts in enumerate(releases):

@@ -159,15 +159,18 @@ def reference_trial(config, trial_index: int):
 
 
 def reference_attacker(config, trial_index: int, bn):
-    """One trial's attacker network and marginals: the population's own under
-    the strong threat, else fitted to a proxy sampled on its own from the
-    trial's proxy stream."""
+    """One trial's attacker law and marginals: the population's own under
+    the strong threat, else the law of a network fitted to a proxy sampled
+    on its own from the trial's proxy stream (built only when `bayes`, its
+    one reader, is among the attacks)."""
     from bnmia import harness
+    from bnmia.attacks import BAYES
     from bnmia.learning import ProxyDataset, empirical_marginals
-    from bnmia.model import attribute_marginals
+    from bnmia.model import attribute_marginals, output_marginal_law
 
     if config.threat == harness.STRONG:
-        return bn, attribute_marginals(bn)
+        law = output_marginal_law(bn)
+        return law, attribute_marginals(law)
     proxy = ProxyDataset.from_network_samples(
         bn, config.m, harness._stream(config.seed, trial_index, "proxy")
     )
@@ -176,7 +179,8 @@ def reference_attacker(config, trial_index: int, bn):
         attacker = mle_fit(bn, proxy, alpha=alpha)
     else:
         attacker = chow_liu_fit(proxy, alpha, bn.output_nodes, bn.encoding)
-    return attacker, empirical_marginals(proxy, bn.output_nodes, bn.encoding)
+    law = output_marginal_law(attacker) if BAYES in config.attacks else None
+    return law, empirical_marginals(proxy, bn.output_nodes, bn.encoding)
 
 
 def joint_prob(bn, full: dict[str, int]) -> float:

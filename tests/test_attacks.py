@@ -21,19 +21,20 @@ from bnmia.attacks import (
     score,
     side_clip_range,
 )
-from bnmia.inference import ImpossibleEvidenceError, posterior_engine
+from bnmia.inference import ImpossibleEvidenceError, PosteriorEngine
 from bnmia.model import (
     BayesianNetwork,
     NodeSpec,
     ReleasedCounts,
     attribute_marginals,
+    output_marginal_law,
 )
 from bnmia.populations import LEFT, RIGHT, make_half_repeated, make_product
 
 
-def one(name, mu, counts, y, bn=None) -> float:
+def one(name, mu, counts, y, law=None) -> float:
     """The score of attack `name` for target y against release counts alone."""
-    out = score(name, bn, mu, [counts], [[y]])
+    out = score(name, law, mu, [counts], [[y]])
     assert out.shape == (1, 1)
     return float(out[0, 0])
 
@@ -78,7 +79,7 @@ class TestClipped:
 
     def test_ignores_indices_outside_range(self):
         bn = make_half_repeated(5, (0.3, 0.5, 0.7))
-        mu = attribute_marginals(bn)
+        mu = attribute_marginals(output_marginal_law(bn))
         y = (1, 0, 1, 1, 1)
         clip = half_clip_range(5)
         assert clip == ClipRange(1, 3)
@@ -126,26 +127,26 @@ class TestInnerProduct:
 
 class TestBayesScore:
     def test_matches_lrt_on_product_population(self):
-        bn = make_product((0.3, 0.6, 0.45))
-        mu = attribute_marginals(bn)
+        law = output_marginal_law(make_product((0.3, 0.6, 0.45)))
+        mu = attribute_marginals(law)
         counts = ReleasedCounts((2, 1, 3), 4)
         for y in [(0, 0, 0), (1, 0, 1), (1, 1, 1)]:
-            b = one("bayes", None, counts, y, bn)
+            b = one("bayes", None, counts, y, law)
             assert b == pytest.approx(one("lrt", mu, counts, y), rel=1e-9)
 
     def test_matches_clipped_on_half_repeated(self):
-        bn = make_half_repeated(5, (0.3, 0.6, 0.45))
-        mu = attribute_marginals(bn)
+        law = output_marginal_law(make_half_repeated(5, (0.3, 0.6, 0.45)))
+        mu = attribute_marginals(law)
         counts = ReleasedCounts((2, 1, 3, 3, 3), 3)
         assert half_clip_range(5) == ClipRange(1, 3)
         for y_free in [(0, 0, 0), (1, 0, 1), (0, 1, 1)]:
             y = y_free + (y_free[-1], y_free[-1])
-            b = one("bayes", None, counts, y, bn)
+            b = one("bayes", None, counts, y, law)
             assert b == pytest.approx(one("lrt_clipped:1-3", mu, counts, y), rel=1e-9)
 
     def test_infeasible_target(self):
-        bn = make_product((0.5, 0.5))
-        assert one("bayes", None, ReleasedCounts((0, 1), 2), (1, 0), bn) == float("-inf")
+        law = output_marginal_law(make_product((0.5, 0.5)))
+        assert one("bayes", None, ReleasedCounts((0, 1), 2), (1, 0), law) == float("-inf")
 
 
 class TestDecide:
@@ -228,7 +229,7 @@ class TestBatchedScores:
         bn = BayesianNetwork(
             (NodeSpec("A", ("a0", "a1", "a2"), (), {(): (0.5, 0.5, 0.0)}),), ("A",), model.ONE_HOT
         )
-        mu = attribute_marginals(bn)
+        mu = attribute_marginals(output_marginal_law(bn))
         assert mu.tolist() == [0.5, 0.5, 0.0]
         counts = ReleasedCounts((2, 2, 0), 4)
         for y in ((1, 0, 0), (0, 1, 0)):
@@ -272,10 +273,10 @@ class TestScore:
         "targets", [[[1, 0, 1]], [[1, 0, 1, 0, 1]], [1, 0, 1, 0]], ids=["3", "5", "1-D"]
     )
     def test_wrong_width_rejected(self, name, targets):
-        bn = make_product((0.3, 0.5, 0.7, 0.4))
+        law = output_marginal_law(make_product((0.3, 0.5, 0.7, 0.4)))
         counts = ReleasedCounts((1, 2, 1, 3), 3)
         with pytest.raises(ValueError, match="target has the wrong dimension"):
-            score(name, bn, attribute_marginals(bn), [counts], [targets])
+            score(name, law, attribute_marginals(law), [counts], [targets])
 
     def test_each_marginal_scorer_checks_the_width(self):
         mu, counts = (0.3, 0.5, 0.7), ReleasedCounts((1, 2, 1), 3)
@@ -301,32 +302,33 @@ class TestScore:
                 assert score(name, None, mu, [counts], ys[None]).tolist() == expected.tolist()
 
     def test_bayes_is_the_engine_on_the_batch(self):
-        bn = make_half_repeated(3, (0.3, 0.6))
+        law = output_marginal_law(make_half_repeated(3, (0.3, 0.6)))
         counts = ReleasedCounts((2, 1, 1), 3)
         ys = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 1], [0, 1, 1]])
-        engine = posterior_engine(bn, [counts])
+        engine = PosteriorEngine(law, [counts])
         expected = [engine.result(y) for y in ys.tolist()]
-        assert score("bayes", bn, None, [counts], ys[None])[0].tolist() == expected
+        assert score("bayes", law, None, [counts], ys[None])[0].tolist() == expected
 
     @pytest.mark.parametrize(
         "name", ["lrt", "inner_product", "bayes", "lrt_clipped:2-3", "lrt_clipped_auto"]
     )
     def test_one_attacker_per_release(self, name):
-        # Each release against its own network and marginal row, in one call.
+        # Each release against its own law and marginal row, in one call.
         rng = np.random.default_rng(21)
-        nets = [make_product(tuple(rng.uniform(0.2, 0.8, size=4))) for _ in range(5)]
-        mus = np.array([attribute_marginals(bn) for bn in nets])
-        releases = [ReleasedCounts(tuple(rng.integers(0, 4, size=4).tolist()), 3) for _ in nets]
+        laws = [output_marginal_law(make_product(tuple(rng.uniform(0.2, 0.8, size=4))))
+                for _ in range(5)]
+        mus = np.array([attribute_marginals(law) for law in laws])
+        releases = [ReleasedCounts(tuple(rng.integers(0, 4, size=4).tolist()), 3) for _ in laws]
         ys = rng.integers(0, 2, size=(5, 6, 4))
-        got = score(name, nets, mus, releases, ys)
-        for r, bn in enumerate(nets):
-            alone = score(name, bn, mus[r], [releases[r]], ys[r : r + 1])[0]
+        got = score(name, laws, mus, releases, ys)
+        for r, law in enumerate(laws):
+            alone = score(name, law, mus[r], [releases[r]], ys[r : r + 1])[0]
             assert got[r].tobytes() == alone.tobytes()
 
     def test_impossible_evidence_raises(self):
-        bn = make_half_repeated(3, (0.3, 0.6))  # the copy always equals X2
+        law = output_marginal_law(make_half_repeated(3, (0.3, 0.6)))  # the copy always equals X2
         with pytest.raises(ImpossibleEvidenceError) as caught:
-            score("bayes", bn, None, [ReleasedCounts((1, 1, 0), 2)], [[[1, 1, 1]]])
+            score("bayes", law, None, [ReleasedCounts((1, 1, 0), 2)], [[[1, 1, 1]]])
         assert caught.value.releases == (0,)
         assert caught.value.scores.tolist() == [[-math.inf]]
 
@@ -334,9 +336,9 @@ class TestScore:
         "lrt", "inner_product", "bayes", "lrt_clipped:1-1", "lrt_clipped_auto", "lrt_clipped_flip"
     ])
     def test_empty_batch_rejected(self, name):
-        bn = make_product((0.3, 0.5))
+        law = output_marginal_law(make_product((0.3, 0.5)))
         with pytest.raises(ValueError, match="a batch needs at least one release"):
-            score(name, bn, attribute_marginals(bn), [], np.empty((0, 0, 2), dtype=int))
+            score(name, law, attribute_marginals(law), [], np.empty((0, 0, 2), dtype=int))
 
 
 class TestParseAttack:

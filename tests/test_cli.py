@@ -11,7 +11,7 @@ import bnmia
 from bnmia import harness, inference
 from bnmia.attacks import score
 from bnmia.cli import main
-from bnmia.model import ReleasedCounts, attribute_marginals
+from bnmia.model import ReleasedCounts, attribute_marginals, output_marginal_law
 from bnmia.populations import load_benchmark
 
 
@@ -143,9 +143,9 @@ class TestAttack:
         ])
         assert code == 0
         kind, value = capsys.readouterr().out.split()
-        bn = load_benchmark("cancer")
+        law = output_marginal_law(load_benchmark("cancer"))
         expected = score(
-            "lrt_clipped:1-5", bn, attribute_marginals(bn),
+            "lrt_clipped:1-5", law, attribute_marginals(law),
             [ReleasedCounts((2, 2, 1, 3, 1, 3, 2, 2, 3, 1), 4)], [[[1, 0, 1, 0, 1, 0, 1, 0, 1, 0]]],
         )
         assert (kind, value) == ("lrt_clipped:1-5", f"{expected[0, 0]:.12g}")
@@ -335,6 +335,19 @@ class TestErrors:
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("error: ") and "candidate budget" in err
         assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_live_table_past_its_budget_is_data_error(self, tmp_path, monkeypatch, capsys):
+        # product:3 at n = 8, 40 trials: no range gathers 3,000 candidates,
+        # but a step's joined table over the 40 releases keeps more.
+        monkeypatch.setattr(inference, "_CANDIDATE_BUDGET", 3000)
+        out = tmp_path / "results.csv"
+        code = main(["eval", "--network", "product:3", "--n", "8", "--trials", "40",
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: a convolution step would keep more than 3000 live partial sums" \
+            " (the candidate budget)\n"
         assert not out.exists()
 
     def test_malformed_file_is_data_error(self, tmp_path):

@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -604,9 +605,26 @@ class TestBatches:
         assert len(built) == 1
         assert chunks == [26, 14] and groups == [40]
 
+    def test_toy_group_laws_share_one_outcome_array(self):
+        # Under the strong threat a toy group's laws are built network by
+        # network into one outcome array, and score as the laws built alone.
+        config = ExperimentConfig("product:4", 3, trials=6, seed=2)
+        trials = range(config.trials)
+        nets = [resolve_population(config, harness._stream(config.seed, i, "population"))
+                for i in trials]
+        laws, mus = harness._attackers(config, trials, nets)
+        alone = [output_marginal_law(bn) for bn in nets]
+        assert all(law.vectors is laws[0].vectors for law in laws)
+        assert mus.tolist() == [attribute_marginals(law).tolist() for law in alone]
+        rng = np.random.default_rng(5)
+        releases = [dataset_counts(bn, project(bn, sample(bn, config.n, rng))) for bn in nets]
+        ys = rng.integers(0, 2, size=(len(nets), 16, 4))
+        got = attacks.score("bayes", laws, None, releases, ys)
+        assert (got == attacks.score("bayes", alone, None, releases, ys)).all()
+
     def test_toy_networks_are_resolved_chunk_by_chunk(self, monkeypatch):
-        # Each toy network caches its output law, so a share resolves its
-        # trials' networks only as their chunk is drawn.
+        # A group holds its trials' toy networks while it is scored, so a
+        # share resolves its trials' networks only as their chunk is drawn.
         config = ExperimentConfig("product:3", 2, trials=5, targets_in=3, targets_out=3)
         # Two trials' (5 records, 3 nodes) uniforms a chunk.
         monkeypatch.setattr(harness, "_GROUP_BYTES", 2 * 8 * (config.n + config.targets_out) * 3)
@@ -682,12 +700,13 @@ class TestBatches:
         assert ((batch.ins + batch.outs) > 0).sum(axis=1).tolist() == [2, 2, 3]
         assert batch.impossible.tolist() == [[False] * 3, [False] * 3, [False, True, False]]
         got = batch_trials(config, batch)
-        mu = attribute_marginals(bn)
+        law = output_marginal_law(bn)
+        mu = attribute_marginals(law)
         for t, release in enumerate(releases):
             for name in config.attacks:
                 flagged = 0
                 try:
-                    scores = attacks.score(name, bn, mu, [release], targets[t : t + 1])[0]
+                    scores = attacks.score(name, law, mu, [release], targets[t : t + 1])[0]
                 except ImpossibleEvidenceError as err:
                     scores, flagged = err.scores[0], 6
                 expected = TrialScores(scores[:3].tolist(), scores[3:].tolist(), flagged)
@@ -806,6 +825,18 @@ class TestRunExperiment:
         header = a.rows_csv().splitlines()[0]
         assert header == "population,d,n,threat,m,attack,trial,auc"
         assert len(a.rows) == 3 * len(config.attacks)
+
+    def test_toy_laws_hold_one_outcome_array(self):
+        # product:14's law has 16,384 outcomes: one copy of its outcome
+        # vectors a trial would hold 70 MiB over 40 trials.
+        config = ExperimentConfig("product:14", 2, trials=40)
+        tracemalloc.start()
+        try:
+            run_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
 
     def test_single_trial_std_zero(self):
         config = ExperimentConfig(
@@ -1029,17 +1060,17 @@ class TestClippedSuites:
             assert len(kept & block) == 1 and kept | block == set(range(d))
 
     def test_gap_skips_rows_where_both_odds_are_zero(self):
-        bn = make_product((0.3, 0.6))
+        law = output_marginal_law(make_product((0.3, 0.6)))
         ys = np.array([(0, 0), (0, 1), (1, 0), (1, 1)])
         counts = ReleasedCounts((0, 1), 1)  # only (0, 1) can be the record
-        gap, cases = suites._clipped_gap(bn, [counts], ys, ClipRange(1, 2))
+        gap, cases = suites._clipped_gap(law, [counts], ys, ClipRange(1, 2))
         assert gap <= 1e-15 and cases == 4
 
     def test_gap_is_inf_when_exactly_one_odds_is_zero(self):
-        bn = make_product((0.3, 0.6))
+        law = output_marginal_law(make_product((0.3, 0.6)))
         ys = np.array([(0, 0), (0, 1)])
         counts = ReleasedCounts((0, 1), 1)
-        assert suites._clipped_gap(bn, [counts], ys, ClipRange(1, 1)) == (math.inf, 2)
+        assert suites._clipped_gap(law, [counts], ys, ClipRange(1, 1)) == (math.inf, 2)
 
     @pytest.mark.parametrize(
         "kind, d, side", [("half", 5, RIGHT), ("lr", 6, RIGHT), ("lr", 6, LEFT)]
@@ -1055,11 +1086,12 @@ class TestClippedSuites:
             size = midpoint(d) if side == RIGHT else d - midpoint(d) + 2
             bn = make_lr_side(d, tuple(rng.uniform(0.2, 0.8, size=size)), side)
             clip = attacks.side_clip_range(d, side)
+        law = output_marginal_law(bn)
         ys = np.array(list(suites._tied_vectors(d, side, 1)))
         for n in (2, 3):
             releases = [ReleasedCounts(c, n) for c in suites._tied_vectors(d, side, n)]
-            alone = [suites._clipped_gap(bn, [counts], ys, clip) for counts in releases]
-            assert suites._clipped_gap(bn, releases, ys, clip) == (
+            alone = [suites._clipped_gap(law, [counts], ys, clip) for counts in releases]
+            assert suites._clipped_gap(law, releases, ys, clip) == (
                 max(gap for gap, _ in alone), len(releases) * len(ys)
             )
             assert all(cases == len(ys) for _, cases in alone)
@@ -1067,15 +1099,15 @@ class TestClippedSuites:
 
     def test_batch_skips_an_impossible_release(self):
         # half:3's third attribute copies its second, so (0, 1, 0) is impossible.
-        bn = make_half_repeated(3, (0.3, 0.6))
+        law = output_marginal_law(make_half_repeated(3, (0.3, 0.6)))
         ys = np.array([(0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 1)])
         clip = attacks.half_clip_range(3)
         possible = [ReleasedCounts((1, 1, 1), 2), ReleasedCounts((0, 2, 2), 2)]
         impossible = ReleasedCounts((0, 1, 0), 2)
-        assert suites._clipped_gap(bn, [impossible], ys, clip) == (0.0, 0)
-        alone = max(suites._clipped_gap(bn, [counts], ys, clip)[0] for counts in possible)
+        assert suites._clipped_gap(law, [impossible], ys, clip) == (0.0, 0)
+        alone = max(suites._clipped_gap(law, [counts], ys, clip)[0] for counts in possible)
         batch = [possible[0], impossible, possible[1]]
-        assert suites._clipped_gap(bn, batch, ys, clip) == (alone, 2 * len(ys))
+        assert suites._clipped_gap(law, batch, ys, clip) == (alone, 2 * len(ys))
 
     def test_advisory_suite_is_pinned(self):
         suite = suites.verify_lr_single_side_counts()

@@ -20,7 +20,6 @@ from bnmia.inference import (
     PosteriorEngine,
     brute_force_posterior,
     closed_form_product_ratio,
-    posterior_engine,
     sum_log_table,
 )
 from bnmia.model import (
@@ -47,7 +46,7 @@ def count_prob(law, k: int, target) -> float:
 
 def odds(bn, counts, y) -> float:
     """The posterior odds R of one target, from a new one-release engine."""
-    return math.exp(posterior_engine(bn, [counts]).result(y))
+    return math.exp(PosteriorEngine(output_marginal_law(bn), [counts]).result(y))
 
 
 class TestSumCountProb:
@@ -287,6 +286,31 @@ class TestCandidateBudget:
         assert part.keys.tolist() == expected.parts[0].keys.tolist()
         assert part.log_probs.tobytes() == expected.parts[0].log_probs.tobytes()
 
+    def test_budget_bounds_the_live_table(self, monkeypatch):
+        # 100 releases of product:3 at n = 8: every range of a step gathers
+        # fewer candidates than the joined table holds live partial sums, so
+        # a budget that lets every range through stops the table, and one
+        # that holds the final table builds the same table.
+        bn = make_product((0.3, 0.5, 0.7))
+        law = output_marginal_law(bn)
+        rng = np.random.default_rng(4)
+        caps = np.array([released(bn, 8, rng) for _ in range(100)])
+        expected = sum_log_table(law, 7, caps)
+        largest = self.largest_range(monkeypatch, law, 7, caps)
+        assert largest < len(expected)
+        monkeypatch.setattr(inference, "_CANDIDATE_BUDGET", largest)
+        message = rf"more than {largest} live partial sums \(the candidate budget\)$"
+        with pytest.raises(model.ModelSizeError, match=message):
+            sum_log_table(law, 7, caps)
+        monkeypatch.setattr(inference, "_CANDIDATE_BUDGET", len(expected))
+        table = sum_log_table(law, 7, caps)
+        assert [part.keys.tobytes() for part in table.parts] == [
+            part.keys.tobytes() for part in expected.parts
+        ]
+        assert [part.log_probs.tobytes() for part in table.parts] == [
+            part.log_probs.tobytes() for part in expected.parts
+        ]
+
     def test_budget_stops_an_experiment(self, monkeypatch):
         monkeypatch.setattr(inference, "_CANDIDATE_BUDGET", 8)
         config = ExperimentConfig("cancer", 4, trials=2, seed=0, attacks=("bayes",))
@@ -491,7 +515,8 @@ class TestPosteriorRatio:
 
     def test_infeasible_target_gives_zero(self):
         bn = make_product((0.5,))
-        log_ratio = posterior_engine(bn, [ReleasedCounts((0,), 2)]).result((1,))
+        engine = PosteriorEngine(output_marginal_law(bn), [ReleasedCounts((0,), 2)])
+        log_ratio = engine.result((1,))
         assert log_ratio == float("-inf")
         assert math.exp(log_ratio) == 0.0
 
@@ -536,8 +561,8 @@ class TestPosteriorRatio:
     def test_posterior_engine_retains_nothing(self):
         bn = make_product((0.3, 0.6))
         counts = ReleasedCounts((1, 1), 2)
-        first = posterior_engine(bn, [counts])
-        assert posterior_engine(bn, [counts]) is not first
+        first = PosteriorEngine(output_marginal_law(bn), [counts])
+        assert PosteriorEngine(output_marginal_law(bn), [counts]) is not first
         ref = weakref.ref(first)
         del first
         gc.collect()
@@ -549,7 +574,7 @@ class TestPosteriorRatio:
         law = output_marginal_law(bn)
         engine = PosteriorEngine(law, [counts])
         for y in itertools.product((0, 1), repeat=3):
-            assert engine.result(y) == posterior_engine(bn, [counts]).result(y)
+            assert engine.result(y) == PosteriorEngine(output_marginal_law(bn), [counts]).result(y)
 
 
 @pytest.mark.parametrize("name", BUNDLED_BENCHMARKS)
@@ -599,10 +624,10 @@ class TestProductEquivalence:
             n = int(rng.integers(1, 5))
             p = tuple(rng.uniform(0.2, 0.8, size=d))
             bn = make_product(p)
-            mu = attribute_marginals(bn)
+            mu = attribute_marginals(output_marginal_law(bn))
             for c in itertools.product(range(n + 1), repeat=d):
                 counts = ReleasedCounts(c, n)
-                engine = posterior_engine(bn, [counts])
+                engine = PosteriorEngine(output_marginal_law(bn), [counts])
                 for y in itertools.product((0, 1), repeat=d):
                     lam = closed_form_product_ratio(mu, counts, y)
                     r = math.exp(engine.result(y))
@@ -619,12 +644,12 @@ class TestHalfRepeatedEquivalence:
             m = d // 2 + 1
             p = tuple(rng.uniform(0.2, 0.8, size=m))
             bn = make_half_repeated(d, p)
-            mu = attribute_marginals(bn)
+            mu = attribute_marginals(output_marginal_law(bn))
             for n in (1, 2, 3):
                 for free in itertools.product(range(n + 1), repeat=m):
                     c = free + (free[m - 1],) * (d - m)
                     counts = ReleasedCounts(c, n)
-                    engine = posterior_engine(bn, [counts])
+                    engine = PosteriorEngine(output_marginal_law(bn), [counts])
                     for y_free in itertools.product((0, 1), repeat=m):
                         y = y_free + (y_free[m - 1],) * (d - m)
                         lam = closed_form_product_ratio(
@@ -647,7 +672,7 @@ class TestBruteForceOracle:
             bn = make_product(p)
             for c in itertools.product(range(n + 1), repeat=d):
                 counts = ReleasedCounts(c, n)
-                engine = posterior_engine(bn, [counts])
+                engine = PosteriorEngine(output_marginal_law(bn), [counts])
                 for y in itertools.product((0, 1), repeat=d):
                     bf = brute_force_posterior(bn, counts, y)
                     dp = math.exp(engine.result(y))

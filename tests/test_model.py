@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -197,6 +199,16 @@ class TestOutputLaw:
         assert len(law) == 4
         assert all(v[1] == v[2] for v in law.vectors.tolist())
 
+    def test_the_network_keeps_no_law(self):
+        # Each call builds a new law, and only its caller holds it.
+        bn = make_product((0.3, 0.6))
+        law = output_marginal_law(bn)
+        ref = weakref.ref(law)
+        del law
+        gc.collect()
+        assert ref() is None
+        assert output_marginal_law(bn) is not output_marginal_law(bn)
+
     def test_no_outputs(self):
         law = output_marginal_law(make_product((0.3, 0.6)).with_outputs((), model.ONE_HOT))
         assert law.vectors.shape == (1, 0) and law.d == 0
@@ -293,18 +305,18 @@ class TestLawMatchesFullEnumeration:
 class TestAttributeMarginals:
     def test_product_marginals_equal_p(self):
         p = (0.3, 0.7, 0.45)
-        mu = attribute_marginals(make_product(p))
+        mu = attribute_marginals(output_marginal_law(make_product(p)))
         np.testing.assert_allclose(mu, p, atol=1e-12)
 
     def test_half_repeated_copies_share_marginal(self):
         bn = make_half_repeated(5, (0.3, 0.6, 0.8))
-        mu = attribute_marginals(bn)
+        mu = attribute_marginals(output_marginal_law(bn))
         assert mu[3] == pytest.approx(mu[2], abs=1e-12)
         assert mu[4] == pytest.approx(mu[2], abs=1e-12)
 
     def test_cancer_smoker_group(self):
         bn = make_cancer()
-        mu = attribute_marginals(bn)
+        mu = attribute_marginals(output_marginal_law(bn))
         # one-hot layout: Pollution(2), Smoker(2), ...
         assert mu[2] == pytest.approx(0.3, abs=1e-12)
         assert mu[3] == pytest.approx(0.7, abs=1e-12)
@@ -313,7 +325,9 @@ class TestAttributeMarginals:
         bn = make_cancer()
         law = output_marginal_law(bn)
         expected = sum(p * v for v, p in zip(law.vectors, law.probs))
-        np.testing.assert_allclose(attribute_marginals(bn), expected, atol=1e-12)
+        np.testing.assert_allclose(
+            attribute_marginals(output_marginal_law(bn)), expected, atol=1e-12
+        )
 
 
 class TestSampling:

@@ -30,7 +30,7 @@ class TestProduct:
     def test_single_fair_coin(self):
         bn = make_product((0.5,))
         assert validate(bn) == []
-        np.testing.assert_allclose(attribute_marginals(bn), [0.5])
+        np.testing.assert_allclose(attribute_marginals(output_marginal_law(bn)), [0.5])
 
     def test_joint_of_ones(self):
         bn = make_product((0.3, 0.7))
@@ -38,7 +38,9 @@ class TestProduct:
 
     def test_marginals_equal_p_exactly(self):
         p = (0.2, 0.35, 0.5, 0.65, 0.8)
-        np.testing.assert_allclose(attribute_marginals(make_product(p)), p, atol=1e-15)
+        np.testing.assert_allclose(
+            attribute_marginals(output_marginal_law(make_product(p))), p, atol=1e-15
+        )
 
     def test_ten_node_uniform(self):
         bn = make_product((0.5,) * 10)
@@ -62,7 +64,9 @@ class TestHalfRepeated:
         bn = make_half_repeated(5, (0.5, 0.5, 0.5))
         law = output_marginal_law(bn)
         assert len(law) == 8
-        np.testing.assert_allclose(attribute_marginals(bn), [0.5] * 5, atol=1e-15)
+        np.testing.assert_allclose(
+            attribute_marginals(output_marginal_law(bn)), [0.5] * 5, atol=1e-15
+        )
 
     def test_d25_dimension(self):
         bn = make_half_repeated(25, (0.5,) * 13)
@@ -87,9 +91,9 @@ class TestLrRepeated:
     def test_mixture_marginals(self):
         p_r, p_l = (0.3, 0.5, 0.7), (0.4, 0.6, 0.2)
         bn = make_lr_repeated(4, p_r, p_l)
-        mu = attribute_marginals(bn)
-        mu_r = attribute_marginals(make_lr_side(4, p_r, RIGHT))
-        mu_l = attribute_marginals(make_lr_side(4, p_l, LEFT))
+        mu = attribute_marginals(output_marginal_law(bn))
+        mu_r = attribute_marginals(output_marginal_law(make_lr_side(4, p_r, RIGHT)))
+        mu_l = attribute_marginals(output_marginal_law(make_lr_side(4, p_l, LEFT)))
         np.testing.assert_allclose(mu, 0.5 * mu_r + 0.5 * mu_l, atol=1e-12)
 
     def test_side_nets_match_mixture_components(self):
