@@ -6,11 +6,12 @@ takes a batch: a sequence of R released counts of one size n and an (R, T, d)
 array of encoded targets, one row of targets per release, and returns (R, T)
 scores; one release is the batch of one.  Ratio scores are kept in log space;
 a zero factor dominates and yields -inf, never NaN.  `score` is the one
-dispatcher from an attack name to its scores, and `parse_attack` the one
-grammar of names: `lrt`, `inner_product`, `bayes`, `lrt_clipped:LO-HI`
-(attributes LO..HI, 1-based and inclusive), and `lrt_clipped_auto` /
-`lrt_clipped_flip` (the side `choose_side` reads from each release's counts,
-the right one when they say nothing, or the other side).
+dispatcher from an attack name to its scores and impossible releases, and
+`parse_attack` the one grammar of names: `lrt`, `inner_product`, `bayes`,
+`lrt_clipped:LO-HI` (attributes LO..HI, 1-based and inclusive), and
+`lrt_clipped_auto` / `lrt_clipped_flip` (the side `choose_side` reads from
+each release's counts, the right one when they say nothing, or the other
+side).
 """
 from __future__ import annotations
 
@@ -20,13 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ReleasedCounts
-from .inference import (
-    _IMPOSSIBLE,
-    ImpossibleEvidenceError,
-    PosteriorEngine,
-    _stack,
-    _stacked_targets,
-)
+from .inference import PosteriorEngine, _stack, _stacked_targets
 from .populations import LEFT, RIGHT, midpoint
 
 IN = "IN"
@@ -172,23 +167,22 @@ def parse_attack(name: str) -> ClipRange | None:
         raise ValueError(f"attack {name!r}: {err}") from None
 
 
-def score(name: str, attacker, mu, counts, targets) -> np.ndarray:
+def score(name: str, attacker, mu, counts, targets) -> tuple[np.ndarray, tuple[int, ...]]:
     """The (releases, targets) scores of attack `name` for a sequence of
-    releases of one size and their (releases, targets, d) targets.  The
-    marginal tests read the marginals mu (one length-d vector, or a
-    (releases, d) array of one per release), bayes the output law (one
-    SupportDistribution for all releases, or a sequence of one per release).
-    Evidence impossible under it is a model mismatch rather than a score:
-    ImpossibleEvidenceError names the impossible releases (`releases`) and
-    carries the batch's scores (`scores`), -inf on their rows."""
+    releases of one size and their (releases, targets, d) targets, and the
+    indices of the releases impossible under the attacker's law: a model
+    mismatch rather than a score, each scored -inf on its row.  The marginal
+    tests read the marginals mu (one length-d vector, or a (releases, d)
+    array of one per release) and find none impossible; bayes reads the
+    output law (one SupportDistribution for all releases, or a sequence of
+    one per release)."""
     clip = parse_attack(name)
     c, _ = _stack(counts)
     ys = _stacked_targets(targets, len(c), c.shape[1])
     impossible = ()
     if name == BAYES:
         engine = PosteriorEngine(attacker, counts)
-        out = engine.log_ratios(ys)
-        impossible = engine.impossible
+        out, impossible = engine.log_ratios(ys), engine.impossible
     elif name == LRT:
         out = lrt_score(mu, counts, ys)
     elif name == INNER_PRODUCT:
@@ -202,9 +196,7 @@ def score(name: str, attacker, mu, counts, targets) -> np.ndarray:
             out[rows] = lrt_clipped_score(mu_rows, [counts[r] for r in rows], ys[rows], each)
     if np.isnan(out).any():
         raise ValueError("attack scores must never be NaN")
-    if impossible:
-        raise ImpossibleEvidenceError(_IMPOSSIBLE, impossible, out)
-    return out
+    return out, impossible
 
 
 def _auto_clip(name: str, counts: ReleasedCounts) -> ClipRange:

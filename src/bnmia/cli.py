@@ -16,7 +16,7 @@ import numpy as np
 from . import attacks as atk
 from . import harness
 from .formats import NetworkFormatError
-from .inference import ImpossibleEvidenceError
+from .inference import _IMPOSSIBLE, ImpossibleEvidenceError
 from .learning import ProxyDataset
 from .model import (
     InvalidNetworkError, ModelSizeError, ReleasedCounts, attribute_marginals, output_marginal_law
@@ -70,7 +70,10 @@ def _cmd_attack(args) -> int:
     except ValueError as err:
         raise DataError(str(err)) from None
     law = output_marginal_law(bn)
-    value = float(atk.score(args.attack, law, attribute_marginals(law), [counts], [[y]])[0, 0])
+    scores, impossible = atk.score(args.attack, law, attribute_marginals(law), [counts], [[y]])
+    if impossible:
+        raise ImpossibleEvidenceError(_IMPOSSIBLE)
+    value = float(scores[0, 0])
     print(f"{args.attack} {value:.12g}")
     if args.threshold is not None:
         print(atk.decide(value, args.threshold))

@@ -9,6 +9,7 @@ either, telling them apart by the text, never by the file name.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from pathlib import Path
 from typing import NamedTuple
@@ -273,8 +274,6 @@ def _assemble(
     decl_order: list[str],
     tables: dict[str, tuple[tuple[str, ...], dict, tuple[int, int]]],
 ) -> BayesianNetwork:
-    import itertools
-
     nodes: list[NodeSpec] = []
     for name in decl_order:
         if name not in tables:
@@ -293,8 +292,9 @@ def _assemble(
                 raise NetworkFormatError(
                     f"missing CPT row for {_key_text(combo)}", line, col
                 )
+        known = set(expected)
         for combo, row in rows.items():
-            if combo not in set(expected):
+            if combo not in known:
                 bad = [s for p, s in zip(parents, combo) if s not in states[p]]
                 detail = f"unknown parent state {bad[0]!r}" if bad else "unexpected row"
                 raise NetworkFormatError(
@@ -321,6 +321,16 @@ def _fmt(p: float) -> str:
     return f"{p:.17g}"
 
 
+def _labelled_rows(bn: BayesianNetwork, node: NodeSpec) -> list:
+    """A node's CPT rows as (parent state labels, probabilities), sorted by
+    the labels: the row order both emitters write."""
+    rows = [
+        (tuple(bn.node(p).states[s] for p, s in zip(node.parents, combo)), row)
+        for combo, row in node.cpt.items()
+    ]
+    return sorted(rows, key=lambda item: item[0])
+
+
 def emit_sexpr(bn: BayesianNetwork) -> str:
     """Canonical s-expression form: topological node order, rows sorted by
     parent state labels, probabilities at 17 significant digits."""
@@ -335,14 +345,9 @@ def emit_sexpr(bn: BayesianNetwork) -> str:
             row = " ".join(_fmt(p) for p in node.cpt[()])
             parts.append(f"(probability ({node.name}) (table {row}))")
             continue
-        rows = []
-        for combo in node.cpt:
-            labels = tuple(bn.node(p).states[s] for p, s in zip(node.parents, combo))
-            rows.append((labels, node.cpt[combo]))
-        rows.sort(key=lambda item: item[0])
         body = "\n".join(
             f"      (({' '.join(labels)}) {' '.join(_fmt(p) for p in row)})"
-            for labels, row in rows
+            for labels, row in _labelled_rows(bn, node)
         )
         parts.append(
             f"(probability ({node.name} {' '.join(node.parents)})\n{body})"
@@ -494,12 +499,7 @@ def emit_bif(bn: BayesianNetwork) -> str:
             out.append("}")
             continue
         out.append(f"probability ( {node.name} | {', '.join(node.parents)} ) {{")
-        rows = []
-        for combo, row in node.cpt.items():
-            labels = tuple(bn.node(p).states[s] for p, s in zip(node.parents, combo))
-            rows.append((labels, row))
-        rows.sort(key=lambda item: item[0])
-        for labels, row in rows:
+        for labels, row in _labelled_rows(bn, node):
             out.append(
                 f"  ({', '.join(labels)}) {', '.join(_fmt(p) for p in row)};"
             )

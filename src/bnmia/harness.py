@@ -11,7 +11,8 @@ is reduced at once to its trials' distinct target rows with their in- and
 out-counts (`_distinct_rows`), which alone are encoded.  Those rows are
 scored in groups of trials whose padded row stack fits in the same budget
 (`_packed`): one scoring call per attack for the whole group, against one
-attacker per trial or one shared by all, and one rank pass.  Under the weak
+attacker per trial or one shared by all, and one rank pass.  Each group comes
+back as its own `BatchScores`, counted as it arrives.  Under the weak
 and weakest threats the attackers are fitted to proxies drawn the same way,
 each chunk reduced to distinct full records with counts and the chunks
 packed into fit groups; every attacker's network is fitted on one path
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, fields
@@ -30,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import attacks as atk
-from .inference import ImpossibleEvidenceError, _same_outcomes
+from .inference import _same_outcomes
 from .learning import (
     ProxyDataset, chow_liu_structures, cpt_tables, empirical_marginals, tally_cells
 )
@@ -101,8 +103,7 @@ class ExperimentConfig:
 
 @dataclass
 class BatchScores:
-    """The scores of a worker's share of trials, or of one scoring group, by
-    each trial's distinct targets.
+    """The scores of one scoring group, by each trial's distinct targets.
 
     `scores[a, t, s]` is attack `config.attacks[a]`'s score of the target row
     in slot s of trial t; `ins[t, s]` and `outs[t, s]` count the in- and
@@ -241,11 +242,8 @@ def _score_group(
     scores = np.empty((len(config.attacks),) + rows.shape[:2])
     impossible = np.zeros(scores.shape[:2], dtype=bool)
     for a, name in enumerate(config.attacks):
-        try:
-            scores[a] = atk.score(name, attacker, mu, releases, rows)
-        except ImpossibleEvidenceError as err:
-            scores[a] = err.scores
-            impossible[a, list(err.releases)] = True
+        scores[a], flagged = atk.score(name, attacker, mu, releases, rows)
+        impossible[a, list(flagged)] = True
     return BatchScores(scores, ins, outs, impossible, weighted_auc_rows(scores, ins, outs))
 
 
@@ -355,14 +353,14 @@ def _draw_chunk(
     return releases, bits[len(data) :].reshape(*rows.shape[:2], -1), ins, outs
 
 
-def _slots(a: np.ndarray, width: int, axis: int = 1, weights: bool = False) -> np.ndarray:
-    """a with `width` slots along axis, its own cut or padded: a padding slot
-    repeats slot 0, at weight 0 in a (trials, slots) array of weights.  Only
-    padding slots are ever cut."""
+def _slots(a: np.ndarray, width: int, weights: bool = False) -> np.ndarray:
+    """a with `width` slots along axis 1, its own cut or padded: a padding
+    slot repeats slot 0, at weight 0 in a (trials, slots) array of weights.
+    Only padding slots are ever cut."""
     index = np.arange(width)
-    pad = index >= a.shape[axis]
+    pad = index >= a.shape[1]
     index[pad] = 0
-    out = np.take(a, index, axis=axis)
+    out = np.take(a, index, axis=1)
     if weights:
         out[:, pad] = 0
     return out
@@ -429,26 +427,11 @@ def _groups(config: ExperimentConfig, trials: Sequence[int], shared: BayesianNet
     yield from _packed(drawn())
 
 
-def _joined(groups: Sequence[BatchScores]) -> BatchScores:
-    """The scores of consecutive groups of trials as one BatchScores, every
-    group padded to the widest group's slots."""
-    if len(groups) == 1:
-        return groups[0]
-    width = max(g.ins.shape[1] for g in groups)
-    return BatchScores(
-        np.concatenate([_slots(g.scores, width, axis=2) for g in groups], axis=1),
-        np.concatenate([_slots(g.ins, width, weights=True) for g in groups]),
-        np.concatenate([_slots(g.outs, width, weights=True) for g in groups]),
-        np.concatenate([g.impossible for g in groups], axis=1),
-        np.concatenate([g.aucs for g in groups], axis=1),
-    )
-
-
 def run_batch(
     config: ExperimentConfig, trials: Sequence[int], shared: BayesianNetwork | None
-) -> BatchScores:
-    """Run the given trials, a worker's share, and return their scores and
-    AUCs, trial by trial in order.
+) -> list[BatchScores]:
+    """Run the given trials, a worker's share, and return each scoring
+    group's `BatchScores` as `_score_group` made it, in trial order.
 
     Each trial's streams make the draws it would make alone: its dataset
     stream the uniforms of its n records, its targets_in stream the records
@@ -465,7 +448,7 @@ def run_batch(
     bit, so a trial's scores still do not depend on the chunk or group it
     ran in.
     """
-    return _joined([_score_group(config, *group) for group in _groups(config, trials, shared)])
+    return [_score_group(config, *group) for group in _groups(config, trials, shared)]
 
 
 def weighted_auc_rows(scores, ins, outs) -> np.ndarray:
@@ -594,11 +577,12 @@ def _batches(config: ExperimentConfig) -> list[range]:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run all trials, one `run_batch` per worker's share, and aggregate
-    per-attack AUC mean and population std.  A non-toy population is
-    resolved once for the whole experiment.  With workers > 1 a process pool
-    runs the shares; the outputs do not depend on the shares, the draw
-    chunks, the scoring groups or the workers."""
+    """Run all trials, one `run_batch` per worker's share, and aggregate each
+    scoring group's AUCs and flags, as it arrives, into per-attack AUC mean
+    and population std.  A non-toy population is resolved once for the whole
+    experiment.  With workers > 1 a process pool runs the shares; the outputs
+    do not depend on the shares, the draw chunks, the scoring groups or the
+    workers."""
     shared = _shared_population(config)
     d = (shared or resolve_population(config, _stream(config.seed, 0, "population"))).d
     ranges = _batches(config)
@@ -606,11 +590,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     per_attack: dict[str, list[float]] = {name: [] for name in config.attacks}
     flags = dict.fromkeys(config.attacks, 0)
 
-    def count(batches) -> None:
+    def count(shares) -> None:
         flagged = config.targets_in + config.targets_out
-        for batch in batches:
-            aucs = batch.aucs.tolist()
-            for name, row, impossible in zip(config.attacks, aucs, batch.impossible.sum(axis=1)):
+        for group in itertools.chain.from_iterable(shares):
+            aucs = group.aucs.tolist()
+            for name, row, impossible in zip(config.attacks, aucs, group.impossible.sum(axis=1)):
                 per_attack[name] += row
                 flags[name] += flagged * int(impossible)
 

@@ -48,15 +48,10 @@ class ImpossibleEvidenceError(ValueError):
     """The released counts have probability zero under the attacker's model.
 
     Distinct from a ratio of zero (which is a valid result meaning the target
-    cannot be in the dataset): this signals model mismatch.  Raised for a
-    batch of releases, `releases` holds the indices of the impossible ones
-    and `scores` the batch's scores, -inf on their rows.
+    cannot be in the dataset): this signals model mismatch.  Only a call for
+    one answer raises it (`PosteriorEngine.result`, `brute_force_posterior`,
+    the `attack` command); a batch lists its impossible releases as data.
     """
-
-    def __init__(self, message: str, releases=(), scores=None):
-        super().__init__(message)
-        self.releases = tuple(releases)
-        self.scores = scores
 
 
 class _Part(NamedTuple):

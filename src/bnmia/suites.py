@@ -232,12 +232,9 @@ def _clipped_gap(
     the number of (release, target) pairs compared: a release impossible
     under law is skipped, its rows neither compared nor counted."""
     targets = np.broadcast_to(ys, (len(releases), *ys.shape))
+    r_log, impossible = atk.score(atk.BAYES, law, None, releases, targets)
     possible = np.ones(len(releases), dtype=bool)
-    try:
-        r_log = atk.score(atk.BAYES, law, None, releases, targets)
-    except ImpossibleEvidenceError as err:
-        r_log = err.scores
-        possible[list(err.releases)] = False
+    possible[list(impossible)] = False
     lam_log = atk.lrt_clipped_score(attribute_marginals(law), releases, targets, clip)
     r_log, lam_log = r_log[possible], lam_log[possible]
     r_zero = r_log == -math.inf

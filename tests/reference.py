@@ -107,22 +107,23 @@ class TrialScores(NamedTuple):
         return self._replace(scores_in=sorted(self.scores_in), scores_out=sorted(self.scores_out))
 
 
-def batch_trials(config, batch) -> list[dict[str, TrialScores]]:
-    """A `harness.BatchScores` trial by trial, attack -> TrialScores: each
-    distinct target's score repeated by its in- and by its out-multiplicity,
-    each list sorted, and targets_in + targets_out where the trial is
-    flagged."""
+def batch_trials(config, groups) -> list[dict[str, TrialScores]]:
+    """The trials of a sequence of `harness.BatchScores` groups, group by
+    group, attack -> TrialScores: each distinct target's score repeated by
+    its in- and by its out-multiplicity, each list sorted, and targets_in +
+    targets_out where the trial is flagged."""
     flagged = config.targets_in + config.targets_out
     return [
         {
             name: TrialScores(
-                sorted(np.repeat(batch.scores[a, t], batch.ins[t]).tolist()),
-                sorted(np.repeat(batch.scores[a, t], batch.outs[t]).tolist()),
-                flagged * int(batch.impossible[a, t]),
+                sorted(np.repeat(group.scores[a, t], group.ins[t]).tolist()),
+                sorted(np.repeat(group.scores[a, t], group.outs[t]).tolist()),
+                flagged * int(group.impossible[a, t]),
             )
             for a, name in enumerate(config.attacks)
         }
-        for t in range(len(batch.ins))
+        for group in groups
+        for t in range(len(group.ins))
     ]
 
 
@@ -134,7 +135,6 @@ def reference_trial(config, trial_index: int):
     `attacks.score` call per attack on the batch of its one release, every
     target scored in order."""
     from bnmia import attacks, harness
-    from bnmia.inference import ImpossibleEvidenceError
 
     def stream(purpose):
         return harness._stream(config.seed, trial_index, purpose)
@@ -149,11 +149,8 @@ def reference_trial(config, trial_index: int):
     k_in = config.targets_in
     out = {}
     for name in config.attacks:
-        flagged = 0
-        try:
-            scores = attacks.score(name, attacker, mu, [counts], targets[None])[0]
-        except ImpossibleEvidenceError as err:
-            scores, flagged = err.scores[0], len(targets)
+        (scores,), impossible = attacks.score(name, attacker, mu, [counts], targets[None])
+        flagged = len(targets) if impossible else 0
         out[name] = TrialScores(scores[:k_in].tolist(), scores[k_in:].tolist(), flagged)
     return out
 

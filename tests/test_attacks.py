@@ -21,7 +21,7 @@ from bnmia.attacks import (
     score,
     side_clip_range,
 )
-from bnmia.inference import ImpossibleEvidenceError, PosteriorEngine
+from bnmia.inference import PosteriorEngine
 from bnmia.model import (
     BayesianNetwork,
     NodeSpec,
@@ -34,7 +34,7 @@ from bnmia.populations import LEFT, RIGHT, make_half_repeated, make_product
 
 def one(name, mu, counts, y, law=None) -> float:
     """The score of attack `name` for target y against release counts alone."""
-    out = score(name, law, mu, [counts], [[y]])
+    out, _ = score(name, law, mu, [counts], [[y]])
     assert out.shape == (1, 1)
     return float(out[0, 0])
 
@@ -211,7 +211,7 @@ class TestBatchedScores:
         )
         for batch, name, reference in batches:
             assert batch.shape == (25,) and not np.isnan(batch).any()
-            assert score(name, None, mu, [counts], ys[None])[0].tolist() == batch.tolist()
+            assert score(name, None, mu, [counts], ys[None])[0][0].tolist() == batch.tolist()
             for value, y in zip(batch.tolist(), ys.tolist()):
                 assert value == one(name, mu, counts, y)
                 assert value == reference(tuple(y))
@@ -299,7 +299,7 @@ class TestScore:
             other = LEFT if side == RIGHT else RIGHT
             for name, clip_side in (("lrt_clipped_auto", side), ("lrt_clipped_flip", other)):
                 expected = lrt_clipped_score(mu, [counts], ys[None], side_clip_range(4, clip_side))
-                assert score(name, None, mu, [counts], ys[None]).tolist() == expected.tolist()
+                assert score(name, None, mu, [counts], ys[None])[0].tolist() == expected.tolist()
 
     def test_bayes_is_the_engine_on_the_batch(self):
         law = output_marginal_law(make_half_repeated(3, (0.3, 0.6)))
@@ -307,7 +307,7 @@ class TestScore:
         ys = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 1], [0, 1, 1]])
         engine = PosteriorEngine(law, [counts])
         expected = [engine.result(y) for y in ys.tolist()]
-        assert score("bayes", law, None, [counts], ys[None])[0].tolist() == expected
+        assert score("bayes", law, None, [counts], ys[None])[0][0].tolist() == expected
 
     @pytest.mark.parametrize(
         "name", ["lrt", "inner_product", "bayes", "lrt_clipped:2-3", "lrt_clipped_auto"]
@@ -320,17 +320,38 @@ class TestScore:
         mus = np.array([attribute_marginals(law) for law in laws])
         releases = [ReleasedCounts(tuple(rng.integers(0, 4, size=4).tolist()), 3) for _ in laws]
         ys = rng.integers(0, 2, size=(5, 6, 4))
-        got = score(name, laws, mus, releases, ys)
+        got, _ = score(name, laws, mus, releases, ys)
         for r, law in enumerate(laws):
-            alone = score(name, law, mus[r], [releases[r]], ys[r : r + 1])[0]
+            alone = score(name, law, mus[r], [releases[r]], ys[r : r + 1])[0][0]
             assert got[r].tobytes() == alone.tobytes()
 
     def test_impossible_evidence_raises(self):
+        # A batch raises nothing: it returns its impossible releases as data.
         law = output_marginal_law(make_half_repeated(3, (0.3, 0.6)))  # the copy always equals X2
-        with pytest.raises(ImpossibleEvidenceError) as caught:
-            score("bayes", law, None, [ReleasedCounts((1, 1, 0), 2)], [[[1, 1, 1]]])
-        assert caught.value.releases == (0,)
-        assert caught.value.scores.tolist() == [[-math.inf]]
+        scores, impossible = score(
+            "bayes", law, None, [ReleasedCounts((1, 1, 0), 2)], [[[1, 1, 1]]]
+        )
+        assert impossible == (0,)
+        assert scores.tolist() == [[-math.inf]]
+
+    def test_impossible_releases_come_back_as_data(self):
+        # X3 copies X2 in half:3, so the second and fourth releases are
+        # impossible evidence under bayes; no marginal test finds any.
+        law = output_marginal_law(make_half_repeated(3, (0.3, 0.6)))
+        releases = [ReleasedCounts(c, 3) for c in ((1, 1, 1), (1, 1, 2), (2, 0, 0), (0, 2, 1))]
+        ys = np.broadcast_to([[0, 0, 0], [1, 0, 0], [1, 1, 1], [0, 1, 1]], (4, 4, 3))
+        engine = PosteriorEngine(law, releases)
+        assert engine.impossible == (1, 3)
+        scores, impossible = score("bayes", law, None, releases, ys)
+        assert impossible == engine.impossible
+        assert scores.tobytes() == engine.log_ratios(ys).tobytes()
+        assert (scores[[1, 3]] == -math.inf).all() and np.isfinite(scores[[0, 2]]).any()
+        mu = attribute_marginals(law)
+        for name in ("lrt", "inner_product", "lrt_clipped:1-2"):
+            assert score(name, law, mu, releases, ys)[1] == ()
+        even = [ReleasedCounts(c, 4) for c in ((1, 3, 2, 2), (2, 2, 3, 1))]  # the side clips' d
+        for name in ("lrt_clipped_auto", "lrt_clipped_flip"):
+            assert score(name, None, (0.3, 0.4, 0.5, 0.6), even, np.ones((2, 1, 4)))[1] == ()
 
     @pytest.mark.parametrize("name", [
         "lrt", "inner_product", "bayes", "lrt_clipped:1-1", "lrt_clipped_auto", "lrt_clipped_flip"

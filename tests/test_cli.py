@@ -144,7 +144,7 @@ class TestAttack:
         assert code == 0
         kind, value = capsys.readouterr().out.split()
         law = output_marginal_law(load_benchmark("cancer"))
-        expected = score(
+        expected, _ = score(
             "lrt_clipped:1-5", law, attribute_marginals(law),
             [ReleasedCounts((2, 2, 1, 3, 1, 3, 2, 2, 3, 1), 4)], [[[1, 0, 1, 0, 1, 0, 1, 0, 1, 0]]],
         )

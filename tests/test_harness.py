@@ -244,7 +244,7 @@ class TestRunTrial:
             population="product:4", n=3, targets_in=6, targets_out=6, seed=3,
             attacks=("lrt", "bayes"),
         )
-        batch = run_batch(config, [1], None)
+        (batch,) = run_batch(config, [1], None)  # one trial: one scoring group
         members = batch.ins[0] > 0
         lrt, bayes = (row[members].tolist() for row in batch.scores[:, 0])
         assert len(lrt) == len(bayes) > 0
@@ -504,7 +504,8 @@ class TestBatches:
         monkeypatch.setattr(harness, "_GROUP_BYTES", group_bytes[budget])
         chunks, groups = record_chunks_and_groups(monkeypatch)
         batch = run_batch(config, range(config.trials), harness._shared_population(config))
-        assert np.array_equal(batch.aucs, weighted_auc_rows(batch.scores, batch.ins, batch.outs))
+        for group in batch:
+            assert np.array_equal(group.aucs, weighted_auc_rows(group.scores, group.ins, group.outs))
         if budget != "default":
             assert chunks == groups == (
                 [1] * config.trials if budget == "one-trial" else [config.trials]
@@ -521,6 +522,20 @@ class TestBatches:
         batch = run_batch(config, range(config.trials), harness._shared_population(config))
         assert chunks == [1] * 4 and groups == [3, 1]
         assert_batch_is_the_reference(config, batch)
+
+    def test_run_batch_returns_each_scoring_group(self, monkeypatch):
+        # The groups of test_one_trial_chunks_meet_in_a_group come back one
+        # BatchScores each, in trial order, and hold the experiment's AUCs.
+        config = ExperimentConfig("sachs:leaves", 4, trials=4, seed=6, targets_out=300)
+        rows = run_experiment(config).rows
+        monkeypatch.setattr(harness, "_GROUP_BYTES", 16 * 1024)
+        _, groups = record_chunks_and_groups(monkeypatch)
+        scored = run_batch(config, range(config.trials), harness._shared_population(config))
+        assert [len(group.ins) for group in scored] == groups == [3, 1]
+        aucs = np.concatenate([group.aucs for group in scored], axis=1)
+        assert [(row.trial, row.auc) for row in rows] == [
+            (t, auc) for t, each in enumerate(aucs.T.tolist()) for auc in each
+        ]
 
     def test_one_trial_proxy_chunks_meet_in_a_fit_group(self, monkeypatch):
         # A proxy of 600 asia records takes 38,400 bytes of uniforms, past the
@@ -619,8 +634,8 @@ class TestBatches:
         rng = np.random.default_rng(5)
         releases = [dataset_counts(bn, project(bn, sample(bn, config.n, rng))) for bn in nets]
         ys = rng.integers(0, 2, size=(len(nets), 16, 4))
-        got = attacks.score("bayes", laws, None, releases, ys)
-        assert (got == attacks.score("bayes", alone, None, releases, ys)).all()
+        got, _ = attacks.score("bayes", laws, None, releases, ys)
+        assert (got == attacks.score("bayes", alone, None, releases, ys)[0]).all()
 
     def test_toy_networks_are_resolved_chunk_by_chunk(self, monkeypatch):
         # A group holds its trials' toy networks while it is scored, so a
@@ -650,14 +665,14 @@ class TestBatches:
         config = ExperimentConfig("half:3", 3, targets_in=2, targets_out=2, trials=3)
         releases = [ReleasedCounts(c, 3) for c in ((1, 1, 1), (1, 1, 2), (2, 0, 0))]
         targets = np.array([[(0, 1, 1), (1, 0, 0), (1, 1, 1), (0, 0, 0)]] * 3)
-        got = batch_trials(config, harness._score_group(
+        got = batch_trials(config, [harness._score_group(
             config, [0, 1, 2], [bn] * 3, releases, *weighted_rows(config, targets)
-        ))
+        )])
         for t in range(3):
             one = slice(t, t + 1)
-            alone = batch_trials(config, harness._score_group(
+            alone = batch_trials(config, [harness._score_group(
                 config, [t], [bn], releases[one], *weighted_rows(config, targets[one])
-            ))[0]
+            )])[0]
             for name in config.attacks:
                 flagged = 4 if (t, name) == (1, "bayes") else 0
                 assert got[t][name].impossible_evidence == flagged
@@ -678,10 +693,12 @@ class TestBatches:
             config = ExperimentConfig(case, 4, trials=14, seed=9)
         batch = run_batch(config, range(config.trials), harness._shared_population(config))
         k = config.targets_in + config.targets_out
-        assert batch.scores.shape[:2] == (len(config.attacks), config.trials)
-        assert batch.scores.shape[2] < k  # some targets share a row
-        assert (batch.ins.sum(axis=1) == config.targets_in).all()
-        assert (batch.outs.sum(axis=1) == config.targets_out).all()
+        assert sum(len(group.ins) for group in batch) == config.trials
+        for group in batch:
+            assert group.scores.shape[:2] == (len(config.attacks), len(group.ins))
+            assert group.scores.shape[2] < k  # some targets share a row
+            assert (group.ins.sum(axis=1) == config.targets_in).all()
+            assert (group.outs.sum(axis=1) == config.targets_out).all()
         for t, scores in enumerate(batch_trials(config, batch)):
             expected = reference_trial(config, t)
             assert scores == {name: each.sorted() for name, each in expected.items()}
@@ -699,16 +716,13 @@ class TestBatches:
         )
         assert ((batch.ins + batch.outs) > 0).sum(axis=1).tolist() == [2, 2, 3]
         assert batch.impossible.tolist() == [[False] * 3, [False] * 3, [False, True, False]]
-        got = batch_trials(config, batch)
+        got = batch_trials(config, [batch])
         law = output_marginal_law(bn)
         mu = attribute_marginals(law)
         for t, release in enumerate(releases):
             for name in config.attacks:
-                flagged = 0
-                try:
-                    scores = attacks.score(name, law, mu, [release], targets[t : t + 1])[0]
-                except ImpossibleEvidenceError as err:
-                    scores, flagged = err.scores[0], 6
+                (scores,), impossible = attacks.score(name, law, mu, [release], targets[t : t + 1])
+                flagged = 6 if impossible else 0
                 expected = TrialScores(scores[:3].tolist(), scores[3:].tolist(), flagged)
                 assert got[t][name] == expected.sorted()
         assert got[1]["bayes"].scores_in + got[1]["bayes"].scores_out == [-math.inf] * 6
