@@ -7,13 +7,16 @@ The evidence is the released integer count vector c = n * mean.  The odds are
 computed exactly from the population's output law by iterated convolution
 into a table of feasible partial-sum vectors and their log probabilities,
 pruning any partial sum that exceeds the released counts in some
-coordinate.  Scoring takes a batch: a sequence of R releases of one size n
-and (R, T, d) targets, one release being the batch of one.  The releases of
-a batch share one table: each release's partial sums are keyed under its own
-index, pruned against its own counts and convolved with its own law (each
-distinct law object logged once), so every release gets the bits it would
-get alone.  A brute-force enumeration over full network instances, one
-release at a time, provides an independent oracle for the same quantity.
+coordinate.  Whether an outcome fits is an exact integer test: the
+outcome's 0/1 row and the coordinates where the room is used up are packed
+into bit sets, and the outcome fits where the two share no bit.  Scoring
+takes a batch: a sequence of R releases of one size n and (R, T, d)
+targets, one release being the batch of one.  The releases of a batch share
+one table: each release's partial sums are keyed under its own index, pruned
+against its own counts and convolved with its own law (each distinct law
+object logged once), so every release gets the bits it would get alone.  A
+brute-force enumeration over full network instances, one release at a time,
+provides an independent oracle for the same quantity.
 """
 from __future__ import annotations
 
@@ -155,7 +158,8 @@ def _stacked_targets(targets, releases: int, d: int) -> np.ndarray:
 
 
 # Byte budget of one dense (outcomes x live partial sums) block in a
-# convolution step: the step takes as many outcomes at a time as fit in it,
+# convolution step, and of one block of outcomes that `_fits` packs and tests
+# against every cap: the step takes as many outcomes at a time as fit in it,
 # and at least one.
 _BLOCK_BYTES = 256 * 1024
 # Byte budget of the live partial sums (8 bytes each) in one range of a
@@ -199,15 +203,17 @@ def sum_log_table(law, k: int, caps) -> CountTable:
     probability from its release's column.  Each step walks a part's live keys
     in release-aligned ranges sized to a fixed budget (`_RANGE_BYTES`, at
     least one release a range), and each range's law outcomes in contiguous
-    blocks sized to another (`_BLOCK_BYTES`): per block, one matrix product
-    marks the live partial sums with room under their release's cap for every
-    set bit of each outcome, and one boolean gather takes the candidate sums
-    outcome by outcome.  A range's candidates are grouped before the next
-    range starts.  So no step materializes a whole (outcomes x live) matrix,
-    and every (release, partial sum) group sees the same candidates in the
-    same order as in a table of its release alone, whatever the budgets;
-    results are bitwise deterministic.  A range that gathers, or a step that
-    keeps, more sums than `_CANDIDATE_BUDGET` allows raises ModelSizeError.
+    blocks sized to another (`_BLOCK_BYTES`): per block, one AND of packed
+    bit sets (`_disjoint`), each outcome's set bits against each live partial
+    sum's at-cap coordinates, marks the partial sums with room under their
+    release's cap for every set bit of the outcome, and one boolean gather
+    takes the candidate sums outcome by outcome.  A range's candidates are
+    grouped before the next range starts.  So no step materializes a whole
+    (outcomes x live) matrix, and every (release, partial sum) group sees
+    the same candidates in the same order as in a table of its release
+    alone, whatever the budgets; results are bitwise deterministic.  A range
+    that gathers, or a step that keeps, more sums than `_CANDIDATE_BUDGET`
+    allows raises ModelSizeError.
     """
     caps = np.atleast_2d(np.asarray(caps, dtype=np.int64))
     if (caps < 0).any():
@@ -272,7 +278,7 @@ def _part_table(laws: list, k: int, caps: np.ndarray, first: int) -> _Part:
     column = np.array([distinct.setdefault(id(each), (len(distinct), each))[0] for each in laws])
     logp_out = np.stack([np.log(each.probs[keep]) for _, each in distinct.values()], axis=1)
     offsets = vecs @ strides
-    bits = vecs.astype(np.float32)  # 0/1 entries: the products below count set bits exactly
+    bits = _packed(vecs)  # each kept outcome's set bits, packed once for every step
     budget = max(1, _RANGE_BYTES // 8)
 
     for _ in range(k):
@@ -306,12 +312,38 @@ def _part_table(laws: list, k: int, caps: np.ndarray, first: int) -> _Part:
 
 def _fits(vectors: np.ndarray, caps: np.ndarray) -> np.ndarray:
     """Whether each 0/1 outcome row of vectors is <= each cap, as an
-    (outcomes, caps) array: per block of outcomes under `_BLOCK_BYTES`, one
-    float32 matrix product counts the outcome's set bits where the cap is 0."""
-    zero = (caps == 0).T.astype(np.float32)
-    rows = max(1, _BLOCK_BYTES // (4 * max(vectors.shape[1], len(caps))))
+    (outcomes, caps) array: an outcome fits under a cap when its bit set
+    shares no bit with the cap's zero coordinates, tested per block of
+    outcomes whose flags and words stay under `_BLOCK_BYTES`."""
+    zero = _packed(caps == 0)
+    rows = max(1, _BLOCK_BYTES // max(vectors.shape[1], zero.itemsize * len(caps)))
+    hit = np.empty((min(rows, len(vectors)), len(caps)), zero.dtype)
     blocks = range(0, len(vectors), rows)
-    return _joined([vectors[lo : lo + rows].astype(np.float32) @ zero == 0 for lo in blocks], None)
+    return _joined([_disjoint(_packed(vectors[lo : lo + rows]), zero, hit) for lo in blocks], None)
+
+
+def _packed(rows: np.ndarray) -> np.ndarray:
+    """Each 0/1 row of an (N, d) array as a bit set: an (N, words) array of
+    the narrowest unsigned type that holds d bits (uint8 to uint64, one
+    word), or of ceil(d / 64) uint64 words past 64 bits."""
+    d = rows.shape[1]
+    size = next(b for b in (1, 2, 4, 8) if 8 * b >= d) if d <= 64 else 8 * -(-d // 64)
+    out = np.zeros((len(rows), size), dtype=np.uint8)
+    # packbits reads bool flags several times faster than int64 entries
+    out[:, : -(-d // 8)] = np.packbits(rows.astype(bool, copy=False), axis=1, bitorder="little")
+    return out.view(f"u{min(size, 8)}")
+
+
+def _disjoint(a: np.ndarray, b: np.ndarray, hit: np.ndarray) -> np.ndarray:
+    """Whether each bit set of a shares no bit with each bit set of b (both
+    from `_packed`), as an (len(a), len(b)) array.  hit is a word array of
+    at least len(a) rows by len(b), reused from block to block: a new one
+    per block leaves holes in the heap between the arrays a step keeps, and
+    peak RSS grows with them."""
+    hit = np.bitwise_and(a[:, None, 0], b[None, :, 0], out=hit[: len(a)])
+    for w in range(1, a.shape[1]):
+        hit |= a[:, None, w] & b[None, :, w]
+    return hit == 0
 
 
 def _joined(chunks: list, empty: np.ndarray) -> np.ndarray:
@@ -328,23 +360,26 @@ def _range_candidates(live, logp, cap_keys, counts, moduli, offsets, logp_out, b
     outcomes in blocks of `_BLOCK_BYTES`, and returned stably sorted by key.
     An outcome's log probability for live key i is logp_out[outcome, rel[i]],
     or logp_out[outcome, rel[0]] for every live key when rel has one entry.
-    Raises ModelSizeError, naming the limit, once the range has gathered more
-    candidates than `_CANDIDATE_BUDGET`'s bytes hold, so at most one block
-    past it is ever held.  The blocks are dropped once joined and the unsorted
-    arrays once sorted: N int64-key candidates peak near 32N bytes."""
-    at_cap = live[:, None] % moduli[None, :] >= np.repeat(cap_keys, counts, axis=0)
-    at_cap = at_cap.astype(np.float32)
+    bits are the outcomes' packed set bits (`_packed`); a live key's at-cap
+    coordinates are packed once per range, and an outcome has room where the
+    two bit sets are disjoint.  Raises ModelSizeError, naming the limit, once
+    the range has gathered more candidates than `_CANDIDATE_BUDGET`'s bytes
+    hold, so at most one block past it is ever held.  The blocks are dropped
+    once joined and the unsorted arrays once sorted: N int64-key candidates
+    peak near 32N bytes."""
+    at_cap = _packed(live[:, None] % moduli[None, :] >= np.repeat(cap_keys, counts, axis=0))
     rows = max(1, _BLOCK_BYTES // (8 * len(live)))
+    hit = np.empty((min(rows, len(offsets)), len(live)), at_cap.dtype)
     chunks_k, chunks_p = [], []
     gathered = 0
     for lo in range(0, len(offsets), rows):
         blk = slice(lo, lo + rows)
-        fits = bits[blk] @ at_cap.T == 0  # no set bit of the outcome is at its cap
+        fits = _disjoint(bits[blk], at_cap, hit)  # no set bit of the outcome is at its cap
         chunks_k.append((offsets[blk, None] + live[None, :])[fits])
         gathered += len(chunks_k[-1])
         _charge(gathered, live.dtype, "gather more than {} candidate sums in one range")
         chunks_p.append((logp_out[blk][:, rel] + logp[None, :])[fits])
-    del at_cap
+    del at_cap, hit
     keys, vals = _joined(chunks_k, live[:0]), _joined(chunks_p, logp[:0])
     del chunks_k, chunks_p
     order = np.argsort(keys, kind="stable")

@@ -212,6 +212,61 @@ class TestBlockedStepMatchesReference:
         assert_matches_reference(law, 6, (5,) * 68 + (2, 5))
 
 
+WIDTHS = [1, 7, 8, 9, 16, 17, 32, 33, 63, 64, 65, 128, 129]
+
+
+def bit_rows(rng, rows: int, d: int) -> np.ndarray:
+    """Random 0/1 rows at a sparse and a dense rate, then every one-hot row,
+    so that each bit of each word decides some pair alone."""
+    return np.concatenate([
+        rng.random((rows, d)) < 0.05,
+        rng.random((rows, d)) < 0.5,
+        np.eye(d, dtype=bool),
+    ]).astype(np.int64)
+
+
+class TestBitSets:
+    """The packed room test against its definition on the unpacked rows."""
+
+    def assert_disjoint_is_its_definition(self, a, b) -> None:
+        pa, pb = inference._packed(a), inference._packed(b)
+        assert pa.shape == (len(a), -(-a.shape[1] // 64)) and pa.dtype == pb.dtype
+        hit = np.empty((len(a), len(b)), pa.dtype)
+        expected = ~(a[:, None, :] & b[None, :, :]).any(axis=2)
+        assert np.array_equal(inference._disjoint(pa, pb, hit), expected)
+
+    @pytest.mark.parametrize("d", WIDTHS)
+    def test_disjoint_at_word_edges(self, d):
+        rng = np.random.default_rng(d)
+        self.assert_disjoint_is_its_definition(bit_rows(rng, 20, d), bit_rows(rng, 15, d))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 140), st.integers(0, 2**32 - 1))
+    def test_disjoint_at_any_width(self, d, seed):
+        rng = np.random.default_rng(seed)
+        self.assert_disjoint_is_its_definition(bit_rows(rng, 8, d), bit_rows(rng, 6, d))
+
+    @pytest.mark.parametrize("d", WIDTHS)
+    def test_narrowest_word(self, d):
+        packed = inference._packed(np.ones((1, d), dtype=bool))
+        bytes_needed = -(-d // 8)
+        word = next((b for b in (1, 2, 4, 8) if b >= bytes_needed), 8)
+        assert packed.itemsize == word and packed.shape[1] * word * 8 >= d
+
+    @pytest.mark.parametrize("budget", [1, 10**12], ids=["outcome-per-block", "one-block"])
+    @settings(
+        max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(st.integers(1, 140), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_fits_is_coordinatewise(self, monkeypatch, budget, d, releases, seed):
+        monkeypatch.setattr(inference, "_BLOCK_BYTES", budget)
+        rng = np.random.default_rng(seed)
+        vectors = bit_rows(rng, 10, d)
+        caps = rng.integers(1, 3, (releases, d)) * (rng.random((releases, d)) >= 0.1)
+        expected = (vectors[:, None, :] <= caps[None, :, :]).all(axis=2)
+        assert np.array_equal(inference._fits(vectors, caps), expected)
+
+
 class TestCandidateBudget:
     """A convolution range that gathers more than `_CANDIDATE_BUDGET`
     candidates raises ModelSizeError; one that gathers exactly that many
