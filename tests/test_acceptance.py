@@ -40,6 +40,14 @@ def _report(cid: str, passed: bool, detail: str, expected_failure: bool = False)
     print(f"ACCEPTANCE {cid}: {status} :: {detail}", file=sys.stderr)
 
 
+def _said(*runs: suites.SuiteResult, elapsed: float | None = None) -> str:
+    """Each suite's deviation, case count and seconds, and the timed call's
+    seconds, for an assert's message."""
+    said = [f"{s.name}: max deviation {s.max_deviation:.3e} over {s.cases} cases in "
+            f"{s.seconds:.1f}s" for s in runs]
+    return "; ".join(said + ([] if elapsed is None else [f"{elapsed:.1f}s timed"]))
+
+
 @pytest.fixture(scope="module")
 def lr_experiment():
     config = ExperimentConfig(
@@ -75,8 +83,8 @@ class TestCriterion1ProductEquivalence:
             f"max relative deviation {suite.max_deviation:.3e} over {suite.cases} "
             f"(count, target) pairs from 200 product populations in {elapsed:.1f}s",
         )
-        assert suite.max_deviation <= 1e-9
-        assert elapsed < 60.0
+        assert suite.max_deviation <= 1e-9, _said(suite, elapsed=elapsed)
+        assert elapsed < 60.0, _said(suite, elapsed=elapsed)
 
 
 class TestCriterion2ClippedEquivalence:
@@ -93,10 +101,10 @@ class TestCriterion2ClippedEquivalence:
             f"fixed-side max dev {side.max_deviation:.3e} ({side.cases} cases); "
             f"{elapsed:.1f}s",
         )
-        assert suite.max_deviation <= 1e-9
-        assert side.max_deviation <= 1e-9
+        assert suite.max_deviation <= 1e-9, _said(suite, side, elapsed=elapsed)
+        assert side.max_deviation <= 1e-9, _said(suite, side, elapsed=elapsed)
         assert (suite.cases, side.cases) == (35_312, 34_880)
-        assert elapsed < 120.0
+        assert elapsed < 120.0, _said(suite, side, elapsed=elapsed)
 
     @pytest.mark.xfail(
         strict=True,
@@ -131,7 +139,7 @@ class TestCriterion3OracleEquivalence:
             "(posterior absolute + odds relative; zero odds agree exactly)",
         )
         assert suite.cases == 1_950
-        assert suite.max_deviation <= 1e-12
+        assert suite.max_deviation <= 1e-12, _said(suite)
 
 
 class TestCriterion4BinomialIdentities:
@@ -142,7 +150,7 @@ class TestCriterion4BinomialIdentities:
             suite.passed,
             f"max relative deviation {suite.max_deviation:.3e} over {suite.cases} identities",
         )
-        assert suite.max_deviation <= 1e-12
+        assert suite.max_deviation <= 1e-12, _said(suite)
 
 
 class TestCriterion5SideClippingExperiment:
@@ -261,7 +269,7 @@ class TestCriterion6TableReproduction:
         elapsed = table_experiments["elapsed"]
         ok = elapsed < 1800.0
         _report("6 (runtime)", ok, f"all three populations in {elapsed:.1f}s (< 30 min)")
-        assert ok
+        assert ok, f"all three populations in {elapsed:.1f}s"
 
 
 def _paired_diffs(result, a: str, b: str) -> np.ndarray:

@@ -194,10 +194,8 @@ class TestEval:
         outputs = {}
         for net in (sexp, txt):
             out = tmp_path / f"{net.suffix[1:]}.csv"
-            code = main([
-                "eval", "--network", str(net), "--n", "4", "--trials", "4",
-                "--targets-in", "4", "--targets-out", "4", "--out", str(out),
-            ])
+            code = main(["eval", "--network", str(net), "--n", "4", "--trials", "4",
+                         "--out", str(out)])
             assert code == 0
             outputs[net.suffix] = [
                 [line.split(",", 1) for line in path.read_text().splitlines()[1:]]
@@ -350,11 +348,16 @@ class TestErrors:
             " (the candidate budget)\n"
         assert not out.exists()
 
-    def test_malformed_file_is_data_error(self, tmp_path):
+    @pytest.mark.parametrize("command, text", [
+        (["sample", "--n", "2"], "variable A { type discrete [ 2 ] { a }; }"),
+        (["eval", "--n", "4", "--trials", "4"], "variable A {"),  # truncated
+    ])
+    def test_malformed_file_is_data_error(self, tmp_path, capsys, command, text):
         bad = tmp_path / "bad.bif"
-        bad.write_text("variable A { type discrete [ 2 ] { a }; }", encoding="utf-8")
-        code = main(["sample", "--network", str(bad), "--n", "2"])
-        assert code == 2
+        bad.write_text(text, encoding="utf-8")
+        code = main([*command, "--network", str(bad), "--out", str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_oversized_law_is_data_error(self, capsys):
         # 24 released binary attributes: a 2**24-entry output table, over

@@ -2,6 +2,7 @@ import inspect
 import math
 import tracemalloc
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -827,6 +828,42 @@ class TestReducedDraws:
             assert scores == {name: each.sorted() for name, each in expected.items()}
 
 
+# sachs.bif under its path, five of its nodes released.
+SACHS_FILE = dict(
+    population=str(resources.files("bnmia.data") / "sachs.bif"),
+    output_nodes=("PKC", "Raf", "Mek", "Erk", "Akt"),
+)
+
+# Runs whose outputs must not depend on the workers: through the process
+# pool, the worker shares, the draw chunks, the scoring groups and the one
+# resolve of a file population, under every threat.  A draw chunk holds the
+# trials whose (records x nodes) float64 uniforms fit in 512 KiB: "many"
+# draws its 8 trials in one chunk, and each trial of "chunks" on the file's
+# 11 nodes is its own chunk; with one worker its 120 trials' distinct rows
+# fill three scoring groups, and with two the first share fills two.
+# "weakest-big" draws its proxies five to a chunk, each reduced to its
+# distinct records, and fits the two chunks in one group, whose trees have
+# hidden nodes.  asia releases every node, so its weakest trees take the
+# product over the output grid and its weak structure the einsum chain.  The
+# toy populations draw each trial's network afresh.
+WORKER_RUNS = {
+    "strong": ExperimentConfig(**SACHS_FILE, n=4, trials=8),
+    "weak": ExperimentConfig(**SACHS_FILE, n=4, trials=8, threat="weak", m=100),
+    "weakest": ExperimentConfig(**SACHS_FILE, n=4, trials=8, threat="weakest", m=20),
+    "weakest-big": ExperimentConfig(**SACHS_FILE, n=4, trials=8, threat="weakest", m=1000),
+    "many": ExperimentConfig(**SACHS_FILE, n=4, trials=8, targets_in=300, targets_out=300),
+    "chunks": ExperimentConfig(**SACHS_FILE, n=4, trials=120, targets_out=6000),
+    "asia-weakest": ExperimentConfig("asia", 4, trials=8, threat="weakest", m=1000),
+    "asia-weak": ExperimentConfig("asia", 4, trials=8, threat="weak", m=100),
+    "lr": ExperimentConfig("lr:6", 4, trials=8),
+    "half": ExperimentConfig("half:8", 4, trials=8, threat="weakest", m=50),
+    "product": ExperimentConfig("product:5", 4, trials=8, threat="weak", m=20),
+    "product-small": ExperimentConfig("product:4", 3, trials=4, targets_in=4, targets_out=4,
+                                      seed=13),
+    "shares": ExperimentConfig("cancer", 4, trials=5, targets_in=4, targets_out=5000, seed=13),
+}
+
+
 class TestRunExperiment:
     def test_csv_deterministic_and_well_formed(self):
         config = ExperimentConfig(
@@ -869,25 +906,23 @@ class TestRunExperiment:
         for row in result.summary:
             assert row.mean_auc > 0.55
 
-    def test_workers_match_serial(self, monkeypatch):
-        config = ExperimentConfig(
-            population="product:4", n=3, trials=4, targets_in=4, targets_out=4, seed=13
-        )
+    @pytest.mark.parametrize("config", WORKER_RUNS.values(), ids=WORKER_RUNS.keys())
+    def test_workers_match_serial(self, config):
+        # The two CSVs `eval` writes, byte for byte, at 1, 2 and 3 workers.
         serial = run_experiment(config)
-        parallel = run_experiment(replace(config, workers=2))
-        assert serial.rows_csv() == parallel.rows_csv()
-        # A bundled network whose trials are drawn in three chunks, two
-        # trials a chunk, and shared three and two between two workers.
-        config = ExperimentConfig(
-            population="cancer", n=4, trials=5, targets_in=4, targets_out=5000, seed=13
-        )
+        for workers in (2, 3):
+            parallel = run_experiment(replace(config, workers=workers))
+            assert parallel.rows_csv() == serial.rows_csv()
+            assert parallel.summary_csv() == serial.summary_csv()
+
+    def test_worker_shares_split_draw_chunks(self, monkeypatch):
+        # The trials are drawn in three chunks, two trials a chunk, and
+        # shared three and two between two workers.
+        config = WORKER_RUNS["shares"]
         assert [len(r) for r in harness._batches(replace(config, workers=2))] == [3, 2]
         chunks, _ = record_chunks_and_groups(monkeypatch)
-        serial = run_experiment(config)
+        run_experiment(config)
         assert chunks == [2, 2, 1]
-        parallel = run_experiment(replace(config, workers=2))
-        assert serial.rows_csv() == parallel.rows_csv()
-        assert serial.summary_csv() == parallel.summary_csv()
 
     def test_weak_threat_runs(self):
         config = ExperimentConfig(
