@@ -23,7 +23,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 from weakref import WeakKeyDictionary
@@ -59,16 +58,18 @@ class ImpossibleEvidenceError(ValueError):
 
 class _Part(NamedTuple):
     """Releases first .. first + size - 1 of a stack, packed with common
-    strides taken from their elementwise-max cap `top` (unsigned); `span`
-    is the key distance between consecutive releases.  keys are sorted and
-    unique.  `outcomes` are the outcomes of the part's law vectors under
-    some release's cap, and fits[r, i] is whether outcomes[i] is under
+    strides taken from their elementwise-max key cap `top` (unsigned); column
+    j copies column copy_of[j], and has stride 0 unless j == copy_of[j].
+    `span` is the key distance between consecutive releases.  keys are
+    sorted and unique.  `outcomes` are the outcomes of the part's law vectors
+    under some release's cap, and fits[r, i] is whether outcomes[i] is under
     release r's cap."""
 
     first: int
     size: int
     outcomes: np.ndarray
     fits: np.ndarray
+    copy_of: np.ndarray
     top: np.ndarray
     strides: np.ndarray
     span: int
@@ -82,9 +83,11 @@ class CountTable:
     for each release r of an (R, d) stack of caps.
 
     The stack is held in parts of consecutive releases whose laws share
-    their outcome vectors.  Within a part, (r, t) is packed into one integer
+    their outcome vectors.  Within a part, (r, t) is packed into one int64
     key: the release's place in the part is the most significant digit, then
-    t in mixed radix (the part's elementwise-max cap + 1, C order).  The
+    t in mixed radix (the part's elementwise-max key cap + 1, C order) over
+    the first copies only: a column equal to an earlier one on every law
+    outcome equals it in every sum, so it shares that column's digit.  The
     packing is internal: look entries up with `log_prob`.
     """
 
@@ -106,8 +109,9 @@ class CountTable:
     def log_prob(self, targets, releases=0) -> np.ndarray:
         """log P for each row of targets in the table of its release (one
         index for every row, or one per row); -inf where a target is
-        unreachable, negative, or outside that release's cap.  Raises
-        ValueError for a release index outside [0, R)."""
+        unreachable, negative, outside that release's cap, or differs from
+        a column it copies.  Raises ValueError for a release index outside
+        [0, R)."""
         t = _rows(targets, self.caps.shape[1])
         r = np.asarray(releases, dtype=np.int64)
         if ((r < 0) | (r >= len(self.caps))).any():
@@ -117,13 +121,15 @@ class CountTable:
             # Digits up to the part's top cap cannot carry into the next one,
             # so a target over its own release's cap just misses the keys.
             # As unsigned, a negative entry is huge: one comparison checks
-            # 0 <= t <= top.
+            # 0 <= t <= top.  A copied column has no digit: a target reaches
+            # the keys only where it equals the column it copies.
             inside = ~(t.view(np.uint64) > part.top).any(axis=1)
+            for j in np.flatnonzero(part.copy_of != np.arange(len(part.copy_of))):
+                inside &= t[:, j] == t[:, part.copy_of[j]]
             inside &= (r >= part.first) & (r < part.first + part.size)
             rows = np.flatnonzero(inside)
             packed = (t @ part.strides)[rows]
-            if part.size > 1:
-                packed += (np.broadcast_to(r, len(t))[rows] - part.first) * part.span
+            packed += (np.broadcast_to(r, len(t))[rows] - part.first) * part.span
             pos = np.searchsorted(part.keys, packed)
             hit = pos < len(part.keys)
             hit[hit] = part.keys[pos[hit]] == packed[hit]
@@ -168,24 +174,40 @@ _BLOCK_BYTES = 256 * 1024
 _RANGE_BYTES = 2 * 1024
 # The most candidate sums one range of a convolution step may gather, and
 # live partial sums one step may keep (16 bytes each, key and log probability:
-# 512 MiB; fewer for object keys, see `_charge`); past it, ModelSizeError.
+# 512 MiB); past it, ModelSizeError.
 _CANDIDATE_BUDGET = 2**25
 
 
-def _charge(count: int, key_dtype, act: str) -> None:
+def _charge(count: int, act: str) -> None:
     """Raise ModelSizeError, naming the limit where `act` has {}, when a step
-    holds more sums than `_CANDIDATE_BUDGET`'s bytes hold: 16 bytes a sum,
-    key and log probability, and a Python int past 64 bits for object keys."""
-    extra = sys.getsizeof(2**64) if key_dtype == object else 0
-    limit = _CANDIDATE_BUDGET * 16 // (16 + extra)
-    if count > limit:
-        raise ModelSizeError(f"a convolution step would {act.format(limit)} (the candidate budget)")
+    holds more sums than `_CANDIDATE_BUDGET`."""
+    if count > _CANDIDATE_BUDGET:
+        raise ModelSizeError(
+            f"a convolution step would {act.format(_CANDIDATE_BUDGET)} (the candidate budget)"
+        )
 
 
 def _key_bits(top: np.ndarray, size: int) -> float:
     """Bits of the keys of `size` releases packed under the elementwise-max
-    cap top."""
+    key cap top."""
     return float(np.sum(np.log2(top + 1))) + math.log2(size)
+
+
+def _first_copies(vectors: np.ndarray) -> np.ndarray:
+    """Each column's first copy: the least column equal to it on every row
+    of vectors, found by hashing the columns' packed bits."""
+    first: dict = {}
+    columns = _packed(vectors.T)
+    return np.array([first.setdefault(col.tobytes(), j) for j, col in enumerate(columns)])
+
+
+def _key_caps(caps: np.ndarray, copy_of: np.ndarray) -> np.ndarray:
+    """The caps (last axis: columns) of a key's digits: a first copy's is
+    the least cap of its copies, and a later copy has none (0)."""
+    out = caps.copy()
+    np.minimum.at(out, (..., copy_of), caps)
+    out[..., copy_of != np.arange(len(copy_of))] = 0
+    return out
 
 
 def sum_log_table(law, k: int, caps) -> CountTable:
@@ -197,17 +219,20 @@ def sum_log_table(law, k: int, caps) -> CountTable:
     Convolution states are pruned against their release's cap coordinatewise,
     which is sound for any query target <= that cap.  Consecutive releases
     share a part (`CountTable`) while their laws have the same outcome vectors
-    and the part's keys fit in 62 bits; a single release past 62 bits gets
-    Python-int keys (an object array).  A part logs each distinct law object
-    once, as one column, and each candidate sum takes its outcome's log
-    probability from its release's column.  Each step walks a part's live keys
-    in release-aligned ranges sized to a fixed budget (`_RANGE_BYTES`, at
-    least one release a range), and each range's law outcomes in contiguous
-    blocks sized to another (`_BLOCK_BYTES`): per block, one AND of packed
-    bit sets (`_disjoint`), each outcome's set bits against each live partial
-    sum's at-cap coordinates, marks the partial sums with room under their
-    release's cap for every set bit of the outcome, and one boolean gather
-    takes the candidate sums outcome by outcome.  A range's candidates are
+    and the part's int64 keys fit in 62 bits.  A key has one digit for each
+    set of columns that are equal on every law outcome, capped at the least
+    cap of the set; a release whose key alone passes 62 bits raises
+    ModelSizeError, naming its width, before any step.  A part logs each
+    distinct law object once, as one column, and each candidate sum takes
+    its outcome's log probability from its release's column.  Each step
+    walks a part's live keys in release-aligned ranges sized to a fixed
+    budget (`_RANGE_BYTES`, at least one release a range), and each range's
+    law outcomes in contiguous blocks sized to another (`_BLOCK_BYTES`): per
+    block, one AND of packed bit sets (`_disjoint`), each outcome's set bits
+    against each live partial sum's at-cap coordinates, marks the partial
+    sums with room under their release's cap for every set bit of the
+    outcome, and one boolean gather takes the candidate sums outcome by
+    outcome.  A range's candidates are
     grouped before the next range starts.  So no step materializes a whole
     (outcomes x live) matrix, and every (release, partial sum) group sees
     the same candidates in the same order as in a table of its release
@@ -218,18 +243,35 @@ def sum_log_table(law, k: int, caps) -> CountTable:
     caps = np.atleast_2d(np.asarray(caps, dtype=np.int64))
     if (caps < 0).any():
         raise ValueError("caps must be nonnegative")
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     laws = _per_release(law, len(caps))
-    parts, first = [], 0
+    return CountTable(caps, tuple(
+        _part_table(laws[a:b], k, caps[a:b], a, copy_of) for a, b, copy_of in _runs(laws, caps)
+    ))
+
+
+def _runs(laws: list, caps: np.ndarray) -> list:
+    """The parts of a stack, as (first, stop, copy_of): consecutive releases
+    first .. stop - 1 whose laws have the same outcome vectors, column j of
+    which copies column copy_of[j], while their keys fit in 62 bits.
+    Raises ModelSizeError for a release whose key alone passes 62 bits."""
+    runs, first = [], 0
     while first < len(caps):
-        top, stop = caps[first], first + 1
+        if not first or not _same_outcomes(laws[first - 1], laws[first]):
+            copy_of = _first_copies(laws[first].vectors)
+            key_caps = _key_caps(caps, copy_of)
+        top, stop = key_caps[first], first + 1
+        if (bits := _key_bits(top, 1)) > 62:
+            raise ModelSizeError(f"release {first}'s table keys need {bits:.1f} bits, past 62")
         while stop < len(caps) and _same_outcomes(laws[first], laws[stop]):
-            grown = np.maximum(top, caps[stop])
+            grown = np.maximum(top, key_caps[stop])
             if _key_bits(grown, stop + 1 - first) > 62:
                 break
             top, stop = grown, stop + 1
-        parts.append(_part_table(laws[first:stop], k, caps[first:stop], first))
+        runs.append((first, stop, copy_of))
         first = stop
-    return CountTable(caps, tuple(parts))
+    return runs
 
 
 def _per_release(law, releases: int) -> list[SupportDistribution]:
@@ -244,24 +286,24 @@ def _same_outcomes(a: SupportDistribution, b: SupportDistribution) -> bool:
     return a.vectors is b.vectors or np.array_equal(a.vectors, b.vectors)
 
 
-def _part_table(laws: list, k: int, caps: np.ndarray, first: int) -> _Part:
+def _part_table(laws: list, k: int, caps: np.ndarray, first: int, copy_of) -> _Part:
     """The k-fold table of the part whose (size, d) caps are releases first
     .. first + size - 1 of the stack, under one law per release, all with
-    the same outcome vectors (see `sum_log_table`)."""
+    the same outcome vectors, whose column j copies column copy_of[j] (see
+    `sum_log_table`)."""
     size, d = caps.shape
-    top = caps.max(axis=0)
-    unsigned_top = top.astype(np.uint64)
+    key_caps = _key_caps(caps, copy_of)
+    top = key_caps.max(axis=0)
+    unsigned_top = top[copy_of].astype(np.uint64)
     radix = top + 1
-    key_dtype = np.int64 if _key_bits(top, size) <= 62 else object
-    strides = np.ones(d, dtype=key_dtype)
-    bound = top.tolist()  # Python ints: exact past 64 bits
-    for j in range(d - 2, -1, -1):
-        strides[j] = strides[j + 1] * (bound[j + 1] + 1)
-    span = int(strides[0]) * int(radix[0]) if d else 1
+    span = int(np.prod(radix))
+    strides = np.where(copy_of == np.arange(d), span // np.cumprod(radix), 0)
     # Digit j of a key is at its cap exactly when the key modulo
-    # stride_j * radix_j reaches cap_j * stride_j: one remainder per digit.
-    moduli, cap_keys = strides * radix, caps * strides
-    starts = np.arange(size).astype(key_dtype) * span  # each release's first key
+    # stride_j * radix_j reaches cap_j * stride_j: one remainder per digit,
+    # which a copied column reads from its first copy.
+    moduli, cap_keys = (strides * radix)[copy_of], (key_caps * strides)[:, copy_of]
+    del key_caps
+    starts = np.arange(size) * span  # each release's first key
 
     keys = starts
     logp = np.zeros(size, dtype=float)
@@ -306,8 +348,8 @@ def _part_table(laws: list, k: int, caps: np.ndarray, first: int) -> _Part:
                 out_p.append(grouped[1])
             lo_r = hi_r
         keys, logp = _joined(out_k, keys[:0]), _joined(out_p, logp[:0])
-        _charge(len(keys), key_dtype, "keep more than {} live partial sums")
-    return _Part(first, size, keep, fit.T, unsigned_top, strides, span, keys, logp)
+        _charge(len(keys), "keep more than {} live partial sums")
+    return _Part(first, size, keep, fit.T, copy_of, unsigned_top, strides, span, keys, logp)
 
 
 def _fits(vectors: np.ndarray, caps: np.ndarray) -> np.ndarray:
@@ -363,10 +405,9 @@ def _range_candidates(live, logp, cap_keys, counts, moduli, offsets, logp_out, b
     bits are the outcomes' packed set bits (`_packed`); a live key's at-cap
     coordinates are packed once per range, and an outcome has room where the
     two bit sets are disjoint.  Raises ModelSizeError, naming the limit, once
-    the range has gathered more candidates than `_CANDIDATE_BUDGET`'s bytes
-    hold, so at most one block past it is ever held.  The blocks are dropped
-    once joined and the unsorted arrays once sorted: N int64-key candidates
-    peak near 32N bytes."""
+    the range has gathered more candidates than `_CANDIDATE_BUDGET`, so at
+    most one block past it is ever held.  The blocks are dropped once joined
+    and the unsorted arrays once sorted: N candidates peak near 32N bytes."""
     at_cap = _packed(live[:, None] % moduli[None, :] >= np.repeat(cap_keys, counts, axis=0))
     rows = max(1, _BLOCK_BYTES // (8 * len(live)))
     hit = np.empty((min(rows, len(offsets)), len(live)), at_cap.dtype)
@@ -377,7 +418,7 @@ def _range_candidates(live, logp, cap_keys, counts, moduli, offsets, logp_out, b
         fits = _disjoint(bits[blk], at_cap, hit)  # no set bit of the outcome is at its cap
         chunks_k.append((offsets[blk, None] + live[None, :])[fits])
         gathered += len(chunks_k[-1])
-        _charge(gathered, live.dtype, "gather more than {} candidate sums in one range")
+        _charge(gathered, "gather more than {} candidate sums in one range")
         chunks_p.append((logp_out[blk][:, rel] + logp[None, :])[fits])
     del at_cap, hit
     keys, vals = _joined(chunks_k, live[:0]), _joined(chunks_p, logp[:0])

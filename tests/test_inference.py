@@ -1,7 +1,6 @@
 import gc
 import itertools
 import math
-import sys
 import tracemalloc
 import weakref
 
@@ -34,6 +33,7 @@ from bnmia.populations import (
     BUNDLED_BENCHMARKS,
     load_benchmark,
     make_half_repeated,
+    make_lr_side,
     make_product,
 )
 
@@ -76,6 +76,11 @@ class TestSumCountProb:
             sum_log_table(law, 2, (-1, 1))
         with pytest.raises(ValueError, match="caps must be nonnegative"):
             sum_log_table(law, 2, [(1, 1), (0, -2)])
+
+    def test_negative_k_is_rejected(self):
+        law = output_marginal_law(make_product((0.5, 0.5)))
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            sum_log_table(law, -1, (1, 1))
 
     def test_matches_binomial_pmf(self):
         p = 0.37
@@ -130,12 +135,23 @@ def released(bn, n: int, rng) -> tuple[int, ...]:
     return dataset_counts(bn, project(bn, sample(bn, n, rng))).counts
 
 
+def reference_vectors(keys: np.ndarray, cap) -> np.ndarray:
+    """The count vectors of `reference_sum_log_table`'s keys: mixed radix
+    over cap + 1, C order, decoded as Python ints."""
+    rest, digits = keys.astype(object), []
+    for c in reversed(cap):
+        digits.append(rest % (c + 1))
+        rest = rest // (c + 1)
+    return np.stack(digits[::-1], axis=1).astype(np.int64).reshape(len(keys), len(cap))
+
+
 def assert_matches_reference(law, k: int, cap) -> None:
-    (table,) = sum_log_table(law, k, cap).parts  # one release: one part
+    """The table holds as many entries as the reference, and its lookups
+    of the reference's count vectors give the same log-probability bits."""
+    table = sum_log_table(law, k, cap)
     keys, log_probs = reference_sum_log_table(law, k, cap)
-    assert table.keys.dtype == keys.dtype
-    assert table.keys.tolist() == keys.tolist()
-    assert table.log_probs.tobytes() == log_probs.tobytes()
+    assert len(table) == len(keys)
+    assert table.log_prob(reference_vectors(keys, cap)).tobytes() == log_probs.tobytes()
 
 
 def copy_chain_law(d: int, p: float = 0.6, q: float = 0.3) -> model.SupportDistribution:
@@ -153,7 +169,8 @@ def copy_chain_law(d: int, p: float = 0.6, q: float = 0.3) -> model.SupportDistr
 
 class TestBlockedStepMatchesReference:
     """sum_log_table's outcome-block step against the per-outcome reference
-    loop, bit for bit: same keys, same dtype, same log-probability bits."""
+    loop, bit for bit: same number of entries, same log-probability bits at
+    every count vector of the reference."""
 
     @settings(max_examples=100, deadline=None)
     @given(small_networks(), st.integers(1, 6), st.integers(0, 2**32 - 1))
@@ -202,14 +219,82 @@ class TestBlockedStepMatchesReference:
         assert peak < 64 * 2**20
 
     def test_wide_raw_binary_chain(self):
-        # d = 70 needs object keys; the cap that binds first sits on the last
-        # coordinate, past any 64-bit mask.
+        # d = 70 packs 69 copies of one coin into one digit, and int64 keys;
+        # the cap that binds first sits on the last coordinate, past any
+        # 64-bit mask.
         law = copy_chain_law(70)
         cap = (5,) * 69 + (2,)
         table = sum_log_table(law, 5, cap)
-        assert table.parts[0].keys.dtype == object and len(table) == 18
+        assert table.parts[0].keys.dtype == np.int64 and len(table) == 18
         assert_matches_reference(law, 5, cap)
         assert_matches_reference(law, 6, (5,) * 68 + (2, 5))
+
+
+def never_taken_states_law() -> model.SupportDistribution:
+    """A one-hot law whose first node has two states of probability zero:
+    their columns are zero on every outcome, so one copies the other."""
+    nodes = (
+        model.NodeSpec("A", ("a", "b", "c", "e"), (), {(): (0.4, 0.6, 0.0, 0.0)}),
+        model.NodeSpec("B", ("0", "1"), ("A",), {
+            (0,): (0.3, 0.7), (1,): (0.8, 0.2), (2,): (0.5, 0.5), (3,): (0.5, 0.5),
+        }),
+    )
+    return output_marginal_law(model.BayesianNetwork(nodes, ("A", "B"), model.ONE_HOT))
+
+
+class TestKeyDigits:
+    """Columns equal on every law outcome share one int64 key digit, capped
+    at their least cap; a release whose key still passes 62 bits stops
+    before any convolution step."""
+
+    @pytest.mark.parametrize("name", ["half:9", "lr:10-right", "lr:10-left", "copy-chain",
+                                      "never-taken-states"])
+    def test_targets_whose_copies_disagree_miss(self, name):
+        # Every reachable sum under the cap, and each of them with one
+        # coordinate moved by one: where a column and one it copies
+        # disagree, the lookup misses; elsewhere it gives the reference's
+        # bits, or misses where the reference has no entry.
+        rng = np.random.default_rng(3)
+        law = {
+            "half:9": lambda: output_marginal_law(make_half_repeated(9, rng.uniform(0.2, 0.8, 5))),
+            "lr:10-right": lambda: output_marginal_law(
+                make_lr_side(10, rng.uniform(0.2, 0.8, 6), "right")),
+            "lr:10-left": lambda: output_marginal_law(
+                make_lr_side(10, rng.uniform(0.2, 0.8, 6), "left")),
+            "copy-chain": lambda: copy_chain_law(12),
+            "never-taken-states": never_taken_states_law,
+        }[name]()
+        k = 4
+        cap = np.full(law.d, k)
+        cap[-2] = k - 1  # a copied column may bind below the column it copies
+        keys, log_probs = reference_sum_log_table(law, k, cap)
+        sums = reference_vectors(keys, cap)
+        moved = (sums[:, None, :] + np.concatenate([np.eye(law.d), -np.eye(law.d)])[None])
+        targets = np.concatenate([sums, moved.reshape(-1, law.d).astype(np.int64)])
+        same = (law.vectors[:, :, None] == law.vectors[:, None, :]).all(axis=0)
+        disagree = np.array([(t[:, None] != t[None, :])[same].any() for t in targets])
+        expected = dict(zip(map(tuple, sums.tolist()), log_probs.tolist()))
+        got = sum_log_table(law, k, cap).log_prob(targets)
+        assert disagree.any() and (got[disagree] == -np.inf).all()
+        assert got[~disagree].tolist() == [
+            expected.get(tuple(t), -np.inf) for t in targets[~disagree].tolist()
+        ]
+
+    def test_a_release_past_62_bits_stops_before_any_step(self, monkeypatch):
+        # Trials 0 and 1 of `eval --network asia --n 50` at seed 0: no two of
+        # asia's sixteen one-hot columns are equal on every outcome, and the
+        # key of trial 1 needs 63.9 bits.
+        caps = [(0, 50, 0, 50, 22, 28, 1, 49, 23, 27, 1, 49, 1, 49, 27, 23),
+                (0, 50, 2, 48, 26, 24, 1, 49, 19, 31, 3, 47, 9, 41, 21, 29)]
+        law = output_marginal_law(load_benchmark("asia"))
+
+        def never(*args):
+            raise AssertionError("a convolution step ran")
+
+        monkeypatch.setattr(inference, "_range_candidates", never)
+        message = r"^release 1's table keys need 63\.9 bits, past 62$"
+        with pytest.raises(model.ModelSizeError, match=message):
+            sum_log_table(law, 49, caps)
 
 
 WIDTHS = [1, 7, 8, 9, 16, 17, 32, 33, 63, 64, 65, 128, 129]
@@ -320,27 +405,6 @@ class TestCandidateBudget:
         assert largest == 1_679_616
         assert peak < 2.5 * 16 * largest
 
-    def test_object_keys_stop_at_the_scaled_limit(self, monkeypatch):
-        # d = 70 needs object keys, whose candidates each hold a Python int
-        # as well: the budget that lets the largest range's candidates
-        # through as int64 keys stops them as object keys, naming the scaled
-        # limit, and the smallest budget whose scaled limit reaches them
-        # builds the same table.
-        law, caps = copy_chain_law(70), (5,) * 69 + (2,)
-        expected = sum_log_table(law, 5, caps)
-        largest = self.largest_range(monkeypatch, law, 5, caps)
-        per = 16 + sys.getsizeof(2**64)
-        monkeypatch.setattr(inference, "_CANDIDATE_BUDGET", largest)
-        limit = largest * 16 // per
-        message = rf"more than {limit} candidate sums in one range \(the candidate budget\)$"
-        with pytest.raises(model.ModelSizeError, match=message):
-            sum_log_table(law, 5, caps)
-        monkeypatch.setattr(inference, "_CANDIDATE_BUDGET", -(-largest * per // 16))
-        (part,) = sum_log_table(law, 5, caps).parts
-        assert part.keys.dtype == object
-        assert part.keys.tolist() == expected.parts[0].keys.tolist()
-        assert part.log_probs.tobytes() == expected.parts[0].log_probs.tobytes()
-
     def test_budget_bounds_the_live_table(self, monkeypatch):
         # 100 releases of product:3 at n = 8: every range of a step gathers
         # fewer candidates than the joined table holds live partial sums, so
@@ -394,12 +458,17 @@ class TestStackedTable:
         rng = np.random.default_rng(seed)
         caps = np.array([released(bn, n, rng) for _ in range(releases)])
         if mode == "split":
-            # Coordinate 0 takes the cap that makes the stack's elementwise
-            # max 61.5 - headroom bits wide: the whole stack is past 62
-            # bits, and any 2**headroom releases fit in one part.
+            # A column that no other column copies takes the cap that makes
+            # the stack's elementwise-max key 61.5 - headroom bits wide: the
+            # whole stack is past 62 bits, and any 2**headroom releases fit
+            # in one part.
             assume(releases >= 2 ** (headroom + 1))
-            rest = np.log2(caps[:, 1:].max(axis=0) + 1).sum()
-            caps[:, 0] = int(2.0 ** (61.5 - headroom - rest))
+            copy_of = inference._first_copies(law.vectors)
+            alone = np.flatnonzero(np.bincount(copy_of, minlength=law.d) == 1)
+            assume(len(alone))
+            caps[:, alone[0]] = 0
+            rest = np.log2(inference._key_caps(caps, copy_of).max(axis=0) + 1).sum()
+            caps[:, alone[0]] = int(2.0 ** (61.5 - headroom - rest))
         if mode != "split":
             budget = 1 if mode == "release-per-range" else 10**12
             monkeypatch.setattr(inference, "_RANGE_BYTES", budget)
