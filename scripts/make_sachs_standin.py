@@ -3,7 +3,8 @@
 The protein-signaling benchmark's published DAG (11 ternary nodes) is kept,
 but the canonical table values are not redistributable here, so rows are
 drawn once from a fixed-seed Dirichlet and frozen into the repository.
-Regenerating with this script reproduces the file byte for byte.
+Regenerating with this script reproduces the file byte for byte, and a test
+checks that `sachs_text` still builds exactly the bundled text.
 """
 from __future__ import annotations
 
@@ -40,7 +41,8 @@ def format_row(rng: np.random.Generator) -> str:
     return ", ".join(f"{c:.6f}" for c in cells)
 
 
-def main() -> None:
+def sachs_text() -> str:
+    """The stand-in's BIF text, its rows drawn afresh from SEED."""
     rng = np.random.default_rng(SEED)
     out = ["network unknown {", "}"]
     for name, _ in STRUCTURE:
@@ -60,8 +62,12 @@ def main() -> None:
         for combo in combos:
             out.append(f"  ({', '.join(combo)}) {format_row(rng)};")
         out.append("}")
+    return "\n".join(out) + "\n"
+
+
+def main() -> None:
     target = Path(__file__).resolve().parent.parent / "src" / "bnmia" / "data" / "sachs.bif"
-    target.write_text("\n".join(out) + "\n", encoding="utf-8")
+    target.write_text(sachs_text(), encoding="utf-8")
     print(f"wrote {target}")
 
 

@@ -44,6 +44,17 @@ def _listed(text: str) -> tuple[str, ...]:
     return tuple(v.strip() for v in text.split(","))
 
 
+def _integers(text: str, option: str) -> tuple[int, ...]:
+    """The comma-separated ASCII decimal integers of an `attack` option; a
+    DataError naming the first entry that is not one."""
+    entries = _listed(text)
+    for entry in entries:
+        digits = entry[1:] if entry.startswith("-") else entry
+        if not (digits.isascii() and digits.isdigit()):
+            raise DataError(f"{option} entry {entry!r} is not an integer")
+    return tuple(int(entry) for entry in entries)
+
+
 def _cmd_sample(args) -> int:
     rng = np.random.default_rng(args.seed)
     bn = resolve_network(args.network, rng, args.outputs, args.encoding)
@@ -59,8 +70,8 @@ def _cmd_sample(args) -> int:
 def _cmd_attack(args) -> int:
     atk.parse_attack(args.attack)
     bn = resolve_network(args.network, np.random.default_rng(0), args.outputs, args.encoding)
-    counts_vec = tuple(int(x) for x in args.counts.split(","))
-    y = tuple(int(x) for x in args.target.split(","))
+    counts_vec = _integers(args.counts, "--counts")
+    y = _integers(args.target, "--target")
     if len(y) != bn.d or len(counts_vec) != bn.d:
         raise DataError(f"counts and target must have length d={bn.d}")
     if any(b not in (0, 1) for b in y):

@@ -9,8 +9,10 @@ either, telling them apart by the text, never by the file name.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import re
 from pathlib import Path
 from typing import NamedTuple
 
@@ -35,32 +37,15 @@ class _Token(NamedTuple):
 def _tokenize(text: str, punct: str) -> list[_Token]:
     """Split text into tokens with 1-based line and column: each character of
     punct is a token of its own, and so is each maximal run of other non-space
-    characters."""
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in punct:
-            tokens.append(_Token(ch, line, col))
-            col += 1
-            i += 1
-            continue
-        start = i
-        start_col = col
-        while i < len(text) and not text[i].isspace() and text[i] not in punct:
-            i += 1
-            col += 1
-        tokens.append(_Token(text[start:i], line, start_col))
+    characters.  Only '\\n' starts a line; in a str pattern `\\s` matches
+    exactly the characters str.isspace accepts."""
+    chars = re.escape(punct)
+    # Line k (1-based) starts just after breaks[k - 1]: -1, then each newline.
+    breaks = [-1] + [m.start() for m in re.finditer("\n", text)]
+    tokens = []
+    for m in re.finditer(f"[{chars}]|[^\\s{chars}]+", text):
+        line = bisect.bisect(breaks, m.start())
+        tokens.append(_Token(m.group(), line, m.start() - breaks[line - 1]))
     return tokens
 
 
@@ -186,7 +171,6 @@ def parse_sexpr(text: str) -> BayesianNetwork:
         clauses = top
 
     states: dict[str, tuple[str, ...]] = {}
-    decl_order: list[str] = []
     tables: dict[str, tuple[tuple[str, ...], dict, tuple[int, int]]] = {}
 
     for clause in clauses:
@@ -219,7 +203,6 @@ def parse_sexpr(text: str) -> BayesianNetwork:
             if name in states:
                 raise NetworkFormatError(f"variable {name} declared twice", line, col)
             states[name] = labels
-            decl_order.append(name)
         elif head == "probability":
             if len(clause) < 3 or not isinstance(clause[1], list) or not clause[1]:
                 raise NetworkFormatError(
@@ -266,16 +249,15 @@ def parse_sexpr(text: str) -> BayesianNetwork:
         else:
             raise NetworkFormatError(f"unknown clause head {head!r}", line, col)
 
-    return _assemble(states, decl_order, tables)
+    return _assemble(states, tables)
 
 
 def _assemble(
     states: dict[str, tuple[str, ...]],
-    decl_order: list[str],
     tables: dict[str, tuple[tuple[str, ...], dict, tuple[int, int]]],
 ) -> BayesianNetwork:
     nodes: list[NodeSpec] = []
-    for name in decl_order:
+    for name in states:
         if name not in tables:
             raise NetworkFormatError(f"no probability clause for variable {name}", 1, 1)
         parents, rows, (line, col) = tables[name]
@@ -371,7 +353,6 @@ def parse_bif_subset(text: str) -> BayesianNetwork:
     """
     items = _parse_forms(_tokenize(text, "{}()[]|,;"), _BIF_BRACKETS)
     states: dict[str, tuple[str, ...]] = {}
-    decl_order: list[str] = []
     tables: dict[str, tuple[tuple[str, ...], dict, tuple[int, int]]] = {}
 
     i = 0
@@ -402,7 +383,6 @@ def parse_bif_subset(text: str) -> BayesianNetwork:
             if name in states:
                 raise NetworkFormatError(f"variable {name} declared twice", *_pos(name_tok))
             states[name] = labels
-            decl_order.append(name)
         elif head.text == "probability":
             if len(args) != 1 or args[0].text != "(":
                 raise NetworkFormatError("expected 'probability ( CHILD | PARENTS ) {'",
@@ -436,7 +416,7 @@ def parse_bif_subset(text: str) -> BayesianNetwork:
                 raise NetworkFormatError(f"duplicate probability block for {child}", *_pos(family))
             tables[child] = (parents, rows, _pos(family))
 
-    return _assemble(states, decl_order, tables)
+    return _assemble(states, tables)
 
 
 def _statements(block: _Form, where: str) -> list[list]:

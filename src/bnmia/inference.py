@@ -152,10 +152,20 @@ def _stack(releases) -> tuple[np.ndarray, int]:
     return np.array([r.counts for r in releases], dtype=np.int64), sizes.pop()
 
 
+def _bits(targets) -> np.ndarray:
+    """Targets as an int64 array, after checking that every raw entry is 0 or
+    1: the cast would read 0.5 as 0, and the scorers a 2 or a -1 as a bit."""
+    raw = np.asarray(targets)
+    whole = raw.dtype.kind in "bui" or np.isin(raw, (0, 1)).all()
+    if raw.size and not (whole and raw.min() >= 0 and raw.max() <= 1):
+        raise ValueError("target entries must be 0 or 1")
+    return raw.astype(np.int64, copy=False)
+
+
 def _stacked_targets(targets, releases: int, d: int) -> np.ndarray:
     """A batch's targets as an (R, T, d) int array, one row of targets per
-    release."""
-    t = np.asarray(targets, dtype=np.int64)
+    release; a ValueError on an entry other than 0 or 1."""
+    t = _bits(targets)
     if t.ndim != 3 or t.shape[2] != d:
         raise ValueError("target has the wrong dimension")
     if t.shape[0] != releases:
@@ -516,7 +526,7 @@ class PosteriorEngine:
         log_den = float(self.log_denominators[release])
         if log_den == LOG_ZERO:
             raise ImpossibleEvidenceError(_IMPOSSIBLE)
-        target = self._c[release] - _rows([y], self._c.shape[1])
+        target = self._c[release] - _rows(_bits([y]), self._c.shape[1])
         return float(self._table.log_prob(target, release)[0]) - log_den
 
 

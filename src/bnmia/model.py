@@ -133,6 +133,8 @@ class ReleasedCounts:
     n: int
 
     def __post_init__(self):
+        if not all(isinstance(v, (int, np.integer)) for v in (self.n, *self.counts)):
+            raise ValueError("released counts and n must be integers")
         if self.n < 1:
             raise ValueError("a release needs at least one record")
         if any(c < 0 or c > self.n for c in self.counts):

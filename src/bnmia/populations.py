@@ -207,16 +207,21 @@ def resolve_network(
     Toy names (`is_toy`) draw fresh Bernoulli parameters from rng within
     TOY_PARAM_RANGE, one per root: product:<d> draws d, half:<d> its right
     side's, and lr:<d> its right side's and then its left side's; no other
-    name reads rng.  A name with a path separator or a file suffix is a file,
-    read by `formats.load_document`, whose text decides the format, and
-    releases every node one-hot.  Any other name is a bundled benchmark, even
+    name reads rng.  A toy size that is not a positive decimal integer (even,
+    for lr) is a ValueError naming the population, raised before any draw.
+    A name with a path separator or a file suffix is a file, read by
+    `formats.load_document`, whose text decides the format, and releases
+    every node one-hot.  Any other name is a bundled benchmark, even
     when a file of that name exists in the working directory.
     output_nodes and encoding then override the released outputs.  Raises
     InvalidNetworkError on any problem `validate` reports.
     """
     if is_toy(name):
         kind, _, arg = name.partition(":")
-        d = int(arg)
+        d = int(arg) if arg.isascii() and arg.isdecimal() else 0
+        if d < 1 or (kind == "lr" and d % 2):
+            size = "a positive even integer" if kind == "lr" else "a positive integer"
+            raise ValueError(f"population {name!r}: the size must be {size}")
         if kind == "product":
             bn = make_product(tuple(rng.uniform(*TOY_PARAM_RANGE, size=d)))
         elif kind == "half":

@@ -4,7 +4,8 @@ one-trial draw and score with its own attacker, the pairwise AUC and the
 per-outcome convolution step they replaced; the swept ROC curve, whose area
 the rank-count AUC must equal; a batch result read trial by trial; two
 dict-record helpers, the chain-rule joint probability and a proxy's records;
-and the cancer network built by hand, independent of the format parsers."""
+the cancer network built by hand, independent of the format parsers; and the
+format scanner read one character at a time."""
 from __future__ import annotations
 
 import itertools
@@ -332,3 +333,24 @@ def reference_lr_repeated(d: int, p_right, p_left) -> BayesianNetwork:
             mix_copy_or_root(f"X{j + 1}", f"X{m}", copy_when=0, p_other=p_left[j - m + 2])
         )
     return _raw(d, nodes)
+
+
+def reference_tokenize(text: str, punct: str) -> list[tuple[str, int, int]]:
+    """(text, line, column) of each token, one character at a time: each
+    character of punct is a token, and so is each run of other non-space
+    characters; only '\\n' starts a line."""
+    tokens, word, line, col = [], None, 1, 0
+    for ch in text:
+        col += 1
+        if ch.isspace() or ch in punct:
+            word = None
+            if ch in punct:
+                tokens.append([ch, line, col])
+            if ch == "\n":
+                line, col = line + 1, 0
+        elif word is None:
+            word = [ch, line, col]
+            tokens.append(word)
+        else:
+            word[0] += ch
+    return [tuple(token) for token in tokens]

@@ -289,6 +289,15 @@ class TestScore:
                 with pytest.raises(ValueError, match="target has the wrong dimension"):
                     scored()
 
+    @pytest.mark.parametrize("name", ["lrt", "inner_product", "bayes", "lrt_clipped:1-2"])
+    @pytest.mark.parametrize("entry", [0.5, 2, -1, math.nan])
+    def test_target_entries_other_than_bits_are_refused(self, name, entry):
+        # The int64 cast would read 0.5 as 0; lrt would read 2 and -1 as a 1.
+        law = output_marginal_law(make_product((0.3, 0.5, 0.7)))
+        counts = ReleasedCounts((1, 2, 1), 3)
+        with pytest.raises(ValueError, match="target entries must be 0 or 1"):
+            score(name, law, attribute_marginals(law), [counts], [[[1, entry, 0]]])
+
     def test_side_clips_follow_choose_side(self):
         mu = (0.3, 0.4, 0.5, 0.6)
         ys = np.array([[1, 0, 1, 1], [0, 1, 0, 0], [1, 1, 0, 1]])

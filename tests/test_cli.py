@@ -158,6 +158,9 @@ class TestAttack:
             pytest.param("product:2", "3,0", "2", "1,0", "inner_product", id="count-above-n"),
             pytest.param("product:2", "1,-1", "2", "1,0", "lrt", id="negative-count"),
             pytest.param("product:2", "1,1", "2", "2,0", "lrt", id="target-not-a-bit"),
+            pytest.param("product:2", "1.5,1", "2", "1,0", "lrt", id="count-not-an-integer"),
+            pytest.param("product:2", "1,1", "2", "0.5,0", "lrt", id="target-not-an-integer"),
+            pytest.param("product:2", "1_0,1", "20", "1,0", "lrt", id="count-with-underscore"),
         ],
     )
     def test_dimension_mismatch_is_data_error(self, capsys, network, counts, n, target, attack):
@@ -169,6 +172,22 @@ class TestAttack:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "line" not in err and "column" not in err  # no source position to name
+
+
+    def test_non_integer_entry_is_named(self, capsys):
+        code = main([
+            "attack", "--network", "cancer", "--counts", "2.5,2,1,3,1,3,2,2,3,1",
+            "--n", "4", "--target", "1,0,1,0,1,0,1,0,1,0", "--attack", "lrt",
+        ])
+        assert (code, capsys.readouterr().err) == (
+            2, "error: --counts entry '2.5' is not an integer\n"
+        )
+
+    def test_bad_toy_size_is_usage_error(self, capsys):
+        code = main(["sample", "--network", "product:0", "--n", "2"])
+        assert (code, capsys.readouterr().err) == (
+            1, "error: population 'product:0': the size must be a positive integer\n"
+        )
 
 
 class TestEval:

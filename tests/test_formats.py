@@ -1,4 +1,5 @@
 import itertools
+import sys
 import tempfile
 import time
 from importlib import resources
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference import joint_prob, make_cancer
+from reference import joint_prob, make_cancer, reference_tokenize
 from strategies import small_networks
 
 from bnmia import formats, model
@@ -327,6 +328,22 @@ MALFORMED = [
          f"expected a state count, found {count!r}", 1, 30),
     )
 ]
+
+
+# Every code point str.isspace accepts ('\r', '\x0b', '\x85', '\u2028', ...),
+# each a separator to the scanner, though only '\n' starts a line.
+SPACES = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+SEXPR_PUNCT, BIF_PUNCT = "()'", "{}()[]|,;"
+
+
+class TestScanner:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([SEXPR_PUNCT, BIF_PUNCT]),
+        st.text(st.sampled_from(sorted(set(SEXPR_PUNCT + BIF_PUNCT)) + list("aZ09._-é") + SPACES)),
+    )
+    def test_tokens_match_the_character_by_character_reference(self, punct, text):
+        assert formats._tokenize(text, punct) == reference_tokenize(text, punct)
 
 
 class TestMalformedDocuments:

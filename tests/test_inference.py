@@ -644,6 +644,15 @@ class TestPosteriorRatio:
         assert log_ratio == float("-inf")
         assert math.exp(log_ratio) == 0.0
 
+    @pytest.mark.parametrize("target", [(0.5,), (2,), (-1,)])
+    def test_target_entries_other_than_bits_are_refused(self, target):
+        law = output_marginal_law(make_product((0.5,)))
+        engine = PosteriorEngine(law, [ReleasedCounts((1,), 2)])
+        with pytest.raises(ValueError, match="target entries must be 0 or 1"):
+            engine.result(target)
+        with pytest.raises(ValueError, match="target entries must be 0 or 1"):
+            engine.log_ratios([[target]])
+
     def test_counts_past_a_sure_state_are_impossible_evidence(self):
         # The live table empties before the last convolution step.
         sure = model.NodeSpec("A", ("0", "1"), (), {(): (0.0, 1.0)})

@@ -487,6 +487,19 @@ class TestEncoding:
             encode(BayesianNetwork((tri,), ("A",), model.RAW_BINARY), [[2]])
 
 
+class TestReleasedCounts:
+    @pytest.mark.parametrize(
+        "counts, n", [((2.7, 2), 4), ((2, 2), 4.5), ((2.0, 2), 4), ((2, 2), np.float64(4))]
+    )
+    def test_non_integers_are_refused(self, counts, n):
+        with pytest.raises(ValueError, match="released counts and n must be integers"):
+            ReleasedCounts(counts, n)
+
+    def test_numpy_integers_are_counts(self):
+        counts = ReleasedCounts((np.int64(2), np.uint8(1)), np.int32(4))
+        assert counts == ReleasedCounts((2, 1), 4)
+
+
 class TestDatasetCounts:
     def test_hand_sum(self):
         bn = make_product((0.5, 0.5))

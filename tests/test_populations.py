@@ -1,3 +1,7 @@
+import importlib.util
+from importlib import resources
+from pathlib import Path
+
 import numpy as np
 import pytest
 from reference import (
@@ -256,6 +260,13 @@ class TestCancer:
             )
 
 
+class NoStream:
+    """A population stream that no draw may read."""
+
+    def uniform(self, *args, **kwargs):
+        raise AssertionError("the population stream was read")
+
+
 class TestBenchmarks:
     def test_sachs_variants(self):
         bn = load_benchmark("sachs:path-left")
@@ -266,12 +277,15 @@ class TestBenchmarks:
     def test_only_toy_names_read_the_stream(self):
         assert [is_toy(name) for name in ("product:3", "half:5", "lr:6")] == [True] * 3
         assert not any(is_toy(name) for name in ("cancer", "sachs:leaves", "net.bif", "lr.sexp"))
-
-        class NoStream:
-            def uniform(self, *args, **kwargs):
-                raise AssertionError("a bundled network read the population stream")
-
         assert resolve_network("sachs:leaves", NoStream()).d == 12
+
+    def test_sachs_standin_script_rebuilds_the_bundled_file(self):
+        script = Path(__file__).parents[1] / "scripts" / "make_sachs_standin.py"
+        spec = importlib.util.spec_from_file_location("make_sachs_standin", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        bundled = resources.files("bnmia.data").joinpath("sachs.bif").read_bytes()
+        assert module.sachs_text().encode("utf-8") == bundled
 
     def test_unknown_names(self):
         with pytest.raises(ValueError, match="unknown benchmark"):
@@ -298,6 +312,16 @@ class TestResolveNetwork:
             resolve_network(name, np.random.default_rng(0), outputs, encoding)
         assert str(excinfo.value) == message
         assert isinstance(excinfo.value, ValueError)
+
+    @pytest.mark.parametrize(
+        "name", ["product:abc", "product:-1", "product:0", "product:2.5", "product: 3",
+                 "half:0", "half:x", "lr:3", "lr:0", "lr:-2"],
+    )
+    def test_bad_toy_size_names_the_population_before_any_draw(self, name):
+        size = "a positive even integer" if name.startswith("lr:") else "a positive integer"
+        with pytest.raises(ValueError) as excinfo:
+            resolve_network(name, NoStream())
+        assert str(excinfo.value) == f"population {name!r}: the size must be {size}"
 
     def test_file_of_any_name_is_read(self, tmp_path):
         from importlib import resources
