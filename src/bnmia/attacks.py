@@ -108,11 +108,6 @@ def lrt_clipped_score(mu, counts, targets, clip: ClipRange) -> np.ndarray:
     return _log_ratio_terms(mu, counts, targets, clip)
 
 
-def half_clip_range(d: int) -> ClipRange:
-    """Clip that keeps the independent attributes of a half-repeated population."""
-    return ClipRange(1, midpoint(d))
-
-
 def side_clip_range(d: int, side: str) -> ClipRange:
     """Clip for one side of the left/right population: the independent block
     plus one representative of the repeated block."""
@@ -124,13 +119,14 @@ def side_clip_range(d: int, side: str) -> ClipRange:
     raise ValueError(f"side must be {LEFT!r} or {RIGHT!r}")
 
 
-def choose_side(counts: ReleasedCounts, d: int) -> str:
+def choose_side(counts: ReleasedCounts) -> str:
     """Guess which side of the attributes is repeated from the counts alone:
-    a constant block of counts betrays the copies."""
-    if d % 2 != 0:
-        raise ValueError("d must be even")
-    m = midpoint(d)
+    a constant block of counts betrays the copies.  The width d of the
+    counts must be even."""
     c = counts.counts
+    if len(c) % 2 != 0:
+        raise ValueError("d must be even")
+    m = midpoint(len(c))
     left_const = len(set(c[: m - 1])) == 1
     right_const = len(set(c[m - 1 :])) == 1
     if right_const and not left_const:
@@ -202,13 +198,12 @@ def score(name: str, attacker, mu, counts, targets) -> tuple[np.ndarray, tuple[i
 def _auto_clip(name: str, counts: ReleasedCounts) -> ClipRange:
     """The side clip `lrt_clipped_auto` (or, flipped, `lrt_clipped_flip`)
     reads from one release's counts."""
-    d = len(counts.counts)
-    side = choose_side(counts, d)
+    side = choose_side(counts)
     if side == AMBIGUOUS:
         side = RIGHT  # documented default when the counts say nothing
     if name == "lrt_clipped_flip":
         side = LEFT if side == RIGHT else RIGHT
-    return side_clip_range(d, side)
+    return side_clip_range(len(counts.counts), side)
 
 
 def decide(value: float, threshold: float) -> str:

@@ -80,6 +80,10 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("n", "trials", "targets_in", "targets_out", "workers", "seed", "m"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) and not (name == "m" and value is None):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1 or self.targets_in < 1 or self.targets_out < 1 or self.n < 1:
             raise ValueError("trials, targets, and n must all be at least 1")
         if self.workers < 1:
@@ -523,12 +527,6 @@ class ExperimentResult:
     rows: list[TrialRow]
     summary: list[SummaryRow]
     impossible_evidence: dict[str, int]
-
-    def mean_auc(self, attack: str) -> float:
-        for row in self.summary:
-            if row.attack == attack:
-                return row.mean_auc
-        raise KeyError(attack)
 
     def rows_csv(self) -> str:
         return _table_csv(TrialRow, self.rows)

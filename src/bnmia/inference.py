@@ -44,6 +44,7 @@ LOG_ZERO = float("-inf")
 
 
 _IMPOSSIBLE = "impossible evidence: released counts have probability zero under BN"
+_BAD_RELEASE = "release index outside the table's releases"
 
 
 class ImpossibleEvidenceError(ValueError):
@@ -115,7 +116,7 @@ class CountTable:
         t = _rows(targets, self.caps.shape[1])
         r = np.asarray(releases, dtype=np.int64)
         if ((r < 0) | (r >= len(self.caps))).any():
-            raise ValueError("release index outside the table's releases")
+            raise ValueError(_BAD_RELEASE)
         out = np.full(len(t), LOG_ZERO)
         for part in self.parts:
             # Digits up to the part's top cap cannot carry into the next one,
@@ -522,7 +523,10 @@ class PosteriorEngine:
     def result(self, y: EncodedVector, release: int = 0) -> float:
         """log R of one target against one release of the engine; -inf when
         the target cannot be in the dataset.  Raises ImpossibleEvidenceError
-        when the release is impossible evidence."""
+        when the release is impossible evidence, and ValueError for a
+        release index outside [0, R)."""
+        if not 0 <= release < len(self._c):
+            raise ValueError(_BAD_RELEASE)
         log_den = float(self.log_denominators[release])
         if log_den == LOG_ZERO:
             raise ImpossibleEvidenceError(_IMPOSSIBLE)

@@ -45,9 +45,14 @@ class ProxyDataset:
         return int(self.weights[0].sum())
 
     def __post_init__(self):
+        _check_schema(self.nodes, self.states)
         data = np.asarray(self.data, dtype=np.int64)
         if data.ndim not in (2, 3) or data.shape[-1] != len(self.nodes):
             raise ValueError("proxy data must have one column per node")
+        outside = (data < 0) | (data >= [len(self.states[v]) for v in self.nodes])
+        if outside.any():
+            node = self.nodes[int(np.argmax(outside.reshape(-1, len(self.nodes)).any(axis=0)))]
+            raise ValueError(f"proxy state index outside the states of node {node!r}")
         counts = np.ones(data.shape[:-1], dtype=np.int64) if self.counts is None else (
             np.asarray(self.counts, dtype=np.int64)
         )
@@ -96,6 +101,7 @@ class ProxyDataset:
                 name: tuple(sorted({row[i] for row in data}))
                 for i, name in enumerate(names)
             }
+        _check_schema(names, states)
         array = np.zeros((len(data), len(names)), dtype=np.int64)
         for i, (name, labels) in enumerate(zip(names, zip(*data))):
             index = {label: k for k, label in enumerate(states[name])}
@@ -115,6 +121,15 @@ class ProxyDataset:
         for row in np.repeat(self.data, self.counts, axis=0).tolist():
             writer.writerow([states[s] for states, s in zip(labels, row)])
         return out.getvalue()
+
+
+def _check_schema(nodes: Sequence[str], states: dict[str, tuple[str, ...]]) -> None:
+    """Refuse a node named twice or one that `states` does not describe."""
+    for i, node in enumerate(nodes):
+        if node in nodes[:i]:
+            raise ValueError(f"proxy node {node!r} is named more than once")
+        if node not in states:
+            raise ValueError(f"proxy node {node!r} has no states in the schema")
 
 
 def tally_cells(structures: Sequence[BayesianNetwork], proxy: ProxyDataset) -> list[np.ndarray]:

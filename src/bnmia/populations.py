@@ -24,11 +24,6 @@ RIGHT = "right"
 TOY_PARAM_RANGE = (0.2, 0.8)
 
 
-def _check_open_unit(p: Sequence[float]) -> None:
-    if any(not (0.0 < q < 1.0) for q in p):
-        raise ValueError("Bernoulli parameters must lie strictly inside (0, 1)")
-
-
 def _bern_root(name: str, p: float) -> NodeSpec:
     return NodeSpec(name, ("0", "1"), (), {(): (1.0 - p, p)})
 
@@ -64,9 +59,18 @@ def _side_params(d: int, side: str, rng) -> tuple[float, ...]:
     return tuple(rng.uniform(*TOY_PARAM_RANGE, size=len(set(_copy_layout(d, side)))))
 
 
-def _layout_nodes(layout: Sequence[int], p: Sequence[float]) -> list[NodeSpec]:
+def _layout_nodes(
+    layout: Sequence[int], p: Sequence[float], what: str = "parameters"
+) -> list[NodeSpec]:
     """Attribute X_{j+1} of a layout as a node: a root drawn with the next
-    parameter of p, or an exact copy of its source."""
+    parameter of p, or an exact copy of its source.  p must hold one
+    parameter per root, each strictly inside (0, 1); `what` names p in the
+    error."""
+    roots = len(set(layout))
+    if len(p) != roots:
+        raise ValueError(f"need {roots} {what}, got {len(p)}")
+    if any(not (0.0 < q < 1.0) for q in p):
+        raise ValueError("Bernoulli parameters must lie strictly inside (0, 1)")
     params = iter(p)
     return [
         _bern_root(f"X{j + 1}", next(params)) if s == j else _copy_node(f"X{j + 1}", f"X{s + 1}")
@@ -94,18 +98,13 @@ def make_product(p: Sequence[float]) -> BayesianNetwork:
     """d independent Bernoulli attributes; the marginals equal p exactly."""
     if len(p) == 0:
         raise ValueError("p must be nonempty")
-    _check_open_unit(p)
     return _toy(len(p), _layout_nodes(range(len(p)), p))
 
 
 def make_half_repeated(d: int, p: Sequence[float]) -> BayesianNetwork:
     """First floor(d/2)+1 attributes independent, the rest copies of the pivot:
     the right side's layout."""
-    layout = _copy_layout(d, RIGHT)
-    if len(p) != len(set(layout)):
-        raise ValueError(f"need {len(set(layout))} parameters for d={d}, got {len(p)}")
-    _check_open_unit(p)
-    return _toy(d, _layout_nodes(layout, p))
+    return _toy(d, _layout_nodes(_copy_layout(d, RIGHT), p))
 
 
 def make_lr_side(d: int, p: Sequence[float], side: str) -> BayesianNetwork:
@@ -117,11 +116,7 @@ def make_lr_side(d: int, p: Sequence[float], side: str) -> BayesianNetwork:
     """
     if d % 2 != 0:
         raise ValueError("d must be even")
-    _check_open_unit(p)
-    layout = _copy_layout(d, side)
-    if len(p) != len(set(layout)):
-        raise ValueError(f"need {len(set(layout))} parameters for side={side}, got {len(p)}")
-    return _toy(d, _layout_nodes(layout, p))
+    return _toy(d, _layout_nodes(_copy_layout(d, side), p, f"{side}-side parameters"))
 
 
 def make_lr_repeated(
@@ -137,16 +132,10 @@ def make_lr_repeated(
     """
     if d % 2 != 0:
         raise ValueError("d must be even")
-    layouts = {side: _copy_layout(d, side) for side in (RIGHT, LEFT)}
-    for side, p in ((RIGHT, p_right), (LEFT, p_left)):
-        roots = len(set(layouts[side]))
-        if len(p) != roots:
-            raise ValueError(f"need {roots} {side}-side parameters, got {len(p)}")
-    _check_open_unit(p_right)
-    _check_open_unit(p_left)
     coin = NodeSpec("side", (RIGHT, LEFT), (), {(): (0.5, 0.5)})
-    sides = zip(_layout_nodes(layouts[RIGHT], p_right), _layout_nodes(layouts[LEFT], p_left))
-    return _toy(d, [coin] + [_mix(coin.name, pair) for pair in sides])
+    right = _layout_nodes(_copy_layout(d, RIGHT), p_right, "right-side parameters")
+    left = _layout_nodes(_copy_layout(d, LEFT), p_left, "left-side parameters")
+    return _toy(d, [coin] + [_mix(coin.name, pair) for pair in zip(right, left)])
 
 
 # Output node selections for the sachs benchmark, named by where they sit in

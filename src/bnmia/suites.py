@@ -86,9 +86,6 @@ def bench_posterior(
     for name in populations:
         bn = resolve_network(name, _stream(seed, 0, "population"))
         law = output_marginal_law(bn)
-        full_dim = sum(
-            node.cardinality if bn.encoding == "one-hot" else 1 for node in bn.nodes
-        )
         elapsed = 0.0
         calls = 0
         for i in range(datasets):
@@ -106,8 +103,8 @@ def bench_posterior(
                 calls += 1
         rows.append(
             BenchRow(
-                name, len(bn.nodes), full_dim, len(bn.output_nodes), bn.d,
-                elapsed / calls, calls,
+                name, len(bn.nodes), bn.with_outputs(bn.node_names, bn.encoding).d,
+                len(bn.output_nodes), bn.d, elapsed / calls, calls,
             )
         )
     return rows
@@ -255,7 +252,7 @@ def verify_half_repeated_equivalence(seed: int = 20250810):
     rng = np.random.default_rng(seed)
     for d in range(2, 8):
         law = output_marginal_law(resolve_network(f"half:{d}", rng))
-        clip = atk.half_clip_range(d)
+        clip = atk.side_clip_range(d, RIGHT)
         ys = np.array(list(_tied_vectors(d, RIGHT, 1)))
         for n in range(1, 5):
             yield _clipped_gap(law, _tied_releases(d, RIGHT, n), ys, clip)
@@ -299,7 +296,7 @@ def verify_lr_single_side_counts(seed: int = 20250810):
                 # only the counts that read as this side, not ambiguous or the other
                 releases = [
                     counts for counts in _tied_releases(d, side, n)
-                    if atk.choose_side(counts, d) == side
+                    if atk.choose_side(counts) == side
                 ]
                 ys = np.array(list(_tied_vectors(d, side, 1)))
                 yield _clipped_gap(law, releases, ys, atk.side_clip_range(d, side))

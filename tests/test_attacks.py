@@ -13,7 +13,6 @@ from bnmia.attacks import (
     ClipRange,
     choose_side,
     decide,
-    half_clip_range,
     inner_product_score,
     lrt_clipped_score,
     lrt_score,
@@ -81,7 +80,7 @@ class TestClipped:
         bn = make_half_repeated(5, (0.3, 0.5, 0.7))
         mu = attribute_marginals(output_marginal_law(bn))
         y = (1, 0, 1, 1, 1)
-        clip = half_clip_range(5)
+        clip = side_clip_range(5, RIGHT)
         assert clip == ClipRange(1, 3)
         a = one("lrt_clipped:1-3", mu, ReleasedCounts((2, 1, 3, 3, 3), 4), y)
         b = one("lrt_clipped:1-3", mu, ReleasedCounts((2, 1, 3, 0, 4), 4), y)
@@ -92,6 +91,8 @@ class TestClipped:
         assert side_clip_range(4, LEFT) == ClipRange(2, 4)
         assert side_clip_range(10, RIGHT) == ClipRange(1, 6)
         assert side_clip_range(10, LEFT) == ClipRange(5, 10)
+        with pytest.raises(ValueError, match="^side must be 'left' or 'right'$"):
+            side_clip_range(4, "up")
 
     def test_bad_range(self):
         with pytest.raises(ValueError):
@@ -102,16 +103,24 @@ class TestClipped:
 
 class TestChooseSide:
     def test_right(self):
-        assert choose_side(ReleasedCounts((1, 3, 2, 2), 4), 4) == RIGHT
+        assert choose_side(ReleasedCounts((1, 3, 2, 2), 4)) == RIGHT
 
     def test_left(self):
-        assert choose_side(ReleasedCounts((2, 2, 3, 1), 4), 4) == LEFT
+        assert choose_side(ReleasedCounts((2, 2, 3, 1), 4)) == LEFT
 
     def test_ambiguous_both_constant(self):
-        assert choose_side(ReleasedCounts((2, 2, 2, 2), 4), 4) == AMBIGUOUS
+        assert choose_side(ReleasedCounts((2, 2, 2, 2), 4)) == AMBIGUOUS
 
     def test_ambiguous_neither_constant(self):
-        assert choose_side(ReleasedCounts((1, 2, 3, 4, 1, 3), 4), 6) == AMBIGUOUS
+        assert choose_side(ReleasedCounts((1, 2, 3, 4, 1, 3), 4)) == AMBIGUOUS
+
+    def test_width_comes_from_the_counts(self):
+        # Read as d = 4, the first four counts would say left; all six say nothing.
+        assert choose_side(ReleasedCounts((1, 1, 2, 3, 4, 5), 5)) == AMBIGUOUS
+
+    def test_odd_width_is_rejected(self):
+        with pytest.raises(ValueError, match="d must be even"):
+            choose_side(ReleasedCounts((1, 2, 2), 2))
 
 
 class TestInnerProduct:
@@ -138,7 +147,7 @@ class TestBayesScore:
         law = output_marginal_law(make_half_repeated(5, (0.3, 0.6, 0.45)))
         mu = attribute_marginals(law)
         counts = ReleasedCounts((2, 1, 3, 3, 3), 3)
-        assert half_clip_range(5) == ClipRange(1, 3)
+        assert side_clip_range(5, RIGHT) == ClipRange(1, 3)
         for y_free in [(0, 0, 0), (1, 0, 1), (0, 1, 1)]:
             y = y_free + (y_free[-1], y_free[-1])
             b = one("bayes", None, counts, y, law)

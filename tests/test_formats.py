@@ -294,6 +294,12 @@ class TestFuzzSafety:
 
 
 VARIABLE_A = "variable A {\n  type discrete [ 2 ] { yes, no };\n}\n"
+VARIABLE_B = VARIABLE_A.replace("A", "B")
+PROBABILITY_A = "probability ( A ) {\n  table 0.5, 0.5;\n}\n"
+SEXPR_A = "(variable A (type discrete (2) (f t)))"
+SEXPR_B = "(variable B (type discrete (2) (f t)))"
+SEXPR_P_A = "(probability (A) (table 0.5 0.5))"
+SEXPR_AB = f"({SEXPR_A}\n {SEXPR_B}\n {SEXPR_P_A}\n (probability (B A) "
 
 # The dialect, a malformed document, the start of its message, and the line
 # and column the fault is reported at.
@@ -317,6 +323,60 @@ MALFORMED = [
      "unbalanced parentheses: '('", 2, 2),
     ("sexpr", "((variable A (type discrete (2) (f t))))\n (probability (A) (table 0.5 0.5)))",
      "unbalanced parentheses: unexpected ')'", 2, 35),
+    # Numbers and words where a list stands, and rows outside [0, 1].
+    ("sexpr", f"({SEXPR_A}\n (probability (A) (table 0.5 (0.5))))",
+     "expected a number, found a list", 2, 30),
+    ("sexpr", f"({SEXPR_A}\n (probability (A) (table 0.5 x)))",
+     "expected a number, found 'x'", 2, 30),
+    ("bif", VARIABLE_A + "probability ( A ) {\n  table 0.5, x;\n}\n",
+     "expected a number, found 'x'", 5, 14),
+    ("sexpr", "((variable (A) (type discrete (2) (f t))))",
+     "expected a variable name, found a list", 1, 12),
+    ("sexpr", f"({SEXPR_A}\n (probability (A) (table 1.5 -0.5)))",
+     "CPT row for A has entries outside [0, 1]", 2, 3),
+    # S-expression forms of the wrong shape.
+    ("sexpr", "(define net)", "define form needs a name and a body", 1, 1),
+    ("sexpr", "(define net clauses)", "define body must be a list of clauses", 1, 1),
+    ("sexpr", f"({SEXPR_A}\n {SEXPR_P_A}\n variable)", "expected a clause list", 3, 2),
+    ("sexpr", "((variable A))", "variable clause needs a name and a type", 1, 3),
+    ("sexpr", "((variable A (type continuous (2) (f t))))",
+     "variable A: expected (type discrete (K) (s1 ... sK))", 1, 3),
+    ("sexpr", "((variable A (type discrete (2) (f t u))))",
+     "variable A: declared 2 states but listed 3", 1, 3),
+    ("sexpr", f"({SEXPR_A}\n {SEXPR_A}\n {SEXPR_P_A})", "variable A declared twice", 2, 3),
+    ("sexpr", f"({SEXPR_A}\n (probability (A)))",
+     "probability clause needs (CHILD parents...) and rows", 2, 3),
+    ("sexpr", f"({SEXPR_A}\n {SEXPR_P_A}\n {SEXPR_P_A})",
+     "duplicate probability clause for A", 3, 3),
+    ("sexpr", SEXPR_AB + "(f 0.5 0.5)))",
+     "probability B: expected ((parent states) p1 ... pK) rows", 4, 21),
+    ("sexpr", SEXPR_AB + "((f t) 0.5 0.5)))",
+     "probability B: row key ('f', 't') does not match 1 parents", 4, 21),
+    ("sexpr", SEXPR_AB + "((f) 0.5 0.5) ((f) 0.5 0.5)))",
+     "probability B: duplicate row for ('f',)", 4, 35),
+    ("sexpr", SEXPR_AB + "((f) 0.5 0.5) ((t) 0.5 0.5) ((x) 0.5 0.5)))",
+     "probability B: unknown parent state 'x' in row (x)", 4, 3),
+    # BIF blocks of the wrong shape.
+    ("bif", "variable A B {\n  type discrete [ 2 ] { yes, no };\n}\n",
+     "expected 'variable NAME {'", 1, 1),
+    ("bif", VARIABLE_A.replace("};\n", "};\n  default yes;\n"),
+     "unexpected 'default' in variable block", 3, 3),
+    ("bif", "variable A {\n  property x;\n}\n", "variable A: missing type declaration", 1, 10),
+    ("bif", VARIABLE_A + VARIABLE_A + PROBABILITY_A, "variable A declared twice", 4, 10),
+    ("bif", VARIABLE_A + "probability A {\n  table 0.5, 0.5;\n}\n",
+     "expected 'probability ( CHILD | PARENTS ) {'", 4, 1),
+    ("bif", VARIABLE_A + VARIABLE_B + PROBABILITY_A
+     + "probability ( B, A ) {\n  table 0.5, 0.5;\n}\n",
+     "probability (B ...): parents must follow '|'", 10, 13),
+    ("bif", VARIABLE_A + VARIABLE_B + PROBABILITY_A
+     + "probability ( B | A ) {\n  (yes) 0.5, 0.5;\n  (yes) 0.5, 0.5;\n}\n",
+     "probability B: duplicate row for ('yes',)", 12, 3),
+    ("bif", VARIABLE_A + "probability ( A ) {\n  default 0.5, 0.5;\n}\n",
+     "unexpected 'default' in probability block", 5, 3),
+    ("bif", VARIABLE_A + PROBABILITY_A + PROBABILITY_A, "duplicate probability block for A", 7, 13),
+    ("bif", "variable A {\n  ;\n}\n", "unexpected ';' in variable block", 2, 3),
+    ("bif", VARIABLE_A.replace("[ 2 ]", "2"),
+     "variable A: expected type discrete [ K ] { s1, ..., sK }", 2, 3),
 ] + [
     # A state count is ASCII digits only, not any integer literal Python reads.
     case

@@ -1014,6 +1014,43 @@ class TestRunExperiment:
         # The weak threat fits tables to the known graph: one record will do.
         ExperimentConfig("cancer", 4, trials=2, threat="weak", m=1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", 4.0), ("trials", 2.5), ("targets_in", 3.5), ("targets_out", 3.5),
+            ("workers", 1.5), ("seed", 1.5), ("m", 10.5), ("m", "10"),
+        ],
+    )
+    def test_non_integer_sizes_rejected(self, field, value):
+        # A float would get as far as run_experiment: range(2.5), rng.integers(..., 3.5).
+        kwargs = {"n": 4, "trials": 2, "threat": "weak", "m": 10, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            ExperimentConfig("cancer", **kwargs)
+
+    def test_numpy_integer_sizes_accepted(self):
+        config = ExperimentConfig(
+            "cancer", np.int64(2), trials=np.int32(1), targets_in=np.int64(2),
+            targets_out=np.int64(2), seed=np.uint64(3), threat="weak", m=np.int64(10),
+            attacks=("lrt",),
+        )
+        assert len(run_experiment(config).rows) == 1
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n": 0}, "^trials, targets, and n must all be at least 1$"),
+            ({"trials": 0}, "^trials, targets, and n must all be at least 1$"),
+            ({"targets_in": 0}, "^trials, targets, and n must all be at least 1$"),
+            ({"targets_out": 0}, "^trials, targets, and n must all be at least 1$"),
+            ({"workers": 0}, "^workers must be at least 1$"),
+            ({"threat": "weaker"}, r"^threat must be one of \('strong', 'weak', 'weakest'\)$"),
+            ({"threat": "weak", "m": 0}, "^weak and weakest threat models need a proxy size"),
+        ],
+    )
+    def test_size_and_threat_errors(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig("cancer", **{"n": 4, **kwargs})
+
 
 class TestThreatModelOrdering:
     def test_strong_weak_weakest_chain_on_cancer(self):
@@ -1024,7 +1061,8 @@ class TestThreatModelOrdering:
                 population="cancer", n=4, trials=40, targets_in=20, targets_out=20,
                 seed=0, threat=threat, m=m, attacks=("bayes",),
             )
-            values[threat] = run_experiment(config).mean_auc("bayes")
+            (row,) = run_experiment(config).summary
+            values[threat] = row.mean_auc
         assert values["strong"] >= values["weak"] - 0.03
         assert values["weak"] >= values["weakest"] - 0.03
 
@@ -1099,7 +1137,7 @@ class TestClippedSuites:
                 for c in suites._tied_vectors(d, side, n):
                     free = {c[j] for j in range(d) if j not in block}
                     expected = side if len(free) > 1 else attacks.AMBIGUOUS
-                    assert attacks.choose_side(ReleasedCounts(c, n), d) == expected
+                    assert attacks.choose_side(ReleasedCounts(c, n)) == expected
 
     @pytest.mark.parametrize("d", (4, 6, 8, 10, 12))
     def test_side_clip_holds_one_coordinate_of_the_block(self, d):
@@ -1130,7 +1168,7 @@ class TestClippedSuites:
         rng = np.random.default_rng(3)
         if kind == "half":
             bn = make_half_repeated(d, tuple(rng.uniform(0.2, 0.8, size=midpoint(d))))
-            clip = attacks.half_clip_range(d)
+            clip = attacks.side_clip_range(d, RIGHT)
         else:
             size = midpoint(d) if side == RIGHT else d - midpoint(d) + 2
             bn = make_lr_side(d, tuple(rng.uniform(0.2, 0.8, size=size)), side)
@@ -1150,7 +1188,7 @@ class TestClippedSuites:
         # half:3's third attribute copies its second, so (0, 1, 0) is impossible.
         law = output_marginal_law(make_half_repeated(3, (0.3, 0.6)))
         ys = np.array([(0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 1)])
-        clip = attacks.half_clip_range(3)
+        clip = attacks.side_clip_range(3, RIGHT)
         possible = [ReleasedCounts((1, 1, 1), 2), ReleasedCounts((0, 2, 2), 2)]
         impossible = ReleasedCounts((0, 1, 0), 2)
         assert suites._clipped_gap(law, [impossible], ys, clip) == (0.0, 0)

@@ -653,6 +653,35 @@ class TestPosteriorRatio:
         with pytest.raises(ValueError, match="target entries must be 0 or 1"):
             engine.log_ratios([[target]])
 
+    @pytest.mark.parametrize("release", [1, 3, -1])
+    def test_release_index_outside_the_engine(self, release):
+        # -1 would read the last denominator, 3 would index past it.
+        law = output_marginal_law(make_product((0.5,)))
+        engine = PosteriorEngine(law, [ReleasedCounts((1,), 2)])
+        with pytest.raises(ValueError, match="^release index outside the table's releases$"):
+            engine.result((1,), release)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda law, c: PosteriorEngine(law, [ReleasedCounts((1, 1, 1), 2)]),
+             "^released counts have the wrong dimension$"),
+            (lambda law, c: PosteriorEngine(law, [c]).result((1, 0, 1)),
+             "^target has the wrong dimension$"),
+            (lambda law, c: PosteriorEngine(law, [c]).log_ratios([[(1, 0, 1)]]),
+             "^target has the wrong dimension$"),
+            (lambda law, c: PosteriorEngine(law, [c]).log_ratios([(1, 0)]),
+             "^target has the wrong dimension$"),
+            (lambda law, c: PosteriorEngine(law, [c]).log_ratios([[(1, 0)], [(0, 1)]]),
+             r"^a batch's targets must be a \(releases, targets, d\) array$"),
+        ],
+        ids=["counts", "result-target", "batch-target", "batch-rank", "batch-releases"],
+    )
+    def test_dimension_errors(self, call, message):
+        law = output_marginal_law(make_product((0.3, 0.6)))
+        with pytest.raises(ValueError, match=message):
+            call(law, ReleasedCounts((1, 1), 2))
+
     def test_counts_past_a_sure_state_are_impossible_evidence(self):
         # The live table empties before the last convolution step.
         sure = model.NodeSpec("A", ("0", "1"), (), {(): (0.0, 1.0)})

@@ -51,6 +51,10 @@ class TestMleFit:
         fitted = mle_fit(root_skeleton(), single_root_proxy([1, 1, 1]), alpha=0.0)
         assert fitted.node("A").cpt[()] == (0.0, 1.0)
 
+    def test_negative_smoothing_rejected(self):
+        with pytest.raises(ValueError, match="^smoothing must be nonnegative$"):
+            cpt_tables([np.zeros((1, 1, 2), dtype=np.int64)], -0.5)
+
     def test_exact_frequency_proxy_recovers_cpts(self):
         # counts proportional to the exact joint recover the tables at alpha=0
         chain = BayesianNetwork(
@@ -194,6 +198,11 @@ class TestEmpiricalMarginals:
         mu = empirical_marginals(proxy, ("A",), model.ONE_HOT)
         np.testing.assert_allclose(mu, [0.25, 0.25, 0.5])
 
+    def test_raw_binary_needs_binary_nodes(self):
+        proxy = single_root_proxy([0, 2, 2, 1], ("x", "y", "z"))
+        with pytest.raises(ValueError, match="^raw-binary encoding requires binary nodes: A$"):
+            empirical_marginals(proxy, ("A",), model.RAW_BINARY)
+
 
 class TestProxyCsv:
     def test_round_trip(self):
@@ -225,6 +234,36 @@ class TestProxyCsv:
             ProxyDataset.from_csv("A,B\n\n", {"A": ("0",), "B": ("0",)})
         with pytest.raises(ValueError, match="one column per node"):
             ProxyDataset(("A", "B"), {"A": ("0", "1"), "B": ("0", "1")}, np.zeros((3, 1)))
+
+    def test_needs_a_header_row(self):
+        with pytest.raises(ValueError, match="^proxy CSV needs a header row and at least one"):
+            ProxyDataset.from_csv("A,B\n")
+
+    @pytest.mark.parametrize(
+        "text, states",
+        [("A,A\nx,y\ny,y\n", None), ("A,A\nx,x\ny,y\n", None), ("A,A\nx,y\n", {"A": ("x", "y")})],
+    )
+    def test_repeated_node_rejected(self, text, states):
+        # One states entry cannot describe two columns of one name.
+        with pytest.raises(ValueError, match="^proxy node 'A' is named more than once$"):
+            ProxyDataset.from_csv(text, states)
+        with pytest.raises(ValueError, match="^proxy node 'A' is named more than once$"):
+            ProxyDataset(("A", "A"), {"A": ("x", "y")}, np.zeros((1, 2)))
+
+    def test_node_missing_from_the_schema_rejected(self):
+        with pytest.raises(ValueError, match="^proxy node 'B' has no states in the schema$"):
+            ProxyDataset.from_csv("A,B\nx,y\n", {"A": ("x",)})
+        with pytest.raises(ValueError, match="^proxy node 'B' has no states in the schema$"):
+            ProxyDataset(("A", "B"), {"A": ("x",)}, np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("index", [2, 5, -1])
+    def test_state_index_outside_the_node_rejected(self, index):
+        states = {"A": ("0", "1", "2"), "B": ("0", "1")}
+        message = "^proxy state index outside the states of node 'B'$"
+        with pytest.raises(ValueError, match=message):
+            ProxyDataset(("A", "B"), states, np.array([[2, 0], [0, index]]))
+        with pytest.raises(ValueError, match=message):
+            ProxyDataset(("A", "B"), states, np.array([[[2, 0]], [[0, index]]]))
 
     def test_counts_weigh_rows(self):
         states = {"A": ("no", "yes")}

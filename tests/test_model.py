@@ -73,6 +73,29 @@ class TestValidate:
         bn = BayesianNetwork((tri,), ("A",), model.RAW_BINARY)
         assert any("raw-binary" in p for p in problems_of(bn))
 
+    # A network broken in one place, and the one problem it is reported with.
+    BROKEN = [
+        (BayesianNetwork((bern("A", 0.5),), ("A",), "ternary"), "unknown encoding 'ternary'"),
+        (BayesianNetwork((bern("A", 0.5), bern("A", 0.3)), (), model.RAW_BINARY),
+         "node A: duplicate declaration"),
+        (BayesianNetwork((NodeSpec("A", ("0",), (), {(): (1.0,)}),), (), model.ONE_HOT),
+         "node A: fewer than 2 states"),
+        (BayesianNetwork((NodeSpec("A", ("x", "x"), (), {(): (0.5, 0.5)}),), (), model.ONE_HOT),
+         "node A: duplicate state labels"),
+        (BayesianNetwork(
+            (NodeSpec("A", ("0", "1"), (), {(): (0.5, 0.5), (0,): (0.5, 0.5)}),), (), model.ONE_HOT
+        ), "node A: unexpected CPT row key (0,)"),
+        (BayesianNetwork((NodeSpec("A", ("0", "1"), (), {(): (1.5, -0.5)}),), (), model.ONE_HOT),
+         "node A: row () has entries outside [0, 1]"),
+    ]
+
+    @pytest.mark.parametrize(
+        "bn, problem", BROKEN,
+        ids=["encoding", "declared-twice", "one-state", "labels", "row-key", "entries"],
+    )
+    def test_reports_the_one_problem(self, bn, problem):
+        assert validate(bn) == [problem]
+
 
 def problems_of(bn):
     return validate(bn)

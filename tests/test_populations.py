@@ -162,6 +162,23 @@ class TestLrRepeated:
         with pytest.raises(ValueError, match="left-side"):
             make_lr_repeated(4, (0.5, 0.5, 0.5), (0.5,))
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: make_lr_side(5, (0.5,) * 3, RIGHT), "^d must be even$"),
+            (lambda: make_lr_side(4, (0.5,) * 3, "up"), "^side must be 'left' or 'right'$"),
+            (lambda: make_lr_side(4, (0.5,) * 2, LEFT), "^need 3 left-side parameters, got 2$"),
+            (lambda: make_lr_side(4, (0.5, 1.0, 0.5), RIGHT), "strictly inside"),
+            (lambda: make_lr_repeated(4, (0.5,) * 3, (0.0, 0.5, 0.5)), "strictly inside"),
+            (lambda: make_half_repeated(4, (0.5, 0.5, -0.1)), "strictly inside"),
+            (lambda: make_product((0.5, 0.5, 0.5, 1.5)), "strictly inside"),
+        ],
+        ids=["odd-d", "side", "count", "side-p", "lr-p", "half-p", "product-p"],
+    )
+    def test_each_constructor_checks_its_parameters(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
 
 class TestCopyLayout:
     """Every toy constructor builds the nodes the hand-written ones build,
